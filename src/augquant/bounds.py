@@ -10,14 +10,15 @@ reported.
 The segment supremum has no computable closed form in general; it is proxied
 by a uniform grid (default 17 points including both endpoints), which makes
 the estimates lower bounds on the true suprema.  Derivatives are analytic for
-the average, the exponential statistics, the smooth max, and the ridge
-estimate; central finite differences cover the rest.
+every differentiable statistic: the average, the exponential statistics, the
+smooth max, the ridge estimate and the ridge risk.  The hard max has none.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from . import statistics as stats
 from .core import augment_iid
@@ -130,76 +131,105 @@ class _SmoothMaxDerivs:
         return abs(val), float(d1), float(d2), float(d3)
 
 
-class _RidgeDerivs:
-    """Frobenius norms of the ridge estimate's block derivative tensors."""
+class _RidgeBlocks:
+    """The ridge estimate and its derivative tensors within one row, from one
+    factorization.
 
-    def __init__(self, d, b, lam, n, k):
-        self.d, self.b, self.lam, self.n, self.k = d, b, lam, n, k
+    With M = sum v v^T + n k lam I, G = M^{-1} and B = G C for C = sum v y^T,
+    differentiating M B = C gives, for row entries a, b, c (M and C are
+    quadratic in the row, so their third derivatives vanish):
+
+        B_a   = G (C_a - M_a B)
+        B_ab  = G (C_ab - M_ab B - M_a B_b - M_b B_a)
+        B_abc = -G (M_ab B_c + M_ac B_b + M_bc B_a + M_a B_bc + M_b B_ac + M_c B_ab)
+
+    M_ab and C_ab vanish unless both entries lie in the same slot.  Entries
+    follow the row layout (slot-major, covariates before responses), so with
+    W = k (d + b): ``d1`` is (W, d, b), ``d2`` is (W, W, d, b), and
+    ``d3(a)`` is the (W, W, d, b) slice of the third tensor at first index a.
+    """
+
+    def __init__(self, w, i, k, d, b, lam):
+        cells = stats._cells(w, k)
+        v, y = stats._split_vy(cells, d, b)
+        factor, cross = stats._ridge_system(cells, d, b, lam)
+        self.g = cho_solve(factor, np.eye(d))
+        self.fit = self.g @ cross
+        # derivative of the slot's covariate / response with respect to each entry
+        ev = np.tile(np.eye(d + b, d), (k, 1))
+        ey = np.tile(np.eye(d + b, b, -d), (k, 1))
+        vj = np.repeat(v[i], d + b, axis=0)
+        yj = np.repeat(y[i], d + b, axis=0)
+        same = np.kron(np.eye(k), np.ones((d + b, d + b)))[:, :, None, None]
+        m1 = ev[:, :, None] * vj[:, None, :]
+        self.m1 = m1 + m1.transpose(0, 2, 1)
+        c1 = ev[:, :, None] * yj[:, None, :] + vj[:, :, None] * ey[:, None, :]
+        evev = ev[:, None, :, None] * ev[None, :, None, :]
+        self.m2 = same * (evev + evev.transpose(1, 0, 2, 3))
+        c2 = same * (ev[:, None, :, None] * ey[None, :, None, :]
+                     + ev[None, :, :, None] * ey[:, None, None, :])
+        self.d1 = self.g @ (c1 - self.m1 @ self.fit)
+        mb = self.m1[:, None] @ self.d1[None, :]
+        self.d2 = self.g @ (c2 - self.m2 @ self.fit - mb - mb.transpose(1, 0, 2, 3))
+
+    def d3(self, a):
+        m1, d1, d2 = self.m1, self.d1, self.d2
+        s = self.m2[a][:, None] @ d1[None, :] + m1[:, None] @ d2[a][None, :]
+        return -(self.g @ (s + s.transpose(1, 0, 2, 3) + self.m2 @ d1[a] + m1[a] @ d2))
+
+
+class _RidgeDerivs:
+    """Frobenius norms of the ridge estimate's block derivative tensors, or,
+    given ``risk_moments``, of the ridge risk's.
+
+    The risk R(B) = sigma_y - 2 tr(Sigma_yv B) + tr(B^T Sigma_v B) is quadratic
+    in B, so with H = Sigma_v B - Sigma_yv^T and <X, Y> = sum X * Y:
+
+        R_a   = 2 <H, B_a>
+        R_ab  = 2 <H, B_ab> + 2 <B_a, Sigma_v B_b>
+        R_abc = 2 <H, B_abc> + 2 (<B_ab, Sigma_v B_c> + <B_ac, Sigma_v B_b>
+                                  + <B_bc, Sigma_v B_a>)
+
+    The third order is summed one first-index slice at a time, so memory stays
+    O(W^2 d b).  The estimate keeps the positive-penalty contract of
+    ``ridge_derivative``; the risk, like ``ridge_fit``, accepts lam = 0 when
+    the Gram matrix is invertible.
+    """
+
+    def __init__(self, d, b, lam, k, risk_moments=None):
+        if risk_moments is None and lam <= 0:
+            raise ContractError("derivative formulas require a positive ridge penalty")
+        self.d, self.b, self.lam, self.k = d, b, lam, k
+        self.risk_moments = risk_moments
 
     def norms(self, w, i):
-        d, b, k = self.d, self.b, self.k
-        p = stats._RidgeParts(w, k, d, b, self.lam)
-        f_norm = float(np.linalg.norm(p.minv_cross))
-        coords = [(j, "v", l) for j in range(k) for l in range(d)]
-        coords += [(j, "y", l) for j in range(k) for l in range(b)]
-
-        def deriv1(c):
-            j, kind, l = c
-            which = "dV" if kind == "v" else "dY"
-            return stats.ridge_derivative(w, k, d, b, self.lam, which, i, (j,), (l,))
-
-        def deriv2(c1, c2):
-            (j1, k1, l1), (j2, k2, l2) = c1, c2
-            if k1 == "y" and k2 == "y":
-                return None
-            if k1 == "v" and k2 == "v":
-                return stats.ridge_derivative(w, k, d, b, self.lam, "dVdV", i, (j1, j2), (l1, l2))
-            if k1 == "v":
-                return stats.ridge_derivative(w, k, d, b, self.lam, "dYdV", i, (j1, j2), (l1, l2))
-            return stats.ridge_derivative(w, k, d, b, self.lam, "dYdV", i, (j2, j1), (l2, l1))
-
-        def deriv3(cs):
-            vs = [c for c in cs if c[1] == "v"]
-            ys = [c for c in cs if c[1] == "y"]
-            if len(ys) >= 2:
-                return None
-            if len(ys) == 1:
-                slots = (vs[0][0], vs[1][0], ys[0][0])
-                ls = (vs[0][2], vs[1][2], ys[0][2])
-                return stats.ridge_derivative(w, k, d, b, self.lam, "dYdVdV", i, slots, ls)
-            slots = tuple(c[0] for c in cs)
-            ls = tuple(c[2] for c in cs)
-            return stats.ridge_derivative(w, k, d, b, self.lam, "dVdVdV", i, slots, ls)
-
-        s1 = sum(np.sum(deriv1(c) ** 2) for c in coords)
-
-        s2 = 0.0
-        for c1, c2 in itertools.combinations_with_replacement(range(len(coords)), 2):
-            t = deriv2(coords[c1], coords[c2])
-            if t is None:
-                continue
-            mult = 1 if c1 == c2 else 2
-            s2 += mult * np.sum(t * t)
-
+        p = _RidgeBlocks(w, i, self.k, self.d, self.b, self.lam)
+        width = p.d1.shape[0]
+        if self.risk_moments is None:
+            s3 = sum(np.sum(p.d3(a) ** 2) for a in range(width))
+            return (float(np.linalg.norm(p.fit)), float(np.linalg.norm(p.d1)),
+                    float(np.linalg.norm(p.d2)), float(np.sqrt(s3)))
+        rm = self.risk_moments
+        sv = np.asarray(rm.sigma_v, dtype=float)
+        f = stats.ridge_risk(p.fit, rm)
+        h = sv @ p.fit - np.asarray(rm.sigma_yv, dtype=float).T
+        sv_d1 = sv @ p.d1
+        r1 = 2.0 * np.einsum("apr,pr->a", p.d1, h)
+        r2 = 2.0 * (np.einsum("abpr,pr->ab", p.d2, h)
+                    + np.einsum("apr,bpr->ab", p.d1, sv_d1))
         s3 = 0.0
-        for combo in itertools.combinations_with_replacement(range(len(coords)), 3):
-            t = deriv3([coords[c] for c in combo])
-            if t is None:
-                continue
-            counts = {}
-            for c in combo:
-                counts[c] = counts.get(c, 0) + 1
-            mult = 6
-            for v in counts.values():
-                for f in range(2, v + 1):
-                    mult //= f
-            s3 += mult * np.sum(t * t)
-        return f_norm, float(np.sqrt(s1)), float(np.sqrt(s2)), float(np.sqrt(s3))
+        for a in range(width):
+            q = np.einsum("bpr,cpr->bc", p.d2[a], sv_d1)
+            r3 = 2.0 * (np.einsum("bcpr,pr->bc", p.d3(a), h) + q + q.T
+                        + np.einsum("bcpr,pr->bc", p.d2, sv_d1[a]))
+            s3 += np.sum(r3 * r3)
+        return abs(f), float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.sqrt(s3))
 
 
 class _FiniteDifferenceDerivs:
-    """Central finite differences on one row's block, for statistics without an
-    analytic derivative path.
+    """Central finite differences on one row's block: the reference that the
+    tests hold the analytic adapters to.  ``derivative_adapter`` never returns
+    it.
 
     The base step is 1e-5 relative to the block scale; second and third
     differences widen it (1e-4, 1e-3) because the rounding noise of an order-r
@@ -276,7 +306,7 @@ def _fd_third(shifted, a, c, e, h):
 
 
 def derivative_adapter(kind, n, k):
-    """Pick the derivative-norm evaluator for a statistic (analytic if known)."""
+    """Pick the analytic derivative-norm evaluator for a statistic."""
     if kind.name == "average":
         return _AverageDerivs(kind.d, n, k)
     if kind.name == "expnegchisq":
@@ -286,10 +316,14 @@ def derivative_adapter(kind, n, k):
     if kind.name == "smoothmax":
         return _SmoothMaxDerivs(kind.d_n, kind.t, n, k)
     if kind.name == "ridge":
-        return _RidgeDerivs(kind.d, kind.b, kind.lam, n, k)
+        return _RidgeDerivs(kind.d, kind.b, kind.lam, k)
+    if kind.name == "ridgerisk":
+        if kind.risk_moments is None:
+            raise ContractError("ridge risk statistic needs risk moments")
+        return _RidgeDerivs(kind.d, kind.b, kind.lam, k, kind.risk_moments)
     if kind.name == "hardmax":
         raise ContractError("the hard max is not differentiable; use its smooth relaxation")
-    return _FiniteDifferenceDerivs(kind, n, k)
+    raise ContractError(f"no derivative adapter for statistic {kind.name!r}")
 
 
 def estimate_alpha(stat, family, source, surrogate_spec, i=None, n=None, k=None,
@@ -385,12 +419,8 @@ def moment_constants(moments, spec, num_rows=100_000, seed=0):
     return c1, c2, c3
 
 
-def repeated_constants(family, source, num_samples=0, seed=0):
-    """(m1, m2, m3): map-conditional moment spreads, exact for finite affine families.
-
-    ``num_samples``/``seed`` are accepted for interface stability but unused:
-    every built-in family is finite, so the conditional moments enumerate.
-    """
+def repeated_constants(family, source):
+    """(m1, m2, m3): map-conditional moment spreads, exact for finite affine families."""
     mu = source.joint_mean()
     sigma = source.joint_cov()
     s_raw = sigma + np.outer(mu, mu)

@@ -31,6 +31,17 @@ def _workers_default():
         return 1
 
 
+def _check_seed(value):
+    """The seed as an int in [0, 2**64), the range of the stream keys."""
+    try:
+        seed = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {value!r}") from None
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed}")
+    return seed
+
+
 def _write_manifest(out_dir, command, cfg, seed, workers, scale=None):
     lines = [
         f"command = {command}",
@@ -336,15 +347,16 @@ def main(argv=None):
         return int(exc.code or 0)
     workers = args.workers if args.workers is not None else _workers_default()
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     try:
         if args.command == "figure":
-            seed = args.seed if args.seed is not None else 20240
+            seed = _check_seed(args.seed if args.seed is not None else 20240)
+            os.makedirs(out_dir, exist_ok=True)
             _write_manifest(out_dir, f"figure:{args.name}", {"figure.name": args.name},
                             seed, workers, args.scale)
             return _cmd_figure(args.name, out_dir, args.scale, seed, workers)
         cfg = cfgmod.read_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = _check_seed(args.seed if args.seed is not None else cfg.get("seed", 0))
+        os.makedirs(out_dir, exist_ok=True)
         _write_manifest(out_dir, args.command, cfg, seed, workers)
         handler = {"predict": _cmd_predict, "simulate": _cmd_simulate,
                    "compare": _cmd_compare, "bounds": _cmd_bounds}[args.command]

@@ -189,21 +189,26 @@ def _gram_cross(cells, d, b):
     return v2.T @ v2, v2.T @ y2
 
 
+def _ridge_system(cells, d, b, lam):
+    """Cholesky factor of M = sum v v^T + n k lam I, and the cross moments sum v y^T."""
+    n, k = cells.shape[:2]
+    gram, cross = _gram_cross(cells, d, b)
+    m = gram + n * k * lam * np.eye(d)
+    try:
+        return cho_factor(m), cross
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"regularized Gram matrix is singular (rank deficiency at lam={lam:g})") from exc
+
+
 def ridge_fit(data, k, d, b, lam):
     """Ridge estimate on the augmented pairs, via an SPD solve.
 
     Solves (sum v v^T + n k lam I) B = sum v y^T; lam = 0 is allowed only when
     the Gram matrix is numerically invertible.
     """
-    cells = _cells(data, k)
-    n = cells.shape[0]
-    gram, cross = _gram_cross(cells, d, b)
-    m = gram + n * k * lam * np.eye(d)
-    try:
-        return cho_solve(cho_factor(m), cross)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"regularized Gram matrix is singular (rank deficiency at lam={lam:g})") from exc
+    factor, cross = _ridge_system(_cells(data, k), d, b, lam)
+    return cho_solve(factor, cross)
 
 
 def ridge_risk(b_hat, risk_moments):
@@ -226,9 +231,8 @@ class _RidgeParts:
         cells = _cells(data, k)
         self.n, self.k, self.d, self.b = cells.shape[0], k, d, b
         self.v, self.y = _split_vy(cells, d, b)
-        gram, self.cross = _gram_cross(cells, d, b)
-        m = gram + self.n * k * lam * np.eye(d)
-        self.minv = cho_solve(cho_factor(m), np.eye(d))
+        factor, self.cross = _ridge_system(cells, d, b, lam)
+        self.minv = cho_solve(factor, np.eye(d))
         self.minv_cross = self.minv @ self.cross
 
     def check(self, i, slots, coords, kinds):

@@ -112,6 +112,49 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
 
+    def test_ridgerisk_norms(self):
+        n, k, d, b = 3, 2, 2, 1
+        rm = aq.RiskMoments(1.5, np.array([[0.3, -0.2]]), np.array([[1.0, 0.2], [0.2, 0.8]]))
+        kind = aq.ridge_risk_statistic(d, b, 1.0, rm)
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal((n, k * (d + b)))
+        analytic = bd.derivative_adapter(kind, n, k).norms(w, 0)
+        fd = bd._FiniteDifferenceDerivs(kind, n, k).norms(w, 0)
+        for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
+            assert a == pytest.approx(f, rel=tol, abs=tol)
+
+
+def test_ridge_blocks_match_ridge_derivative():
+    # every entry of the vectorized tensors against the single-entry formulas
+    n, k, d, b, lam, i = 3, 2, 2, 2, 0.7, 1
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal((n, k * (d + b)))
+    blocks = bd._RidgeBlocks(w, i, k, d, b, lam)
+    # (slot, block, coordinate) of each row entry, in the row layout
+    entries = [(j, "v", c) if c < d else (j, "y", c - d)
+               for j in range(k) for c in range(d + b)]
+
+    def expected(*idx):
+        cells = sorted((entries[a] for a in idx), key=lambda e: e[1] == "y")
+        kinds = "".join(kind for _, kind, _ in cells)
+        if kinds.count("y") >= 2:
+            return np.zeros((d, b))
+        which = {"v": "dV", "y": "dY", "vv": "dVdV", "vy": "dYdV",
+                 "vvv": "dVdVdV", "vvy": "dYdVdV"}[kinds]
+        return aq.ridge_derivative(w, k, d, b, lam, which, i,
+                                   [j for j, _, _ in cells], [l for _, _, l in cells])
+
+    width = len(entries)
+    want1 = np.array([expected(a) for a in range(width)])
+    want2 = np.array([[expected(a, c) for c in range(width)] for a in range(width)])
+    want3 = np.array([[[expected(a, c, e) for e in range(width)] for c in range(width)]
+                      for a in range(width)])
+    got3 = np.array([blocks.d3(a) for a in range(width)])
+    np.testing.assert_allclose(blocks.fit, aq.ridge_fit(w, k, d, b, lam), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(blocks.d1, want1, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(blocks.d2, want2, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got3, want3, rtol=1e-12, atol=1e-12)
+
 
 class TestAssembly:
     def test_all_zero_alphas(self):

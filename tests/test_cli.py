@@ -212,6 +212,68 @@ class TestBounds:
         assert float(values["lambda2"]) == lam2
 
 
+REGRESSION_BOUNDS = """
+source.kind = regression
+source.mean = [1.0, 1.0]
+source.cov = [1.0, 0.5, 0.5, 1.0]
+source.noise_scale = 1.0
+family.kind = identity
+family.dim = 4
+statistic.kind = {kind}
+statistic.lambda = {lam}
+protocol = iid_aug
+n = 6
+k = 1
+replicates = 2
+seed = 3
+bounds.num_outer = 2
+bounds.num_grid = 2
+"""
+
+
+class TestRidgeBounds:
+    def test_ridgerisk_at_zero_penalty_runs(self, tmp_path):
+        cfgp = _write(tmp_path, REGRESSION_BOUNDS.format(kind="ridgerisk", lam=0.0))
+        assert cli.main(["bounds", "--config", cfgp, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "bounds.csv").exists()
+
+    def test_ridge_at_zero_penalty_exits_2(self, tmp_path, capsys):
+        cfgp = _write(tmp_path, REGRESSION_BOUNDS.format(kind="ridge", lam=0.0))
+        assert cli.main(["bounds", "--config", cfgp, "--out", str(tmp_path)]) == 2
+        assert "positive ridge penalty" in capsys.readouterr().err
+
+    def test_missing_risk_moments_exits_2(self, tmp_path, monkeypatch, capsys):
+        from augquant import config as cfgmod
+        monkeypatch.setattr(cfgmod.stats, "risk_moments_from_source", lambda source: None)
+        cfgp = _write(tmp_path, REGRESSION_BOUNDS.format(kind="ridgerisk", lam=1.0))
+        assert cli.main(["bounds", "--config", cfgp, "--out", str(tmp_path)]) == 2
+        assert "risk moments" in capsys.readouterr().err
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, seed):
+        cfgp = _write(tmp_path, GAUSSIAN_1D)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out), "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and len(err.strip().splitlines()) == 1
+        assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_config_key_exits_2(self, tmp_path, capsys, seed):
+        cfgp = _write(tmp_path, GAUSSIAN_1D.replace("seed = 3", f"seed = {seed}"))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfgp = _write(tmp_path, GAUSSIAN_1D)
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path),
+                         "--seed", str(2**64 - 1)]) == 0
+
+
 class TestFigure:
     def test_fig2_bundle(self, tmp_path, monkeypatch):
         # shrink the grid indirectly by checking only structure; desk scale runs fast
