@@ -14,11 +14,9 @@ every differentiable statistic: the average, the exponential statistics, the
 smooth max, the ridge estimate and the ridge risk.  The hard max has none.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import statistics as stats
 from .core import augment_iid
@@ -131,56 +129,12 @@ class _SmoothMaxDerivs:
         return abs(val), float(d1), float(d2), float(d3)
 
 
-class _RidgeBlocks:
-    """The ridge estimate and its derivative tensors within one row, from one
-    factorization.
-
-    With M = sum v v^T + n k lam I, G = M^{-1} and B = G C for C = sum v y^T,
-    differentiating M B = C gives, for row entries a, b, c (M and C are
-    quadratic in the row, so their third derivatives vanish):
-
-        B_a   = G (C_a - M_a B)
-        B_ab  = G (C_ab - M_ab B - M_a B_b - M_b B_a)
-        B_abc = -G (M_ab B_c + M_ac B_b + M_bc B_a + M_a B_bc + M_b B_ac + M_c B_ab)
-
-    M_ab and C_ab vanish unless both entries lie in the same slot.  Entries
-    follow the row layout (slot-major, covariates before responses), so with
-    W = k (d + b): ``d1`` is (W, d, b), ``d2`` is (W, W, d, b), and
-    ``d3(a)`` is the (W, W, d, b) slice of the third tensor at first index a.
-    """
-
-    def __init__(self, w, i, k, d, b, lam):
-        cells = stats._cells(w, k)
-        v, y = stats._split_vy(cells, d, b)
-        factor, cross = stats._ridge_system(cells, d, b, lam)
-        self.g = cho_solve(factor, np.eye(d))
-        self.fit = self.g @ cross
-        # derivative of the slot's covariate / response with respect to each entry
-        ev = np.tile(np.eye(d + b, d), (k, 1))
-        ey = np.tile(np.eye(d + b, b, -d), (k, 1))
-        vj = np.repeat(v[i], d + b, axis=0)
-        yj = np.repeat(y[i], d + b, axis=0)
-        same = np.kron(np.eye(k), np.ones((d + b, d + b)))[:, :, None, None]
-        m1 = ev[:, :, None] * vj[:, None, :]
-        self.m1 = m1 + m1.transpose(0, 2, 1)
-        c1 = ev[:, :, None] * yj[:, None, :] + vj[:, :, None] * ey[:, None, :]
-        evev = ev[:, None, :, None] * ev[None, :, None, :]
-        self.m2 = same * (evev + evev.transpose(1, 0, 2, 3))
-        c2 = same * (ev[:, None, :, None] * ey[None, :, None, :]
-                     + ev[None, :, :, None] * ey[:, None, None, :])
-        self.d1 = self.g @ (c1 - self.m1 @ self.fit)
-        mb = self.m1[:, None] @ self.d1[None, :]
-        self.d2 = self.g @ (c2 - self.m2 @ self.fit - mb - mb.transpose(1, 0, 2, 3))
-
-    def d3(self, a):
-        m1, d1, d2 = self.m1, self.d1, self.d2
-        s = self.m2[a][:, None] @ d1[None, :] + m1[:, None] @ d2[a][None, :]
-        return -(self.g @ (s + s.transpose(1, 0, 2, 3) + self.m2 @ d1[a] + m1[a] @ d2))
-
-
 class _RidgeDerivs:
     """Frobenius norms of the ridge estimate's block derivative tensors, or,
     given ``risk_moments``, of the ridge risk's.
+
+    The tensors come from ``statistics._RidgeBlocks``, the same ones that
+    ``ridge_derivative`` reads entry by entry.
 
     The risk R(B) = sigma_y - 2 tr(Sigma_yv B) + tr(B^T Sigma_v B) is quadratic
     in B, so with H = Sigma_v B - Sigma_yv^T and <X, Y> = sum X * Y:
@@ -203,7 +157,7 @@ class _RidgeDerivs:
         self.risk_moments = risk_moments
 
     def norms(self, w, i):
-        p = _RidgeBlocks(w, i, self.k, self.d, self.b, self.lam)
+        p = stats._RidgeBlocks(w, i, self.k, self.d, self.b, self.lam)
         width = p.d1.shape[0]
         if self.risk_moments is None:
             s3 = sum(np.sum(p.d3(a) ** 2) for a in range(width))
@@ -224,85 +178,6 @@ class _RidgeDerivs:
                         + np.einsum("bcpr,pr->bc", p.d2, sv_d1[a]))
             s3 += np.sum(r3 * r3)
         return abs(f), float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.sqrt(s3))
-
-
-class _FiniteDifferenceDerivs:
-    """Central finite differences on one row's block: the reference that the
-    tests hold the analytic adapters to.  ``derivative_adapter`` never returns
-    it.
-
-    The base step is 1e-5 relative to the block scale; second and third
-    differences widen it (1e-4, 1e-3) because the rounding noise of an order-r
-    stencil grows like eps / h^r and would otherwise swamp the estimate.
-    """
-
-    def __init__(self, kind, n, k, rel_steps=(1e-5, 1e-4, 1e-3)):
-        self.kind, self.n, self.k, self.rel_steps = kind, n, k, rel_steps
-
-    def norms(self, w, i):
-        k = self.k
-        base = w[i].copy()
-        width = base.shape[0]
-        scale = 1.0 + np.linalg.norm(base)
-        h1, h2, h3 = (r * scale for r in self.rel_steps)
-
-        def f_at(row):
-            w[i] = row
-            out = stats.evaluate(self.kind, w, k)
-            w[i] = base
-            return out
-
-        f0 = f_at(base)
-
-        def shifted(h, *pairs):
-            row = base.copy()
-            for idx, sgn in pairs:
-                row[idx] += sgn * h
-            return f_at(row)
-
-        d1 = np.empty((f0.shape[0], width))
-        for a in range(width):
-            d1[:, a] = (shifted(h1, (a, +1)) - shifted(h1, (a, -1))) / (2 * h1)
-        s2 = 0.0
-        for a in range(width):
-            for c in range(a, width):
-                if a == c:
-                    t = (shifted(h2, (a, +1)) - 2 * f0 + shifted(h2, (a, -1))) / (h2 * h2)
-                else:
-                    t = (shifted(h2, (a, +1), (c, +1)) - shifted(h2, (a, +1), (c, -1))
-                         - shifted(h2, (a, -1), (c, +1))
-                         + shifted(h2, (a, -1), (c, -1))) / (4 * h2 * h2)
-                s2 += (1 if a == c else 2) * np.sum(t * t)
-        s3 = 0.0
-        for combo in itertools.combinations_with_replacement(range(width), 3):
-            t = _fd_third(shifted, *combo, h3)
-            counts = {}
-            for c in combo:
-                counts[c] = counts.get(c, 0) + 1
-            mult = 6
-            for v in counts.values():
-                for fac in range(2, v + 1):
-                    mult //= fac
-            s3 += mult * np.sum(t * t)
-        return (float(np.linalg.norm(f0)), float(np.linalg.norm(d1)),
-                float(np.sqrt(s2)), float(np.sqrt(s3)))
-
-
-def _fd_third(shifted, a, c, e, h):
-    if a == c == e:
-        return (shifted(h, (a, +2)) - 2 * shifted(h, (a, +1))
-                + 2 * shifted(h, (a, -1)) - shifted(h, (a, -2))) / (2 * h**3)
-    if a == c or c == e:
-        rep, single = (a, e) if a == c else (c, a)
-        return (shifted(h, (rep, +1), (single, +1)) - 2 * shifted(h, (single, +1))
-                + shifted(h, (rep, -1), (single, +1))
-                - shifted(h, (rep, +1), (single, -1)) + 2 * shifted(h, (single, -1))
-                - shifted(h, (rep, -1), (single, -1))) / (2 * h**3)
-    return (shifted(h, (a, +1), (c, +1), (e, +1)) - shifted(h, (a, +1), (c, +1), (e, -1))
-            - shifted(h, (a, +1), (c, -1), (e, +1)) + shifted(h, (a, +1), (c, -1), (e, -1))
-            - shifted(h, (a, -1), (c, +1), (e, +1)) + shifted(h, (a, -1), (c, +1), (e, -1))
-            + shifted(h, (a, -1), (c, -1), (e, +1))
-            - shifted(h, (a, -1), (c, -1), (e, -1))) / (8 * h**3)
 
 
 def derivative_adapter(kind, n, k):

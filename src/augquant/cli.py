@@ -42,6 +42,20 @@ def _check_seed(value):
     return seed
 
 
+def _cell_seed(seed, i):
+    """The seed of a figure's i-th cell, wrapped into the stream-key range."""
+    return (seed + i) % 2**64
+
+
+def _check_workers(value):
+    """The --workers count, at least 1; AUGQUANT_WORKERS or 1 when not given."""
+    if value is None:
+        return _workers_default()
+    if value < 1:
+        raise ConfigError(f"--workers must be at least 1, got {value}")
+    return value
+
+
 def _write_manifest(out_dir, command, cfg, seed, workers, scale=None):
     lines = [
         f"command = {command}",
@@ -220,7 +234,7 @@ def _fig2(out_dir, scale, seed, workers):
         config = montecarlo.ExperimentConfig(
             source=source, family=core.identity_family(1), protocol="surrogate",
             statistic=stats.exp_neg_chisq_statistic(), n=50, k=1,
-            replicates=reps, seed=seed + i, delta=1.0)
+            replicates=reps, seed=_cell_seed(seed, i), delta=1.0)
         res = montecarlo.run_experiment(config, workers=workers)
         std, se = _std_with_se(res)
         rows.append((float(s), std, se, math.sqrt(closedform.v_curve(s)),
@@ -242,7 +256,7 @@ def _fig3(out_dir, scale, seed, workers):
         config = montecarlo.ExperimentConfig(
             source=source, family=family, protocol="iid_aug",
             statistic=stats.exp_neg_chisq_2d_statistic(), n=100, k=k,
-            replicates=reps, seed=seed + i)
+            replicates=reps, seed=_cell_seed(seed, i))
         res = montecarlo.run_experiment(config, workers=workers)
         std, se = _std_with_se(res)
         rows.append((k, std, se, std_theory))
@@ -265,7 +279,7 @@ def _fig4(out_dir, scale, seed, workers):
                 for i, k in enumerate(ks):
                     config = montecarlo.ExperimentConfig(
                         source=source, family=family, protocol=proto, statistic=kind,
-                        n=200, k=k, replicates=reps, seed=seed + i)
+                        n=200, k=k, replicates=reps, seed=_cell_seed(seed, i))
                     res = montecarlo.run_experiment(config, workers=workers)
                     std, se = _std_with_se(res)
                     rows.append((fam_name, stat_name, proto, k, std, se))
@@ -289,7 +303,7 @@ def _fig5(out_dir, scale, seed, workers):
                                                     stats.risk_moments_from_source(source)))):
             config = montecarlo.ExperimentConfig(
                 source=source, family=family, protocol="iid_aug", statistic=kind,
-                n=n, k=1, replicates=reps, seed=seed + i)
+                n=n, k=1, replicates=reps, seed=_cell_seed(seed, i))
             res = montecarlo.run_experiment(config, workers=workers)
             std, se = _std_with_se(res)
             if stat_name == "est":
@@ -345,9 +359,9 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
-    workers = args.workers if args.workers is not None else _workers_default()
     out_dir = args.out
     try:
+        workers = _check_workers(args.workers)
         if args.command == "figure":
             seed = _check_seed(args.seed if args.seed is not None else 20240)
             os.makedirs(out_dir, exist_ok=True)

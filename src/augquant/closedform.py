@@ -31,9 +31,6 @@ class Interval:
     def width(self):
         return self.hi - self.lo
 
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
 
 def v_curve(s):
     """Variance of exp(-G^2) for G ~ N(0, s^2).

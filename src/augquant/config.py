@@ -199,6 +199,16 @@ def statistic_from_config(cfg, source=None):
     raise ConfigError(f"unknown statistic.kind {kind!r}")
 
 
+def _integer(cfg, key):
+    """``cfg[key]`` as an int; a fractional, non-numeric or boolean value is a ConfigError."""
+    value = cfg[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def experiment_from_config(cfg, seed_override=None):
     missing = [k for k in ("protocol", "n", "k", "replicates", "seed") if k not in cfg]
     if missing:
@@ -209,8 +219,8 @@ def experiment_from_config(cfg, seed_override=None):
     seed = int(cfg["seed"]) if seed_override is None else int(seed_override)
     return ExperimentConfig(
         source=source, family=family, protocol=str(cfg["protocol"]),
-        statistic=statistic, n=int(cfg["n"]), k=int(cfg["k"]),
-        replicates=int(cfg["replicates"]), seed=seed,
+        statistic=statistic, n=_integer(cfg, "n"), k=_integer(cfg, "k"),
+        replicates=_integer(cfg, "replicates"), seed=seed,
         alpha=float(cfg.get("alpha", 0.05)), delta=float(cfg.get("delta", 0.0)))
 
 

@@ -246,8 +246,7 @@ def coverage_check(config, interval_rule, workers=1):
     if interval_rule == "average_ci":
         if kind.name != "average" or kind.d != 1:
             raise ConfigError("average interval rule applies to the d=1 average statistic")
-        proto = "augmented" if config.protocol in ("iid_aug", "repeated_aug", "surrogate") \
-            else "unaugmented"
+        proto = "unaugmented" if config.protocol == "unaugmented" else "augmented"
         interval = closedform.average_ci(moments, config.source, config.n, config.k,
                                          config.alpha, proto)
         scale = 1.0 / math.sqrt(config.n)

@@ -1,19 +1,21 @@
-"""Standard normal and chi-squared(1) quantiles, owned in-repo.
+"""Standard normal and chi-squared(1) quantiles.
 
-Confidence-interval endpoints are acceptance-tested, so the quantile accuracy
-is owned here rather than delegated: the normal quantile uses Wichura-style
-rational minimax approximations followed by Halley correction steps against
-the complementary error function, giving absolute error below 1e-13 across
-(0, 1), comfortably inside the 1e-10 target.  The chi-squared(1) quantile
-follows from the square relationship with the standard normal, equivalent to
-inverting the regularized incomplete gamma of shape 1/2.
+The normal quantile is the standard library's ``NormalDist.inv_cdf``, which
+implements Wichura's AS241 (PPND16, about 1 part in 1e16).  Confidence-interval
+endpoints are acceptance-tested, so the quantile tests still pin its accuracy.
+The stdlib is used rather than scipy so that importing the package loads
+neither ``scipy.special`` nor ``scipy.stats``.  The
+chi-squared(1) quantile follows from the square relationship with the standard
+normal, equivalent to inverting the regularized incomplete gamma of shape 1/2.
 """
 
 import math
+from statistics import NormalDist
 
 from .errors import ContractError
 
 _SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_cdf(x):
@@ -21,51 +23,11 @@ def normal_cdf(x):
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _normal_quantile_estimate(p):
-    # Rational approximations on a central and two tail regions (Acklam/Wichura
-    # layout); raw accuracy ~1e-9, polished below.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    plow, phigh = 0.02425, 1.0 - 0.02425
-    if p < plow:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if p > phigh:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                 / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-
-
 def normal_quantile(p):
     """Inverse standard normal CDF on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ContractError("quantile level must lie strictly inside (0, 1)")
-    if p > 0.5:
-        # reflect so the polish always works on the accurate lower erfc tail;
-        # 1 - p is exact for p in [0.5, 1)
-        return -normal_quantile(1.0 - p)
-    x = _normal_quantile_estimate(p)
-    # Halley steps against erfc; the residual is tiny so two steps reach
-    # machine-level accuracy.
-    for _ in range(2):
-        err = normal_cdf(x) - p
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf == 0.0:
-            break
-        u = err / pdf
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def chisq1_cdf(x):

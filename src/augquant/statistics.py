@@ -2,9 +2,10 @@
 
 Every statistic consumes the row-major augmented layout (n rows, k slots of d
 coordinates each) and is invariant under permuting the k slots within a row.
-The ridge derivative tensors are assembled from the resolvent identities for
-the regularized Gram matrix; they back both the derivative-verification tests
-and the analytic noise-stability path.
+The ridge derivative tensors within one row are built together, from one
+factorization of the regularized Gram matrix, by ``_RidgeBlocks``; the
+single-entry ``ridge_derivative`` and the analytic noise-stability path in
+``bounds`` both read them.
 """
 
 from dataclasses import dataclass
@@ -182,20 +183,14 @@ def _split_vy(cells, d, b):
     return cells[:, :, :d], cells[:, :, d:]
 
 
-def _gram_cross(cells, d, b):
-    v, y = _split_vy(cells, d, b)
-    v2 = v.reshape(-1, d)
-    y2 = y.reshape(-1, b)
-    return v2.T @ v2, v2.T @ y2
-
-
 def _ridge_system(cells, d, b, lam):
     """Cholesky factor of M = sum v v^T + n k lam I, and the cross moments sum v y^T."""
     n, k = cells.shape[:2]
-    gram, cross = _gram_cross(cells, d, b)
-    m = gram + n * k * lam * np.eye(d)
+    v, y = _split_vy(cells, d, b)
+    v2 = v.reshape(-1, d)
+    m = v2.T @ v2 + n * k * lam * np.eye(d)
     try:
-        return cho_factor(m), cross
+        return cho_factor(m), v2.T @ y.reshape(-1, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"regularized Gram matrix is singular (rank deficiency at lam={lam:g})") from exc
@@ -222,48 +217,56 @@ def ridge_risk(b_hat, risk_moments):
     return float(rm.sigma_y - 2.0 * np.trace(syv @ b_hat) + np.trace(b_hat.T @ sv @ b_hat))
 
 
-class _RidgeParts:
-    """Shared pieces for the derivative formulas: inverse, cells, basis maps."""
+class _RidgeBlocks:
+    """The ridge estimate and its derivative tensors within one row, from one
+    factorization.
 
-    def __init__(self, data, k, d, b, lam):
-        if lam <= 0:
-            raise ContractError("derivative formulas require a positive ridge penalty")
-        cells = _cells(data, k)
-        self.n, self.k, self.d, self.b = cells.shape[0], k, d, b
-        self.v, self.y = _split_vy(cells, d, b)
-        factor, self.cross = _ridge_system(cells, d, b, lam)
-        self.minv = cho_solve(factor, np.eye(d))
-        self.minv_cross = self.minv @ self.cross
+    With M = sum v v^T + n k lam I, G = M^{-1} and B = G C for C = sum v y^T,
+    differentiating M B = C gives, for row entries a, b, c (M and C are
+    quadratic in the row, so their third derivatives vanish):
 
-    def check(self, i, slots, coords, kinds):
-        if not 0 <= i < self.n:
-            raise ContractError(f"row index {i} out of range")
-        for j, l, kind in zip(slots, coords, kinds):
-            if not 0 <= j < self.k:
-                raise ContractError(f"slot index {j} out of range")
-            lim = self.d if kind == "v" else self.b
-            if not 0 <= l < lim:
-                raise ContractError(f"coordinate index {l} out of range for {kind}-block")
+        B_a   = G (C_a - M_a B)
+        B_ab  = G (C_ab - M_ab B - M_a B_b - M_b B_a)
+        B_abc = -G (M_ab B_c + M_ac B_b + M_bc B_a + M_a B_bc + M_b B_ac + M_c B_ab)
 
-    def q(self, i, j, l):
-        # Q_l(v_ij) = e_l v^T + v e_l^T
-        v = self.v[i, j]
-        out = np.zeros((self.d, self.d))
-        out[l, :] += v
-        out[:, l] += v
-        return out
+    M_ab and C_ab vanish unless both entries lie in the same slot.  Entries
+    follow the row layout (slot-major, covariates before responses), so with
+    W = k (d + b): ``d1`` is (W, d, b), ``d2`` is (W, W, d, b), and
+    ``d3(a)`` is the (W, W, d, b) slice of the third tensor at first index a.
+    """
 
-    def minv_q(self, i, j, l):
-        # M^{-1} Q_l(v_ij), assembled from two rank-one pieces
-        v = self.v[i, j]
-        mv = self.minv @ v
-        return np.outer(self.minv[:, l], v) + np.outer(mv, _unit(self.d, l))
+    def __init__(self, w, i, k, d, b, lam):
+        cells = _cells(w, k)
+        v, y = _split_vy(cells, d, b)
+        factor, cross = _ridge_system(cells, d, b, lam)
+        self.g = cho_solve(factor, np.eye(d))
+        self.fit = self.g @ cross
+        # derivative of the slot's covariate / response with respect to each entry
+        ev = np.tile(np.eye(d + b, d), (k, 1))
+        ey = np.tile(np.eye(d + b, b, -d), (k, 1))
+        vj = np.repeat(v[i], d + b, axis=0)
+        yj = np.repeat(y[i], d + b, axis=0)
+        same = np.kron(np.eye(k), np.ones((d + b, d + b)))[:, :, None, None]
+        m1 = ev[:, :, None] * vj[:, None, :]
+        self.m1 = m1 + m1.transpose(0, 2, 1)
+        c1 = ev[:, :, None] * yj[:, None, :] + vj[:, :, None] * ey[:, None, :]
+        evev = ev[:, None, :, None] * ev[None, :, None, :]
+        self.m2 = same * (evev + evev.transpose(1, 0, 2, 3))
+        c2 = same * (ev[:, None, :, None] * ey[None, :, None, :]
+                     + ev[None, :, :, None] * ey[:, None, None, :])
+        self.d1 = self.g @ (c1 - self.m1 @ self.fit)
+        mb = self.m1[:, None] @ self.d1[None, :]
+        self.d2 = self.g @ (c2 - self.m2 @ self.fit - mb - mb.transpose(1, 0, 2, 3))
+
+    def d3(self, a):
+        m1, d1, d2 = self.m1, self.d1, self.d2
+        s = self.m2[a][:, None] @ d1[None, :] + m1[:, None] @ d2[a][None, :]
+        return -(self.g @ (s + s.transpose(1, 0, 2, 3) + self.m2 @ d1[a] + m1[a] @ d2))
 
 
-def _unit(dim, l):
-    e = np.zeros(dim)
-    e[l] = 1.0
-    return e
+# the block ("v" covariate, "y" response) of each differentiated entry, in order
+_SELECTOR_BLOCKS = {"dY": "y", "dV": "v", "dYdY": "yy", "dYdV": "vy", "dVdV": "vv",
+                    "dYdVdV": "vvy", "dVdVdV": "vvv"}
 
 
 def ridge_derivative(data, k, d, b, lam, which, i, slots, coords):
@@ -281,81 +284,32 @@ def ridge_derivative(data, k, d, b, lam, which, i, slots, coords):
     - "dVdVdV": third order in three covariate entries.
 
     Returns a (d, b) matrix (the derivative of the matrix-valued estimate with
-    respect to the chosen scalar entries).
+    respect to the chosen scalar entries), read from the ``_RidgeBlocks``
+    tensors at the entries' row positions.
     """
-    p = _RidgeParts(data, k, d, b, lam)
-    slots = tuple(int(s) for s in slots)
-    coords = tuple(int(c) for c in coords)
-
-    if which == "dY":
-        p.check(i, slots, coords, ("y",))
-        (j,), (l,) = slots, coords
-        return np.outer(p.minv @ p.v[i, j], _unit(b, l))
-
-    if which == "dV":
-        p.check(i, slots, coords, ("v",))
-        (j,), (l,) = slots, coords
-        return (np.outer(p.minv[:, l], p.y[i, j])
-                - p.minv_q(i, j, l) @ p.minv_cross)
-
-    if which == "dYdY":
-        p.check(i, slots, coords, ("y", "y"))
-        return np.zeros((d, b))
-
-    if which == "dYdV":
-        p.check(i, slots, coords, ("v", "y"))
-        (j1, j2), (l1, l2) = slots, coords
-        out = -p.minv_q(i, j1, l1) @ np.outer(p.minv @ p.v[i, j2], _unit(b, l2))
-        if j1 == j2:
-            out += np.outer(p.minv[:, l1], _unit(b, l2))
-        return out
-
-    if which == "dVdV":
-        p.check(i, slots, coords, ("v", "v"))
-        (j1, j2), (l1, l2) = slots, coords
-        out = np.zeros((d, b))
-        for (jr, lr), (js, ls) in (((j1, l1), (j2, l2)), ((j2, l2), (j1, l1))):
-            mq_r = p.minv_q(i, jr, lr)
-            out -= mq_r @ np.outer(p.minv[:, ls], p.y[i, js])
-            out += mq_r @ p.minv_q(i, js, ls) @ p.minv_cross
-            if j1 == j2:
-                out -= np.outer(p.minv[:, lr], p.minv_cross[ls, :])
-        return out
-
-    if which == "dYdVdV":
-        p.check(i, slots, coords, ("v", "v", "y"))
-        (j1, j2, j3), (l1, l2, l3) = slots, coords
-        mv3 = p.minv @ p.v[i, j3]
-        o3 = _unit(b, l3)
-        out = np.zeros((d, b))
-        for (jr, lr), (js, ls) in (((j1, l1), (j2, l2)), ((j2, l2), (j1, l1))):
-            mq_r = p.minv_q(i, jr, lr)
-            if js == j3:
-                out -= mq_r @ np.outer(p.minv[:, ls], o3)
-            out += mq_r @ p.minv_q(i, js, ls) @ np.outer(mv3, o3)
-            if j1 == j2:
-                out -= (p.minv[ls, :] @ p.v[i, j3]) * np.outer(p.minv[:, lr], o3)
-        return out
-
-    if which == "dVdVdV":
-        p.check(i, slots, coords, ("v", "v", "v"))
-        pairs = tuple(zip(slots, coords))
-        out = np.zeros((d, b))
-        perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-        for pr, ps, pt in perms:
-            (jr, lr), (js, ls), (jt, lt) = pairs[pr], pairs[ps], pairs[pt]
-            mq_r = p.minv_q(i, jr, lr)
-            mq_rs = mq_r @ p.minv_q(i, js, ls)
-            if jr == js:
-                out -= p.minv[ls, lt] * np.outer(p.minv[:, lr], p.y[i, jt])
-                out += np.outer(p.minv[:, lr], (p.minv_q(i, jt, lt) @ p.minv_cross)[ls, :])
-            out += mq_rs @ np.outer(p.minv[:, lt], p.y[i, jt])
-            out -= mq_rs @ p.minv_q(i, jt, lt) @ p.minv_cross
-            if js == jt:
-                out += mq_r @ np.outer(p.minv[:, ls], p.minv_cross[lt, :])
-        return out
-
-    raise ContractError(f"unknown derivative selector {which!r}")
+    if lam <= 0:
+        raise ContractError("derivative formulas require a positive ridge penalty")
+    if which not in _SELECTOR_BLOCKS:
+        raise ContractError(f"unknown derivative selector {which!r}")
+    blocks = _SELECTOR_BLOCKS[which]
+    if len(slots) != len(blocks) or len(coords) != len(blocks):
+        raise ContractError(f"selector {which!r} takes {len(blocks)} slots and coordinates")
+    if not 0 <= i < _cells(data, k).shape[0]:
+        raise ContractError(f"row index {i} out of range")
+    entries = []
+    for j, l, block in zip(slots, coords, blocks):
+        j, l = int(j), int(l)
+        if not 0 <= j < k:
+            raise ContractError(f"slot index {j} out of range")
+        if not 0 <= l < (d if block == "v" else b):
+            raise ContractError(f"coordinate index {l} out of range for {block}-block")
+        entries.append(j * (d + b) + (l if block == "v" else d + l))
+    p = _RidgeBlocks(data, i, k, d, b, lam)
+    if len(entries) == 1:
+        return p.d1[entries[0]]
+    if len(entries) == 2:
+        return p.d2[entries[0], entries[1]]
+    return p.d3(entries[0])[entries[1], entries[2]]
 
 
 def evaluate(kind, data, k):

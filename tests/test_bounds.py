@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import augquant as aq
 from augquant import bounds as bd
+from augquant import statistics as stats
 from augquant.errors import ContractError
 
 
@@ -87,6 +89,85 @@ class TestEstimateAlpha:
             aq.estimate_alpha(aq.hard_max_statistic(3), fam, src, spec, i=0)
 
 
+class _FiniteDifferenceDerivs:
+    """Central finite differences on one row's block: the reference that the
+    tests hold the analytic adapters to.  ``derivative_adapter`` never returns
+    it.
+
+    The base step is 1e-5 relative to the block scale; second and third
+    differences widen it (1e-4, 1e-3) because the rounding noise of an order-r
+    stencil grows like eps / h^r and would otherwise swamp the estimate.
+    """
+
+    def __init__(self, kind, n, k, rel_steps=(1e-5, 1e-4, 1e-3)):
+        self.kind, self.n, self.k, self.rel_steps = kind, n, k, rel_steps
+
+    def norms(self, w, i):
+        k = self.k
+        base = w[i].copy()
+        width = base.shape[0]
+        scale = 1.0 + np.linalg.norm(base)
+        h1, h2, h3 = (r * scale for r in self.rel_steps)
+
+        def f_at(row):
+            w[i] = row
+            out = stats.evaluate(self.kind, w, k)
+            w[i] = base
+            return out
+
+        f0 = f_at(base)
+
+        def shifted(h, *pairs):
+            row = base.copy()
+            for idx, sgn in pairs:
+                row[idx] += sgn * h
+            return f_at(row)
+
+        d1 = np.empty((f0.shape[0], width))
+        for a in range(width):
+            d1[:, a] = (shifted(h1, (a, +1)) - shifted(h1, (a, -1))) / (2 * h1)
+        s2 = 0.0
+        for a in range(width):
+            for c in range(a, width):
+                if a == c:
+                    t = (shifted(h2, (a, +1)) - 2 * f0 + shifted(h2, (a, -1))) / (h2 * h2)
+                else:
+                    t = (shifted(h2, (a, +1), (c, +1)) - shifted(h2, (a, +1), (c, -1))
+                         - shifted(h2, (a, -1), (c, +1))
+                         + shifted(h2, (a, -1), (c, -1))) / (4 * h2 * h2)
+                s2 += (1 if a == c else 2) * np.sum(t * t)
+        s3 = 0.0
+        for combo in itertools.combinations_with_replacement(range(width), 3):
+            t = _fd_third(shifted, *combo, h3)
+            counts = {}
+            for c in combo:
+                counts[c] = counts.get(c, 0) + 1
+            mult = 6
+            for v in counts.values():
+                for fac in range(2, v + 1):
+                    mult //= fac
+            s3 += mult * np.sum(t * t)
+        return (float(np.linalg.norm(f0)), float(np.linalg.norm(d1)),
+                float(np.sqrt(s2)), float(np.sqrt(s3)))
+
+
+def _fd_third(shifted, a, c, e, h):
+    if a == c == e:
+        return (shifted(h, (a, +2)) - 2 * shifted(h, (a, +1))
+                + 2 * shifted(h, (a, -1)) - shifted(h, (a, -2))) / (2 * h**3)
+    if a == c or c == e:
+        rep, single = (a, e) if a == c else (c, a)
+        return (shifted(h, (rep, +1), (single, +1)) - 2 * shifted(h, (single, +1))
+                + shifted(h, (rep, -1), (single, +1))
+                - shifted(h, (rep, +1), (single, -1)) + 2 * shifted(h, (single, -1))
+                - shifted(h, (rep, -1), (single, -1))) / (2 * h**3)
+    return (shifted(h, (a, +1), (c, +1), (e, +1)) - shifted(h, (a, +1), (c, +1), (e, -1))
+            - shifted(h, (a, +1), (c, -1), (e, +1)) + shifted(h, (a, +1), (c, -1), (e, -1))
+            - shifted(h, (a, -1), (c, +1), (e, +1)) + shifted(h, (a, -1), (c, +1), (e, -1))
+            + shifted(h, (a, -1), (c, -1), (e, +1))
+            - shifted(h, (a, -1), (c, -1), (e, -1))) / (8 * h**3)
+
+
 class TestAnalyticAdaptersAgainstFiniteDifferences:
     @pytest.mark.parametrize("kind,d", [
         (aq.exp_neg_chisq_statistic(), 1),
@@ -98,7 +179,7 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         rng = np.random.default_rng(10)
         w = rng.standard_normal((n, k * d))
         analytic = bd.derivative_adapter(kind, n, k).norms(w, 1)
-        fd = bd._FiniteDifferenceDerivs(kind, n, k).norms(w, 1)
+        fd = _FiniteDifferenceDerivs(kind, n, k).norms(w, 1)
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
 
@@ -108,7 +189,7 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         rng = np.random.default_rng(11)
         w = rng.standard_normal((n, k * (d + b)))
         analytic = bd.derivative_adapter(kind, n, k).norms(w, 0)
-        fd = bd._FiniteDifferenceDerivs(kind, n, k).norms(w, 0)
+        fd = _FiniteDifferenceDerivs(kind, n, k).norms(w, 0)
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
 
@@ -119,41 +200,43 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         rng = np.random.default_rng(11)
         w = rng.standard_normal((n, k * (d + b)))
         analytic = bd.derivative_adapter(kind, n, k).norms(w, 0)
-        fd = bd._FiniteDifferenceDerivs(kind, n, k).norms(w, 0)
+        fd = _FiniteDifferenceDerivs(kind, n, k).norms(w, 0)
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
 
 
-def test_ridge_blocks_match_ridge_derivative():
-    # every entry of the vectorized tensors against the single-entry formulas
+def test_ridge_blocks_match_central_differences():
+    # every entry of the three tensors against central differences of
+    # ridge_fit, with the steps and tolerance of acceptance criterion 06
     n, k, d, b, lam, i = 3, 2, 2, 2, 0.7, 1
     rng = np.random.default_rng(12)
     w = rng.standard_normal((n, k * (d + b)))
-    blocks = bd._RidgeBlocks(w, i, k, d, b, lam)
-    # (slot, block, coordinate) of each row entry, in the row layout
-    entries = [(j, "v", c) if c < d else (j, "y", c - d)
-               for j in range(k) for c in range(d + b)]
+    blocks = stats._RidgeBlocks(w, i, k, d, b, lam)
+    width = k * (d + b)
 
-    def expected(*idx):
-        cells = sorted((entries[a] for a in idx), key=lambda e: e[1] == "y")
-        kinds = "".join(kind for _, kind, _ in cells)
-        if kinds.count("y") >= 2:
-            return np.zeros((d, b))
-        which = {"v": "dV", "y": "dY", "vv": "dVdV", "vy": "dYdV",
-                 "vvv": "dVdVdV", "vvy": "dYdVdV"}[kinds]
-        return aq.ridge_derivative(w, k, d, b, lam, which, i,
-                                   [j for j, _, _ in cells], [l for _, _, l in cells])
+    def fd(*entries):
+        h = (1e-6, 1e-4, 2e-3)[len(entries) - 1]
+        total = np.zeros((d, b))
+        for signs in itertools.product((1.0, -1.0), repeat=len(entries)):
+            pert = w.copy()
+            for a, sgn in zip(entries, signs):
+                pert[i, a] += sgn * h
+            total += np.prod(signs) * aq.ridge_fit(pert, k, d, b, lam)
+        return total / (2 * h) ** len(entries)
 
-    width = len(entries)
-    want1 = np.array([expected(a) for a in range(width)])
-    want2 = np.array([[expected(a, c) for c in range(width)] for a in range(width)])
-    want3 = np.array([[[expected(a, c, e) for e in range(width)] for c in range(width)]
-                      for a in range(width)])
-    got3 = np.array([blocks.d3(a) for a in range(width)])
+    def check(analytic, *entries):
+        numeric = fd(*entries)
+        scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric))
+        assert np.linalg.norm(analytic - numeric) <= 1e-5 * scale + 1e-7, entries
+
     np.testing.assert_allclose(blocks.fit, aq.ridge_fit(w, k, d, b, lam), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(blocks.d1, want1, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(blocks.d2, want2, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(got3, want3, rtol=1e-12, atol=1e-12)
+    for a in range(width):
+        check(blocks.d1[a], a)
+        d3 = blocks.d3(a)
+        for c in range(width):
+            check(blocks.d2[a, c], a, c)
+            for e in range(width):
+                check(d3[c, e], a, c, e)
 
 
 class TestAssembly:

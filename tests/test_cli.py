@@ -274,6 +274,34 @@ class TestSeedRange:
                          "--seed", str(2**64 - 1)]) == 0
 
 
+class TestIntegerInputs:
+    @pytest.mark.parametrize("key,value", [("replicates", "20.5"), ("n", "10.5"),
+                                           ("k", "2.5")])
+    def test_non_integral_count_exits_2(self, tmp_path, capsys, key, value):
+        text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                         for line in GAUSSIAN_1D.splitlines())
+        cfgp = _write(tmp_path, text)
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "result.csv").exists()
+
+    def test_integral_float_count_runs(self, tmp_path):
+        cfgp = _write(tmp_path, GAUSSIAN_1D.replace("replicates = 2", "replicates = 2.0"))
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "result.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_exit_2(self, tmp_path, capsys, workers):
+        cfgp = _write(tmp_path, GAUSSIAN_1D)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out),
+                         "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert "workers" in err and len(err.strip().splitlines()) == 1
+        assert not (out / "manifest.txt").exists()
+
+
 class TestFigure:
     def test_fig2_bundle(self, tmp_path, monkeypatch):
         # shrink the grid indirectly by checking only structure; desk scale runs fast
@@ -286,6 +314,12 @@ class TestFigure:
         for row in rows:
             s, std_sim, std_se, std_theory, _, _ = map(float, row.split(","))
             assert abs(std_sim - std_theory) <= 6 * max(std_se, 1e-4)
+
+    def test_fig3_at_largest_seed(self, tmp_path):
+        # the cell seeds (seed + i) mod 2**64 stay inside the stream-key range
+        assert cli.main(["figure", "--name", "fig3", "--out", str(tmp_path),
+                         "--seed", str(2**64 - 1)]) == 0
+        assert (tmp_path / "fig3.csv").exists()
 
     def test_unknown_figure_exit_2(self, tmp_path):
         assert cli.main(["figure", "--name", "fig9", "--out", str(tmp_path)]) == 2

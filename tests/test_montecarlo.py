@@ -192,6 +192,18 @@ class TestCoverage:
         p, se, interval = aq.coverage_check(cfg, "chisq_ci")
         assert p == 1.0 and interval.lo == interval.hi == 1.0
 
+    def test_repeated_surrogate_gets_augmented_interval(self):
+        src = aq.gaussian_source([0.0], [[1.0]])
+        fam = aq.finite_uniform_family([aq.affine([[1.0]], [1.0]), aq.affine([[1.0]], [-1.0])],
+                                       [0.8, 0.2])
+        intervals = {}
+        for proto in ("repeated_aug", "repeated_surrogate"):
+            cfg = aq.ExperimentConfig(source=src, family=fam, protocol=proto,
+                                      statistic=aq.average_statistic(1), n=50, k=4,
+                                      replicates=20, seed=15)
+            intervals[proto] = aq.coverage_check(cfg, "average_ci")[2]
+        assert intervals["repeated_surrogate"] == intervals["repeated_aug"]
+
     def test_rule_statistic_pairing_enforced(self):
         src = aq.gaussian_source([0.0], [[1.0]])
         cfg = aq.ExperimentConfig(source=src, family=aq.identity_family(1),
