@@ -22,7 +22,7 @@ from . import statistics as stats
 from .core import augment_iid
 from .errors import ContractError, NumericalError
 from .rng import substream
-from .surrogate import estimate_moments, sample_surrogate_rows
+from .surrogate import _member_moments, estimate_moments, sample_surrogate_rows
 
 ORDERS = (0, 1, 2, 3)
 MOMENTS = (1, 2, 3, 4, 5, 6)
@@ -296,27 +296,18 @@ def moment_constants(moments, spec, num_rows=100_000, seed=0):
 
 def repeated_constants(family, source):
     """(m1, m2, m3): map-conditional moment spreads, exact for finite affine families."""
-    mu = source.joint_mean()
-    sigma = source.joint_cov()
-    s_raw = sigma + np.outer(mu, mu)
     w = family.weights
-    cond_means = np.array([t.matrix @ mu + t.offset for t in family.members])
+    cond_means, cross = _member_moments(family, source)
     mean_of_means = w @ cond_means
     var_mean = ((cond_means - mean_of_means).T * w) @ (cond_means - mean_of_means)
     m1 = float(np.sqrt(2.0 * np.trace(var_mean)))
 
-    g = np.array([t.matrix @ s_raw @ t.matrix.T
-                  + np.outer(t.matrix @ mu, t.offset)
-                  + np.outer(t.offset, t.matrix @ mu)
-                  + np.outer(t.offset, t.offset) for t in family.members])
+    # E (A_i X + a_i)(A_j X + a_j)^T for every ordered pair of members
+    pair_vals = cross + cond_means[:, None, :, None] * cond_means[None, :, None, :]
+    g = np.einsum("iiab->iab", pair_vals)
     g_mean = np.tensordot(w, g, axes=1)
     m2 = float(np.sqrt(np.sum(((g - g_mean) ** 2 * w[:, None, None]).sum(axis=0)) / 2.0))
 
-    pair_vals = np.array([[a.matrix @ s_raw @ b.matrix.T
-                           + np.outer(a.matrix @ mu, b.offset)
-                           + np.outer(a.offset, b.matrix @ mu)
-                           + np.outer(a.offset, b.offset)
-                           for b in family.members] for a in family.members])
     pw = np.outer(w, w)
     h_mean = np.tensordot(pw, pair_vals, axes=2)
     dev2 = ((pair_vals - h_mean) ** 2 * pw[:, :, None, None]).sum(axis=(0, 1))

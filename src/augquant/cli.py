@@ -33,10 +33,7 @@ def _workers_default():
 
 def _check_seed(value):
     """The seed as an int in [0, 2**64), the range of the stream keys."""
-    try:
-        seed = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {value!r}") from None
+    seed = cfgmod._integer({"seed": value}, "seed")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed}")
     return seed
@@ -84,8 +81,8 @@ def _write_csv(path, header, rows, footer_lines=()):
 
 def _cmd_predict(cfg, out_dir, seed, workers):
     curve = cfg.get("predict.curve")
-    grid = [float(g) for g in cfg.get("predict.grid", [])]
-    alpha = float(cfg.get("predict.alpha", 0.05))
+    grid = [float(g) for g in cfgmod._vector(cfg, "predict.grid", [])]
+    alpha = cfgmod._real(cfg, "predict.alpha", 0.05)
     if curve == "vcurve":
         header = ["s", "variance"]
         rows = [(float(s), closedform.v_curve(s)) for s in grid]
@@ -93,14 +90,14 @@ def _cmd_predict(cfg, out_dir, seed, workers):
         header = ["s", f"ci_width_alpha_{alpha:g}"]
         rows = [(float(s), closedform.ci_width_curve(s, alpha)) for s in grid]
     elif curve == "f2var":
-        rho = float(cfg.get("predict.rho", -0.5))
+        rho = cfgmod._real(cfg, "predict.rho", -0.5)
         header = ["sigma", f"f2_variance_rho_{rho:g}"]
         rows = [(float(s), closedform.f2_variance(rho, s)) for s in grid]
     elif curve == "toyridge":
-        n = int(cfg.get("predict.n", 100))
-        mu = float(cfg.get("predict.mu", 1.0))
-        c = float(cfg.get("predict.c", 1.0))
-        lam = float(cfg.get("predict.lambda", 0.0))
+        n = cfgmod._integer(cfg, "predict.n", 100)
+        mu = cfgmod._real(cfg, "predict.mu", 1.0)
+        c = cfgmod._real(cfg, "predict.c", 1.0)
+        lam = cfgmod._real(cfg, "predict.lambda", 0.0)
         header = ["sigma", f"toy_ridge_variance_n_{n}_mu_{mu:g}_c_{c:g}_lambda_{lam:g}"]
         rows = [(float(s), closedform.toy_ridge_variance(n, mu, s, c, lam)) for s in grid]
     elif curve == "theta":
@@ -108,7 +105,8 @@ def _cmd_predict(cfg, out_dir, seed, workers):
         family = cfgmod.family_from_config(cfg)
         moments = estimate_moments(family, source)
         header = ["k", "theta_average"]
-        rows = [(int(k), closedform.theta_ratio_average(moments, source, int(k))) for k in grid]
+        ks = [cfgmod._integer({"predict.grid": g}, "predict.grid") for g in grid]
+        rows = [(k, closedform.theta_ratio_average(moments, source, k)) for k in ks]
     else:
         raise ConfigError(f"unknown predict.curve {curve!r}")
     _write_csv(os.path.join(out_dir, f"predict_{curve}.csv"), header, rows)
@@ -154,8 +152,8 @@ def _cmd_bounds(cfg, out_dir, seed, workers):
     spec = build_surrogate(moments, config.n, config.k, config.delta)
     report = bounds_mod.bound_report(
         config.statistic, config.family, config.source, spec, delta=config.delta,
-        num_outer=int(cfg.get("bounds.num_outer", 64)),
-        num_grid=int(cfg.get("bounds.num_grid", 17)),
+        num_outer=cfgmod._integer(cfg, "bounds.num_outer", 64),
+        num_grid=cfgmod._integer(cfg, "bounds.num_grid", 17),
         seed=config.seed, moments=moments,
         include_repeated=bool(cfg.get("bounds.include_repeated", False)))
     header = ["statistic", "n", "k", "delta", "lambda1", "lambda2", "c1", "c2", "c3", "rhs"]

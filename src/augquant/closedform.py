@@ -181,10 +181,9 @@ def repeated_toy_covariance(family, mu, w):
     w = np.asarray(w, dtype=float).reshape(-1)
     if mu.shape[0] != family.dim or w.shape[0] != family.dim:
         raise ContractError("mu and w must match the family dimension")
-    for t in family.members:
-        if np.any(t.offset != 0.0):
-            raise ContractError("this identity holds for zero-offset (linear) maps only")
-    vals = np.array([w @ (t.matrix @ mu) for t in family.members])
+    if np.any(family.offsets != 0.0):
+        raise ContractError("this identity holds for zero-offset (linear) maps only")
+    vals = (family.matrices @ mu) @ w
     mean = float(family.weights @ vals)
     return float(family.weights @ (vals - mean) ** 2)
 

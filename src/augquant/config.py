@@ -7,6 +7,7 @@ values), a mandatory header row, and ``#``-prefixed footer summary lines.
 """
 
 import hashlib
+import math
 import os
 import tempfile
 
@@ -27,13 +28,20 @@ def fmt_list(values):
     return "[" + ", ".join(fmt(v) for v in np.asarray(values, dtype=float).reshape(-1)) + "]"
 
 
+def _finite(x):
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x!r}")
+    return x
+
+
 def _parse_value(raw):
+    """A bool, int, float, list of floats or string; a non-finite number is a ValueError."""
     raw = raw.strip()
     if raw.startswith("[") and raw.endswith("]"):
         inner = raw[1:-1].strip()
         if not inner:
             return []
-        return [float(v) for v in inner.split(",")]
+        return [_finite(float(v)) for v in inner.split(",")]
     low = raw.lower()
     if low in ("true", "false"):
         return low == "true"
@@ -42,10 +50,10 @@ def _parse_value(raw):
     except ValueError:
         pass
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        pass
-    return raw
+        return raw
+    return _finite(value)
 
 
 def parse_config_text(text):
@@ -110,6 +118,41 @@ def atomic_write(path, text):
 # Builders: config dict -> domain objects
 # ---------------------------------------------------------------------------
 
+# Typed readers: ``cfg[key]``, or ``default`` when one is given and the key is
+# absent; a value of the wrong type is a ConfigError naming the key.
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _integer(cfg, key, default=None):
+    """An int; an integral float such as 2.0 is accepted."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _real(cfg, key, default=None):
+    """A finite float."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _vector(cfg, key, default=None):
+    """A 1-d float array of finite entries; a lone number is a one-entry vector."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    entries = value if isinstance(value, list) else [value]
+    if not all(map(_is_number, entries)):
+        raise ConfigError(f"{key} must be a number or a bracketed list of numbers, "
+                          f"got {value!r}")
+    return np.asarray(entries, dtype=float)
+
+
 def _need(cfg, key, missing):
     if key not in cfg:
         missing.append(key)
@@ -125,15 +168,15 @@ def source_from_config(cfg):
     missing = [key for key in ("source.mean", "source.cov") if key not in cfg]
     if missing:
         raise ConfigError(f"missing config fields: {missing}")
-    mean = np.asarray(cfg["source.mean"], dtype=float).reshape(-1)
+    mean = _vector(cfg, "source.mean")
     d = mean.shape[0]
-    cov = np.asarray(cfg["source.cov"], dtype=float)
+    cov = _vector(cfg, "source.cov")
     if d < 1 or cov.size != d * d:
         raise ConfigError(f"source.cov must have {d * d} entries (row-major {d}x{d})")
     if kind == "gaussian":
         return core.gaussian_source(mean, cov.reshape(d, d))
     if kind == "regression":
-        c = float(cfg.get("source.noise_scale", 0.0))
+        c = _real(cfg, "source.noise_scale", 0.0)
         return core.regression_source(mean, cov.reshape(d, d), c)
     raise ConfigError(f"unknown source.kind {kind!r}")
 
@@ -142,7 +185,7 @@ def family_from_config(cfg, source=None):
     kind = cfg.get("family.kind")
     if kind is None:
         raise ConfigError("missing config fields: ['family.kind']")
-    dim = int(cfg.get("family.dim", 0))
+    dim = _integer(cfg, "family.dim", 0)
     if kind == "identity":
         if dim < 1:
             raise ConfigError("identity family needs family.dim")
@@ -155,17 +198,17 @@ def family_from_config(cfg, source=None):
         members = []
         i = 0
         while f"family.member{i}.matrix" in cfg:
-            flat = np.asarray(cfg[f"family.member{i}.matrix"], dtype=float)
+            flat = _vector(cfg, f"family.member{i}.matrix")
             d = int(round(np.sqrt(flat.size)))
             if d * d != flat.size:
                 raise ConfigError(f"family.member{i}.matrix is not square")
-            offset = cfg.get(f"family.member{i}.offset")
+            offset = f"family.member{i}.offset"
             members.append(core.affine(flat.reshape(d, d),
-                                       None if offset is None else np.asarray(offset)))
+                                       _vector(cfg, offset) if offset in cfg else None))
             i += 1
         if not members:
             raise ConfigError("finite_uniform family needs family.member0.matrix, ...")
-        weights = cfg.get("family.weights")
+        weights = _vector(cfg, "family.weights") if "family.weights" in cfg else None
         fam = core.finite_uniform_family(members, weights)
     else:
         raise ConfigError(f"unknown family.kind {kind!r}")
@@ -179,34 +222,24 @@ def statistic_from_config(cfg, source=None):
     if kind is None:
         raise ConfigError("missing config fields: ['statistic.kind']")
     if kind == "average":
-        return stats.average_statistic(int(cfg.get("statistic.d", 1)))
+        return stats.average_statistic(_integer(cfg, "statistic.d", 1))
     if kind == "expnegchisq":
         return stats.exp_neg_chisq_statistic()
     if kind == "expnegchisq2d":
         return stats.exp_neg_chisq_2d_statistic()
     if kind == "smoothmax":
-        return stats.smooth_max_statistic(int(cfg.get("statistic.d_n", 1)),
-                                          float(cfg.get("statistic.t", 1.0)))
+        return stats.smooth_max_statistic(_integer(cfg, "statistic.d_n", 1),
+                                          _real(cfg, "statistic.t", 1.0))
     if kind == "hardmax":
-        return stats.hard_max_statistic(int(cfg.get("statistic.d_n", 1)))
+        return stats.hard_max_statistic(_integer(cfg, "statistic.d_n", 1))
     if kind in ("ridge", "ridgerisk"):
         if source is None or source.kind != "regression":
             raise ConfigError("ridge statistics need a regression source")
-        d, b, lam = source.d_cov, source.d_resp, float(cfg.get("statistic.lambda", 0.0))
+        d, b, lam = source.d_cov, source.d_resp, _real(cfg, "statistic.lambda", 0.0)
         if kind == "ridge":
             return stats.ridge_statistic(d, b, lam)
         return stats.ridge_risk_statistic(d, b, lam, stats.risk_moments_from_source(source))
     raise ConfigError(f"unknown statistic.kind {kind!r}")
-
-
-def _integer(cfg, key):
-    """``cfg[key]`` as an int; a fractional, non-numeric or boolean value is a ConfigError."""
-    value = cfg[key]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def experiment_from_config(cfg, seed_override=None):
@@ -216,12 +249,12 @@ def experiment_from_config(cfg, seed_override=None):
     source = source_from_config(cfg)
     family = family_from_config(cfg)
     statistic = statistic_from_config(cfg, source)
-    seed = int(cfg["seed"]) if seed_override is None else int(seed_override)
+    seed = _integer(cfg, "seed") if seed_override is None else int(seed_override)
     return ExperimentConfig(
         source=source, family=family, protocol=str(cfg["protocol"]),
         statistic=statistic, n=_integer(cfg, "n"), k=_integer(cfg, "k"),
         replicates=_integer(cfg, "replicates"), seed=seed,
-        alpha=float(cfg.get("alpha", 0.05)), delta=float(cfg.get("delta", 0.0)))
+        alpha=_real(cfg, "alpha", 0.05), delta=_real(cfg, "delta", 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +274,16 @@ def experiment_to_dict(config):
     fam = config.family
     base_kind = fam.kind.replace("_paired", "")
     paired = fam.kind.endswith("_paired")
+    dim = fam.dim // 2 if paired else fam.dim  # a paired family repeats each map twice
     if base_kind in ("identity", "random_crop", "cyclic_rotation"):
         out["family.kind"] = base_kind
-        out["family.dim"] = fam.dim // 2 if paired else fam.dim
+        out["family.dim"] = dim
     else:
         out["family.kind"] = "finite_uniform"
         out["family.weights"] = list(fam.weights)
-        members = fam.members
-        if paired:
-            half = fam.dim // 2
-            members = [core.affine(t.matrix[:half, :half], t.offset[:half]) for t in members]
-        for i, t in enumerate(members):
-            out[f"family.member{i}.matrix"] = list(t.matrix.reshape(-1))
-            out[f"family.member{i}.offset"] = list(t.offset)
+        for i in range(len(fam.members)):
+            out[f"family.member{i}.matrix"] = list(fam.matrices[i, :dim, :dim].reshape(-1))
+            out[f"family.member{i}.offset"] = list(fam.offsets[i, :dim])
     if paired:
         out["family.paired"] = True
     kind = config.statistic

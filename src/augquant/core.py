@@ -10,6 +10,10 @@ Transformations are restricted to affine maps ``x -> A x + a``.  All built-in
 families (identity, coordinate swaps, coordinate-zeroing crops, cyclic
 coordinate rotations) are affine, and affinity keeps every conditional moment
 used by the surrogate construction available in closed form.
+
+A family stacks its members once, as ``matrices`` (M, D, D) and ``offsets``
+(M, D); ``TransformationFamily.images`` maps every row under every member in
+one product, and each protocol gathers its cells from that by member index.
 """
 
 from dataclasses import dataclass, field
@@ -170,12 +174,15 @@ class TransformationFamily:
 
     ``members`` lists the support, ``weights`` the probabilities (must sum to
     one within 1e-12).  ``kind`` records which built-in constructor produced
-    the family; it is informational only.
+    the family; it is informational only.  ``matrices`` (M, D, D) and
+    ``offsets`` (M, D) stack the members' maps in order.
     """
 
     kind: str
     members: tuple
     weights: np.ndarray = field(default=None)
+    matrices: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -193,6 +200,8 @@ class TransformationFamily:
             raise ContractError("weights must be a probability vector (sum 1 within 1e-12)")
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "matrices", np.stack([t.matrix for t in self.members]))
+        object.__setattr__(self, "offsets", np.stack([t.offset for t in self.members]))
 
     @property
     def dim(self):
@@ -201,6 +210,11 @@ class TransformationFamily:
     @property
     def is_point_mass(self):
         return len(self.members) == 1
+
+    def images(self, x):
+        """Every row of ``x`` (rows, D) under every member, shape (rows, M, D)."""
+        m, d = self.offsets.shape
+        return (x @ self.matrices.reshape(m * d, d).T).reshape(len(x), m, d) + self.offsets
 
     def sample_indices(self, shape, rng):
         if self.is_point_mass:
@@ -217,13 +231,11 @@ class TransformationFamily:
         d = self.dim
         if d_resp != d:
             raise ContractError("paired family requires response dim equal to covariate dim")
-        lifted = []
-        for t in self.members:
-            m = np.zeros((2 * d, 2 * d))
-            m[:d, :d] = t.matrix
-            m[d:, d:] = t.matrix
-            lifted.append(affine(m, np.concatenate([t.offset, t.offset])))
-        return TransformationFamily(kind=self.kind + "_paired", members=tuple(lifted),
+        mats = np.zeros((len(self.members), 2 * d, 2 * d))
+        mats[:, :d, :d] = mats[:, d:, d:] = self.matrices
+        offs = np.concatenate([self.offsets, self.offsets], axis=1)
+        return TransformationFamily(kind=self.kind + "_paired",
+                                    members=tuple(map(affine, mats, offs)),
                                     weights=self.weights.copy())
 
 
@@ -309,19 +321,16 @@ class AugmentedDataset:
         return self.values.reshape(self.n, self.k, self.d)
 
 
-def _validate_data(data):
+def _validate_data(data, k, family=None):
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
         raise ContractError("data must be a nonempty (n, d) array")
+    if k < 1:
+        raise ContractError("k must be at least 1")
+    if family is not None and family.dim != data.shape[1]:
+        raise ContractError(f"family dimension {family.dim} does not match data "
+                            f"dimension {data.shape[1]}")
     return data
-
-
-def _apply_indexed(data, family, idx, out):
-    # out has shape (n, k, d); idx has shape (n, k) of member indices
-    for m, t in enumerate(family.members):
-        rows, slots = np.nonzero(idx == m)
-        if rows.size:
-            out[rows, slots, :] = data[rows] @ t.matrix.T + t.offset
 
 
 def augment_iid(data, family, k, seed):
@@ -330,16 +339,10 @@ def augment_iid(data, family, k, seed):
     Every one of the n*k cells receives its own draw from the family,
     independent across cells.  Deterministic given ``seed``.
     """
-    data = _validate_data(data)
+    data = _validate_data(data, k, family)
     n, d = data.shape
-    if k < 1:
-        raise ContractError("k must be at least 1")
-    if family.dim != d:
-        raise ContractError(f"family dimension {family.dim} does not match data dimension {d}")
-    rng = substream(seed)
-    idx = family.sample_indices((n, k), rng)
-    out = np.empty((n, k, d))
-    _apply_indexed(data, family, idx, out)
+    idx = family.sample_indices((n, k), substream(seed))
+    out = family.images(data)[np.arange(n)[:, None], idx]
     return AugmentedDataset(n=n, k=k, d=d, values=out.reshape(n, k * d), labels=idx)
 
 
@@ -349,27 +352,17 @@ def augment_repeated(data, family, k, seed):
     Slot j of every row carries the same transformation, which couples rows:
     distinct observations are no longer independent after augmentation.
     """
-    data = _validate_data(data)
+    data = _validate_data(data, k, family)
     n, d = data.shape
-    if k < 1:
-        raise ContractError("k must be at least 1")
-    if family.dim != d:
-        raise ContractError(f"family dimension {family.dim} does not match data dimension {d}")
-    rng = substream(seed)
-    idx_k = family.sample_indices((k,), rng)
-    out = np.empty((n, k, d))
-    for j in range(k):
-        t = family.members[idx_k[j]]
-        out[:, j, :] = data @ t.matrix.T + t.offset
+    idx_k = family.sample_indices((k,), substream(seed))
+    out = family.images(data)[:, idx_k]
     labels = np.broadcast_to(idx_k, (n, k)).copy()
     return AugmentedDataset(n=n, k=k, d=d, values=out.reshape(n, k * d), labels=labels)
 
 
 def replicate_unaugmented(data, k):
     """The k-fold replicate baseline: row i is (x_i, ..., x_i), k copies."""
-    data = _validate_data(data)
+    data = _validate_data(data, k)
     n, d = data.shape
-    if k < 1:
-        raise ContractError("k must be at least 1")
     values = np.tile(data, (1, k))
     return AugmentedDataset(n=n, k=k, d=d, values=values, labels=None)

@@ -2,11 +2,11 @@
 
 The normal quantile is the standard library's ``NormalDist.inv_cdf``, which
 implements Wichura's AS241 (PPND16, about 1 part in 1e16).  Confidence-interval
-endpoints are acceptance-tested, so the quantile tests still pin its accuracy.
-The stdlib is used rather than scipy so that importing the package loads
-neither ``scipy.special`` nor ``scipy.stats``.  The
-chi-squared(1) quantile follows from the square relationship with the standard
-normal, equivalent to inverting the regularized incomplete gamma of shape 1/2.
+endpoints are acceptance-tested, so the quantile tests still pin its accuracy
+against scipy, which only the tests use: the package itself needs numpy and
+the standard library alone.  The chi-squared(1) quantile follows from the
+square relationship with the standard normal, equivalent to inverting the
+regularized incomplete gamma of shape 1/2.
 """
 
 import math

@@ -11,7 +11,6 @@ single-entry ``ridge_derivative`` and the analytic noise-stability path in
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ContractError, NumericalError
 
@@ -184,26 +183,31 @@ def _split_vy(cells, d, b):
 
 
 def _ridge_system(cells, d, b, lam):
-    """Cholesky factor of M = sum v v^T + n k lam I, and the cross moments sum v y^T."""
+    """M^{-1} for M = sum v v^T + n k lam I, via its Cholesky factor, and the
+    cross moments sum v y^T."""
     n, k = cells.shape[:2]
     v, y = _split_vy(cells, d, b)
     v2 = v.reshape(-1, d)
     m = v2.T @ v2 + n * k * lam * np.eye(d)
+    cross = v2.T @ y.reshape(-1, b)
+    if not (np.isfinite(m).all() and np.isfinite(cross).all()):
+        raise NumericalError(f"ridge system has non-finite entries (lam={lam:g})")
     try:
-        return cho_factor(m), v2.T @ y.reshape(-1, b)
+        l_inv = np.linalg.inv(np.linalg.cholesky(m))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"regularized Gram matrix is singular (rank deficiency at lam={lam:g})") from exc
+    return l_inv.T @ l_inv, cross
 
 
 def ridge_fit(data, k, d, b, lam):
-    """Ridge estimate on the augmented pairs, via an SPD solve.
+    """Ridge estimate on the augmented pairs, via a Cholesky factorization.
 
     Solves (sum v v^T + n k lam I) B = sum v y^T; lam = 0 is allowed only when
     the Gram matrix is numerically invertible.
     """
-    factor, cross = _ridge_system(_cells(data, k), d, b, lam)
-    return cho_solve(factor, cross)
+    g, cross = _ridge_system(_cells(data, k), d, b, lam)
+    return g @ cross
 
 
 def ridge_risk(b_hat, risk_moments):
@@ -238,8 +242,7 @@ class _RidgeBlocks:
     def __init__(self, w, i, k, d, b, lam):
         cells = _cells(w, k)
         v, y = _split_vy(cells, d, b)
-        factor, cross = _ridge_system(cells, d, b, lam)
-        self.g = cho_solve(factor, np.eye(d))
+        self.g, cross = _ridge_system(cells, d, b, lam)
         self.fit = self.g @ cross
         # derivative of the slot's covariate / response with respect to each entry
         ev = np.tile(np.eye(d + b, d), (k, 1))

@@ -62,44 +62,45 @@ class AugmentationMoments:
 
 
 def _gaussian_sixth_moment(mean, cov):
-    """E ||Y||^6 for Y ~ N(mean, cov), via cumulants of the quadratic form Y^T Y."""
-    m = np.asarray(mean, dtype=float)
+    """E ||Y||^6 for Y ~ N(mean, cov), via cumulants of the quadratic form Y^T Y,
+    for stacks of means (..., D) and covariances (..., D, D)."""
+    m = np.asarray(mean, dtype=float)[..., None, :]
+    mt = m.swapaxes(-1, -2)
     c = np.asarray(cov, dtype=float)
     c2 = c @ c
     c3 = c2 @ c
-    k1 = np.trace(c) + m @ m
-    k2 = 2.0 * np.trace(c2) + 4.0 * (m @ c @ m)
-    k3 = 8.0 * np.trace(c3) + 24.0 * (m @ c2 @ m)
+    k1 = np.trace(c, axis1=-2, axis2=-1) + (m @ mt)[..., 0, 0]
+    k2 = 2.0 * np.trace(c2, axis1=-2, axis2=-1) + 4.0 * (m @ c @ mt)[..., 0, 0]
+    k3 = 8.0 * np.trace(c3, axis1=-2, axis2=-1) + 24.0 * (m @ c2 @ mt)[..., 0, 0]
     return k3 + 3.0 * k1 * k2 + k1**3
+
+
+def _member_moments(family, source):
+    """For X ~ N(mu, Sigma): the member means A_i mu + a_i, (M, D), and the
+    cross-covariances Cov(A_i X + a_i, A_j X + a_j) = A_i Sigma A_j^T, (M, M, D, D)."""
+    mu, sigma = source.joint_mean(), source.joint_cov()
+    if family.dim != mu.shape[0]:
+        raise ContractError(f"family dim {family.dim} does not match source dim {mu.shape[0]}")
+    mats = family.matrices
+    means = mats @ mu + family.offsets
+    cross = (mats @ sigma)[:, None] @ mats.transpose(0, 2, 1)[None]
+    return means, cross
 
 
 def exact_moments(family, source):
     """Closed-form moments for a finite affine family on a Gaussian source."""
-    mu = source.joint_mean()
-    sigma = source.joint_cov()
-    if family.dim != mu.shape[0]:
-        raise ContractError(f"family dim {family.dim} does not match source dim {mu.shape[0]}")
     w = family.weights
-    mats = [t.matrix for t in family.members]
-    offs = [t.offset for t in family.members]
-
-    a_bar = sum(wi * a for wi, a in zip(w, mats))
-    mean = a_bar @ mu + sum(wi * o for wi, o in zip(w, offs))
-
+    means, cross = _member_moments(family, source)
+    own = np.einsum("iiab->iab", cross)  # A_i Sigma A_i^T
+    mean = w @ means
+    var_given_map = np.tensordot(w, own, axes=1)
     # second moment of A X + a, averaged over the family, minus mean outer product
-    s_raw = sigma + np.outer(mu, mu)
-    second = np.zeros_like(sigma)
-    var_given_map = np.zeros_like(sigma)
-    sixth = 0.0
-    for wi, a, o in zip(w, mats, offs):
-        am = a @ mu
-        second += wi * (a @ s_raw @ a.T + np.outer(am, o) + np.outer(o, am) + np.outer(o, o))
-        var_given_map += wi * (a @ sigma @ a.T)
-        sixth += wi * _gaussian_sixth_moment(am + o, a @ sigma @ a.T)
+    second = var_given_map + np.tensordot(w, means[:, :, None] * means[:, None, :], axes=1)
     sigma11 = second - np.outer(mean, mean)
-    sigma12 = a_bar @ sigma @ a_bar.T
+    sigma12 = np.tensordot(np.outer(w, w), cross, axes=2)  # Cov(A_1 X + a_1, A_2 X + a_2)
     sigma11 = 0.5 * (sigma11 + sigma11.T)
     sigma12 = 0.5 * (sigma12 + sigma12.T)
+    sixth = w @ _gaussian_sixth_moment(means, own)
     return AugmentationMoments(
         mean_phi_x=mean, sigma11=sigma11, sigma12=sigma12,
         mean_cond_var=sigma11 - sigma12, mean_var_given_map=var_given_map,
@@ -115,13 +116,9 @@ def monte_carlo_moments(family, source, num_samples, seed):
     idx1 = family.sample_indices(num_samples, rng)
     idx2 = family.sample_indices(num_samples, rng)
     d = x.shape[1]
-    y1 = np.empty_like(x)
-    y2 = np.empty_like(x)
-    for m, t in enumerate(family.members):
-        for idx, y in ((idx1, y1), (idx2, y2)):
-            rows = np.nonzero(idx == m)[0]
-            if rows.size:
-                y[rows] = x[rows] @ t.matrix.T + t.offset
+    images = family.images(x)
+    rows = np.arange(num_samples)
+    y1, y2 = images[rows, idx1], images[rows, idx2]
     mean = y1.mean(axis=0)
     sigma11 = np.cov(y1, rowvar=False, ddof=1).reshape(d, d)
     c = (y1 - mean).T @ (y2 - y2.mean(axis=0)) / (num_samples - 1)
@@ -129,16 +126,11 @@ def monte_carlo_moments(family, source, num_samples, seed):
     sixth = float(np.mean(np.sum(y1 * y1, axis=1) ** 3))
 
     # E Var(phi X | X): average over maps of the conditional spread around the mean map
-    w = family.weights
-    a_bar = sum(wi * t.matrix for wi, t in zip(w, family.members))
-    b_bar = sum(wi * t.offset for wi, t in zip(w, family.members))
-    cond_mean = x @ a_bar.T + b_bar
-    dev = y1 - cond_mean
+    dev = y1 - family.weights @ images
     mean_cond_var = dev.T @ dev / num_samples
     mean_cond_var = 0.5 * (mean_cond_var + mean_cond_var.T)
 
-    map_means = np.array([t.matrix @ source.joint_mean() + t.offset for t in family.members])
-    resid1 = y1 - map_means[idx1]
+    resid1 = y1 - _member_moments(family, source)[0][idx1]
     mean_var_given_map = resid1.T @ resid1 / num_samples
     mean_var_given_map = 0.5 * (mean_var_given_map + mean_var_given_map.T)
 
@@ -248,24 +240,18 @@ def sample_repeated_surrogate(family, source, n, k, seed):
     One set of k maps is drawn and fixed; conditionally on it, each row is a
     Gaussian whose mean stacks the per-map transformed source means and whose
     covariance blocks are Cov(map_j1 X, map_j2 X) for a single X.  For affine
-    maps that law is realized exactly by applying the fixed maps to fresh
-    Gaussian draws with the source's mean and covariance.
+    maps that law is realized exactly by drawing the k member indices, then n
+    fresh observations through ``source.sample``, and gathering each row's k
+    cells from the family's images of its observation.
     """
     if n < 1 or k < 1:
         raise ContractError("n and k must be positive")
-    mu = source.joint_mean()
-    sigma = source.joint_cov()
-    if family.dim != mu.shape[0]:
+    if family.dim != source.dim:
         raise ContractError("family and source dimensions disagree")
     rng = substream(seed)
     idx_k = family.sample_indices((k,), rng)
-    l_cov = psd_factor(sigma, "source covariance")
-    x = mu + rng.standard_normal((n, mu.shape[0])) @ l_cov.T
-    out = np.empty((n, k, mu.shape[0]))
-    for j in range(k):
-        t = family.members[idx_k[j]]
-        out[:, j, :] = x @ t.matrix.T + t.offset
-    return out.reshape(n, k * mu.shape[0])
+    x = source.sample(n, rng)
+    return family.images(x)[:, idx_k].reshape(n, k * family.dim)
 
 
 def sample_surrogate_rows(spec, n_rows, seed):

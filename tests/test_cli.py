@@ -302,6 +302,106 @@ class TestIntegerInputs:
         assert not (out / "manifest.txt").exists()
 
 
+SWAP_2D = """
+source.kind = gaussian
+source.mean = [0.0, 0.0]
+source.cov = [1.0, -0.5, -0.5, 1.0]
+family.kind = finite_uniform
+family.weights = [0.5, 0.5]
+family.member0.matrix = [1.0, 0.0, 0.0, 1.0]
+family.member1.matrix = [0.0, 1.0, 1.0, 0.0]
+statistic.kind = average
+statistic.d = 2
+protocol = iid_aug
+n = 10
+k = 2
+replicates = 2
+seed = 3
+bounds.num_outer = 2
+bounds.num_grid = 2
+"""
+
+RIDGE_1D = """
+source.kind = regression
+source.mean = [1.0]
+source.cov = [1.0]
+source.noise_scale = 1.0
+family.kind = identity
+family.dim = 2
+statistic.kind = ridge
+statistic.lambda = 1.0
+protocol = iid_aug
+n = 10
+k = 2
+replicates = 2
+seed = 3
+"""
+
+TOYRIDGE = "predict.curve = toyridge\npredict.grid = [0.5, 1.0]\npredict.n = 10\n"
+THETA = SWAP_2D + "predict.curve = theta\npredict.grid = [1, 2]\n"
+
+
+def _set(text, key, value):
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+class TestNumericInputs:
+    CASES = [
+        ("simulate", GAUSSIAN_1D, "alpha", "abc"),
+        ("simulate", GAUSSIAN_1D, "alpha", "[0.1]"),
+        ("simulate", GAUSSIAN_1D, "source.mean", "abc"),
+        ("simulate", SWAP_2D, "family.weights", "abc"),
+        ("simulate", SWAP_2D, "family.member1.matrix", "foo"),
+        ("bounds", SWAP_2D, "bounds.num_outer", "abc"),
+        ("simulate", GAUSSIAN_1D, "seed", "7.5"),
+        ("simulate", GAUSSIAN_1D, "statistic.d", "2.5"),
+        ("simulate", GAUSSIAN_1D, "family.dim", "2.7"),
+        ("bounds", SWAP_2D, "bounds.num_outer", "2.5"),
+        ("bounds", SWAP_2D, "bounds.num_grid", "2.5"),
+        ("predict", TOYRIDGE, "predict.n", "2.5"),
+        ("predict", THETA, "predict.grid", "[1, 2.5]"),
+    ]
+    NON_FINITE = [
+        ("simulate", RIDGE_1D, "statistic.lambda", "nan"),
+        ("simulate", RIDGE_1D, "source.noise_scale", "inf"),
+        ("simulate", GAUSSIAN_1D, "source.mean", "[nan]"),
+        ("simulate", GAUSSIAN_1D, "alpha", "-inf"),
+    ]
+
+    @pytest.mark.parametrize("command,base", [("simulate", GAUSSIAN_1D), ("simulate", RIDGE_1D),
+                                              ("bounds", SWAP_2D), ("predict", TOYRIDGE),
+                                              ("predict", THETA)],
+                             ids=["gaussian", "ridge", "bounds", "toyridge", "theta"])
+    def test_base_configs_run(self, tmp_path, command, base):
+        cfgp = _write(tmp_path, base)
+        assert cli.main([command, "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command,base,key,value", CASES + NON_FINITE,
+                             ids=[f"{c[2]}={c[3]}" for c in CASES + NON_FINITE])
+    def test_bad_number_exits_2(self, tmp_path, capsys, command, base, key, value):
+        cfgp = _write(tmp_path, _set(base, key, value))
+        assert cli.main([command, "--config", cfgp, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command,base,key,value", NON_FINITE,
+                             ids=[f"{c[2]}={c[3]}" for c in NON_FINITE])
+    def test_non_finite_rejected_before_writing(self, tmp_path, capsys, command, base, key,
+                                                value):
+        cfgp = _write(tmp_path, _set(base, key, value))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 2
+        assert "line" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    def test_integral_float_seed_runs(self, tmp_path):
+        cfgp = _write(tmp_path, _set(GAUSSIAN_1D, "seed", "3.0"))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        assert "seed = 3\n" in (out / "manifest.txt").read_text()
+
+
 class TestFigure:
     def test_fig2_bundle(self, tmp_path, monkeypatch):
         # shrink the grid indirectly by checking only structure; desk scale runs fast

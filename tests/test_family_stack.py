@@ -1,0 +1,197 @@
+"""The stacked family: map application, lifting, and the moments read from the
+stack, on a family whose members have dense non-orthogonal matrices, nonzero
+offsets and unequal weights."""
+
+import numpy as np
+import pytest
+
+import augquant as aq
+from augquant import bounds as bd
+from augquant import surrogate as sg
+from augquant.rng import substream
+
+WEIGHTS = [0.2, 0.3, 0.5]
+
+
+def _dense_family(d=3):
+    rng = np.random.default_rng(11)
+    members = [aq.affine(rng.normal(size=(d, d)) + 0.5 * np.eye(d), rng.normal(size=d))
+               for _ in WEIGHTS]
+    return aq.finite_uniform_family(members, WEIGHTS)
+
+
+def _dense_source(d=3):
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=(d, d))
+    return aq.gaussian_source(rng.normal(size=d), f @ f.T + 0.3 * np.eye(d))
+
+
+def _setups():
+    fam = _dense_family(2).paired(2)
+    reg = aq.regression_source([0.7, -1.2], [[1.5, 0.4], [0.4, 0.8]], 0.6)
+    return [(_dense_family(), _dense_source()), (fam, reg)]
+
+
+# ---------------------------------------------------------------------------
+# the per-member formulas the stacked code replaced, kept as the reference
+# ---------------------------------------------------------------------------
+
+def _ref_sixth(m, c):
+    c2 = c @ c
+    c3 = c2 @ c
+    k1 = np.trace(c) + m @ m
+    k2 = 2.0 * np.trace(c2) + 4.0 * (m @ c @ m)
+    k3 = 8.0 * np.trace(c3) + 24.0 * (m @ c2 @ m)
+    return k3 + 3.0 * k1 * k2 + k1**3
+
+
+def _ref_exact_moments(family, source):
+    mu, sigma = source.joint_mean(), source.joint_cov()
+    w = family.weights
+    mats = [t.matrix for t in family.members]
+    offs = [t.offset for t in family.members]
+    a_bar = sum(wi * a for wi, a in zip(w, mats))
+    mean = a_bar @ mu + sum(wi * o for wi, o in zip(w, offs))
+    s_raw = sigma + np.outer(mu, mu)
+    second = np.zeros_like(sigma)
+    var_given_map = np.zeros_like(sigma)
+    sixth = 0.0
+    for wi, a, o in zip(w, mats, offs):
+        am = a @ mu
+        second += wi * (a @ s_raw @ a.T + np.outer(am, o) + np.outer(o, am) + np.outer(o, o))
+        var_given_map += wi * (a @ sigma @ a.T)
+        sixth += wi * _ref_sixth(am + o, a @ sigma @ a.T)
+    sigma11 = second - np.outer(mean, mean)
+    sigma12 = a_bar @ sigma @ a_bar.T
+    sigma11 = 0.5 * (sigma11 + sigma11.T)
+    sigma12 = 0.5 * (sigma12 + sigma12.T)
+    return dict(mean_phi_x=mean, sigma11=sigma11, sigma12=sigma12,
+                mean_cond_var=sigma11 - sigma12, mean_var_given_map=var_given_map,
+                sixth_moment=sixth)
+
+
+def _ref_repeated_constants(family, source):
+    mu, sigma = source.joint_mean(), source.joint_cov()
+    s_raw = sigma + np.outer(mu, mu)
+    w = family.weights
+    cond_means = np.array([t.matrix @ mu + t.offset for t in family.members])
+    mean_of_means = w @ cond_means
+    var_mean = ((cond_means - mean_of_means).T * w) @ (cond_means - mean_of_means)
+    m1 = float(np.sqrt(2.0 * np.trace(var_mean)))
+    g = np.array([t.matrix @ s_raw @ t.matrix.T
+                  + np.outer(t.matrix @ mu, t.offset)
+                  + np.outer(t.offset, t.matrix @ mu)
+                  + np.outer(t.offset, t.offset) for t in family.members])
+    g_mean = np.tensordot(w, g, axes=1)
+    m2 = float(np.sqrt(np.sum(((g - g_mean) ** 2 * w[:, None, None]).sum(axis=0)) / 2.0))
+    pair_vals = np.array([[a.matrix @ s_raw @ b.matrix.T
+                           + np.outer(a.matrix @ mu, b.offset)
+                           + np.outer(a.offset, b.matrix @ mu)
+                           + np.outer(a.offset, b.offset)
+                           for b in family.members] for a in family.members])
+    pw = np.outer(w, w)
+    h_mean = np.tensordot(pw, pair_vals, axes=2)
+    dev2 = ((pair_vals - h_mean) ** 2 * pw[:, :, None, None]).sum(axis=(0, 1))
+    m3 = float(np.sqrt(dev2.sum() / 6.0))
+    return m1, m2, m3
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+
+class TestStack:
+    def test_stacks_follow_members(self):
+        fam = _dense_family()
+        assert fam.matrices.shape == (3, 3, 3) and fam.offsets.shape == (3, 3)
+        for m, t in enumerate(fam.members):
+            assert np.array_equal(fam.matrices[m], t.matrix)
+            assert np.array_equal(fam.offsets[m], t.offset)
+
+    def test_images(self):
+        fam = _dense_family()
+        x = np.random.default_rng(1).normal(size=(7, 3))
+        img = fam.images(x)
+        assert img.shape == (7, 3, 3)
+        for m, t in enumerate(fam.members):
+            _close(img[:, m], aq.apply_transformation(t, x))
+
+    def test_augment_iid_cells(self):
+        fam = _dense_family()
+        data = np.random.default_rng(2).normal(size=(40, 3))
+        aug = aq.augment_iid(data, fam, k=6, seed=3)
+        assert set(np.unique(aug.labels)) == {0, 1, 2}
+        cells = aug.cells()
+        for i in range(40):
+            for j in range(6):
+                _close(cells[i, j], aq.apply_transformation(fam.members[aug.labels[i, j]], data[i]))
+
+    def test_augment_repeated_cells(self):
+        fam = _dense_family()
+        data = np.random.default_rng(4).normal(size=(9, 3))
+        aug = aq.augment_repeated(data, fam, k=12, seed=5)
+        assert set(np.unique(aug.labels[0])) == {0, 1, 2}
+        assert np.all(aug.labels == aug.labels[0])
+        cells = aug.cells()
+        for j in range(12):
+            _close(cells[:, j], aq.apply_transformation(fam.members[aug.labels[0, j]], data))
+
+    def test_paired_keeps_offsets(self):
+        fam = _dense_family()
+        lifted = fam.paired(3)
+        assert lifted.kind == "finite_uniform_paired"
+        assert np.array_equal(lifted.weights, fam.weights)
+        for t, s in zip(fam.members, lifted.members):
+            want = np.zeros((6, 6))
+            want[:3, :3] = want[3:, 3:] = t.matrix
+            assert np.array_equal(s.matrix, want)
+            assert np.array_equal(s.offset, np.concatenate([t.offset, t.offset]))
+        assert np.array_equal(lifted.offsets, np.stack([s.offset for s in lifted.members]))
+
+
+class TestMomentsFromStack:
+    @pytest.mark.parametrize("family,source", _setups())
+    def test_exact_moments_match_per_member_formulas(self, family, source):
+        got = aq.estimate_moments(family, source)
+        for key, want in _ref_exact_moments(family, source).items():
+            _close(getattr(got, key), want)
+
+    @pytest.mark.parametrize("family,source", _setups())
+    def test_repeated_constants_match_per_member_formulas(self, family, source):
+        _close(bd.repeated_constants(family, source), _ref_repeated_constants(family, source))
+
+    def test_monte_carlo_conditional_variances(self):
+        # both conditional variances are unbiased averages; compare their mean
+        # over independent seeds with the exact values at 4 standard errors
+        fam, src = _dense_family(), _dense_source()
+        exact = aq.estimate_moments(fam, src)
+        runs = [aq.estimate_moments(fam, src, num_samples=5000, seed=s, method="monte_carlo")
+                for s in range(20)]
+        for key in ("mean_cond_var", "mean_var_given_map"):
+            vals = np.array([getattr(r, key) for r in runs])
+            se = vals.std(axis=0, ddof=1) / np.sqrt(len(runs))
+            assert np.all(np.abs(vals.mean(axis=0) - getattr(exact, key)) <= 4 * se + 1e-12)
+
+
+class TestRepeatedSurrogateFromStack:
+    @pytest.mark.parametrize("family,source", _setups())
+    def test_rows_gather_images_of_source_draws(self, family, source):
+        n, k, seed = 8, 10, 21
+        rows = aq.sample_repeated_surrogate(family, source, n, k, seed)
+        rng = substream(seed)
+        idx = family.sample_indices((k,), rng)
+        x = source.sample(n, rng)
+        cells = rows.reshape(n, k, family.dim)
+        for j in range(k):
+            _close(cells[:, j], aq.apply_transformation(family.members[idx[j]], x))
+
+    def test_no_covariance_factor_per_call(self, monkeypatch):
+        fam, src = _dense_family(), _dense_source()
+        aq.sample_repeated_surrogate(fam, src, 5, 2, seed=1)  # caches the source factor
+        calls = []
+        monkeypatch.setattr(sg, "psd_factor", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr("augquant.core.psd_factor", lambda *a, **kw: calls.append(a))
+        aq.sample_repeated_surrogate(fam, src, 5, 2, seed=2)
+        assert calls == []

@@ -103,6 +103,18 @@ class TestRidgeFit:
         with pytest.raises(NumericalError):
             aq.ridge_fit(vals, 1, 2, 2, 0.0)
 
+    @pytest.mark.parametrize("col", [0, 3])  # a covariate, a response
+    def test_nan_in_data_is_numerical_error(self, col):
+        vals = np.random.default_rng(7).standard_normal((6, 4))
+        vals[2, col] = np.nan
+        with pytest.raises(NumericalError):
+            aq.ridge_fit(vals, 1, 2, 2, 1.0)
+
+    def test_nan_penalty_is_numerical_error(self):
+        vals = np.random.default_rng(8).standard_normal((6, 4))
+        with pytest.raises(NumericalError):
+            aq.ridge_fit(vals, 1, 2, 2, float("nan"))
+
 
 class TestRidgeRisk:
     def test_zero_estimate_returns_response_moment(self):
