@@ -7,7 +7,9 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 import argparse
 import math
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -31,9 +33,9 @@ def _workers_default():
         return 1
 
 
-def _check_seed(value):
-    """The seed as an int in [0, 2**64), the range of the stream keys."""
-    seed = cfgmod._integer({"seed": value}, "seed")
+def _check_seed(cfg, flag):
+    """--seed when given, else the config's seed: an int in [0, 2**64), the stream-key range."""
+    seed = cfgmod.read(cfg if flag is None else {"seed": flag}, "seed")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed}")
     return seed
@@ -51,6 +53,28 @@ def _check_workers(value):
     if value < 1:
         raise ConfigError(f"--workers must be at least 1, got {value}")
     return value
+
+
+def _stage(out_dir):
+    """A new temp directory in out_dir, or in its nearest existing ancestor when absent.
+
+    A run writes every output here and moves it into out_dir only on success,
+    so a failed run leaves out_dir as it found it, or absent.
+    """
+    where = os.path.abspath(out_dir)
+    while not os.path.isdir(where):
+        if os.path.exists(where):
+            raise ConfigError(f"--out {out_dir}: {where} exists and is not a directory")
+        where = os.path.dirname(where)
+    return tempfile.mkdtemp(prefix=".augquant-stage-", dir=where)
+
+
+def _publish(stage, out_dir):
+    """Move every staged file into out_dir, made if absent, and remove the stage."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name in sorted(os.listdir(stage)):
+        os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    os.rmdir(stage)
 
 
 def _write_manifest(out_dir, command, cfg, seed, workers, scale=None):
@@ -80,9 +104,7 @@ def _write_csv(path, header, rows, footer_lines=()):
 # ---------------------------------------------------------------------------
 
 def _cmd_predict(cfg, out_dir, seed, workers):
-    curve = cfg.get("predict.curve")
-    grid = [float(g) for g in cfgmod._vector(cfg, "predict.grid", [])]
-    alpha = cfgmod._real(cfg, "predict.alpha", 0.05)
+    curve, grid, alpha = cfgmod.read(cfg, "predict.curve", "predict.grid", "predict.alpha")
     if curve == "vcurve":
         header = ["s", "variance"]
         rows = [(float(s), closedform.v_curve(s)) for s in grid]
@@ -90,14 +112,12 @@ def _cmd_predict(cfg, out_dir, seed, workers):
         header = ["s", f"ci_width_alpha_{alpha:g}"]
         rows = [(float(s), closedform.ci_width_curve(s, alpha)) for s in grid]
     elif curve == "f2var":
-        rho = cfgmod._real(cfg, "predict.rho", -0.5)
+        rho = cfgmod.read(cfg, "predict.rho")
         header = ["sigma", f"f2_variance_rho_{rho:g}"]
         rows = [(float(s), closedform.f2_variance(rho, s)) for s in grid]
     elif curve == "toyridge":
-        n = cfgmod._integer(cfg, "predict.n", 100)
-        mu = cfgmod._real(cfg, "predict.mu", 1.0)
-        c = cfgmod._real(cfg, "predict.c", 1.0)
-        lam = cfgmod._real(cfg, "predict.lambda", 0.0)
+        n, mu, c, lam = cfgmod.read(cfg, "predict.n", "predict.mu", "predict.c",
+                                    "predict.lambda")
         header = ["sigma", f"toy_ridge_variance_n_{n}_mu_{mu:g}_c_{c:g}_lambda_{lam:g}"]
         rows = [(float(s), closedform.toy_ridge_variance(n, mu, s, c, lam)) for s in grid]
     elif curve == "theta":
@@ -105,12 +125,13 @@ def _cmd_predict(cfg, out_dir, seed, workers):
         family = cfgmod.family_from_config(cfg)
         moments = estimate_moments(family, source)
         header = ["k", "theta_average"]
-        ks = [cfgmod._integer({"predict.grid": g}, "predict.grid") for g in grid]
+        if not all(g.is_integer() for g in grid):
+            raise ConfigError(f"predict.grid must list integers k for theta, got {list(grid)}")
+        ks = [int(g) for g in grid]
         rows = [(k, closedform.theta_ratio_average(moments, source, k)) for k in ks]
     else:
         raise ConfigError(f"unknown predict.curve {curve!r}")
     _write_csv(os.path.join(out_dir, f"predict_{curve}.csv"), header, rows)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +142,11 @@ def _cmd_simulate(cfg, out_dir, seed, workers):
     config = cfgmod.experiment_from_config(cfg, seed_override=seed)
     result = montecarlo.run_experiment(config, workers=workers)
     cfgmod.atomic_write(os.path.join(out_dir, "result.csv"), cfgmod.result_csv_text(result))
-    return 0
 
 
 def _cmd_compare(cfg, out_dir, seed, workers):
-    protocols = [p.strip() for p in str(cfg.get("compare.protocols", "")).split(",") if p.strip()]
-    if not protocols:
-        raise ConfigError("compare.protocols must list protocols, e.g. iid_aug,unaugmented")
+    protocols = [p.strip() for p in cfgmod.read(cfg, "compare.protocols").split(",")
+                 if p.strip()]
     config = cfgmod.experiment_from_config(cfg, seed_override=seed)
     report = montecarlo.compare_protocols(config, protocols, workers=workers)
     rows = []
@@ -143,19 +162,18 @@ def _cmd_compare(cfg, out_dir, seed, workers):
     _write_csv(os.path.join(out_dir, "compare.csv"),
                ["protocol", "var_norm", "var_norm_se", "std_first_coord", "ci_width"],
                rows, footer)
-    return 0
 
 
 def _cmd_bounds(cfg, out_dir, seed, workers):
     config = cfgmod.experiment_from_config(cfg, seed_override=seed)
     moments = estimate_moments(config.family, config.source)
     spec = build_surrogate(moments, config.n, config.k, config.delta)
+    num_outer, num_grid, include_repeated = cfgmod.read(
+        cfg, "bounds.num_outer", "bounds.num_grid", "bounds.include_repeated")
     report = bounds_mod.bound_report(
         config.statistic, config.family, config.source, spec, delta=config.delta,
-        num_outer=cfgmod._integer(cfg, "bounds.num_outer", 64),
-        num_grid=cfgmod._integer(cfg, "bounds.num_grid", 17),
-        seed=config.seed, moments=moments,
-        include_repeated=bool(cfg.get("bounds.include_repeated", False)))
+        num_outer=num_outer, num_grid=num_grid, seed=config.seed, moments=moments,
+        include_repeated=include_repeated)
     header = ["statistic", "n", "k", "delta", "lambda1", "lambda2", "c1", "c2", "c3", "rhs"]
     row = [report.statistic, report.n, report.k, float(report.delta),
            float(report.lambda1), float(report.lambda2), float(report.c1),
@@ -172,7 +190,6 @@ def _cmd_bounds(cfg, out_dir, seed, workers):
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     print("  ".join((v if isinstance(v, str) else format(v, ".6g")).ljust(w)
                     for v, w in zip(row, widths)))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +339,6 @@ def _cmd_figure(name, out_dir, scale, seed, workers):
     if name not in dispatch:
         raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURES}")
     dispatch[name](out_dir, scale, seed, workers)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -357,31 +373,34 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
-    out_dir = args.out
+    stage = None
     try:
         workers = _check_workers(args.workers)
         if args.command == "figure":
-            seed = _check_seed(args.seed if args.seed is not None else 20240)
-            os.makedirs(out_dir, exist_ok=True)
-            _write_manifest(out_dir, f"figure:{args.name}", {"figure.name": args.name},
-                            seed, workers, args.scale)
-            return _cmd_figure(args.name, out_dir, args.scale, seed, workers)
-        cfg = cfgmod.read_config(args.config)
-        seed = _check_seed(args.seed if args.seed is not None else cfg.get("seed", 0))
-        os.makedirs(out_dir, exist_ok=True)
-        _write_manifest(out_dir, args.command, cfg, seed, workers)
-        handler = {"predict": _cmd_predict, "simulate": _cmd_simulate,
-                   "compare": _cmd_compare, "bounds": _cmd_bounds}[args.command]
-        return handler(cfg, out_dir, seed, workers)
-    except (ConfigError, ContractError) as exc:
+            command, cfg, scale = f"figure:{args.name}", {"figure.name": args.name}, args.scale
+            seed = _check_seed({"seed": 20240}, args.seed)
+        else:
+            command, cfg, scale = args.command, cfgmod.read_config(args.config), None
+            # a config without a seed key (predict draws nothing) records seed 0
+            seed = _check_seed({"seed": 0, **cfg}, args.seed)
+        stage = _stage(args.out)
+        _write_manifest(stage, command, cfg, seed, workers, scale)
+        if args.command == "figure":
+            _cmd_figure(args.name, stage, args.scale, seed, workers)
+        else:
+            {"predict": _cmd_predict, "simulate": _cmd_simulate, "compare": _cmd_compare,
+             "bounds": _cmd_bounds}[command](cfg, stage, seed, workers)
+        _publish(stage, args.out)
+        return 0
+    except (ConfigError, ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
 
 
 if __name__ == "__main__":

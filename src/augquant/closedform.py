@@ -79,7 +79,9 @@ def theta_ratio_general(var_unaug_norm, var_aug_norm):
 
 
 def average_variance_norms(moments, source, k):
-    """Frobenius norms of the average's surrogate covariances (unaug, aug)."""
+    """Frobenius norms of the average's surrogate covariances (unaug, aug); k >= 1."""
+    if k < 1:
+        raise ContractError(f"the number of copies k must be at least 1, got {k}")
     cov_aug = moments.sigma11 / k + (k - 1) / k * moments.sigma12
     return (float(np.linalg.norm(source.joint_cov())), float(np.linalg.norm(cov_aug)))
 

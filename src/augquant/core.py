@@ -241,6 +241,8 @@ class TransformationFamily:
 
 def identity_family(d):
     """Point mass at the identity map of R^d."""
+    if d < 1:
+        raise ContractError("dimension must be positive")
     return TransformationFamily(kind="identity", members=(affine(np.eye(d)),))
 
 

@@ -207,10 +207,15 @@ def compare_protocols(config_base, protocols, workers=1):
     The ratio is sqrt(unaugmented variance norm / augmented variance norm),
     with a delta-method standard error from the two jackknife variance SEs.
     Protocol list must contain "unaugmented" plus at least one augmented
-    protocol (the first non-baseline entry is the ratio's denominator).
+    protocol (the first non-baseline entry is the ratio's denominator), each
+    once.
     """
     if "unaugmented" not in protocols:
         raise ConfigError("comparison needs the unaugmented baseline protocol")
+    if all(p == "unaugmented" for p in protocols):
+        raise ConfigError("comparison needs an augmented protocol besides unaugmented")
+    if len(set(protocols)) != len(protocols):
+        raise ConfigError(f"comparison lists a protocol twice: {list(protocols)}")
     results = {}
     for idx, proto in enumerate(protocols):
         cfg = replace(config_base, protocol=proto,

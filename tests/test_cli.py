@@ -5,8 +5,8 @@ import pytest
 
 from augquant import bounds as bd
 from augquant import cli
-from augquant.config import (config_text, parse_config_text, read_config,
-                             result_from_csv_text)
+from augquant.config import (config_text, experiment_from_config, parse_config_text,
+                             read_config)
 
 GAUSSIAN_1D = """
 source.kind = gaussian
@@ -19,6 +19,25 @@ statistic.d = 1
 protocol = iid_aug
 n = 10
 k = 2
+replicates = 2
+seed = 3
+"""
+
+
+# one observation with two covariates: the unpenalized Gram is rank
+# deficient, so the solve must fail with the numerical exit code
+RANK_DEFICIENT = """
+source.kind = regression
+source.mean = [1.0, 1.0]
+source.cov = [1.0, 0.0, 0.0, 1.0]
+source.noise_scale = 1.0
+family.kind = identity
+family.dim = 4
+statistic.kind = ridge
+statistic.lambda = 0.0
+protocol = iid_aug
+n = 1
+k = 1
 replicates = 2
 seed = 3
 """
@@ -131,10 +150,13 @@ class TestSimulate:
     def test_result_reloads(self, tmp_path):
         cfgp = _write(tmp_path, GAUSSIAN_1D)
         cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path)])
-        with open(tmp_path / "result.csv", "r", encoding="utf-8") as fh:
-            res = result_from_csv_text(fh.read())
-        assert res.samples.shape == (2, 1)
-        assert res.config_echo.n == 10
+        lines = _read_lines(tmp_path / "result.csv")
+        samples = np.array([[float(v) for v in line.split(",")]
+                            for line in lines[1:] if not line.startswith("#")])
+        echo = experiment_from_config(parse_config_text("\n".join(
+            line[len("# config."):] for line in lines if line.startswith("# config."))))
+        assert samples.shape == (2, 1)
+        assert echo.n == 10
 
     def test_missing_fields_exit_2(self, tmp_path, capsys):
         cfgp = _write(tmp_path, "protocol = iid_aug\n")
@@ -145,24 +167,7 @@ class TestSimulate:
             assert field in err
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
-        # one observation with two covariates: the unpenalized Gram is rank
-        # deficient, so the solve must fail with the numerical exit code
-        text = """
-source.kind = regression
-source.mean = [1.0, 1.0]
-source.cov = [1.0, 0.0, 0.0, 1.0]
-source.noise_scale = 1.0
-family.kind = identity
-family.dim = 4
-statistic.kind = ridge
-statistic.lambda = 0.0
-protocol = iid_aug
-n = 1
-k = 1
-replicates = 2
-seed = 3
-"""
-        cfgp = _write(tmp_path, text)
+        cfgp = _write(tmp_path, RANK_DEFICIENT)
         assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path)]) == 3
         assert "rank" in capsys.readouterr().err
 
@@ -400,6 +405,168 @@ class TestNumericInputs:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
         assert "seed = 3\n" in (out / "manifest.txt").read_text()
+
+
+def _tree(path):
+    """Every file under path, by relative name, with its bytes."""
+    return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*"))
+            if p.is_file()}
+
+
+def _exits_cleanly(tmp_path, capsys, argv, code):
+    """Run argv twice, into an absent --out and into a filled one; check both fail alike."""
+    absent, filled = tmp_path / "absent", tmp_path / "filled"
+    filled.mkdir()
+    (filled / "manifest.txt").write_text("an earlier run\n")
+    (filled / "result.csv").write_text("sample_0\n1\n")
+    before = _tree(filled)
+    for out in (absent, filled):
+        assert cli.main([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+    assert not absent.exists()
+    assert _tree(filled) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["filled", *(p.name for p in tmp_path.glob("*.cfg"))])
+    return err
+
+
+class TestConfigKeys:
+    def test_unknown_key_names_line(self):
+        from augquant.errors import ConfigError
+        with pytest.raises(ConfigError, match="line 2: unknown key 'alpah'"):
+            parse_config_text("n = 5\nalpah = 0.5\n")
+
+    @pytest.mark.parametrize("key", ["family.member01.matrix", "family.member<N>.matrix",
+                                     "family.member0.scale", "surrogate.n"])
+    def test_malformed_keys_unknown(self, key):
+        from augquant.errors import ConfigError
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(f"{key} = [1.0]\n")
+
+    def test_duplicate_key_names_line(self):
+        from augquant.errors import ConfigError
+        with pytest.raises(ConfigError, match="line 3: duplicate key 'n'"):
+            parse_config_text("n = 5\nk = 2\nn = 6\n")
+
+    def test_every_table_key_parses(self):
+        from augquant.config import KEYS
+        text = "".join(f"{key.replace('<N>', '3')} = 1\n" for key in KEYS)
+        assert len(parse_config_text(text)) == len(KEYS)
+
+    def test_read_defaults_and_missing(self):
+        from augquant.config import read
+        from augquant.errors import ConfigError
+        assert read({}, "alpha") == 0.05
+        assert read({"n": 4.0}, "n", "bounds.num_grid") == (4, 17)
+        assert read({}, "family.weights") is None
+        with pytest.raises(ConfigError, match=r"\['n', 'seed'\]"):
+            read({"k": 2}, "n", "k", "seed")
+
+    @pytest.mark.parametrize("value,expected", [("true", True), ("false", False),
+                                                ("True", True)])
+    def test_boolean_spellings(self, value, expected):
+        from augquant.config import read
+        assert read(parse_config_text(f"family.paired = {value}\n"), "family.paired") is expected
+
+
+BAD_CONFIGS = [
+    ("simulate", GAUSSIAN_1D + "alpah = 0.5\n", "alpah"),
+    ("simulate", GAUSSIAN_1D + "n = 11\n", "duplicate"),
+    ("simulate", RIDGE_1D.replace("family.dim = 2", "family.dim = 1") + "family.paired = abc\n",
+     "family.paired"),
+    ("bounds", SWAP_2D + "bounds.include_repeated = no\n", "bounds.include_repeated"),
+    ("simulate", SWAP_2D.replace("member1.matrix", "member2.matrix"), "family.member2.matrix"),
+    ("simulate", SWAP_2D + "family.member5.offset = [1.0, 1.0]\n", "family.member5.offset"),
+    ("simulate", _set(GAUSSIAN_1D, "alpha", "abc"), "alpha"),
+    ("compare", GAUSSIAN_1D + "compare.protocols = unaugmented\n", "augmented protocol"),
+    ("compare", GAUSSIAN_1D + "compare.protocols = iid_aug,unaugmented,iid_aug\n", "twice"),
+    ("predict", THETA.replace("[1, 2]", "[0, 1]"), "at least 1"),
+]
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize("command,text,needle", BAD_CONFIGS,
+                             ids=["misspelled", "duplicate", "paired_abc", "repeated_no",
+                                  "member_gap", "orphan_offset", "alpha_abc",
+                                  "no_augmented", "protocol_twice", "theta_k0"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, text, needle):
+        cfgp = _write(tmp_path, text)
+        assert needle in _exits_cleanly(tmp_path, capsys, [command, "--config", cfgp], 2)
+
+    def test_numerical_failure_writes_nothing(self, tmp_path, capsys):
+        cfgp = _write(tmp_path, RANK_DEFICIENT)
+        assert "rank" in _exits_cleanly(tmp_path, capsys, ["simulate", "--config", cfgp], 3)
+
+    def test_member_offsets_and_pairing_run(self, tmp_path):
+        text = SWAP_2D + "family.member1.offset = [0.5, -0.5]\nfamily.paired = false\n"
+        cfgp = _write(tmp_path, text)
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("flag,has_repeated", [("true", True), ("false", False)])
+    def test_include_repeated_flag(self, tmp_path, flag, has_repeated):
+        cfgp = _write(tmp_path, SWAP_2D + f"bounds.include_repeated = {flag}\n")
+        out = tmp_path / "out"
+        assert cli.main(["bounds", "--config", cfgp, "--out", str(out)]) == 0
+        assert ("rhs_repeated" in (out / "bounds.csv").read_text()) == has_repeated
+
+    def test_nested_out_made_only_on_success(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "out"
+        bad = _write(tmp_path, _set(GAUSSIAN_1D, "alpha", "abc"))
+        assert cli.main(["simulate", "--config", bad, "--out", str(out)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+        good = _write(tmp_path, GAUSSIAN_1D, name="good.cfg")
+        assert cli.main(["simulate", "--config", good, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "result.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "good.cfg", "run.cfg"]
+
+    def test_success_replaces_only_its_own_files(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        (out / "result.csv").write_text("stale\n")
+        cfgp = _write(tmp_path, GAUSSIAN_1D)
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "notes.txt",
+                                                         "result.csv"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert (out / "result.csv").read_text().startswith("sample_0\n")
+
+
+class TestFileErrors:
+    def _one_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        cfgp = _write(tmp_path, GAUSSIAN_1D)
+        taken = tmp_path / "taken"
+        taken.write_text("x\n")
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(taken)]) == 2
+        self._one_line(capsys)
+        assert taken.read_text() == "x\n"
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        cfgp = _write(tmp_path, GAUSSIAN_1D)
+        taken = tmp_path / "taken"
+        taken.write_text("x\n")
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(taken / "out")]) == 2
+        self._one_line(capsys)
+        assert taken.read_text() == "x\n"
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(tmp_path), "--out", str(out)]) == 2
+        self._one_line(capsys)
+        assert not out.exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfgp = tmp_path / "latin1.cfg"
+        cfgp.write_bytes(GAUSSIAN_1D.encode() + "# caf\xe9\n".encode("latin-1"))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 2
+        self._one_line(capsys)
+        assert not out.exists()
 
 
 class TestFigure:

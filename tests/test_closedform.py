@@ -87,6 +87,17 @@ class TestThetaRatio:
         for k in (10, 100, 1000):
             assert theta_ratio_average(m, src, k) == pytest.approx(math.sqrt(k), rel=1e-12)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_copy_rejected(self, k):
+        src = aq.gaussian_source([0.0, 0.0], [[1.0, -0.5], [-0.5, 1.0]])
+        m = aq.estimate_moments(aq.swap_family(), src)
+        with pytest.raises(ContractError, match="at least 1"):
+            theta_ratio_average(m, src, k)
+        one = aq.gaussian_source([0.0], [[1.0]])
+        with pytest.raises(ContractError, match="at least 1"):
+            average_ci(aq.estimate_moments(aq.identity_family(1), one), one, 10, k, 0.05,
+                       "augmented")
+
     def test_averaged_covariance_never_exceeds_marginal(self):
         cases = [
             (aq.swap_family(), aq.gaussian_source([0, 0], [[1, -0.5], [-0.5, 1]])),

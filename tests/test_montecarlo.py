@@ -5,7 +5,7 @@ import pytest
 
 import augquant as aq
 from augquant.closedform import f2_variance, v_curve
-from augquant.config import result_csv_text, result_from_csv_text
+from augquant.config import experiment_from_config, parse_config_text, result_csv_text
 from augquant.errors import ConfigError
 from augquant.montecarlo import _jackknife_var_norm_se
 
@@ -158,6 +158,21 @@ class TestCompareProtocols:
         with pytest.raises(ConfigError):
             aq.compare_protocols(cfg, ["iid_aug", "surrogate"])
 
+    @pytest.mark.parametrize("protocols,needle", [
+        (["unaugmented"], "augmented protocol"),
+        (["unaugmented", "unaugmented"], "augmented protocol"),
+        (["iid_aug", "unaugmented", "iid_aug"], "twice"),
+        (["iid_aug", "unaugmented", "unaugmented"], "twice")])
+    def test_protocol_list_rejected_before_any_run(self, monkeypatch, protocols, needle):
+        from augquant import montecarlo
+        monkeypatch.setattr(montecarlo, "run_experiment", None)  # any run would raise
+        src = aq.gaussian_source([0.0], [[1.0]])
+        cfg = aq.ExperimentConfig(source=src, family=aq.identity_family(1),
+                                  protocol="iid_aug", statistic=aq.average_statistic(1),
+                                  n=5, k=1, replicates=10, seed=0)
+        with pytest.raises(ConfigError, match=needle):
+            aq.compare_protocols(cfg, protocols)
+
     def test_degenerate_denominator(self):
         src = aq.gaussian_source([2.0], [[0.0]])
         cfg = aq.ExperimentConfig(source=src, family=aq.identity_family(1),
@@ -230,21 +245,38 @@ def test_clt_sanity_for_augmented_average():
     assert abs(ex_kurt) <= 4 * math.sqrt(24.0 / r)
 
 
+def _reload_result(text):
+    """The samples, the '# name = value' summary and the rebuilt config echo of a result.csv.
+
+    The echo lines are config-file lines behind a '# config.' prefix, so the
+    config parser and builder read them back.
+    """
+    lines = text.splitlines()
+    samples = np.array([[float(v) for v in line.split(",")]
+                        for line in lines[1:] if not line.startswith("#")])
+    echo = "\n".join(line[len("# config."):] for line in lines if line.startswith("# config."))
+    summary = {}
+    for line in lines:
+        if line.startswith("# ") and not line.startswith("# config."):
+            name, raw = line[2:].split(" = ", 1)
+            summary[name] = np.array([float(v) for v in raw.strip("[]").split(",")])
+    return samples, summary, experiment_from_config(parse_config_text(echo))
+
+
 def test_result_round_trip_through_csv():
     src = _exchangeable_source()
     cfg = aq.ExperimentConfig(source=src, family=aq.swap_family(), protocol="surrogate",
                               statistic=aq.average_statistic(2), n=6, k=2,
                               replicates=25, seed=13, alpha=0.1, delta=0.5)
     res = aq.run_experiment(cfg)
-    back = result_from_csv_text(result_csv_text(res))
-    assert np.array_equal(back.samples, res.samples)
-    assert np.array_equal(back.mean, res.mean)
-    assert np.array_equal(back.covariance, res.covariance)
-    assert back.var_norm == res.var_norm
-    assert back.std_of_first_coord == res.std_of_first_coord
-    assert back.se_of_variance == res.se_of_variance
-    assert back.empirical_ci_width == res.empirical_ci_width
-    echo = back.config_echo
+    samples, back, echo = _reload_result(result_csv_text(res))
+    assert np.array_equal(samples, res.samples)
+    assert np.array_equal(back["mean"], res.mean)
+    assert np.array_equal(back["covariance"].reshape(res.covariance.shape), res.covariance)
+    assert back["var_norm"] == res.var_norm
+    assert back["std_of_first_coord"] == res.std_of_first_coord
+    assert back["se_of_variance"] == res.se_of_variance
+    assert back["empirical_ci_width"] == res.empirical_ci_width
     assert (echo.protocol, echo.n, echo.k, echo.replicates, echo.seed,
             echo.alpha, echo.delta) == ("surrogate", 6, 2, 25, 13, 0.1, 0.5)
     assert np.array_equal(echo.source.cov, src.cov)

@@ -240,14 +240,3 @@ class TestPsdPolicy:
         fac = psd_factor(np.zeros((3, 3)), "test")
         assert np.allclose(fac, 0.0)
 
-
-def test_spec_round_trip_through_text():
-    from augquant.config import surrogate_spec_from_text, surrogate_spec_text
-    fam, src = _swap_setup()
-    spec = aq.build_surrogate(aq.estimate_moments(fam, src), 7, 3, 0.25)
-    back = surrogate_spec_from_text(surrogate_spec_text(spec))
-    assert back.n == spec.n and back.k == spec.k and back.d == spec.d
-    assert back.delta == spec.delta and back.mode == spec.mode
-    assert np.array_equal(back.mean_block, spec.mean_block)
-    assert np.array_equal(back.diag_block, spec.diag_block)
-    assert np.array_equal(back.offdiag_block, spec.offdiag_block)
