@@ -23,6 +23,8 @@ from .surrogate import build_surrogate, estimate_moments
 DESK = "desk"
 PAPER = "paper"
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
+# how numpy's ValueError starts when it refuses to allocate an array
+TOO_BIG = ("array is too big", "Maximum allowed")
 
 
 def _workers_default():
@@ -31,14 +33,6 @@ def _workers_default():
         return max(1, int(env))
     except ValueError:
         return 1
-
-
-def _check_seed(cfg, flag):
-    """--seed when given, else the config's seed: an int in [0, 2**64), the stream-key range."""
-    seed = cfgmod.read(cfg if flag is None else {"seed": flag}, "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed}")
-    return seed
 
 
 def _cell_seed(seed, i):
@@ -84,6 +78,7 @@ def _write_manifest(out_dir, command, cfg, seed, workers, scale=None):
         f"config_hash = {cfgmod.config_hash(cfg) if cfg is not None else 'none'}",
         f"seed = {seed}",
         f"workers = {workers}",
+        f"stream = {montecarlo.STREAM}",
     ]
     if scale is not None:
         lines.append(f"scale = {scale}")
@@ -378,11 +373,13 @@ def main(argv=None):
         workers = _check_workers(args.workers)
         if args.command == "figure":
             command, cfg, scale = f"figure:{args.name}", {"figure.name": args.name}, args.scale
-            seed = _check_seed({"seed": 20240}, args.seed)
+            seeded = {"seed": 20240}
         else:
             command, cfg, scale = args.command, cfgmod.read_config(args.config), None
             # a config without a seed key (predict draws nothing) records seed 0
-            seed = _check_seed({"seed": 0, **cfg}, args.seed)
+            seeded = {"seed": 0, **cfg}
+        # --seed when given, else the config's seed: an int in the stream-key range
+        seed = cfgmod.read(seeded if args.seed is None else {"seed": args.seed}, "seed")
         stage = _stage(args.out)
         _write_manifest(stage, command, cfg, seed, workers, scale)
         if args.command == "figure":
@@ -397,6 +394,11 @@ def main(argv=None):
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(TOO_BIG):
+            raise
+        print(f"numerical failure: the run's arrays cannot be allocated: {exc}", file=sys.stderr)
         return 3
     finally:
         if stage is not None:

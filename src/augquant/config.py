@@ -92,10 +92,18 @@ def _parse_value(raw):
 
 # Each type returns the value builders use, or raises a ValueError completing "<key> must be"
 
-def _int(value):
-    if type(value) is int or isinstance(value, float) and value.is_integer():
-        return int(value)  # an integral float such as 2.0 is accepted
-    raise ValueError("an integer")
+def _integer(lo, hi, span):
+    """The type of integers in [lo, hi); an integral float such as 2.0 is accepted."""
+    def kind(value):
+        if ((type(value) is int or isinstance(value, float) and value.is_integer())
+                and lo <= value < hi):
+            return int(value)
+        raise ValueError(f"an integer in {span}")
+    return kind
+
+
+_int = _integer(-2**63, 2**63, "[-2**63, 2**63)")
+_seed = _integer(0, 2**64, "[0, 2**64)")  # the stream-key range
 
 
 def _float(value):
@@ -129,7 +137,7 @@ REQUIRED = object()  # the default of a key that has none: reading it absent is 
 # key -> (type, default); a default of None reads as None (the key is optional)
 KEYS = {
     "protocol": (_name, REQUIRED), "n": (_int, REQUIRED), "k": (_int, REQUIRED),
-    "replicates": (_int, REQUIRED), "seed": (_int, REQUIRED),
+    "replicates": (_int, REQUIRED), "seed": (_seed, REQUIRED),
     "alpha": (_float, 0.05), "delta": (_float, 0.0),
     "source.kind": (_name, REQUIRED), "source.mean": (_vector, REQUIRED),
     "source.cov": (_vector, REQUIRED), "source.noise_scale": (_float, 0.0),

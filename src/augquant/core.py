@@ -14,6 +14,8 @@ used by the surrogate construction available in closed form.
 A family stacks its members once, as ``matrices`` (M, D, D) and ``offsets``
 (M, D); ``TransformationFamily.images`` maps every row under every member in
 one product, and each protocol gathers its cells from that by member index.
+The Monte Carlo engine does not gather: it weights each row's M images by the
+row's member counts, Multinomial(k, weights), the law of k member draws.
 """
 
 from dataclasses import dataclass, field
@@ -78,8 +80,8 @@ class DataSource:
                 raise ContractError("responses are covariate + noise, so d_resp must equal d_cov")
             if self.mean.shape[0] != self.d_cov:
                 raise ContractError("regression mean/cov describe the covariate block only")
-            if self.noise_scale < 0:
-                raise ContractError("noise_scale must be nonnegative")
+            if not (self.noise_scale >= 0 and np.isfinite(self.noise_scale * self.noise_scale)):
+                raise ContractError("noise_scale must be nonnegative with a finite square")
 
     @property
     def dim(self):
@@ -113,12 +115,14 @@ class DataSource:
         return cached
 
     def sample(self, n, rng):
-        """Draw ``n`` i.i.d. observations as an (n, dim) array."""
-        base = self.mean + rng.standard_normal((n, self.mean.shape[0])) @ self._factor().T
+        """Draw ``n`` i.i.d. observations as an (n, dim) array; a shape tuple ``n``
+        gives an (*n, dim) array.  The covariate normals come first, then the noise."""
+        shape = n if isinstance(n, tuple) else (n,)
+        base = self.mean + rng.standard_normal((*shape, self.mean.shape[0])) @ self._factor().T
         if self.kind == "gaussian":
             return base
-        eps = self.noise_scale * rng.standard_normal((n, self.d_resp))
-        return np.concatenate([base, base + eps], axis=1)
+        eps = self.noise_scale * rng.standard_normal((*shape, self.d_resp))
+        return np.concatenate([base, base + eps], axis=-1)
 
 
 def gaussian_source(mean, cov):
@@ -175,7 +179,8 @@ class TransformationFamily:
     ``members`` lists the support, ``weights`` the probabilities (must sum to
     one within 1e-12).  ``kind`` records which built-in constructor produced
     the family; it is informational only.  ``matrices`` (M, D, D) and
-    ``offsets`` (M, D) stack the members' maps in order.
+    ``offsets`` (M, D) stack the members' maps in order; ``cdf`` is the
+    normalized cumulative weight that ``sample_indices`` inverts.
     """
 
     kind: str
@@ -183,6 +188,7 @@ class TransformationFamily:
     weights: np.ndarray = field(default=None)
     matrices: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -202,6 +208,7 @@ class TransformationFamily:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "matrices", np.stack([t.matrix for t in self.members]))
         object.__setattr__(self, "offsets", np.stack([t.offset for t in self.members]))
+        object.__setattr__(self, "cdf", w.cumsum() / w.cumsum()[-1])
 
     @property
     def dim(self):
@@ -217,9 +224,11 @@ class TransformationFamily:
         return (x @ self.matrices.reshape(m * d, d).T).reshape(len(x), m, d) + self.offsets
 
     def sample_indices(self, shape, rng):
+        """Member indices of the given shape: ``rng.choice(M, shape, p=weights)``,
+        the same draw and bytes, without its per-call validation."""
         if self.is_point_mass:
             return np.zeros(shape, dtype=np.intp)
-        return rng.choice(len(self.members), size=shape, p=self.weights)
+        return self.cdf.searchsorted(rng.random(shape), side="right")
 
     def paired(self, d_resp):
         """Lift the family to concatenated (covariate, response) vectors.

@@ -1,27 +1,31 @@
-"""Seeded replicate engine: simulate, summarize, compare, check coverage.
+"""Seeded block engine: simulate, summarize, compare, check coverage.
 
-Replicate r draws everything it needs from the stream (seed, r), so results
-are bitwise identical whether replicates run serially or across a worker pool,
-and summaries are computed from the assembled sample matrix in fixed order.
-Standard errors for variance summaries come from delete-one jackknife closed
-forms, vectorized over replicates.
+Block b holds replicates [bB, (b+1)B), B = max(1, CELL_BUDGET // (n k)), and
+draws everything from the stream (seed, b): source normals of shape (B, n, .),
+then regression noise, then the augmentation draw.  Blocks depend on (n, k, R)
+only, so results are bitwise identical across reruns and worker counts;
+``manifest.txt`` records the layout's version, ``STREAM``.  A block is one
+``statistics.evaluate_batch`` call on weighted cells: an ``iid_aug`` row's k
+member draws become its member counts, Multinomial(k, weights), of the same
+law, and a ``repeated_aug`` replicate draws one count vector for all rows.
+Summaries come from the sample matrix in fixed order; variance SEs from
+delete-one jackknife closed forms, vectorized over replicates.
 """
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import closedform
 from . import statistics as stats
-from .core import augment_iid, augment_repeated, replicate_unaugmented
 from .errors import ConfigError
 from .rng import substream
-from .surrogate import build_surrogate, estimate_moments, sample_repeated_surrogate, \
-    sample_surrogate_rows
+from .surrogate import build_surrogate, estimate_moments, sample_surrogate_cells
 
+STREAM = 2
+CELL_BUDGET = 2**16  # cells per block: B * n * k <= CELL_BUDGET unless B = 1
 PROTOCOLS = ("iid_aug", "repeated_aug", "unaugmented", "surrogate", "repeated_surrogate")
 
 
@@ -97,73 +101,42 @@ def _jackknife_var_norm_se(samples):
     return se_norm, se_first
 
 
-def _replicate_sampler(config):
-    """Return a function mapping a replicate index to the statistic's value."""
-    src, fam, k, n = config.source, config.family, config.k, config.n
-    kind, seed = config.statistic, config.seed
-    protocol = config.protocol
-
-    if protocol == "surrogate":
-        moments = estimate_moments(fam, src)
-        spec = build_surrogate(moments, n, k, config.delta)
-
-        def run(r):
-            return stats.evaluate(kind, sample_surrogate_rows(spec, n, _sub(seed, r)), k)
-        return run
-
-    if protocol == "repeated_surrogate":
-        def run(r):
-            rows = sample_repeated_surrogate(fam, src, n, k, _sub(seed, r))
-            return stats.evaluate(kind, rows, k)
-        return run
-
-    if protocol == "unaugmented":
-        def run(r):
-            rng = substream(seed, r)
-            data = src.sample(n, rng)
-            return stats.evaluate(kind, replicate_unaugmented(data, k), k)
-        return run
-
-    augment = augment_iid if protocol == "iid_aug" else augment_repeated
-
-    def run(r):
-        rng = substream(seed, r)
-        data = src.sample(n, rng)
-        aug = augment(data, fam, k, int(rng.integers(2**63)))
-        return stats.evaluate(kind, aug, k)
-    return run
+def _block_cells(config, size, rng, spec):
+    """``size`` replicates as ``evaluate_batch`` points and weights; ``repeated_surrogate``
+    has the law of ``repeated_aug`` for every supported (Gaussian) source, so is drawn alike."""
+    n, k, fam = config.n, config.k, config.family
+    if config.protocol == "surrogate":
+        return sample_surrogate_cells(spec, (size, n), rng), np.broadcast_to(1.0, (size, n, k))
+    x = config.source.sample((size, n), rng)
+    if config.protocol == "unaugmented":
+        return x[:, :, None], np.broadcast_to(float(k), (size, n, 1))
+    rows = n if config.protocol == "iid_aug" else 1
+    counts = rng.multinomial(k, fam.weights, size=(size, rows))
+    images = fam.images(x.reshape(size * n, -1)).reshape(size, n, *fam.offsets.shape)
+    return images, np.broadcast_to(counts, (size, n, len(fam.weights)))
 
 
 def _sub(seed, r):
-    # integer sub-seed for samplers that derive their own stream
+    # the integer seed of stream (seed, r): a comparison's r-th protocol runs on it
     return int(np.random.SeedSequence([int(seed), int(r)]).generate_state(1, np.uint64)[0])
 
 
 def run_experiment(config, workers=1):
-    """Run all replicates and summarize; deterministic given config.seed.
+    """Run all replicates block by block and summarize; deterministic given config.seed.
 
-    ``workers > 1`` executes replicates in a thread pool; each replicate writes
-    its own row of the sample matrix, so the result is independent of the
-    worker count and of scheduling order.
+    The run is serial; ``workers`` is accepted for interface stability, and
+    the result never depended on it.
     """
     t0 = time.perf_counter()
-    run = _replicate_sampler(config)
-    r_total = config.replicates
-    q = config.statistic.output_dim
-    samples = np.empty((r_total, q))
-
-    if workers <= 1:
-        for r in range(r_total):
-            samples[r] = run(r)
-    else:
-        chunk = max(1, r_total // (8 * workers))
-        ranges = [range(lo, min(lo + chunk, r_total)) for lo in range(0, r_total, chunk)]
-
-        def fill(rr):
-            for r in rr:
-                samples[r] = run(r)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, ranges))
+    r_total, kind = config.replicates, config.statistic
+    samples = np.empty((r_total, kind.output_dim))
+    spec = build_surrogate(estimate_moments(config.family, config.source), config.n, config.k,
+                           config.delta) if config.protocol == "surrogate" else None
+    size = max(1, CELL_BUDGET // (config.n * config.k))
+    for block, lo in enumerate(range(0, r_total, size)):
+        hi = min(lo + size, r_total)
+        points, weights = _block_cells(config, hi - lo, substream(config.seed, block), spec)
+        samples[lo:hi] = stats.evaluate_batch(kind, points, weights, config.k)
 
     mean = samples.mean(axis=0)
     cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))

@@ -2,8 +2,8 @@
 
 Every random draw in the package comes from a generator derived with
 :func:`substream`.  Streams are keyed by a root seed plus an integer branch
-path (replicate index, protocol index, ...), so parallel and serial execution
-of independent tasks consume identical randomness regardless of scheduling.
+path: the Monte Carlo engine keys block b of replicates by (seed, b), and its
+blocks depend on (n, k, replicates) only, never on the worker count.
 """
 
 import numpy as np

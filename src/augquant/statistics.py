@@ -2,6 +2,10 @@
 
 Every statistic consumes the row-major augmented layout (n rows, k slots of d
 coordinates each) and is invariant under permuting the k slots within a row.
+``evaluate_batch`` is the one implementation of each statistic: it evaluates
+B datasets at once, each row given as cells with multiplicities, and
+``evaluate``, the ``eval_*`` functions and ``ridge_fit`` call it with a batch
+of one.
 The ridge derivative tensors within one row are built together, from one
 factorization of the regularized Gram matrix, by ``_RidgeBlocks``; the
 single-entry ``ridge_derivative`` and the analytic noise-stability path in
@@ -126,34 +130,59 @@ def _cells(data, k):
     return values.reshape(n, k, cols // k)
 
 
+def evaluate_batch(kind, points, weights, k):
+    """The statistic on B datasets at once, as a (B, output_dim) array.
+
+    Dataset b has n rows; row i holds the cells ``points[b, i, j]`` (J cells of
+    dimension D) with multiplicities ``weights[b, i, j]``, k in all, so that
+    repeating each cell by its multiplicity gives the (n, k*D) layout that
+    ``evaluate`` reads.  Every statistic reads the cells only through weighted
+    sums: the grand sum, or for ridge the Gram and cross moments.
+    """
+    if points.shape[-1] != kind.slot_dim:
+        raise ContractError(f"slot dimension {points.shape[-1]} does not match the "
+                            f"{kind.name} statistic's {kind.slot_dim}")
+    if kind.name in ("ridge", "ridgerisk"):
+        g, cross = _ridge_system(points, weights, k, kind.d, kind.b, kind.lam)
+        fit = g @ cross
+        if kind.name == "ridge":
+            return fit.reshape(len(fit), -1)
+        if kind.risk_moments is None:
+            raise ContractError("ridge risk statistic needs risk moments")
+        return _risks(fit, kind.risk_moments)[:, None]
+    m = (weights[..., None] * points).sum(axis=(1, 2)) / (np.sqrt(points.shape[1]) * k)
+    if kind.name == "average":
+        return m
+    if kind.name in ("expnegchisq", "expnegchisq2d"):
+        return np.exp(-m * m).sum(axis=1, keepdims=True)
+    shift = m.max(axis=1, keepdims=True)
+    if kind.name == "hardmax" or kind.d_n == 1:
+        return shift  # the log-sum-exp relaxation is exact for one coordinate
+    tau = kind.t * np.log(kind.d_n)
+    return shift + np.log(np.exp(tau * (m - shift)).sum(axis=1, keepdims=True)) / tau
+
+
+def evaluate(kind, data, k):
+    """Dispatch a StatisticKind on an augmented layout; returns a 1-d array."""
+    cells = _cells(data, k)
+    return evaluate_batch(kind, cells[None], np.ones((1, *cells.shape[:2])), k)[0]
+
+
 def eval_average(data, k):
     """The root-n scaled grand mean: sum over all cells divided by sqrt(n) * k."""
-    cells = _cells(data, k)
-    n = cells.shape[0]
-    return cells.sum(axis=(0, 1)) / (np.sqrt(n) * k)
+    return evaluate(average_statistic(_cells(data, k).shape[2]), data, k)
 
 
 def eval_exp_neg_chisq(data, k, dims="1d"):
     """exp(-(scaled grand mean)^2), per coordinate; summed over both for "2d"."""
-    cells = _cells(data, k)
-    if dims == "1d":
-        if cells.shape[2] != 1:
-            raise ContractError("1d variant requires slot dimension 1")
-        g = eval_average(data, k)[0]
-        return float(np.exp(-g * g))
-    if dims == "2d":
-        if cells.shape[2] != 2:
-            raise ContractError("2d variant requires slot dimension 2")
-        g = eval_average(data, k)
-        return float(np.exp(-g * g).sum())
-    raise ContractError(f"dims must be '1d' or '2d', got {dims!r}")
+    kinds = {"1d": exp_neg_chisq_statistic, "2d": exp_neg_chisq_2d_statistic}
+    if dims not in kinds:
+        raise ContractError(f"dims must be '1d' or '2d', got {dims!r}")
+    return float(evaluate(kinds[dims](), data, k)[0])
 
 
 def eval_hard_max(data, k, d_n):
-    cells = _cells(data, k)
-    if cells.shape[2] != d_n:
-        raise ContractError(f"slot dimension {cells.shape[2]} does not match d_n={d_n}")
-    return float(eval_average(data, k).max())
+    return float(evaluate(hard_max_statistic(d_n), data, k)[0])
 
 
 def eval_smooth_max(data, k, d_n, t):
@@ -163,33 +192,25 @@ def eval_smooth_max(data, k, d_n, t):
     For d_n = 1 the relaxation is exact and the degenerate temperature is
     bypassed.
     """
-    if t <= 0:
-        raise ContractError("t must be positive")
-    cells = _cells(data, k)
-    if cells.shape[2] != d_n:
-        raise ContractError(f"slot dimension {cells.shape[2]} does not match d_n={d_n}")
-    m = eval_average(data, k)
-    if d_n == 1:
-        return float(m[0])
-    tau = t * np.log(d_n)
-    shift = m.max()
-    return float(shift + np.log(np.exp(tau * (m - shift)).sum()) / tau)
+    return float(evaluate(smooth_max_statistic(d_n, t), data, k)[0])
 
 
 def _split_vy(cells, d, b):
-    if cells.shape[2] != d + b:
-        raise ContractError(f"slot dimension {cells.shape[2]} does not match d+b={d + b}")
-    return cells[:, :, :d], cells[:, :, d:]
+    if cells.shape[-1] != d + b:
+        raise ContractError(f"slot dimension {cells.shape[-1]} does not match d+b={d + b}")
+    return cells[..., :d], cells[..., d:]
 
 
-def _ridge_system(cells, d, b, lam):
-    """M^{-1} for M = sum v v^T + n k lam I, via its Cholesky factor, and the
-    cross moments sum v y^T."""
-    n, k = cells.shape[:2]
-    v, y = _split_vy(cells, d, b)
-    v2 = v.reshape(-1, d)
-    m = v2.T @ v2 + n * k * lam * np.eye(d)
-    cross = v2.T @ y.reshape(-1, b)
+def _ridge_system(points, weights, k, d, b, lam):
+    """Per dataset of ``evaluate_batch``'s layout: G = M^{-1} for the weighted
+    M = sum w v v^T + n k lam I, via its Cholesky factor, and the cross
+    moments sum w v y^T; shapes (B, d, d) and (B, d, b)."""
+    size, n = points.shape[:2]
+    v, y = _split_vy(points, d, b)
+    v = v.reshape(size, -1, d)
+    vw = (v * weights.reshape(size, -1, 1)).swapaxes(1, 2)
+    m = vw @ v + n * k * lam * np.eye(d)
+    cross = vw @ y.reshape(size, -1, b)
     if not (np.isfinite(m).all() and np.isfinite(cross).all()):
         raise NumericalError(f"ridge system has non-finite entries (lam={lam:g})")
     try:
@@ -197,7 +218,7 @@ def _ridge_system(cells, d, b, lam):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"regularized Gram matrix is singular (rank deficiency at lam={lam:g})") from exc
-    return l_inv.T @ l_inv, cross
+    return l_inv.swapaxes(1, 2) @ l_inv, cross
 
 
 def ridge_fit(data, k, d, b, lam):
@@ -206,19 +227,23 @@ def ridge_fit(data, k, d, b, lam):
     Solves (sum v v^T + n k lam I) B = sum v y^T; lam = 0 is allowed only when
     the Gram matrix is numerically invertible.
     """
-    g, cross = _ridge_system(_cells(data, k), d, b, lam)
-    return g @ cross
+    return evaluate(ridge_statistic(d, b, lam), data, k).reshape(d, b)
+
+
+def _risks(b_hats, rm):
+    """The risk of each estimate in a (B, d, b) stack, shape (B,)."""
+    syv = np.asarray(rm.sigma_yv, dtype=float)
+    sv = np.asarray(rm.sigma_v, dtype=float)
+    d, b = b_hats.shape[1:]
+    if syv.shape != (b, d) or sv.shape != (d, d):
+        raise ContractError("risk moment dimensions do not match the estimate")
+    return (rm.sigma_y - 2.0 * np.trace(syv @ b_hats, axis1=1, axis2=2)
+            + np.trace(b_hats.swapaxes(1, 2) @ sv @ b_hats, axis1=1, axis2=2))
 
 
 def ridge_risk(b_hat, risk_moments):
     """Expected squared prediction error of ``b_hat`` on a fresh pair."""
-    b_hat = np.asarray(b_hat, dtype=float)
-    rm = risk_moments
-    syv = np.asarray(rm.sigma_yv, dtype=float)
-    sv = np.asarray(rm.sigma_v, dtype=float)
-    if syv.shape != (b_hat.shape[1], b_hat.shape[0]) or sv.shape != (b_hat.shape[0],) * 2:
-        raise ContractError("risk moment dimensions do not match the estimate")
-    return float(rm.sigma_y - 2.0 * np.trace(syv @ b_hat) + np.trace(b_hat.T @ sv @ b_hat))
+    return float(_risks(np.asarray(b_hat, dtype=float)[None], risk_moments)[0])
 
 
 class _RidgeBlocks:
@@ -242,8 +267,8 @@ class _RidgeBlocks:
     def __init__(self, w, i, k, d, b, lam):
         cells = _cells(w, k)
         v, y = _split_vy(cells, d, b)
-        self.g, cross = _ridge_system(cells, d, b, lam)
-        self.fit = self.g @ cross
+        g, cross = _ridge_system(cells[None], np.ones((1, *cells.shape[:2])), k, d, b, lam)
+        self.g, self.fit = g[0], (g @ cross)[0]
         # derivative of the slot's covariate / response with respect to each entry
         ev = np.tile(np.eye(d + b, d), (k, 1))
         ey = np.tile(np.eye(d + b, b, -d), (k, 1))
@@ -313,25 +338,3 @@ def ridge_derivative(data, k, d, b, lam, which, i, slots, coords):
     if len(entries) == 2:
         return p.d2[entries[0], entries[1]]
     return p.d3(entries[0])[entries[1], entries[2]]
-
-
-def evaluate(kind, data, k):
-    """Dispatch a StatisticKind on an augmented layout; returns a 1-d array."""
-    if kind.name == "average":
-        return np.atleast_1d(eval_average(data, k))
-    if kind.name == "expnegchisq":
-        return np.array([eval_exp_neg_chisq(data, k, "1d")])
-    if kind.name == "expnegchisq2d":
-        return np.array([eval_exp_neg_chisq(data, k, "2d")])
-    if kind.name == "smoothmax":
-        return np.array([eval_smooth_max(data, k, kind.d_n, kind.t)])
-    if kind.name == "hardmax":
-        return np.array([eval_hard_max(data, k, kind.d_n)])
-    if kind.name == "ridge":
-        return ridge_fit(data, k, kind.d, kind.b, kind.lam).reshape(-1)
-    if kind.name == "ridgerisk":
-        if kind.risk_moments is None:
-            raise ContractError("ridge risk statistic needs risk moments")
-        b_hat = ridge_fit(data, k, kind.d, kind.b, kind.lam)
-        return np.array([ridge_risk(b_hat, kind.risk_moments)])
-    raise ContractError(f"unknown statistic {kind.name!r}")

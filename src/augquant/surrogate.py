@@ -256,10 +256,14 @@ def sample_repeated_surrogate(family, source, n, k, seed):
 
 def sample_surrogate_rows(spec, n_rows, seed):
     """Like :func:`sample_surrogate` but for an explicit number of rows."""
-    k, d = spec.k, spec.d
+    return sample_surrogate_cells(spec, (n_rows,), substream(seed)).reshape(n_rows, spec.k * spec.d)
+
+
+def sample_surrogate_cells(spec, shape, rng):
+    """Surrogate rows of leading shape ``shape`` drawn from ``rng``, as (*shape, k, d) cells."""
     l_shared, l_resid = spec._factors()
-    rng = substream(seed)
-    a = rng.standard_normal((n_rows, d)) @ l_shared.T
-    b = spec.mean_block + rng.standard_normal((n_rows, k, d)) @ l_resid.T
-    rows = a[:, None, :] + b
-    return rows.reshape(n_rows, k * d)
+    a = rng.standard_normal((*shape, spec.d)) @ l_shared.T
+    cells = rng.standard_normal((*shape, spec.k, spec.d)) @ l_resid.T
+    cells += spec.mean_block
+    cells += a[..., None, :]
+    return cells

@@ -181,6 +181,7 @@ class TestSimulate:
         assert b1 == (out2 / "result.csv").read_bytes()
         assert b1 == (out3 / "result.csv").read_bytes()
         assert (out1 / "manifest.txt").read_bytes() == (out2 / "manifest.txt").read_bytes()
+        assert "stream = 2\n" in (out1 / "manifest.txt").read_text()
 
 
 class TestCompare:
@@ -405,6 +406,24 @@ class TestNumericInputs:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
         assert "seed = 3\n" in (out / "manifest.txt").read_text()
+
+
+class TestHugeNumbers:
+    """Numbers too large for an int64 or an array exit 2 or 3 with one line, writing nothing."""
+
+    @pytest.mark.parametrize("command,base,key,value,code", [
+        ("simulate", GAUSSIAN_1D, "n", "1e300", 2),
+        ("simulate", GAUSSIAN_1D, "k", "1e300", 2),
+        ("simulate", GAUSSIAN_1D, "replicates", "1e300", 2),
+        ("simulate", GAUSSIAN_1D, "n", str(2**62), 3),
+        ("bounds", SWAP_2D, "bounds.num_grid", "1e300", 2),
+        ("bounds", RIDGE_1D, "source.noise_scale", "1e300", 2),
+    ], ids=["n=1e300", "k=1e300", "replicates=1e300", "n=2**62", "num_grid=1e300",
+            "noise_scale=1e300"])
+    def test_exits_cleanly(self, tmp_path, capsys, command, base, key, value, code):
+        cfgp = _write(tmp_path, _set(base, key, value))
+        err = _exits_cleanly(tmp_path, capsys, [command, "--config", cfgp], code)
+        assert key.split(".")[-1] in err or "allocate" in err
 
 
 def _tree(path):

@@ -28,6 +28,32 @@ class TestApply:
             aq.apply_transformation(t, [1.0, 2.0, 3.0])
 
 
+class TestDraws:
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.2, 0.3, 0.5],
+                                         [0.1, 0.05, 0.2, 0.15, 0.1, 0.3, 0.1]])
+    @pytest.mark.parametrize("shape", [7, (5,), (3, 4), (2, 3, 2)])
+    def test_index_draw_is_generator_choice(self, weights, shape):
+        fam = aq.finite_uniform_family([aq.affine([[float(i)]]) for i in range(len(weights))],
+                                       weights)
+        for seed in range(20):
+            got = fam.sample_indices(shape, np.random.default_rng(seed))
+            want = np.random.default_rng(seed).choice(len(weights), size=shape, p=fam.weights)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("source", [
+        aq.gaussian_source([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]]),
+        aq.regression_source([1.0, 0.5], [[1.0, 0.3], [0.3, 0.8]], 0.7)])
+    def test_sample_of_a_shape_is_the_flat_draw(self, source):
+        got = source.sample((3, 4), np.random.default_rng(2))
+        want = source.sample(12, np.random.default_rng(2))
+        assert got.shape == (3, 4, source.dim)
+        assert np.array_equal(got.reshape(12, source.dim), want)
+
+    def test_noise_scale_with_overflowing_square_rejected(self):
+        with pytest.raises(ContractError, match="noise_scale"):
+            aq.regression_source([0.0], [[1.0]], 1e300)
+
+
 class TestAugmentIid:
     def test_identity_blocks(self):
         data = np.arange(6.0).reshape(3, 2)

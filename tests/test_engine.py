@@ -1,0 +1,109 @@
+"""The block engine against the per-replicate sampler it replaced.
+
+``reference_samples`` is that sampler: replicate r draws from the stream
+(seed, r), materializes its k cells per row through the augmentation
+protocols and evaluates them with ``evaluate``.  The engine draws blocks of
+replicates on another stream layout and weights member images by counts, so
+the two agree in law, not in bytes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import augquant as aq
+from augquant import statistics as st
+from augquant.core import augment_iid, augment_repeated, replicate_unaugmented
+from augquant.montecarlo import PROTOCOLS, _jackknife_var_norm_se, _sub
+from augquant.rng import substream
+from augquant.surrogate import build_surrogate, estimate_moments, sample_surrogate_rows
+
+
+def _replicate_sampler(config):
+    """A function mapping a replicate index to the statistic's value."""
+    src, fam, k, n = config.source, config.family, config.k, config.n
+    kind, seed = config.statistic, config.seed
+    if config.protocol == "surrogate":
+        spec = build_surrogate(estimate_moments(fam, src), n, k, config.delta)
+        return lambda r: st.evaluate(kind, sample_surrogate_rows(spec, n, _sub(seed, r)), k)
+    if config.protocol == "repeated_surrogate":
+        return lambda r: st.evaluate(
+            kind, aq.sample_repeated_surrogate(fam, src, n, k, _sub(seed, r)), k)
+
+    def run(r):
+        rng = substream(seed, r)
+        data = src.sample(n, rng)
+        if config.protocol == "unaugmented":
+            return st.evaluate(kind, replicate_unaugmented(data, k), k)
+        augment = augment_iid if config.protocol == "iid_aug" else augment_repeated
+        return st.evaluate(kind, augment(data, fam, k, int(rng.integers(2**63))), k)
+    return run
+
+
+def reference_samples(config):
+    run = _replicate_sampler(config)
+    return np.array([run(r) for r in range(config.replicates)])
+
+
+def _gaussian_setup(d):
+    """A correlated Gaussian source on R^d and a weighted affine family with offsets."""
+    cov = 0.4 * np.ones((d, d)) + 0.6 * np.eye(d)
+    source = aq.gaussian_source(np.linspace(0.3, -0.2, d), cov)
+    shift = np.roll(np.eye(d), 1, axis=0)
+    family = aq.finite_uniform_family(
+        [aq.affine(np.eye(d)), aq.affine(shift, np.full(d, 0.5)), aq.affine(-np.eye(d))],
+        [0.5, 0.3, 0.2])
+    return source, family
+
+
+def _regression_setup():
+    source = aq.regression_source([1.0, 0.5], [[1.0, 0.3], [0.3, 0.8]], 0.7)
+    return source, aq.random_crop_family(2).paired(2)
+
+
+def _setup(name):
+    """(source, family, statistic) for each of the seven statistics."""
+    if name in ("ridge", "ridgerisk"):
+        source, family = _regression_setup()
+        if name == "ridge":
+            return source, family, aq.ridge_statistic(2, 2, 0.5)
+        return source, family, aq.ridge_risk_statistic(
+            2, 2, 0.5, aq.risk_moments_from_source(source))
+    kind = {"average": aq.average_statistic(2), "expnegchisq": aq.exp_neg_chisq_statistic(),
+            "expnegchisq2d": aq.exp_neg_chisq_2d_statistic(),
+            "smoothmax": aq.smooth_max_statistic(3, 2.0),
+            "hardmax": aq.hard_max_statistic(3)}[name]
+    return (*_gaussian_setup(kind.slot_dim), kind)
+
+
+@pytest.mark.parametrize("statistic", st.CANONICAL_NAMES)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_engine_matches_reference_sampler_in_law(protocol, statistic):
+    source, family, kind = _setup(statistic)
+    seed = 1000 + 10 * PROTOCOLS.index(protocol) + st.CANONICAL_NAMES.index(statistic)
+    config = aq.ExperimentConfig(source=source, family=family, protocol=protocol,
+                                 statistic=kind, n=6, k=3, replicates=4000, seed=seed)
+    engine = aq.run_experiment(config).samples
+    reference = reference_samples(config)
+    r = config.replicates
+    for j in range(engine.shape[1]):
+        se = math.sqrt((engine[:, j].var(ddof=1) + reference[:, j].var(ddof=1)) / r)
+        assert abs(engine[:, j].mean() - reference[:, j].mean()) <= 4 * se, j
+    se = math.hypot(_jackknife_var_norm_se(engine)[1], _jackknife_var_norm_se(reference)[1])
+    assert abs(engine[:, 0].var(ddof=1) - reference[:, 0].var(ddof=1)) <= 4 * se
+
+
+@pytest.mark.parametrize("statistic", st.CANONICAL_NAMES)
+def test_member_counts_match_materialized_cells(statistic):
+    source, family, kind = _setup(statistic)
+    n, k, batch = 7, 5, 3
+    rng = np.random.default_rng(st.CANONICAL_NAMES.index(statistic))
+    x = source.sample((batch, n), rng)
+    counts = rng.multinomial(k, family.weights, size=(batch, n))
+    images = family.images(x.reshape(batch * n, -1)).reshape(batch, n, *family.offsets.shape)
+    got = st.evaluate_batch(kind, images, counts, k)
+    for b in range(batch):
+        cells = np.stack([np.repeat(images[b, i], counts[b, i], axis=0) for i in range(n)])
+        want = st.evaluate(kind, cells.reshape(n, -1), k)
+        np.testing.assert_allclose(got[b], want, rtol=1e-12, atol=0)
