@@ -1,17 +1,20 @@
 """Noise-stability estimation and evaluable error-bound assembly.
 
-The central object is the array alpha[r][m]: the L_m norm (over fresh draws)
-of the supremum, along the segment from zero to a row's value, of the norm of
-the r-th derivative of the statistic with respect to that row.  The row's
-neighbours are held at augmented data (rows before) and surrogate draws (rows
-after), and the larger of the data-endpoint and surrogate-endpoint branches is
-reported.
+The bound has two kinds of inputs.  The moment constants c1, c2 and c3 are
+moments of the augmentation and of the Gaussian surrogate law, computed
+exactly.  The noise-stability array alpha[r][m] is the one sampled input: the
+L_m norm (over fresh draws) of the supremum, along the segment from zero to a
+row's value, of the norm of the r-th derivative of the statistic with respect
+to that row.  The row's neighbours are held at augmented data (rows before)
+and surrogate draws (rows after), and the larger of the data-endpoint and
+surrogate-endpoint branches is reported.
 
 The segment supremum has no computable closed form in general; it is proxied
 by a uniform grid (default 17 points including both endpoints), which makes
-the estimates lower bounds on the true suprema.  Derivatives are analytic for
-every differentiable statistic: the average, the exponential statistics, the
-smooth max, the ridge estimate and the ridge risk.  The hard max has none.
+the estimates lower bounds on the true suprema.  Derivatives are analytic:
+one chain rule through the scaled grand mean serves the average, exponential
+and smooth-max statistics; ridge and ridge risk have their own tensors.  The
+hard max has none.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,8 @@ from . import statistics as stats
 from .core import augment_iid
 from .errors import ContractError, NumericalError
 from .rng import substream
-from .surrogate import _member_moments, estimate_moments, sample_surrogate_rows
+from .surrogate import (_gaussian_sixth_moment, _member_moments, estimate_moments,
+                        sample_surrogate_rows)
 
 ORDERS = (0, 1, 2, 3)
 MOMENTS = (1, 2, 3, 4, 5, 6)
@@ -72,61 +76,45 @@ class BoundReport:
 # (||f||, ||D^1||, ||D^2||, ||D^3||) for the block of one row.
 # ---------------------------------------------------------------------------
 
-class _AverageDerivs:
-    def __init__(self, d, n, k):
-        self.d, self.n, self.k = d, n, k
-        self.d1 = np.sqrt(d) / np.sqrt(n * k)
+class _MeanDerivs:
+    """Norms for the statistics that read the data only through the scaled
+    grand mean m = sum(cells) / (sqrt(n) k).  Every entry of row i moves m by
+    e_l / (sqrt(n) k), whatever its slot, so ||D^r f|| = (nk)^(-r/2) ||grad^r f(m)||
+    and each statistic supplies only the norms of its derivative tensors at m.
+    """
+
+    def __init__(self, kind, n, k):
+        self.kind, self.n, self.k = kind, n, k
 
     def norms(self, w, i):
-        f = stats.eval_average(w, self.k)
-        return float(np.linalg.norm(f)), self.d1, 0.0, 0.0
+        m = stats.eval_average(w, self.k)
+        value = np.linalg.norm(stats.evaluate(self.kind, w, self.k))
+        scale = 1.0 / np.sqrt(self.n * self.k)
+        grads = self._gradient_norms(m)
+        return (float(value),) + tuple(float(g * scale**r) for r, g in enumerate(grads, 1))
 
-
-class _ExpNegDerivs:
-    """Analytic chain-rule norms for exp(-(scaled grand mean)^2), 1 or 2 coords."""
-
-    def __init__(self, n_coords, n, k):
-        self.n_coords, self.n, self.k = n_coords, n, k
-
-    def norms(self, w, i):
-        n, k = self.n, self.k
-        m = stats.eval_average(w, k)  # per-coordinate scaled grand means
-        f = np.exp(-m * m)
-        u = 2.0 * m / (np.sqrt(n) * k)
-        c = 2.0 / (n * k * k)
-        d1 = np.sqrt(k * np.sum(f * f * u * u))
-        d2 = k * np.sqrt(np.sum((f * (u * u - c)) ** 2))
-        d3 = k**1.5 * np.sqrt(np.sum((f * (3.0 * c * u - u**3)) ** 2))
-        return float(np.abs(f.sum() if self.n_coords == 2 else f[0])), float(d1), float(d2), float(d3)
-
-
-class _SmoothMaxDerivs:
-    """Softmax-weight norms for the log-sum-exp relaxation of the coordinate max."""
-
-    def __init__(self, d_n, t, n, k):
-        self.d_n, self.t, self.n, self.k = d_n, t, n, k
-
-    def norms(self, w, i):
-        n, k, d_n = self.n, self.k, self.d_n
-        m = stats.eval_average(w, k)
-        val = stats.eval_smooth_max(w, k, d_n, self.t)
-        if d_n == 1:
-            return abs(val), 1.0 / np.sqrt(n * k), 0.0, 0.0
-        tau = self.t * np.log(d_n)
-        z = tau * (m - m.max())
-        omega = np.exp(z)
+    def _gradient_norms(self, m):
+        """(||grad f||, ||grad^2 f||, ||grad^3 f||) at the scaled mean m."""
+        if self.kind.name == "average":
+            return np.sqrt(m.size), 0.0, 0.0
+        if self.kind.name in ("expnegchisq", "expnegchisq2d"):
+            # f = sum_l exp(-m_l^2): every derivative tensor is diagonal
+            e = np.exp(-m * m)
+            return (np.linalg.norm(2.0 * m * e), np.linalg.norm((4.0 * m * m - 2.0) * e),
+                    np.linalg.norm((12.0 * m - 8.0 * m**3) * e))
+        # smooth max: the softmax weights and their derivatives; at d_n = 1
+        # tau = t log 1 = 0 makes the second and third tensors vanish
+        tau = self.kind.t * np.log(self.kind.d_n)
+        omega = np.exp(tau * (m - m.max()))
         omega /= omega.sum()
-        d1 = np.sqrt(np.sum(omega * omega) / (n * k))
         h = np.diag(omega) - np.outer(omega, omega)
-        d2 = tau / (n * k) * np.linalg.norm(h)
         g = 2.0 * omega[:, None, None] * omega[None, :, None] * omega[None, None, :]
-        idx = np.arange(d_n)
+        idx = np.arange(omega.size)
         g[:, idx, idx] -= omega[:, None] * omega[None, :]
         g[idx, :, idx] -= (omega[:, None] * omega[None, :]).T
         g[idx, idx, :] -= omega[:, None] * omega[None, :]
         g[idx, idx, idx] += omega
-        d3 = (tau * tau) / (n * k) ** 1.5 * np.linalg.norm(g.reshape(-1))
-        return abs(val), float(d1), float(d2), float(d3)
+        return np.linalg.norm(omega), tau * np.linalg.norm(h), tau * tau * np.linalg.norm(g)
 
 
 class _RidgeDerivs:
@@ -182,14 +170,8 @@ class _RidgeDerivs:
 
 def derivative_adapter(kind, n, k):
     """Pick the analytic derivative-norm evaluator for a statistic."""
-    if kind.name == "average":
-        return _AverageDerivs(kind.d, n, k)
-    if kind.name == "expnegchisq":
-        return _ExpNegDerivs(1, n, k)
-    if kind.name == "expnegchisq2d":
-        return _ExpNegDerivs(2, n, k)
-    if kind.name == "smoothmax":
-        return _SmoothMaxDerivs(kind.d_n, kind.t, n, k)
+    if kind.name in ("average", "expnegchisq", "expnegchisq2d", "smoothmax"):
+        return _MeanDerivs(kind, n, k)
     if kind.name == "ridge":
         return _RidgeDerivs(kind.d, kind.b, kind.lam, k)
     if kind.name == "ridgerisk":
@@ -201,58 +183,52 @@ def derivative_adapter(kind, n, k):
     raise ContractError(f"no derivative adapter for statistic {kind.name!r}")
 
 
-def estimate_alpha(stat, family, source, surrogate_spec, i=None, n=None, k=None,
-                   num_outer=64, num_grid=17, seed=0, adapter=None):
-    """Estimate alpha[r][m] for a statistic under a (family, source) pair.
+def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
+                   num_grid=17, seed=0, adapter=None):
+    """Estimate alpha[r][m] at row ``i`` for a statistic under a (family, source) pair.
 
-    For each outer draw the rows before ``i`` are freshly augmented data, the
-    rows after ``i`` are surrogate draws, and the segment endpoint is either a
-    fresh augmented row or a fresh surrogate row (two branches).  ``i=None``
-    maximizes over every row index.
+    This is the only sampled input of the bound.  For each outer draw the rows
+    before ``i`` are freshly augmented data, the rows after ``i`` are
+    surrogate draws, and the segment endpoint is either a fresh augmented row
+    or a fresh surrogate row (two branches).  n and k come from the spec.
     """
     if num_grid < 2:
         raise ContractError("num_grid must be at least 2")
     if num_outer < 1:
         raise ContractError("num_outer must be at least 1")
-    n = surrogate_spec.n if n is None else n
-    k = surrogate_spec.k if k is None else k
+    n, k = surrogate_spec.n, surrogate_spec.k
+    if not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+        raise ContractError(f"row index must be an integer in [0, {n}), got {i!r}")
     adapter = derivative_adapter(stat, n, k) if adapter is None else adapter
-    rows = range(n) if i is None else [int(i)]
     slot = stat.slot_dim
     if surrogate_spec.d != slot or family.dim != slot:
         raise ContractError("statistic slot dimension does not match the family/surrogate")
 
     fracs = np.linspace(0.0, 1.0, num_grid)
     sups = np.zeros((2, len(ORDERS), num_outer))
-    alpha = np.zeros((len(ORDERS), len(MOMENTS)))
-    for row_pos, i0 in enumerate(rows):
-        for outer in range(num_outer):
-            rng = substream(seed, row_pos, outer)
-            w = np.empty((n, k * slot))
-            if i0 > 0:
-                data = source.sample(i0, rng)
-                aug = augment_iid(data, family, k, rng.integers(2**63))
-                w[:i0] = aug.values
-            if i0 < n - 1:
-                w[i0 + 1:] = sample_surrogate_rows(surrogate_spec, n - 1 - i0,
-                                                   rng.integers(2**63))
-            end_data = augment_iid(source.sample(1, rng), family, k,
-                                   rng.integers(2**63)).values[0]
-            end_surr = sample_surrogate_rows(surrogate_spec, 1, rng.integers(2**63))[0]
-            for bi, endpoint in enumerate((end_data, end_surr)):
-                best = np.zeros(len(ORDERS))
-                for s in fracs:
-                    w[i0] = s * endpoint
-                    vals = np.asarray(adapter.norms(w, i0))
-                    if not np.all(np.isfinite(vals)):
-                        raise NumericalError(
-                            f"non-finite derivative at row {i0}, segment fraction {s:g}")
-                    np.maximum(best, vals, out=best)
-                sups[bi, :, outer] = best
-        for r in ORDERS:
-            for mi, m in enumerate(MOMENTS):
-                lm = np.max([np.mean(sups[bi, r] ** m) ** (1.0 / m) for bi in (0, 1)])
-                alpha[r, mi] = max(alpha[r, mi], lm)
+    for outer in range(num_outer):
+        rng = substream(seed, 0, outer)
+        w = np.empty((n, k * slot))
+        if i > 0:
+            data = source.sample(i, rng)
+            w[:i] = augment_iid(data, family, k, rng.integers(2**63)).values
+        if i < n - 1:
+            w[i + 1:] = sample_surrogate_rows(surrogate_spec, n - 1 - i, rng.integers(2**63))
+        end_data = augment_iid(source.sample(1, rng), family, k,
+                               rng.integers(2**63)).values[0]
+        end_surr = sample_surrogate_rows(surrogate_spec, 1, rng.integers(2**63))[0]
+        for bi, endpoint in enumerate((end_data, end_surr)):
+            best = np.zeros(len(ORDERS))
+            for s in fracs:
+                w[i] = s * endpoint
+                vals = np.asarray(adapter.norms(w, i))
+                if not np.all(np.isfinite(vals)):
+                    raise NumericalError(
+                        f"non-finite derivative at row {i}, segment fraction {s:g}")
+                np.maximum(best, vals, out=best)
+            sups[bi, :, outer] = best
+    alpha = np.array([[max(np.mean(sups[bi, r] ** m) ** (1.0 / m) for bi in (0, 1))
+                       for m in MOMENTS] for r in ORDERS])
     return AlphaEstimates(alpha=alpha, n=n, k=k, num_outer=num_outer,
                           num_grid=num_grid, seed=int(seed))
 
@@ -280,17 +256,17 @@ def assemble_omegas(alphas, gamma3_h=1.0, eta2_h=1.0, eta1_h=1.0):
     return float(om1), float(om2)
 
 
-def moment_constants(moments, spec, num_rows=100_000, seed=0):
-    """(c1, c2, c3): conditional-variance, sixth-moment, and surrogate-row constants.
+def moment_constants(moments, spec):
+    """(c1, c2, c3): conditional-variance, sixth-moment and surrogate-row constants.
 
-    c3 averages ((sum_j ||row_j||^2) / k)^3 over sampled surrogate rows; the
-    other two are exact functions of the supplied moments.
+    All three are exact functions of the moments.  c3 = sqrt(E ||R||^6 / k^3) / 6
+    for a surrogate row R ~ N(spec.full_mean(), spec.full_covariance()), whose
+    sixth moment has the same cumulant closed form as c2's.
     """
     c1 = 0.5 * float(np.linalg.norm(moments.mean_cond_var))
     c2 = float(np.sqrt(moments.sixth_moment)) / 6.0
-    rows = sample_surrogate_rows(spec, num_rows, seed).reshape(num_rows, spec.k, spec.d)
-    per_row = np.sum(rows * rows, axis=(1, 2)) / spec.k
-    c3 = float(np.sqrt(np.mean(per_row**3))) / 6.0
+    sixth = _gaussian_sixth_moment(spec.full_mean(), spec.full_covariance())
+    c3 = float(np.sqrt(sixth / spec.k**3)) / 6.0
     return c1, c2, c3
 
 
@@ -336,10 +312,10 @@ def bound_report(stat, family, source, spec, *, delta=None, num_outer=64,
     """Assemble a full evaluable bound for one statistic/configuration."""
     delta = spec.delta if delta is None else delta
     moments = estimate_moments(family, source) if moments is None else moments
-    alphas = estimate_alpha(stat, family, source, spec, i=0, num_outer=num_outer,
+    alphas = estimate_alpha(stat, family, source, spec, num_outer=num_outer,
                             num_grid=num_grid, seed=seed)
     lam1, lam2 = assemble_lambdas(alphas, gamma3_h, eta2_h, eta1_h)
-    c1, c2, c3 = moment_constants(moments, spec, seed=seed)
+    c1, c2, c3 = moment_constants(moments, spec)
     rhs = theorem_rhs(spec.n, spec.k, delta, lambda1=lam1, lambda2=lam2,
                       c1=c1, c2=c2, c3=c3, variant="iid")
     extra = {}

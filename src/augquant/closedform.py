@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericalError
 from .quadrature import integrate
 from .quantiles import chisq1_quantile, normal_quantile
 from .surrogate import estimate_moments
@@ -146,7 +146,24 @@ def toy_ridge_variance(n, mu, sigma, c, lam):
     returned directly.
 
     Limit branch (lam > 0): the small-sigma limit mu^2 c^2 / (n (lam + mu^2)^2).
+
+    Both branches need n >= 1.  A variance that floating point cannot hold,
+    for example when sigma^2 underflows to zero, raises NumericalError.
     """
+    if n < 1:
+        raise ContractError("the toy ridge variance requires n >= 1")
+    try:
+        # Python floats, so that a division by zero or an overflow raises, not warns
+        value = _toy_ridge_variance(n, float(mu), float(sigma), float(c), float(lam))
+    except (ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise NumericalError(f"the toy ridge variance at n={n}, mu={mu:g}, sigma={sigma:g}, "
+                             f"c={c:g}, lambda={lam:g} is out of floating-point range")
+    return value
+
+
+def _toy_ridge_variance(n, mu, sigma, c, lam):
     if lam < 0:
         raise ContractError("lam must be nonnegative")
     if lam > 0:

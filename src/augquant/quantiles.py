@@ -9,18 +9,11 @@ square relationship with the standard normal, equivalent to inverting the
 regularized incomplete gamma of shape 1/2.
 """
 
-import math
 from statistics import NormalDist
 
 from .errors import ContractError
 
-_SQRT2 = math.sqrt(2.0)
 _STANDARD_NORMAL = NormalDist()
-
-
-def normal_cdf(x):
-    """P(Z <= x) for a standard normal, via the complementary error function."""
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def normal_quantile(p):
@@ -28,17 +21,6 @@ def normal_quantile(p):
     if not 0.0 < p < 1.0:
         raise ContractError("quantile level must lie strictly inside (0, 1)")
     return _STANDARD_NORMAL.inv_cdf(p)
-
-
-def chisq1_cdf(x):
-    """CDF of a chi-squared variable with one degree of freedom.
-
-    Equals the regularized lower incomplete gamma P(1/2, x/2), which reduces
-    to erf(sqrt(x/2)).
-    """
-    if x <= 0.0:
-        return 0.0
-    return math.erf(math.sqrt(0.5 * x))
 
 
 def chisq1_quantile(p):

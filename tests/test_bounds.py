@@ -8,6 +8,7 @@ import augquant as aq
 from augquant import bounds as bd
 from augquant import statistics as stats
 from augquant.errors import ContractError
+from augquant.surrogate import sample_surrogate_rows
 
 
 def _average_setup(n=6, k=3, d=2):
@@ -80,6 +81,12 @@ class TestEstimateAlpha:
         stat, fam, src, spec = _average_setup()
         with pytest.raises(ContractError):
             aq.estimate_alpha(stat, fam, src, spec, i=0, num_grid=1)
+
+    @pytest.mark.parametrize("i", [-1, 6, 1.0, "0"])
+    def test_row_index_outside_the_rows_rejected(self, i):
+        stat, fam, src, spec = _average_setup()
+        with pytest.raises(ContractError, match="row index"):
+            aq.estimate_alpha(stat, fam, src, spec, i=i, num_outer=1, num_grid=2)
 
     def test_hard_max_rejected(self):
         src = aq.gaussian_source([0.0] * 3, np.eye(3))
@@ -173,6 +180,8 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         (aq.exp_neg_chisq_statistic(), 1),
         (aq.exp_neg_chisq_2d_statistic(), 2),
         (aq.smooth_max_statistic(3, 2.0), 3),
+        (aq.average_statistic(2), 2),
+        (aq.smooth_max_statistic(1, 2.0), 1),
     ])
     def test_chain_rule_norms(self, kind, d):
         n, k = 3, 2
@@ -272,12 +281,22 @@ class TestAssembly:
         assert om2 == pytest.approx(v * a**2 + a**2)
 
 
+def _sampled_c3(spec, num_rows, seed):
+    """c3 averaged over sampled surrogate rows, as the bound once computed it,
+    with its delta-method standard error."""
+    rows = sample_surrogate_rows(spec, num_rows, seed).reshape(num_rows, spec.k, spec.d)
+    cubes = (np.sum(rows * rows, axis=(1, 2)) / spec.k) ** 3
+    mean = cubes.mean()
+    se = cubes.std(ddof=1) / math.sqrt(num_rows) / (12.0 * math.sqrt(mean))
+    return math.sqrt(mean) / 6.0, se
+
+
 class TestMomentConstants:
     def test_identity_family_has_zero_conditional_variance(self):
         src = aq.gaussian_source([0.0, 0.0], np.eye(2))
         m = aq.estimate_moments(aq.identity_family(2), src)
         spec = aq.build_surrogate(m, 3, 2, 0.0)
-        c1, c2, c3 = bd.moment_constants(m, spec, num_rows=1000, seed=0)
+        c1, c2, c3 = bd.moment_constants(m, spec)
         assert c1 == 0.0
         assert c2 > 0 and c3 > 0
 
@@ -285,11 +304,24 @@ class TestMomentConstants:
         src = aq.gaussian_source([0.0], [[1.0]])
         m = aq.estimate_moments(aq.identity_family(1), src)
         spec = aq.build_surrogate(m, 3, 1, 0.0)
-        c1, c2, c3 = bd.moment_constants(m, spec, num_rows=200_000, seed=1)
+        c1, c2, c3 = bd.moment_constants(m, spec)
         assert c2 == pytest.approx(math.sqrt(15) / 6, rel=1e-12)
         # at k=1 the surrogate row norm is the same chi-squared functional, so
-        # c3 estimates the same constant
-        assert c3 == pytest.approx(c2, rel=0.05)
+        # c3 is the same constant
+        assert c3 == pytest.approx(c2, rel=1e-12)
+
+    @pytest.mark.parametrize("fam,mean,cov,k,delta", [
+        (aq.swap_family(), [1.0, -0.5], [[1.0, 0.3], [0.3, 2.0]], 3, 0.5),
+        (aq.sign_flip_family(1, 0.7), [0.5], [[1.0]], 4, 1.0),
+        (aq.random_crop_family(3), [0.2, 0.0, -0.4], np.eye(3), 2, 0.0),
+    ])
+    def test_exact_c3_matches_sampled_rows(self, fam, mean, cov, k, delta):
+        src = aq.gaussian_source(mean, cov)
+        m = aq.estimate_moments(fam, src)
+        spec = aq.build_surrogate(m, 3, k, delta)
+        exact = bd.moment_constants(m, spec)[2]
+        sampled, se = _sampled_c3(spec, 200_000, seed=7)
+        assert abs(exact - sampled) <= 4 * se
 
     @pytest.mark.parametrize("fam", [aq.identity_family(1), aq.sign_flip_family(1, 0.95)])
     def test_c3_stable_in_k(self, fam):
@@ -301,7 +333,7 @@ class TestMomentConstants:
         vals = []
         for k in (1, 4, 16):
             spec = aq.build_surrogate(m, 3, k, 0.0)
-            vals.append(bd.moment_constants(m, spec, num_rows=50_000, seed=2)[2])
+            vals.append(bd.moment_constants(m, spec)[2])
         assert max(vals) <= 2.0 * min(vals)
         assert max(vals) <= 1.0  # O(1) for a unit-scale source
 
@@ -374,7 +406,7 @@ class TestRhs:
             al = aq.estimate_alpha(aq.average_statistic(d), fam, src, spec, i=0,
                                    num_outer=2, num_grid=3, seed=0)
             lam1, lam2 = bd.assemble_lambdas(al)
-            c1, c2, c3 = bd.moment_constants(m, spec, num_rows=20_000, seed=9)
+            c1, c2, c3 = bd.moment_constants(m, spec)
             rhs[n] = bd.theorem_rhs(n, k, 0.0, lambda1=lam1, lambda2=lam2,
                                     c1=c1, c2=c2, c3=c3)
         assert rhs[100] < rhs[50]

@@ -426,6 +426,21 @@ class TestHugeNumbers:
         assert key.split(".")[-1] in err or "allocate" in err
 
 
+
+class TestToyRidgeInputs:
+    """A toy-ridge input with no finite variance exits 2 or 3 with one line, writing nothing."""
+
+    @pytest.mark.parametrize("body,code,needle", [
+        ("predict.grid = [0.5]\npredict.n = 0\npredict.lambda = 1\n", 2, "n >= 1"),
+        ("predict.grid = [0.5]\npredict.n = -5\n", 2, "n >= 1"),
+        ("predict.grid = [1e-200]\npredict.lambda = 0\n", 3, "floating-point range"),
+    ], ids=["n=0,lambda=1", "n=-5", "sigma=1e-200,lambda=0"])
+    def test_exits_cleanly(self, tmp_path, capsys, body, code, needle):
+        cfgp = _write(tmp_path, "predict.curve = toyridge\n" + body)
+        err = _exits_cleanly(tmp_path, capsys, ["predict", "--config", cfgp], code)
+        assert needle in err
+
+
 def _tree(path):
     """Every file under path, by relative name, with its bytes."""
     return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*"))
