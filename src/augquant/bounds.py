@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statistics as stats
-from .core import augment_iid
 from .errors import ContractError, NumericalError
 from .rng import substream
 from .surrogate import (_gaussian_sixth_moment, _member_moments, estimate_moments,
-                        sample_surrogate_rows)
+                        sample_surrogate_cells)
 
 ORDERS = (0, 1, 2, 3)
 MOMENTS = (1, 2, 3, 4, 5, 6)
@@ -60,9 +59,6 @@ class BoundReport:
     c2: float
     c3: float
     rhs_iid: float
-    gamma3_h: float = 1.0
-    eta2_h: float = 1.0
-    eta1_h: float = 1.0
     omega1: float = None
     omega2: float = None
     m1: float = None
@@ -206,22 +202,22 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
 
     fracs = np.linspace(0.0, 1.0, num_grid)
     sups = np.zeros((2, len(ORDERS), num_outer))
+    rows = np.arange(i + 1)[:, None]
     for outer in range(num_outer):
+        # i + 1 augmented rows, the last the data endpoint, then n - i surrogate
+        # rows, the first the surrogate endpoint, all from one stream
         rng = substream(seed, 0, outer)
-        w = np.empty((n, k * slot))
-        if i > 0:
-            data = source.sample(i, rng)
-            w[:i] = augment_iid(data, family, k, rng.integers(2**63)).values
-        if i < n - 1:
-            w[i + 1:] = sample_surrogate_rows(surrogate_spec, n - 1 - i, rng.integers(2**63))
-        end_data = augment_iid(source.sample(1, rng), family, k,
-                               rng.integers(2**63)).values[0]
-        end_surr = sample_surrogate_rows(surrogate_spec, 1, rng.integers(2**63))[0]
+        x = source.sample(i + 1, rng)
+        data = family.images(x)[rows, family.sample_indices((i + 1, k), rng)]
+        surr = sample_surrogate_cells(surrogate_spec, (n - i,), rng)
+        w = np.concatenate([data[:i], surr]).reshape(n, k * slot)
+        end_data, end_surr = data[i].reshape(-1), surr[0].reshape(-1)
         for bi, endpoint in enumerate((end_data, end_surr)):
             best = np.zeros(len(ORDERS))
             for s in fracs:
                 w[i] = s * endpoint
-                vals = np.asarray(adapter.norms(w, i))
+                with np.errstate(all="ignore"):  # an overflow fails the check below
+                    vals = np.asarray(adapter.norms(w, i))
                 if not np.all(np.isfinite(vals)):
                     raise NumericalError(
                         f"non-finite derivative at row {i}, segment fraction {s:g}")
@@ -307,25 +303,23 @@ def theorem_rhs(n, k, delta, *, lambda1=0.0, lambda2=0.0, c1=0.0, c2=0.0, c3=0.0
 
 
 def bound_report(stat, family, source, spec, *, delta=None, num_outer=64,
-                 num_grid=17, seed=0, gamma3_h=1.0, eta2_h=1.0, eta1_h=1.0,
-                 moments=None, include_repeated=False):
+                 num_grid=17, seed=0, moments=None, include_repeated=False):
     """Assemble a full evaluable bound for one statistic/configuration."""
     delta = spec.delta if delta is None else delta
     moments = estimate_moments(family, source) if moments is None else moments
     alphas = estimate_alpha(stat, family, source, spec, num_outer=num_outer,
                             num_grid=num_grid, seed=seed)
-    lam1, lam2 = assemble_lambdas(alphas, gamma3_h, eta2_h, eta1_h)
+    lam1, lam2 = assemble_lambdas(alphas)
     c1, c2, c3 = moment_constants(moments, spec)
     rhs = theorem_rhs(spec.n, spec.k, delta, lambda1=lam1, lambda2=lam2,
                       c1=c1, c2=c2, c3=c3, variant="iid")
     extra = {}
     if include_repeated:
-        om1, om2 = assemble_omegas(alphas, gamma3_h, eta2_h, eta1_h)
+        om1, om2 = assemble_omegas(alphas)
         m1, m2, m3 = repeated_constants(family, source)
         extra = dict(omega1=om1, omega2=om2, m1=m1, m2=m2, m3=m3,
                      rhs_repeated=theorem_rhs(spec.n, spec.k, delta, lambda2=lam2,
                                               c2=c2, c3=c3, omega1=om1, omega2=om2,
                                               m1=m1, m2=m2, m3=m3, variant="repeated"))
     return BoundReport(statistic=stat.name, n=spec.n, k=spec.k, delta=delta,
-                       lambda1=lam1, lambda2=lam2, c1=c1, c2=c2, c3=c3, rhs_iid=rhs,
-                       gamma3_h=gamma3_h, eta2_h=eta2_h, eta1_h=eta1_h, **extra)
+                       lambda1=lam1, lambda2=lam2, c1=c1, c2=c2, c3=c3, rhs_iid=rhs, **extra)

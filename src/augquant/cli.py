@@ -98,7 +98,7 @@ def _write_csv(path, header, rows, footer_lines=()):
 # predict: closed-form curves on user grids
 # ---------------------------------------------------------------------------
 
-def _cmd_predict(cfg, out_dir, seed, workers):
+def _cmd_predict(cfg, out_dir, seed):
     curve, grid, alpha = cfgmod.read(cfg, "predict.curve", "predict.grid", "predict.alpha")
     if curve == "vcurve":
         header = ["s", "variance"]
@@ -133,17 +133,17 @@ def _cmd_predict(cfg, out_dir, seed, workers):
 # simulate / compare / bounds: thin wrappers over the engine
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(cfg, out_dir, seed, workers):
+def _cmd_simulate(cfg, out_dir, seed):
     config = cfgmod.experiment_from_config(cfg, seed_override=seed)
-    result = montecarlo.run_experiment(config, workers=workers)
+    result = montecarlo.run_experiment(config)
     cfgmod.atomic_write(os.path.join(out_dir, "result.csv"), cfgmod.result_csv_text(result))
 
 
-def _cmd_compare(cfg, out_dir, seed, workers):
+def _cmd_compare(cfg, out_dir, seed):
     protocols = [p.strip() for p in cfgmod.read(cfg, "compare.protocols").split(",")
                  if p.strip()]
     config = cfgmod.experiment_from_config(cfg, seed_override=seed)
-    report = montecarlo.compare_protocols(config, protocols, workers=workers)
+    report = montecarlo.compare_protocols(config, protocols)
     rows = []
     for proto, res in report.results.items():
         rows.append((proto, float(res.var_norm), float(res.se_of_variance),
@@ -159,7 +159,7 @@ def _cmd_compare(cfg, out_dir, seed, workers):
                rows, footer)
 
 
-def _cmd_bounds(cfg, out_dir, seed, workers):
+def _cmd_bounds(cfg, out_dir, seed):
     config = cfgmod.experiment_from_config(cfg, seed_override=seed)
     moments = estimate_moments(config.family, config.source)
     spec = build_surrogate(moments, config.n, config.k, config.delta)
@@ -212,7 +212,7 @@ def _std_with_se(result):
     return std, se
 
 
-def _fig1(out_dir, scale, seed, workers):
+def _fig1(out_dir, scale, seed):
     points = 500 if scale == DESK else 2000
     source, family = _crop_setup()
     k = 50
@@ -225,7 +225,7 @@ def _fig1(out_dir, scale, seed, workers):
             config = montecarlo.ExperimentConfig(
                 source=source, family=family, protocol=proto, statistic=kind,
                 n=200, k=k, replicates=points, seed=seed)
-            res = montecarlo.run_experiment(config, workers=workers)
+            res = montecarlo.run_experiment(config)
             target = rows_avg if name == "average" else rows_ridge
             for row in res.samples:
                 target.append((proto, float(row[coords[0]]), float(row[coords[1]])))
@@ -235,7 +235,7 @@ def _fig1(out_dir, scale, seed, workers):
                ["protocol", "coord1", "coord2"], rows_ridge)
 
 
-def _fig2(out_dir, scale, seed, workers):
+def _fig2(out_dir, scale, seed):
     reps = 2000 if scale == DESK else 10_000
     grid = [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
     rows = []
@@ -245,7 +245,7 @@ def _fig2(out_dir, scale, seed, workers):
             source=source, family=core.identity_family(1), protocol="surrogate",
             statistic=stats.exp_neg_chisq_statistic(), n=50, k=1,
             replicates=reps, seed=_cell_seed(seed, i), delta=1.0)
-        res = montecarlo.run_experiment(config, workers=workers)
+        res = montecarlo.run_experiment(config)
         std, se = _std_with_se(res)
         rows.append((float(s), std, se, math.sqrt(closedform.v_curve(s)),
                      res.empirical_ci_width, closedform.ci_width_curve(s, 0.05)))
@@ -254,7 +254,7 @@ def _fig2(out_dir, scale, seed, workers):
                rows, [f"replicates = {reps}"])
 
 
-def _fig3(out_dir, scale, seed, workers):
+def _fig3(out_dir, scale, seed):
     reps = 2000 if scale == DESK else 10_000
     rho, sigma = -0.5, 1.0
     source = core.gaussian_source([0.0, 0.0],
@@ -267,14 +267,14 @@ def _fig3(out_dir, scale, seed, workers):
             source=source, family=family, protocol="iid_aug",
             statistic=stats.exp_neg_chisq_2d_statistic(), n=100, k=k,
             replicates=reps, seed=_cell_seed(seed, i))
-        res = montecarlo.run_experiment(config, workers=workers)
+        res = montecarlo.run_experiment(config)
         std, se = _std_with_se(res)
         rows.append((k, std, se, std_theory))
     _write_csv(os.path.join(out_dir, "fig3.csv"),
                ["k", "std_sim", "std_se", "std_theory"], rows, [f"replicates = {reps}"])
 
 
-def _fig4(out_dir, scale, seed, workers):
+def _fig4(out_dir, scale, seed):
     reps = 2000 if scale == DESK else 10_000
     lam = 1.0
     rows = []
@@ -290,7 +290,7 @@ def _fig4(out_dir, scale, seed, workers):
                     config = montecarlo.ExperimentConfig(
                         source=source, family=family, protocol=proto, statistic=kind,
                         n=200, k=k, replicates=reps, seed=_cell_seed(seed, i))
-                    res = montecarlo.run_experiment(config, workers=workers)
+                    res = montecarlo.run_experiment(config)
                     std, se = _std_with_se(res)
                     rows.append((fam_name, stat_name, proto, k, std, se))
     _write_csv(os.path.join(out_dir, "fig4.csv"),
@@ -298,7 +298,7 @@ def _fig4(out_dir, scale, seed, workers):
                rows, [f"replicates = {reps}", f"lambda = {lam:g}"])
 
 
-def _fig5(out_dir, scale, seed, workers):
+def _fig5(out_dir, scale, seed):
     reps = 2000 if scale == DESK else 10_000
     n, mu, c, lam = 100, 1.0, 1.0, 4.0
     grid = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
@@ -314,7 +314,7 @@ def _fig5(out_dir, scale, seed, workers):
             config = montecarlo.ExperimentConfig(
                 source=source, family=family, protocol="iid_aug", statistic=kind,
                 n=n, k=1, replicates=reps, seed=_cell_seed(seed, i))
-            res = montecarlo.run_experiment(config, workers=workers)
+            res = montecarlo.run_experiment(config)
             std, se = _std_with_se(res)
             if stat_name == "est":
                 std_lam4, se_lam4 = std, se
@@ -329,11 +329,10 @@ def _fig5(out_dir, scale, seed, workers):
                       f"lambda = {lam:g}"])
 
 
-def _cmd_figure(name, out_dir, scale, seed, workers):
-    dispatch = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}
-    if name not in dispatch:
-        raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURES}")
-    dispatch[name](out_dir, scale, seed, workers)
+def _cmd_figure(name, out_dir, scale, seed):
+    # argparse has checked name against FIGURES
+    {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}[name](
+        out_dir, scale, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +382,10 @@ def main(argv=None):
         stage = _stage(args.out)
         _write_manifest(stage, command, cfg, seed, workers, scale)
         if args.command == "figure":
-            _cmd_figure(args.name, stage, args.scale, seed, workers)
+            _cmd_figure(args.name, stage, args.scale, seed)
         else:
             {"predict": _cmd_predict, "simulate": _cmd_simulate, "compare": _cmd_compare,
-             "bounds": _cmd_bounds}[command](cfg, stage, seed, workers)
+             "bounds": _cmd_bounds}[command](cfg, stage, seed)
         _publish(stage, args.out)
         return 0
     except (ConfigError, ContractError, OSError) as exc:

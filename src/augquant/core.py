@@ -2,9 +2,9 @@
 
 An augmented dataset holds ``n`` rows of ``k`` transformed copies of each
 observation, laid out row-major: row ``i`` is the concatenation
-``(t_i1(x_i), ..., t_ik(x_i))`` with the coordinate index innermost.  That
-layout is the canonical wire format consumed by every statistic and by the
-simulation engine.
+``(t_i1(x_i), ..., t_ik(x_i))`` with the coordinate index innermost.  The
+protocols and surrogate samplers write it, ``statistics.evaluate`` and the
+bound's derivative adapters read it; the Monte Carlo engine does not (below).
 
 Transformations are restricted to affine maps ``x -> A x + a``.  All built-in
 families (identity, coordinate swaps, coordinate-zeroing crops, cyclic

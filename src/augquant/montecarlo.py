@@ -20,7 +20,7 @@ import numpy as np
 
 from . import closedform
 from . import statistics as stats
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .rng import substream
 from .surrogate import build_surrogate, estimate_moments, sample_surrogate_cells
 
@@ -133,15 +133,19 @@ def run_experiment(config, workers=1):
     spec = build_surrogate(estimate_moments(config.family, config.source), config.n, config.k,
                            config.delta) if config.protocol == "surrogate" else None
     size = max(1, CELL_BUDGET // (config.n * config.k))
-    for block, lo in enumerate(range(0, r_total, size)):
-        hi = min(lo + size, r_total)
-        points, weights = _block_cells(config, hi - lo, substream(config.seed, block), spec)
-        samples[lo:hi] = stats.evaluate_batch(kind, points, weights, config.k)
-
-    mean = samples.mean(axis=0)
-    cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
-    se_norm, se_first = _jackknife_var_norm_se(samples)
-    lo_q, hi_q = np.quantile(samples[:, 0], [config.alpha / 2, 1 - config.alpha / 2])
+    # an overflow shows as a non-finite value below, reported once, not as warnings
+    with np.errstate(all="ignore"):
+        for block, lo in enumerate(range(0, r_total, size)):
+            hi = min(lo + size, r_total)
+            points, weights = _block_cells(config, hi - lo, substream(config.seed, block), spec)
+            samples[lo:hi] = stats.evaluate_batch(kind, points, weights, config.k)
+        mean = samples.mean(axis=0)
+        cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
+        se_norm, se_first = _jackknife_var_norm_se(samples)
+        lo_q, hi_q = np.quantile(samples[:, 0], [config.alpha / 2, 1 - config.alpha / 2])
+    if not all(np.isfinite(v).all() for v in (samples, mean, cov, se_norm, se_first, lo_q, hi_q)):
+        raise NumericalError(f"the {kind.name} statistic or its summaries (mean, covariance, "
+                             "jackknife SEs, quantiles) are not finite in floating point")
     return SimulationResult(
         samples=samples, mean=mean, covariance=cov,
         var_norm=float(np.linalg.norm(cov)),
@@ -174,7 +178,7 @@ def _theory_theta(config):
     return None
 
 
-def compare_protocols(config_base, protocols, workers=1):
+def compare_protocols(config_base, protocols):
     """Run the same statistic under several protocols and report the benefit ratio.
 
     The ratio is sqrt(unaugmented variance norm / augmented variance norm),
@@ -193,7 +197,7 @@ def compare_protocols(config_base, protocols, workers=1):
     for idx, proto in enumerate(protocols):
         cfg = replace(config_base, protocol=proto,
                       seed=_sub(config_base.seed, idx))
-        results[proto] = run_experiment(cfg, workers=workers)
+        results[proto] = run_experiment(cfg)
     aug_name = next(p for p in protocols if p != "unaugmented")
     va = results[aug_name].var_norm
     vu = results["unaugmented"].var_norm
@@ -211,7 +215,7 @@ def compare_protocols(config_base, protocols, workers=1):
                             theta_theory=_theory_theta(config_base))
 
 
-def coverage_check(config, interval_rule, workers=1):
+def coverage_check(config, interval_rule):
     """Empirical coverage of a fixed closed-form interval over replicates.
 
     ``interval_rule="average_ci"`` checks the plain grand mean (the scaled
@@ -240,7 +244,7 @@ def coverage_check(config, interval_rule, workers=1):
     else:
         raise ConfigError(f"unknown interval rule {interval_rule!r}")
 
-    result = run_experiment(config, workers=workers)
+    result = run_experiment(config)
     vals = result.samples[:, 0] * scale
     hits = (vals >= interval.lo) & (vals <= interval.hi)
     p = float(hits.mean())

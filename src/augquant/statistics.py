@@ -150,7 +150,7 @@ def evaluate_batch(kind, points, weights, k):
         if kind.risk_moments is None:
             raise ContractError("ridge risk statistic needs risk moments")
         return _risks(fit, kind.risk_moments)[:, None]
-    m = (weights[..., None] * points).sum(axis=(1, 2)) / (np.sqrt(points.shape[1]) * k)
+    m = np.einsum("bnj,bnjd->bd", weights, points) / (np.sqrt(points.shape[1]) * k)
     if kind.name == "average":
         return m
     if kind.name in ("expnegchisq", "expnegchisq2d"):

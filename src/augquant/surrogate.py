@@ -9,7 +9,8 @@ matrix has mean ``1_k (x) mean_block`` and covariance
 
 where S11 is the marginal covariance of a transformed observation and S12 the
 covariance between two independently transformed copies of the same
-observation.  Sampling uses the additive decomposition
+observation, both closed forms in the family's maps and the source's mean and
+covariance (:func:`estimate_moments`).  Sampling uses the additive decomposition
 
     row_i = (A_i + B_i1, ..., A_i + B_ik),
     A_i ~ N(0, offdiag_block),  B_ij ~ N(mean_block, diag_block - offdiag_block),
@@ -21,12 +22,12 @@ For repeated augmentation the surrogate is conditionally Gaussian given one
 draw of k maps; see :func:`sample_repeated_surrogate`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .linalg import EIG_FAIL, check_psd, psd_factor
+from .linalg import check_psd, psd_factor
 from .rng import substream
 
 
@@ -37,28 +38,26 @@ class AugmentationMoments:
     mean_phi_x     : mean of a transformed observation
     sigma11        : covariance of a transformed observation
     sigma12        : covariance between two independently transformed copies
-    mean_cond_var  : expected conditional covariance given the observation
-                     (equals sigma11 - sigma12 by the law of total variance)
+    mean_cond_var  : expected conditional covariance given the observation,
+                     sigma11 - sigma12 by the law of total variance
     mean_var_given_map : expected conditional covariance given the map;
                      sandwiched between sigma11 and sigma12 in the Loewner order
     sixth_moment   : E ||transformed observation||^6
-    provenance     : "exact" or "monte_carlo"
     """
 
     mean_phi_x: np.ndarray
     sigma11: np.ndarray
     sigma12: np.ndarray
-    mean_cond_var: np.ndarray
     mean_var_given_map: np.ndarray
     sixth_moment: float
-    provenance: str
-    num_samples: int = 0
-    seed: int = 0
-    warnings: tuple = field(default_factory=tuple)
 
     @property
     def dim(self):
         return self.mean_phi_x.shape[0]
+
+    @property
+    def mean_cond_var(self):
+        return self.sigma11 - self.sigma12
 
 
 def _gaussian_sixth_moment(mean, cov):
@@ -87,8 +86,9 @@ def _member_moments(family, source):
     return means, cross
 
 
-def exact_moments(family, source):
-    """Closed-form moments for a finite affine family on a Gaussian source."""
+def estimate_moments(family, source):
+    """Closed-form moments of the augmented observation for a finite affine
+    family on a Gaussian source, the only pairs the package accepts."""
     w = family.weights
     means, cross = _member_moments(family, source)
     own = np.einsum("iiab->iab", cross)  # A_i Sigma A_i^T
@@ -101,63 +101,8 @@ def exact_moments(family, source):
     sigma11 = 0.5 * (sigma11 + sigma11.T)
     sigma12 = 0.5 * (sigma12 + sigma12.T)
     sixth = w @ _gaussian_sixth_moment(means, own)
-    return AugmentationMoments(
-        mean_phi_x=mean, sigma11=sigma11, sigma12=sigma12,
-        mean_cond_var=sigma11 - sigma12, mean_var_given_map=var_given_map,
-        sixth_moment=float(sixth), provenance="exact")
-
-
-def monte_carlo_moments(family, source, num_samples, seed):
-    """Sample-based moments; the fallback when closed forms are unavailable."""
-    if num_samples < 2:
-        raise ContractError("num_samples must be at least 2")
-    rng = substream(seed)
-    x = source.sample(num_samples, rng)
-    idx1 = family.sample_indices(num_samples, rng)
-    idx2 = family.sample_indices(num_samples, rng)
-    d = x.shape[1]
-    images = family.images(x)
-    rows = np.arange(num_samples)
-    y1, y2 = images[rows, idx1], images[rows, idx2]
-    mean = y1.mean(axis=0)
-    sigma11 = np.cov(y1, rowvar=False, ddof=1).reshape(d, d)
-    c = (y1 - mean).T @ (y2 - y2.mean(axis=0)) / (num_samples - 1)
-    sigma12 = 0.5 * (c + c.T)
-    sixth = float(np.mean(np.sum(y1 * y1, axis=1) ** 3))
-
-    # E Var(phi X | X): average over maps of the conditional spread around the mean map
-    dev = y1 - family.weights @ images
-    mean_cond_var = dev.T @ dev / num_samples
-    mean_cond_var = 0.5 * (mean_cond_var + mean_cond_var.T)
-
-    resid1 = y1 - _member_moments(family, source)[0][idx1]
-    mean_var_given_map = resid1.T @ resid1 / num_samples
-    mean_var_given_map = 0.5 * (mean_var_given_map + mean_var_given_map.T)
-
-    warns = ()
-    eigmin = np.linalg.eigvalsh(sigma12).min()
-    if eigmin < -EIG_FAIL * max(np.trace(sigma11) / d, 1e-300):
-        warns = (f"estimated cross-copy covariance has eigmin {eigmin:g}; "
-                 "it should be positive semidefinite up to sampling noise",)
-    return AugmentationMoments(
-        mean_phi_x=mean, sigma11=sigma11, sigma12=sigma12,
-        mean_cond_var=mean_cond_var, mean_var_given_map=mean_var_given_map,
-        sixth_moment=sixth, provenance="monte_carlo",
-        num_samples=num_samples, seed=int(seed), warnings=warns)
-
-
-def estimate_moments(family, source, num_samples=100_000, seed=0, method="auto"):
-    """Moments of the augmented observation, exact where possible.
-
-    Finite affine families on Gaussian sources admit closed forms, which is
-    the default; ``method="monte_carlo"`` forces the sampling estimator (used
-    for cross-validation of the closed forms).
-    """
-    if method not in ("auto", "exact", "monte_carlo"):
-        raise ContractError(f"unknown method {method!r}")
-    if method == "monte_carlo":
-        return monte_carlo_moments(family, source, num_samples, seed)
-    return exact_moments(family, source)
+    return AugmentationMoments(mean_phi_x=mean, sigma11=sigma11, sigma12=sigma12,
+                               mean_var_given_map=var_given_map, sixth_moment=float(sixth))
 
 
 @dataclass(frozen=True)
@@ -171,7 +116,6 @@ class SurrogateSpec:
     mean_block: np.ndarray
     diag_block: np.ndarray
     offdiag_block: np.ndarray
-    mode: str = "augmented"
 
     def full_mean(self):
         return np.tile(self.mean_block, self.k)
@@ -207,7 +151,7 @@ def build_surrogate(moments, n, k, delta):
     check_psd(off, "offdiag_block (cross-copy covariance)")
     return SurrogateSpec(n=n, k=k, d=moments.dim, delta=float(delta),
                          mean_block=moments.mean_phi_x.copy(),
-                         diag_block=diag, offdiag_block=off, mode="augmented")
+                         diag_block=diag, offdiag_block=off)
 
 
 def build_unaugmented_surrogate(source, n, k):
@@ -221,16 +165,11 @@ def build_unaugmented_surrogate(source, n, k):
     cov = source.joint_cov()
     return SurrogateSpec(n=n, k=k, d=cov.shape[0], delta=0.0,
                          mean_block=source.joint_mean(),
-                         diag_block=cov, offdiag_block=cov.copy(),
-                         mode="unaugmented_replicate")
+                         diag_block=cov, offdiag_block=cov.copy())
 
 
 def sample_surrogate(spec, seed):
-    """Draw n i.i.d. surrogate rows as an (n, k*d) matrix. Deterministic given seed.
-
-    Row i is (A_i + B_i1, ..., A_i + B_ik) with A_i carrying the shared
-    cross-copy component and B_ij the per-copy remainder; see module docstring.
-    """
+    """Draw n i.i.d. surrogate rows as an (n, k*d) matrix; deterministic given seed."""
     return sample_surrogate_rows(spec, spec.n, seed)
 
 

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -439,6 +440,59 @@ class TestToyRidgeInputs:
         cfgp = _write(tmp_path, "predict.curve = toyridge\n" + body)
         err = _exits_cleanly(tmp_path, capsys, ["predict", "--config", cfgp], code)
         assert needle in err
+
+
+# the README swap family and average at n = 5, k = 3, R = 20
+SWAP_SMALL = """
+source.kind = gaussian
+source.mean = [0.0, 0.0]
+source.cov = [1.0, -0.5, -0.5, 1.0]
+family.kind = finite_uniform
+family.weights = [0.5, 0.5]
+family.member0.matrix = [1.0, 0.0, 0.0, 1.0]
+family.member1.matrix = [0.0, 1.0, 1.0, 0.0]
+statistic.kind = average
+statistic.d = 2
+protocol = iid_aug
+compare.protocols = iid_aug,unaugmented
+n = 5
+k = 3
+replicates = 20
+seed = 7
+bounds.num_outer = 2
+bounds.num_grid = 2
+"""
+# a smooth-max temperature so small that the statistic's values lie near the float limit
+TINY_T = (_set(SWAP_SMALL, "statistic.kind", "smoothmax")
+          + "statistic.d_n = 2\nstatistic.t = 1e-300\n")
+HUGE_MEAN = _set(SWAP_SMALL, "source.mean", "[1e155, 1e155]")
+
+
+class TestNonFiniteRuns:
+    """A run whose statistic or summaries leave floating point exits 3 with one line,
+    writes nothing and warns nothing."""
+
+    @pytest.mark.parametrize("command,text,needle", [
+        ("simulate", TINY_T, "summaries"),
+        ("simulate", HUGE_MEAN, "summaries"),
+        ("compare", HUGE_MEAN, "summaries"),
+        ("bounds", TINY_T, "non-finite derivative"),
+    ], ids=["simulate-tiny-t", "simulate-huge-mean", "compare-huge-mean", "bounds-tiny-t"])
+    def test_exits_3(self, tmp_path, capsys, command, text, needle):
+        cfgp = _write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = _exits_cleanly(tmp_path, capsys, [command, "--config", cfgp], 3)
+        assert needle in err
+
+    def test_non_finite_sample_rejected(self, monkeypatch):
+        from augquant import montecarlo
+        from augquant.errors import NumericalError
+        config = experiment_from_config(parse_config_text(SWAP_2D))
+        monkeypatch.setattr(montecarlo.stats, "evaluate_batch",
+                            lambda kind, points, weights, k: np.full((len(points), 2), np.nan))
+        with pytest.raises(NumericalError, match="average statistic or its summaries"):
+            montecarlo.run_experiment(config)
 
 
 def _tree(path):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -26,3 +27,25 @@ def test_package_and_cli_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == ""
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, by walking its syntax tree."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items()
+                  if name not in read)
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports only to re-export, so it is the one module exempt
+    modules = sorted(p for p in (SRC / "augquant").glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = [entry for p in modules for entry in _unused_imports(p)]
+    assert unused == []

@@ -1,11 +1,41 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import augquant as aq
 from augquant.errors import NumericalError
-from augquant.surrogate import (AugmentationMoments, psd_factor, sample_surrogate_rows)
+from augquant.rng import substream
+from augquant.surrogate import (AugmentationMoments, _member_moments, psd_factor,
+                                sample_surrogate_rows)
 
 EXCHANGEABLE = np.array([[1.0, -0.5], [-0.5, 1.0]])
+
+
+def monte_carlo_moments(family, source, num_samples, seed):
+    """The sampled reference for the closed-form moments: each field of
+    ``AugmentationMoments`` from ``num_samples`` transformed pairs, both
+    conditional variances estimated directly rather than as differences."""
+    rng = substream(seed)
+    x = source.sample(num_samples, rng)
+    idx1 = family.sample_indices(num_samples, rng)
+    idx2 = family.sample_indices(num_samples, rng)
+    d = x.shape[1]
+    images = family.images(x)
+    rows = np.arange(num_samples)
+    y1, y2 = images[rows, idx1], images[rows, idx2]
+    mean = y1.mean(axis=0)
+    sigma11 = np.cov(y1, rowvar=False, ddof=1).reshape(d, d)
+    c = (y1 - mean).T @ (y2 - y2.mean(axis=0)) / (num_samples - 1)
+    # E Var(phi X | X): the spread of each map around the mean map at the same X
+    dev = y1 - family.weights @ images
+    # E Var(phi X | phi): the spread of the image around its map's mean
+    resid1 = y1 - _member_moments(family, source)[0][idx1]
+    return SimpleNamespace(
+        mean_phi_x=mean, sigma11=sigma11, sigma12=0.5 * (c + c.T),
+        mean_cond_var=dev.T @ dev / num_samples,
+        mean_var_given_map=resid1.T @ resid1 / num_samples,
+        sixth_moment=float(np.mean(np.sum(y1 * y1, axis=1) ** 3)))
 
 
 def _swap_setup(rho=-0.5, sigma=1.0):
@@ -39,7 +69,7 @@ class TestExactMoments:
         fam, src = _swap_setup()
         exact = aq.estimate_moments(fam, src)
         n_mc = 200_000
-        mc = aq.estimate_moments(fam, src, num_samples=n_mc, seed=7, method="monte_carlo")
+        mc = monte_carlo_moments(fam, src, num_samples=n_mc, seed=7)
 
         # independent oracle for the entrywise SE: draw fresh transformed pairs
         # and take the SD of the cross products
@@ -55,25 +85,6 @@ class TestExactMoments:
         assert np.all(np.abs(mc.sigma12 - exact.sigma12) <= 4 * se)
         assert abs(mc.sixth_moment - exact.sixth_moment) <= \
             4 * np.std(np.sum(y1 * y1, 1) ** 3) / np.sqrt(n_mc)
-
-    def test_non_psd_estimate_carries_warning(self):
-        # the swap family's cross-copy covariance is rank one, so any finite
-        # sample pushes its zero eigenvalue slightly negative and the estimate
-        # must say so
-        fam, src = _swap_setup()
-        m = aq.estimate_moments(fam, src, num_samples=4, seed=1, method="monte_carlo")
-        assert m.provenance == "monte_carlo"
-        assert m.warnings and "cross-copy covariance" in m.warnings[0]
-        # a full-rank cross-covariance estimates cleanly
-        clean = aq.estimate_moments(aq.sign_flip_family(1, 0.9),
-                                    aq.gaussian_source([0.0], [[1.0]]),
-                                    num_samples=50_000, seed=1, method="monte_carlo")
-        assert clean.warnings == ()
-
-    def test_sample_count_precondition(self):
-        fam, src = _swap_setup()
-        with pytest.raises(Exception):
-            aq.estimate_moments(fam, src, num_samples=1, method="monte_carlo")
 
     def test_cross_covariance_equals_variance_of_conditional_mean(self):
         # two Monte Carlo routes to the same matrix agree within joint error
@@ -141,8 +152,7 @@ class TestBuildSurrogate:
         bad = AugmentationMoments(
             mean_phi_x=np.zeros(1), sigma11=np.array([[1.0]]),
             sigma12=np.array([[2.0]]),  # exceeds the marginal variance
-            mean_cond_var=np.array([[-1.0]]), mean_var_given_map=np.array([[1.0]]),
-            sixth_moment=15.0, provenance="exact")
+            mean_var_given_map=np.array([[1.0]]), sixth_moment=15.0)
         with pytest.raises(NumericalError):
             aq.build_surrogate(bad, 2, 2, 0.0)
 
@@ -158,8 +168,8 @@ class TestSampleSurrogate:
     def test_independent_slots_when_offdiag_zero(self):
         m = AugmentationMoments(
             mean_phi_x=np.zeros(1), sigma11=np.array([[1.0]]),
-            sigma12=np.array([[0.0]]), mean_cond_var=np.array([[1.0]]),
-            mean_var_given_map=np.array([[1.0]]), sixth_moment=15.0, provenance="exact")
+            sigma12=np.array([[0.0]]), mean_var_given_map=np.array([[1.0]]),
+            sixth_moment=15.0)
         spec = aq.build_surrogate(m, n=50_000, k=3, delta=0.0)
         rows = aq.sample_surrogate(spec, seed=4).reshape(-1, 3)
         c = np.cov(rows, rowvar=False)
