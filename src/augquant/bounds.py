@@ -229,26 +229,27 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
                           num_grid=num_grid, seed=int(seed))
 
 
-def assemble_lambdas(alphas, gamma3_h=1.0, eta2_h=1.0, eta1_h=1.0):
-    """The two printed smoothness combinations for the i.i.d. bound."""
+def assemble_lambdas(alphas):
+    """The two printed smoothness combinations for the i.i.d. bound.
+
+    Each sums its third-, second- and first-order groups, in that order."""
     a = alphas
-    lam1 = (gamma3_h * (a[0, 3] * a[1, 3] ** 2 + a[0, 3] ** 2 * a[2, 3])
-            + eta2_h * (a[1, 2] ** 2 + a[0, 2] * a[2, 2])
-            + eta1_h * a[2, 1])
-    lam2 = (gamma3_h * (a[1, 6] ** 3 + 3.0 * a[0, 6] * a[1, 6] * a[2, 6]
-                        + a[0, 6] ** 2 * a[3, 6])
-            + eta2_h * (3.0 * a[1, 4] * a[2, 4] + a[0, 4] * a[3, 4])
-            + eta1_h * a[3, 2])
+    lam1 = (a[0, 3] * a[1, 3] ** 2 + a[0, 3] ** 2 * a[2, 3]
+            + (a[1, 2] ** 2 + a[0, 2] * a[2, 2])
+            + a[2, 1])
+    lam2 = (a[1, 6] ** 3 + 3.0 * a[0, 6] * a[1, 6] * a[2, 6] + a[0, 6] ** 2 * a[3, 6]
+            + (3.0 * a[1, 4] * a[2, 4] + a[0, 4] * a[3, 4])
+            + a[3, 2])
     return float(lam1), float(lam2)
 
 
-def assemble_omegas(alphas, gamma3_h=1.0, eta2_h=1.0, eta1_h=1.0):
+def assemble_omegas(alphas):
     """The two extra smoothness combinations for the repeated-augmentation bound."""
     a = alphas
-    om1 = gamma3_h * a[1, 2] ** 2 + eta2_h * a[1, 2] + eta1_h * a[1, 1]
-    om2 = (gamma3_h * (a[0, 6] * a[1, 6] ** 2 + a[0, 6] ** 2 * a[2, 6])
-           + eta2_h * (a[1, 4] ** 2 + a[0, 4] * a[2, 4])
-           + eta1_h * a[2, 2])
+    om1 = a[1, 2] ** 2 + a[1, 2] + a[1, 1]
+    om2 = (a[0, 6] * a[1, 6] ** 2 + a[0, 6] ** 2 * a[2, 6]
+           + (a[1, 4] ** 2 + a[0, 4] * a[2, 4])
+           + a[2, 2])
     return float(om1), float(om2)
 
 

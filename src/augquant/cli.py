@@ -280,7 +280,7 @@ def _fig4(out_dir, scale, seed):
     rows = []
     for fam_name, setup in (("cropping", _crop_setup), ("rotation", _rotation_setup)):
         source, family = setup()
-        d = source.d_cov
+        d = source.mean.size
         for stat_name, kind in (
                 ("estimator", stats.ridge_statistic(d, d, lam)),
                 ("risk", stats.ridge_risk_statistic(d, d, lam,

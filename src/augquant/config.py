@@ -233,7 +233,8 @@ def source_from_config(cfg):
 
 
 def _members(cfg):
-    """The finite_uniform members: family.member0 to member<M-1>, each .offset with its .matrix."""
+    """The finite_uniform stacks (matrices, offsets) of family.member0 to member<M-1>,
+    each .offset with its .matrix."""
     found = [match for match in map(_MEMBER.fullmatch, cfg) if match]
     count = sum(match[2] == "matrix" for match in found)
     for match in found:  # with M matrices, every index below M covers both checks
@@ -242,14 +243,21 @@ def _members(cfg):
                               f"without a gap, each .offset with its .matrix ({count} matrices)")
     if not count:
         raise ConfigError("finite_uniform family needs family.member0.matrix, ...")
-    members = []
+    matrices, offsets = [], []
     for i in range(count):
         flat, offset = read(cfg, f"family.member{i}.matrix", f"family.member{i}.offset")
         d = int(round(np.sqrt(flat.size)))
         if d * d != flat.size:
             raise ConfigError(f"family.member{i}.matrix is not square")
-        members.append(core.affine(flat.reshape(d, d), offset))
-    return members
+        if matrices and d != len(matrices[0]):
+            raise ConfigError(f"family.member{i}.matrix is {d}x{d}, but family.member0.matrix "
+                              f"is {len(matrices[0])}x{len(matrices[0])}")
+        if offset is not None and offset.size != d:
+            raise ConfigError(f"family.member{i}.offset has {offset.size} entries, "
+                              f"one per row of its {d}x{d} matrix expected")
+        matrices.append(flat.reshape(d, d))
+        offsets.append(np.zeros(d) if offset is None else offset)
+    return matrices, offsets
 
 
 # family.kind -> its constructor from family.dim, for every kind but finite_uniform
@@ -260,7 +268,7 @@ _DIM_FAMILIES = {"identity": core.identity_family, "random_crop": core.random_cr
 def family_from_config(cfg, source=None):
     kind, paired = read(cfg, "family.kind", "family.paired")
     if kind == "finite_uniform":
-        fam = core.finite_uniform_family(_members(cfg), read(cfg, "family.weights"))
+        fam = core.finite_uniform_family(*_members(cfg), read(cfg, "family.weights"))
     elif kind in _DIM_FAMILIES:
         fam = _DIM_FAMILIES[kind](read(cfg, "family.dim"))
     else:
@@ -282,7 +290,7 @@ def statistic_from_config(cfg, source=None):
     if kind in ("ridge", "ridgerisk"):
         if source is None or source.kind != "regression":
             raise ConfigError("ridge statistics need a regression source")
-        fields.update(d=source.d_cov, b=source.d_resp, risk_moments=(
+        fields.update(d=source.mean.size, b=source.mean.size, risk_moments=(
             stats.risk_moments_from_source(source) if kind == "ridgerisk" else None))
     return stats.StatisticKind(name=kind, **fields)
 
@@ -312,7 +320,7 @@ def experiment_to_dict(config):
         out.update({"family.kind": kind, "family.dim": dim})
     else:
         out.update({"family.kind": "finite_uniform", "family.weights": list(fam.weights)})
-        for i in range(len(fam.members)):
+        for i in range(len(fam.weights)):
             out[f"family.member{i}.matrix"] = list(fam.matrices[i, :dim, :dim].reshape(-1))
             out[f"family.member{i}.offset"] = list(fam.offsets[i, :dim])
     if paired:

@@ -11,9 +11,10 @@ families (identity, coordinate swaps, coordinate-zeroing crops, cyclic
 coordinate rotations) are affine, and affinity keeps every conditional moment
 used by the surrogate construction available in closed form.
 
-A family stacks its members once, as ``matrices`` (M, D, D) and ``offsets``
-(M, D); ``TransformationFamily.images`` maps every row under every member in
-one product, and each protocol gathers its cells from that by member index.
+A family is its stack of maps, ``matrices`` (M, D, D) and ``offsets`` (M, D),
+with their ``weights``; ``TransformationFamily.images`` maps every row under
+every member in one product, and each protocol gathers its cells from that by
+member index.
 The Monte Carlo engine does not gather: it weights each row's M images by the
 row's member counts, Multinomial(k, weights), the law of k member draws.
 """
@@ -27,21 +28,17 @@ from .linalg import psd_factor
 from .rng import substream
 
 
-def _as_matrix(m, name="matrix"):
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractError(f"{name} must be square, got shape {m.shape}")
-    return m
-
-
-def _check_psd(cov, name="cov", tol=1e-8):
+def _check_cov(cov):
+    """The source covariance as a float array, refused unless square, symmetric and PSD."""
     cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ContractError(f"cov must be square, got shape {cov.shape}")
     if not np.allclose(cov, cov.T, atol=1e-10):
-        raise ContractError(f"{name} must be symmetric")
+        raise ContractError("cov must be symmetric")
     w = np.linalg.eigvalsh(cov)
     scale = max(abs(w).max(), 1.0)
-    if w.min() < -tol * scale:
-        raise ContractError(f"{name} is not positive semidefinite (eigmin={w.min():g})")
+    if w.min() < -1e-8 * scale:
+        raise ContractError(f"cov is not positive semidefinite (eigmin={w.min():g})")
     return cov
 
 
@@ -52,42 +49,33 @@ class DataSource:
     ``kind == "gaussian"``: observations are N(mean, cov) in R^dim.
 
     ``kind == "regression"``: observations are concatenated covariate/response
-    pairs (v, y) with v ~ N(mean, cov) in R^d_cov and y = v + eps,
-    eps ~ N(0, noise_scale^2 I).  The pair is stored as a single
-    (d_cov + d_resp)-vector, so ``dim = d_cov + d_resp`` and transformation
-    families must act on the concatenated vector (see
-    ``TransformationFamily.paired``).
+    pairs (v, y) with v ~ N(mean, cov) in R^d and y = v + eps,
+    eps ~ N(0, noise_scale^2 I), d = ``mean.size``.  The pair is stored as a
+    single 2d-vector, so ``dim = 2 d`` and transformation families must act on
+    the concatenated vector (see ``TransformationFamily.paired``).
     """
 
     kind: str
     mean: np.ndarray
     cov: np.ndarray
     noise_scale: float = 0.0
-    d_cov: int = 0
-    d_resp: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float).reshape(-1))
-        object.__setattr__(self, "cov", _check_psd(_as_matrix(self.cov, "cov")))
+        object.__setattr__(self, "cov", _check_cov(self.cov))
         if self.kind not in ("gaussian", "regression"):
             raise ContractError(f"unknown source kind {self.kind!r}")
         if self.mean.shape[0] != self.cov.shape[0]:
             raise ContractError("mean and cov dimensions disagree")
         if self.kind == "regression":
-            if self.d_cov < 1 or self.d_resp < 1:
-                raise ContractError("regression source needs positive covariate/response dims")
-            if self.d_cov != self.d_resp:
-                raise ContractError("responses are covariate + noise, so d_resp must equal d_cov")
-            if self.mean.shape[0] != self.d_cov:
-                raise ContractError("regression mean/cov describe the covariate block only")
             if not (self.noise_scale >= 0 and np.isfinite(self.noise_scale * self.noise_scale)):
                 raise ContractError("noise_scale must be nonnegative with a finite square")
 
     @property
     def dim(self):
         if self.kind == "regression":
-            return self.d_cov + self.d_resp
-        return self.mean.shape[0]
+            return 2 * self.mean.size
+        return self.mean.size
 
     def joint_mean(self):
         """Mean of the full observation vector (covariates stacked with responses)."""
@@ -99,7 +87,7 @@ class DataSource:
         """Covariance of the full observation vector."""
         if self.kind == "gaussian":
             return self.cov.copy()
-        d = self.d_cov
+        d = self.mean.size
         out = np.empty((2 * d, 2 * d))
         out[:d, :d] = self.cov
         out[:d, d:] = self.cov
@@ -121,7 +109,7 @@ class DataSource:
         base = self.mean + rng.standard_normal((*shape, self.mean.shape[0])) @ self._factor().T
         if self.kind == "gaussian":
             return base
-        eps = self.noise_scale * rng.standard_normal((*shape, self.d_resp))
+        eps = self.noise_scale * rng.standard_normal((*shape, self.mean.size))
         return np.concatenate([base, base + eps], axis=-1)
 
 
@@ -129,94 +117,51 @@ def gaussian_source(mean, cov):
     return DataSource(kind="gaussian", mean=mean, cov=cov)
 
 
-def regression_source(mean, cov, noise_scale, d_cov=None, d_resp=None):
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    d = mean.shape[0] if d_cov is None else d_cov
-    b = d if d_resp is None else d_resp
-    return DataSource(kind="regression", mean=mean, cov=cov,
-                      noise_scale=float(noise_scale), d_cov=d, d_resp=b)
-
-
-@dataclass(frozen=True)
-class Transformation:
-    """An affine map x -> matrix @ x + offset on R^d."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        off = np.zeros(m.shape[0]) if self.offset is None else np.asarray(self.offset, dtype=float).reshape(-1)
-        if off.shape[0] != m.shape[0]:
-            raise ContractError("offset dimension does not match matrix")
-        object.__setattr__(self, "offset", off)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
-def affine(matrix, offset=None):
-    matrix = _as_matrix(matrix)
-    if offset is None:
-        offset = np.zeros(matrix.shape[0])
-    return Transformation(matrix=matrix, offset=offset)
-
-
-def apply_transformation(t, x):
-    """Apply the affine map ``t`` to a single point or a batch of row vectors."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != t.dim:
-        raise ContractError(f"point dimension {x.shape[-1]} does not match map dimension {t.dim}")
-    return x @ t.matrix.T + t.offset
+def regression_source(mean, cov, noise_scale):
+    return DataSource(kind="regression", mean=mean, cov=cov, noise_scale=float(noise_scale))
 
 
 @dataclass(frozen=True)
 class TransformationFamily:
-    """A finite distribution over affine maps of R^dim.
+    """A finite distribution over the affine maps x -> A_m x + a_m of R^dim.
 
-    ``members`` lists the support, ``weights`` the probabilities (must sum to
-    one within 1e-12).  ``kind`` records which built-in constructor produced
-    the family; it is informational only.  ``matrices`` (M, D, D) and
-    ``offsets`` (M, D) stack the members' maps in order; ``cdf`` is the
-    normalized cumulative weight that ``sample_indices`` inverts.
+    ``matrices`` (M, D, D) and ``offsets`` (M, D) stack the maps in member
+    order (zero offsets when none are given), and ``weights`` holds their
+    probabilities (uniform when none are given; must sum to one within
+    1e-12).  ``kind`` names the constructor that produced the family;
+    ``config.experiment_to_dict`` writes it back as ``family.kind``, with a
+    ``_paired`` suffix as ``family.paired``.  ``cdf`` is the normalized
+    cumulative weight that ``sample_indices`` inverts.
     """
 
     kind: str
-    members: tuple
-    weights: np.ndarray = field(default=None)
-    matrices: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    matrices: np.ndarray
+    offsets: np.ndarray = None
+    weights: np.ndarray = None
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.members:
-            raise ContractError("family needs at least one member")
-        dims = {t.dim for t in self.members}
-        if len(dims) != 1:
-            raise ContractError("all members must act on the same dimension")
-        w = self.weights
-        if w is None:
-            w = np.full(len(self.members), 1.0 / len(self.members))
-        w = np.asarray(w, dtype=float).reshape(-1)
-        if w.shape[0] != len(self.members):
-            raise ContractError("weights and members disagree in length")
+        a = np.array(self.matrices, dtype=float)
+        if a.ndim != 3 or a.shape[0] < 1 or a.shape[1] != a.shape[2]:
+            raise ContractError(f"matrices must be a nonempty (M, D, D) stack of square maps, "
+                                f"got shape {a.shape}")
+        m, d = a.shape[:2]
+        off = np.zeros((m, d)) if self.offsets is None else np.array(self.offsets, dtype=float)
+        if off.shape != (m, d):
+            raise ContractError(f"offsets must have shape {(m, d)}, got {off.shape}")
+        w = np.full(m, 1.0 / m) if self.weights is None else np.array(self.weights, dtype=float)
+        if w.shape != (m,):
+            raise ContractError(f"weights must have {m} entries, one per map, got shape {w.shape}")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ContractError("weights must be a probability vector (sum 1 within 1e-12)")
-        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "matrices", a)
+        object.__setattr__(self, "offsets", off)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "matrices", np.stack([t.matrix for t in self.members]))
-        object.__setattr__(self, "offsets", np.stack([t.offset for t in self.members]))
         object.__setattr__(self, "cdf", w.cumsum() / w.cumsum()[-1])
 
     @property
     def dim(self):
-        return self.members[0].dim
-
-    @property
-    def is_point_mass(self):
-        return len(self.members) == 1
+        return self.matrices.shape[1]
 
     def images(self, x):
         """Every row of ``x`` (rows, D) under every member, shape (rows, M, D)."""
@@ -226,7 +171,7 @@ class TransformationFamily:
     def sample_indices(self, shape, rng):
         """Member indices of the given shape: ``rng.choice(M, shape, p=weights)``,
         the same draw and bytes, without its per-call validation."""
-        if self.is_point_mass:
+        if len(self.weights) == 1:
             return np.zeros(shape, dtype=np.intp)
         return self.cdf.searchsorted(rng.random(shape), side="right")
 
@@ -240,55 +185,48 @@ class TransformationFamily:
         d = self.dim
         if d_resp != d:
             raise ContractError("paired family requires response dim equal to covariate dim")
-        mats = np.zeros((len(self.members), 2 * d, 2 * d))
+        mats = np.zeros((len(self.weights), 2 * d, 2 * d))
         mats[:, :d, :d] = mats[:, d:, d:] = self.matrices
-        offs = np.concatenate([self.offsets, self.offsets], axis=1)
-        return TransformationFamily(kind=self.kind + "_paired",
-                                    members=tuple(map(affine, mats, offs)),
-                                    weights=self.weights.copy())
+        return TransformationFamily(self.kind + "_paired", mats,
+                                    np.concatenate([self.offsets, self.offsets], axis=1),
+                                    self.weights)
 
 
 def identity_family(d):
     """Point mass at the identity map of R^d."""
     if d < 1:
         raise ContractError("dimension must be positive")
-    return TransformationFamily(kind="identity", members=(affine(np.eye(d)),))
+    return TransformationFamily("identity", np.eye(d)[None])
 
 
-def finite_uniform_family(members, weights=None):
-    return TransformationFamily(kind="finite_uniform", members=tuple(members), weights=weights)
+def finite_uniform_family(matrices, offsets=None, weights=None):
+    """The maps x -> matrices[m] x + offsets[m], drawn with probabilities ``weights``
+    (uniform when omitted); offsets default to zero."""
+    return TransformationFamily("finite_uniform", matrices, offsets, weights)
 
 
 def swap_family(weights=None):
     """Uniform (or reweighted) choice between the identity and the coordinate swap on R^2."""
-    swap = affine(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return TransformationFamily(kind="finite_uniform",
-                                members=(affine(np.eye(2)), swap), weights=weights)
+    return TransformationFamily("finite_uniform", [np.eye(2), [[0.0, 1.0], [1.0, 0.0]]],
+                                weights=weights)
 
 
 def random_crop_family(d):
     """Equal-probability choice of the two projections zeroing coordinate 0 or 1."""
     if d < 2:
         raise ContractError("random crop needs dimension at least 2")
-    members = []
-    for c in (0, 1):
-        m = np.eye(d)
-        m[c, c] = 0.0
-        members.append(affine(m))
-    return TransformationFamily(kind="random_crop", members=tuple(members))
+    mats = np.stack([np.eye(d), np.eye(d)])
+    mats[0, 0, 0] = mats[1, 1, 1] = 0.0
+    return TransformationFamily("random_crop", mats)
 
 
 def cyclic_rotation_family(d):
-    """Uniform choice among the d cyclic coordinate shifts of R^d."""
+    """Uniform choice among the d cyclic coordinate shifts of R^d; shift s maps
+    coordinate i to (i + s) mod d."""
     if d < 1:
         raise ContractError("dimension must be positive")
-    members = []
-    for s in range(d):
-        m = np.zeros((d, d))
-        for i in range(d):
-            m[(i + s) % d, i] = 1.0
-        members.append(affine(m))
-    return TransformationFamily(kind="cyclic_rotation", members=tuple(members))
+    return TransformationFamily("cyclic_rotation",
+                                [np.roll(np.eye(d), s, axis=0) for s in range(d)])
 
 
 def sign_flip_family(d, p_keep):
@@ -300,9 +238,8 @@ def sign_flip_family(d, p_keep):
     """
     if not 0.0 <= p_keep <= 1.0:
         raise ContractError("p_keep must lie in [0, 1]")
-    return TransformationFamily(kind="finite_uniform",
-                                members=(affine(np.eye(d)), affine(-np.eye(d))),
-                                weights=np.array([p_keep, 1.0 - p_keep]))
+    return TransformationFamily("finite_uniform", [np.eye(d), -np.eye(d)],
+                                weights=[p_keep, 1.0 - p_keep])
 
 
 @dataclass(frozen=True)

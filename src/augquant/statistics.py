@@ -43,7 +43,7 @@ def risk_moments_from_source(source):
     mu = source.mean
     second_v = source.cov + np.outer(mu, mu)
     sigma_y = float(np.trace(source.cov) + mu @ mu
-                    + source.d_resp * source.noise_scale**2)
+                    + mu.size * source.noise_scale**2)
     return RiskMoments(sigma_y=sigma_y, sigma_yv=second_v.copy(), sigma_v=second_v.copy())
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericalError
 from .linalg import check_psd, psd_factor
 from .rng import substream
 
@@ -88,21 +88,30 @@ def _member_moments(family, source):
 
 def estimate_moments(family, source):
     """Closed-form moments of the augmented observation for a finite affine
-    family on a Gaussian source, the only pairs the package accepts."""
+    family on a Gaussian source, the only pairs the package accepts.
+
+    Raises NumericalError when a moment is not finite in floating point (a
+    source mean near 1e155 overflows the second and sixth moments)."""
     w = family.weights
-    means, cross = _member_moments(family, source)
-    own = np.einsum("iiab->iab", cross)  # A_i Sigma A_i^T
-    mean = w @ means
-    var_given_map = np.tensordot(w, own, axes=1)
-    # second moment of A X + a, averaged over the family, minus mean outer product
-    second = var_given_map + np.tensordot(w, means[:, :, None] * means[:, None, :], axes=1)
-    sigma11 = second - np.outer(mean, mean)
-    sigma12 = np.tensordot(np.outer(w, w), cross, axes=2)  # Cov(A_1 X + a_1, A_2 X + a_2)
-    sigma11 = 0.5 * (sigma11 + sigma11.T)
-    sigma12 = 0.5 * (sigma12 + sigma12.T)
-    sixth = w @ _gaussian_sixth_moment(means, own)
-    return AugmentationMoments(mean_phi_x=mean, sigma11=sigma11, sigma12=sigma12,
-                               mean_var_given_map=var_given_map, sixth_moment=float(sixth))
+    with np.errstate(all="ignore"):
+        means, cross = _member_moments(family, source)
+        own = np.einsum("iiab->iab", cross)  # A_i Sigma A_i^T
+        mean = w @ means
+        var_given_map = np.tensordot(w, own, axes=1)
+        # second moment of A X + a, averaged over the family, minus mean outer product
+        second = var_given_map + np.tensordot(w, means[:, :, None] * means[:, None, :], axes=1)
+        sigma11 = second - np.outer(mean, mean)
+        sigma12 = np.tensordot(np.outer(w, w), cross, axes=2)  # Cov(A_1 X + a_1, A_2 X + a_2)
+        sigma11 = 0.5 * (sigma11 + sigma11.T)
+        sigma12 = 0.5 * (sigma12 + sigma12.T)
+        sixth = w @ _gaussian_sixth_moment(means, own)
+    moments = AugmentationMoments(mean_phi_x=mean, sigma11=sigma11, sigma12=sigma12,
+                                  mean_var_given_map=var_given_map, sixth_moment=float(sixth))
+    bad = [name for name, value in vars(moments).items() if not np.all(np.isfinite(value))]
+    if bad:
+        raise NumericalError(f"the augmentation moments {', '.join(bad)} are not finite in "
+                             f"floating point; the source mean or covariance is too large")
+    return moments
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,7 @@ class TestAssembly:
         a = np.zeros((4, 6))
         a[1, 5] = 0.3  # only the sixth-moment first-derivative entry
         al = bd.AlphaEstimates(alpha=a, n=2, k=2, num_outer=1, num_grid=2, seed=0)
-        lam1, lam2 = bd.assemble_lambdas(al, gamma3_h=1.0, eta2_h=0.0, eta1_h=0.0)
+        lam1, lam2 = bd.assemble_lambdas(al)
         assert lam2 == pytest.approx(0.3**3)
         assert lam1 == 0.0
 
@@ -340,7 +340,7 @@ class TestMomentConstants:
 
 class TestRepeatedConstants:
     def test_point_mass_family(self):
-        fam = aq.finite_uniform_family([aq.affine([[0.0, 1.0], [1.0, 0.0]])])
+        fam = aq.finite_uniform_family([[[0.0, 1.0], [1.0, 0.0]]])
         src = aq.gaussian_source([1.0, 0.0], np.eye(2))
         m1, m2, m3 = bd.repeated_constants(fam, src)
         assert m1 == m2 == m3 == 0.0
@@ -358,7 +358,7 @@ class TestRepeatedConstants:
         rng = np.random.default_rng(3)
         n_mc = 200_000
         x = src.sample(n_mc, rng)
-        mats = np.array([t.matrix for t in fam.members])
+        mats = fam.matrices
         # conditional second moments per member, estimated from the draws
         g_hat = []
         for a in mats:

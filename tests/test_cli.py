@@ -477,7 +477,10 @@ class TestNonFiniteRuns:
         ("simulate", HUGE_MEAN, "summaries"),
         ("compare", HUGE_MEAN, "summaries"),
         ("bounds", TINY_T, "non-finite derivative"),
-    ], ids=["simulate-tiny-t", "simulate-huge-mean", "compare-huge-mean", "bounds-tiny-t"])
+        ("bounds", HUGE_MEAN, "moments sigma11, sixth_moment are not finite"),
+        ("simulate", _set(HUGE_MEAN, "protocol", "surrogate"), "moments sigma11"),
+    ], ids=["simulate-tiny-t", "simulate-huge-mean", "compare-huge-mean", "bounds-tiny-t",
+            "bounds-huge-mean", "surrogate-huge-mean"])
     def test_exits_3(self, tmp_path, capsys, command, text, needle):
         cfgp = _write(tmp_path, text)
         with warnings.catch_warnings():
@@ -566,6 +569,10 @@ BAD_CONFIGS = [
     ("bounds", SWAP_2D + "bounds.include_repeated = no\n", "bounds.include_repeated"),
     ("simulate", SWAP_2D.replace("member1.matrix", "member2.matrix"), "family.member2.matrix"),
     ("simulate", SWAP_2D + "family.member5.offset = [1.0, 1.0]\n", "family.member5.offset"),
+    ("simulate", _set(SWAP_2D, "family.member1.matrix", "[0, 1, 0, 1, 0, 0, 0, 0, 1]"),
+     "family.member1.matrix is 3x3"),
+    ("simulate", SWAP_2D + "family.member0.offset = [1.0, 0.0, 0.0]\n",
+     "family.member0.offset has 3 entries"),
     ("simulate", _set(GAUSSIAN_1D, "alpha", "abc"), "alpha"),
     ("compare", GAUSSIAN_1D + "compare.protocols = unaugmented\n", "augmented protocol"),
     ("compare", GAUSSIAN_1D + "compare.protocols = iid_aug,unaugmented,iid_aug\n", "twice"),
@@ -576,7 +583,8 @@ BAD_CONFIGS = [
 class TestRefusedInput:
     @pytest.mark.parametrize("command,text,needle", BAD_CONFIGS,
                              ids=["misspelled", "duplicate", "paired_abc", "repeated_no",
-                                  "member_gap", "orphan_offset", "alpha_abc",
+                                  "member_gap", "orphan_offset", "member_3x3_beside_2x2",
+                                  "offset_longer_than_matrix", "alpha_abc",
                                   "no_augmented", "protocol_twice", "theta_k0"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, text, needle):
         cfgp = _write(tmp_path, text)

@@ -199,7 +199,7 @@ class TestRepeatedToyCovariance:
         assert repeated_toy_covariance(aq.swap_family(), [0.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_point_mass(self):
-        fam = aq.finite_uniform_family([aq.affine([[0.0, 1.0], [1.0, 0.0]])])
+        fam = aq.finite_uniform_family([[[0.0, 1.0], [1.0, 0.0]]])
         assert repeated_toy_covariance(fam, [1.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_two_point_value(self):
@@ -207,7 +207,7 @@ class TestRepeatedToyCovariance:
             pytest.approx(0.25)
 
     def test_offsets_rejected(self):
-        fam = aq.finite_uniform_family([aq.affine(np.eye(2), [1.0, 0.0])])
+        fam = aq.finite_uniform_family([np.eye(2)], [[1.0, 0.0]])
         with pytest.raises(ContractError):
             repeated_toy_covariance(fam, [1.0, 0.0], [1.0, 0.0])
 

@@ -61,10 +61,10 @@ def experiments(draw):
                                 + (["random_crop"] if d == 2 else [])))
     if kind == "finite_uniform":
         m = draw(st.integers(1, 3))
-        members = [aq.affine(np.reshape(draw(_numbers(-2, 2, d * d)), (d, d)),
-                             draw(_numbers(-2, 2, d))) for _ in range(m)]
+        maps = [(np.reshape(draw(_numbers(-2, 2, d * d)), (d, d)), draw(_numbers(-2, 2, d)))
+                for _ in range(m)]
         raw = np.array(draw(_numbers(0.1, 1, m)))
-        family = aq.finite_uniform_family(members, raw / raw.sum())
+        family = aq.finite_uniform_family(*zip(*maps), raw / raw.sum())
     else:
         family = {"identity": aq.identity_family, "cyclic_rotation": aq.cyclic_rotation_family,
                   "random_crop": aq.random_crop_family}[kind](d)

@@ -5,36 +5,13 @@ import augquant as aq
 from augquant.errors import ContractError
 
 
-class TestApply:
-    def test_identity(self):
-        t = aq.affine(np.eye(2))
-        assert np.array_equal(aq.apply_transformation(t, [1.0, 2.0]), [1.0, 2.0])
-
-    def test_swap(self):
-        t = aq.affine([[0, 1], [1, 0]])
-        assert np.array_equal(aq.apply_transformation(t, [1.0, 2.0]), [2.0, 1.0])
-
-    def test_crop_first_coordinate(self):
-        crop = aq.random_crop_family(2).members[0]
-        assert np.array_equal(aq.apply_transformation(crop, [3.0, 4.0]), [0.0, 4.0])
-
-    def test_offset(self):
-        t = aq.affine(np.eye(2), [1.0, -1.0])
-        assert np.array_equal(aq.apply_transformation(t, [1.0, 2.0]), [2.0, 1.0])
-
-    def test_dimension_mismatch(self):
-        t = aq.affine(np.eye(2))
-        with pytest.raises(ContractError):
-            aq.apply_transformation(t, [1.0, 2.0, 3.0])
-
-
 class TestDraws:
     @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.2, 0.3, 0.5],
                                          [0.1, 0.05, 0.2, 0.15, 0.1, 0.3, 0.1]])
     @pytest.mark.parametrize("shape", [7, (5,), (3, 4), (2, 3, 2)])
     def test_index_draw_is_generator_choice(self, weights, shape):
-        fam = aq.finite_uniform_family([aq.affine([[float(i)]]) for i in range(len(weights))],
-                                       weights)
+        fam = aq.finite_uniform_family([[[float(i)]] for i in range(len(weights))],
+                                       weights=weights)
         for seed in range(20):
             got = fam.sample_indices(shape, np.random.default_rng(seed))
             want = np.random.default_rng(seed).choice(len(weights), size=shape, p=fam.weights)
@@ -139,8 +116,7 @@ class TestReplicate:
 
 def test_point_mass_protocols_agree_in_distribution():
     # any fixed transformation: per-cell marginals of both protocols coincide
-    t = aq.affine([[0.5, 0.2], [0.0, 1.5]], [0.3, -0.1])
-    fam = aq.finite_uniform_family([t])
+    fam = aq.finite_uniform_family([[[0.5, 0.2], [0.0, 1.5]]], [[0.3, -0.1]])
     rng = np.random.default_rng(8)
     data = rng.standard_normal((50_000, 2))
     a = aq.augment_iid(data, fam, k=2, seed=1).cells().reshape(-1, 2)
@@ -154,23 +130,42 @@ def test_point_mass_protocols_agree_in_distribution():
 
 def test_weights_must_sum_to_one():
     with pytest.raises(ContractError):
-        aq.finite_uniform_family([aq.affine(np.eye(2))], weights=[0.5])
+        aq.finite_uniform_family([np.eye(2)], weights=[0.5])
     with pytest.raises(ContractError):
-        aq.finite_uniform_family(
-            [aq.affine(np.eye(2)), aq.affine(np.eye(2))], weights=[0.6, 0.5])
+        aq.finite_uniform_family([np.eye(2), np.eye(2)], weights=[0.6, 0.5])
+
+
+@pytest.mark.parametrize("matrices,offsets,weights,needle", [
+    (np.eye(2), None, None, "stack of square maps"),
+    (np.zeros((0, 2, 2)), None, None, "stack of square maps"),
+    (np.ones((2, 2, 3)), None, None, "stack of square maps"),
+    ([np.eye(2)], [[1.0, 0.0, 0.0]], None, "offsets must have shape"),
+    ([np.eye(2), np.eye(2)], [1.0, 0.0], None, "offsets must have shape"),
+    ([np.eye(2), np.eye(2)], None, [1.0], "2 entries"),
+], ids=["one-matrix", "no-maps", "not-square", "long-offset", "flat-offsets", "short-weights"])
+def test_stack_shapes_validated(matrices, offsets, weights, needle):
+    with pytest.raises(ContractError, match=needle):
+        aq.finite_uniform_family(matrices, offsets, weights)
+
+
+def test_stack_is_a_copy():
+    mats, offs = np.stack([np.eye(2), -np.eye(2)]), np.ones((2, 2))
+    fam = aq.finite_uniform_family(mats, offs)
+    mats[0, 0, 0] = offs[0, 0] = 7.0
+    assert fam.matrices[0, 0, 0] == 1.0 and fam.offsets[0, 0] == 1.0
 
 
 def test_cyclic_rotation_members():
     fam = aq.cyclic_rotation_family(4)
-    assert len(fam.members) == 4
+    assert fam.matrices.shape == (4, 4, 4) and fam.offsets.shape == (4, 4)
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    shifted = aq.apply_transformation(fam.members[1], x)
+    shifted = fam.images(x[None])[0, 1]
     assert np.array_equal(shifted, [4.0, 1.0, 2.0, 3.0])
 
 
 def test_paired_family_acts_jointly():
     fam = aq.random_crop_family(2).paired(2)
-    out = aq.apply_transformation(fam.members[0], [3.0, 4.0, 5.0, 6.0])
+    out = fam.images(np.array([[3.0, 4.0, 5.0, 6.0]]))[0, 0]
     assert np.array_equal(out, [0.0, 4.0, 0.0, 6.0])
 
 

@@ -51,9 +51,9 @@ def _gaussian_setup(d):
     cov = 0.4 * np.ones((d, d)) + 0.6 * np.eye(d)
     source = aq.gaussian_source(np.linspace(0.3, -0.2, d), cov)
     shift = np.roll(np.eye(d), 1, axis=0)
-    family = aq.finite_uniform_family(
-        [aq.affine(np.eye(d)), aq.affine(shift, np.full(d, 0.5)), aq.affine(-np.eye(d))],
-        [0.5, 0.3, 0.2])
+    family = aq.finite_uniform_family([np.eye(d), shift, -np.eye(d)],
+                                      [np.zeros(d), np.full(d, 0.5), np.zeros(d)],
+                                      [0.5, 0.3, 0.2])
     return source, family
 
 

@@ -16,9 +16,8 @@ WEIGHTS = [0.2, 0.3, 0.5]
 
 def _dense_family(d=3):
     rng = np.random.default_rng(11)
-    members = [aq.affine(rng.normal(size=(d, d)) + 0.5 * np.eye(d), rng.normal(size=d))
-               for _ in WEIGHTS]
-    return aq.finite_uniform_family(members, WEIGHTS)
+    maps = [(rng.normal(size=(d, d)) + 0.5 * np.eye(d), rng.normal(size=d)) for _ in WEIGHTS]
+    return aq.finite_uniform_family(*zip(*maps), WEIGHTS)
 
 
 def _dense_source(d=3):
@@ -49,8 +48,7 @@ def _ref_sixth(m, c):
 def _ref_exact_moments(family, source):
     mu, sigma = source.joint_mean(), source.joint_cov()
     w = family.weights
-    mats = [t.matrix for t in family.members]
-    offs = [t.offset for t in family.members]
+    mats, offs = family.matrices, family.offsets
     a_bar = sum(wi * a for wi, a in zip(w, mats))
     mean = a_bar @ mu + sum(wi * o for wi, o in zip(w, offs))
     s_raw = sigma + np.outer(mu, mu)
@@ -75,21 +73,17 @@ def _ref_repeated_constants(family, source):
     mu, sigma = source.joint_mean(), source.joint_cov()
     s_raw = sigma + np.outer(mu, mu)
     w = family.weights
-    cond_means = np.array([t.matrix @ mu + t.offset for t in family.members])
+    maps = list(zip(family.matrices, family.offsets))
+    cond_means = np.array([a @ mu + o for a, o in maps])
     mean_of_means = w @ cond_means
     var_mean = ((cond_means - mean_of_means).T * w) @ (cond_means - mean_of_means)
     m1 = float(np.sqrt(2.0 * np.trace(var_mean)))
-    g = np.array([t.matrix @ s_raw @ t.matrix.T
-                  + np.outer(t.matrix @ mu, t.offset)
-                  + np.outer(t.offset, t.matrix @ mu)
-                  + np.outer(t.offset, t.offset) for t in family.members])
+    g = np.array([a @ s_raw @ a.T + np.outer(a @ mu, o) + np.outer(o, a @ mu) + np.outer(o, o)
+                  for a, o in maps])
     g_mean = np.tensordot(w, g, axes=1)
     m2 = float(np.sqrt(np.sum(((g - g_mean) ** 2 * w[:, None, None]).sum(axis=0)) / 2.0))
-    pair_vals = np.array([[a.matrix @ s_raw @ b.matrix.T
-                           + np.outer(a.matrix @ mu, b.offset)
-                           + np.outer(a.offset, b.matrix @ mu)
-                           + np.outer(a.offset, b.offset)
-                           for b in family.members] for a in family.members])
+    pair_vals = np.array([[a @ s_raw @ b.T + np.outer(a @ mu, q) + np.outer(o, b @ mu)
+                           + np.outer(o, q) for b, q in maps] for a, o in maps])
     pw = np.outer(w, w)
     h_mean = np.tensordot(pw, pair_vals, axes=2)
     dev2 = ((pair_vals - h_mean) ** 2 * pw[:, :, None, None]).sum(axis=(0, 1))
@@ -101,23 +95,21 @@ def _close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def _apply(family, m, x):
+    """Member m's map on a point or a batch of row vectors, one member at a time."""
+    return x @ family.matrices[m].T + family.offsets[m]
+
+
 # ---------------------------------------------------------------------------
 
 class TestStack:
-    def test_stacks_follow_members(self):
-        fam = _dense_family()
-        assert fam.matrices.shape == (3, 3, 3) and fam.offsets.shape == (3, 3)
-        for m, t in enumerate(fam.members):
-            assert np.array_equal(fam.matrices[m], t.matrix)
-            assert np.array_equal(fam.offsets[m], t.offset)
-
     def test_images(self):
         fam = _dense_family()
         x = np.random.default_rng(1).normal(size=(7, 3))
         img = fam.images(x)
         assert img.shape == (7, 3, 3)
-        for m, t in enumerate(fam.members):
-            _close(img[:, m], aq.apply_transformation(t, x))
+        for m in range(3):
+            _close(img[:, m], _apply(fam, m, x))
 
     def test_augment_iid_cells(self):
         fam = _dense_family()
@@ -127,7 +119,7 @@ class TestStack:
         cells = aug.cells()
         for i in range(40):
             for j in range(6):
-                _close(cells[i, j], aq.apply_transformation(fam.members[aug.labels[i, j]], data[i]))
+                _close(cells[i, j], _apply(fam, aug.labels[i, j], data[i]))
 
     def test_augment_repeated_cells(self):
         fam = _dense_family()
@@ -137,19 +129,19 @@ class TestStack:
         assert np.all(aug.labels == aug.labels[0])
         cells = aug.cells()
         for j in range(12):
-            _close(cells[:, j], aq.apply_transformation(fam.members[aug.labels[0, j]], data))
+            _close(cells[:, j], _apply(fam, aug.labels[0, j], data))
 
     def test_paired_keeps_offsets(self):
         fam = _dense_family()
         lifted = fam.paired(3)
         assert lifted.kind == "finite_uniform_paired"
         assert np.array_equal(lifted.weights, fam.weights)
-        for t, s in zip(fam.members, lifted.members):
+        assert lifted.matrices.shape == (3, 6, 6) and lifted.offsets.shape == (3, 6)
+        for m in range(3):
             want = np.zeros((6, 6))
-            want[:3, :3] = want[3:, 3:] = t.matrix
-            assert np.array_equal(s.matrix, want)
-            assert np.array_equal(s.offset, np.concatenate([t.offset, t.offset]))
-        assert np.array_equal(lifted.offsets, np.stack([s.offset for s in lifted.members]))
+            want[:3, :3] = want[3:, 3:] = fam.matrices[m]
+            assert np.array_equal(lifted.matrices[m], want)
+            assert np.array_equal(lifted.offsets[m], np.concatenate([fam.offsets[m]] * 2))
 
 
 class TestMomentsFromStack:
@@ -185,7 +177,7 @@ class TestRepeatedSurrogateFromStack:
         x = source.sample(n, rng)
         cells = rows.reshape(n, k, family.dim)
         for j in range(k):
-            _close(cells[:, j], aq.apply_transformation(family.members[idx[j]], x))
+            _close(cells[:, j], _apply(family, idx[j], x))
 
     def test_no_covariance_factor_per_call(self, monkeypatch):
         fam, src = _dense_family(), _dense_source()

@@ -209,8 +209,7 @@ class TestCoverage:
 
     def test_repeated_surrogate_gets_augmented_interval(self):
         src = aq.gaussian_source([0.0], [[1.0]])
-        fam = aq.finite_uniform_family([aq.affine([[1.0]], [1.0]), aq.affine([[1.0]], [-1.0])],
-                                       [0.8, 0.2])
+        fam = aq.finite_uniform_family([[[1.0]], [[1.0]]], [[1.0], [-1.0]], [0.8, 0.2])
         intervals = {}
         for proto in ("repeated_aug", "repeated_surrogate"):
             cfg = aq.ExperimentConfig(source=src, family=fam, protocol=proto,

@@ -77,7 +77,7 @@ class TestExactMoments:
         x = src.sample(n_mc, rng)
         i1 = fam.sample_indices(n_mc, rng)
         i2 = fam.sample_indices(n_mc, rng)
-        mats = np.array([t.matrix for t in fam.members])
+        mats = fam.matrices
         y1 = np.einsum("nij,nj->ni", mats[i1], x)
         y2 = np.einsum("nij,nj->ni", mats[i2], x)
         prods = (y1 - y1.mean(0))[:, :, None] * (y2 - y2.mean(0))[:, None, :]
@@ -92,7 +92,7 @@ class TestExactMoments:
         n_mc = 100_000
         rng = np.random.default_rng(5)
         x = src.sample(n_mc, rng)
-        mats = np.array([t.matrix for t in fam.members])
+        mats = fam.matrices
         i1, i2 = fam.sample_indices(n_mc, rng), fam.sample_indices(n_mc, rng)
         y1 = np.einsum("nij,nj->ni", mats[i1], x)
         y2 = np.einsum("nij,nj->ni", mats[i2], x)
@@ -199,8 +199,7 @@ class TestSampleSurrogate:
 
 class TestRepeatedSurrogate:
     def test_point_mass_family(self):
-        t = aq.affine([[2.0, 0.0], [0.0, 0.5]], [1.0, -1.0])
-        fam = aq.finite_uniform_family([t])
+        fam = aq.finite_uniform_family([[[2.0, 0.0], [0.0, 0.5]]], [[1.0, -1.0]])
         src = aq.gaussian_source([0.0, 0.0], np.eye(2))
         rows = aq.sample_repeated_surrogate(fam, src, n=50_000, k=2, seed=6).reshape(-1, 2, 2)
         # both slots carry the same map, hence identical values
