@@ -31,16 +31,11 @@ ORDERS = (0, 1, 2, 3)
 MOMENTS = (1, 2, 3, 4, 5, 6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphaEstimates:
     """alpha[r][m-1] for derivative orders r in 0..3 and moments m in 1..6."""
 
     alpha: np.ndarray
-    n: int
-    k: int
-    num_outer: int
-    num_grid: int
-    seed: int
 
     def __getitem__(self, rm):
         r, m = rm
@@ -225,8 +220,7 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
             sups[bi, :, outer] = best
     alpha = np.array([[max(np.mean(sups[bi, r] ** m) ** (1.0 / m) for bi in (0, 1))
                        for m in MOMENTS] for r in ORDERS])
-    return AlphaEstimates(alpha=alpha, n=n, k=k, num_outer=num_outer,
-                          num_grid=num_grid, seed=int(seed))
+    return AlphaEstimates(alpha=alpha)
 
 
 def assemble_lambdas(alphas):

@@ -41,7 +41,8 @@ def v_curve(s):
     if s < 0:
         raise ContractError("s must be nonnegative")
     s2 = s * s
-    return (1.0 + 4.0 * s2) ** -0.5 - 1.0 / (1.0 + 2.0 * s2)
+    # the two terms cancel for s near 1e-8 and their difference can round below zero
+    return max((1.0 + 4.0 * s2) ** -0.5 - 1.0 / (1.0 + 2.0 * s2), 0.0)
 
 
 def chisq_ci(sigma, alpha):
@@ -129,7 +130,7 @@ def f2_variance(rho, sigma):
     if sigma < 0:
         raise ContractError("sigma must be nonnegative")
     u = (1.0 + rho) * sigma * sigma
-    return 4.0 * (1.0 + 2.0 * u) ** -0.5 - 4.0 / (1.0 + u)
+    return max(4.0 * (1.0 + 2.0 * u) ** -0.5 - 4.0 / (1.0 + u), 0.0)  # as in v_curve
 
 
 def toy_ridge_variance(n, mu, sigma, c, lam):

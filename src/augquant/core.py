@@ -19,7 +19,8 @@ The Monte Carlo engine does not gather: it weights each row's M images by the
 row's member counts, Multinomial(k, weights), the law of k member draws.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def _check_cov(cov):
     return cov
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataSource:
     """A Gaussian data-generating distribution on R^dim.
 
@@ -95,18 +96,15 @@ class DataSource:
         out[d:, d:] = self.cov + self.noise_scale**2 * np.eye(d)
         return out
 
+    @cached_property
     def _factor(self):
-        cached = getattr(self, "_cov_factor", None)
-        if cached is None:
-            cached = psd_factor(self.cov, "source covariance")
-            object.__setattr__(self, "_cov_factor", cached)
-        return cached
+        return psd_factor(self.cov, "source covariance")
 
     def sample(self, n, rng):
         """Draw ``n`` i.i.d. observations as an (n, dim) array; a shape tuple ``n``
         gives an (*n, dim) array.  The covariate normals come first, then the noise."""
         shape = n if isinstance(n, tuple) else (n,)
-        base = self.mean + rng.standard_normal((*shape, self.mean.shape[0])) @ self._factor().T
+        base = self.mean + rng.standard_normal((*shape, self.mean.shape[0])) @ self._factor.T
         if self.kind == "gaussian":
             return base
         eps = self.noise_scale * rng.standard_normal((*shape, self.mean.size))
@@ -121,7 +119,7 @@ def regression_source(mean, cov, noise_scale):
     return DataSource(kind="regression", mean=mean, cov=cov, noise_scale=float(noise_scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformationFamily:
     """A finite distribution over the affine maps x -> A_m x + a_m of R^dim.
 
@@ -138,7 +136,6 @@ class TransformationFamily:
     matrices: np.ndarray
     offsets: np.ndarray = None
     weights: np.ndarray = None
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.matrices, dtype=float)
@@ -157,7 +154,10 @@ class TransformationFamily:
         object.__setattr__(self, "matrices", a)
         object.__setattr__(self, "offsets", off)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "cdf", w.cumsum() / w.cumsum()[-1])
+
+    @cached_property
+    def cdf(self):
+        return self.weights.cumsum() / self.weights.cumsum()[-1]
 
     @property
     def dim(self):
@@ -242,7 +242,7 @@ def sign_flip_family(d, p_keep):
                                 weights=[p_keep, 1.0 - p_keep])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedDataset:
     """n rows of k transformed copies, values shape (n, k*d), row-major.
 

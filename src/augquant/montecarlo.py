@@ -13,8 +13,7 @@ delete-one jackknife closed forms, vectorized over replicates.
 """
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +60,7 @@ class ExperimentConfig:
             raise ConfigError("family and source dimensions disagree")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     samples: np.ndarray
     mean: np.ndarray
@@ -72,7 +71,6 @@ class SimulationResult:
     se_of_first_coord_var: float
     empirical_ci_width: float
     config_echo: ExperimentConfig
-    wall_time: float = field(default=float("nan"), compare=False)
 
 
 def _jackknife_var_norm_se(samples):
@@ -127,7 +125,6 @@ def run_experiment(config, workers=1):
     The run is serial; ``workers`` is accepted for interface stability, and
     the result never depended on it.
     """
-    t0 = time.perf_counter()
     r_total, kind = config.replicates, config.statistic
     samples = np.empty((r_total, kind.output_dim))
     spec = build_surrogate(estimate_moments(config.family, config.source), config.n, config.k,
@@ -152,10 +149,10 @@ def run_experiment(config, workers=1):
         std_of_first_coord=float(np.sqrt(max(cov[0, 0], 0.0))),
         se_of_variance=se_norm, se_of_first_coord_var=se_first,
         empirical_ci_width=float(hi_q - lo_q),
-        config_echo=config, wall_time=time.perf_counter() - t0)
+        config_echo=config)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     results: dict
     theta_hat: float
@@ -171,10 +168,7 @@ def _theory_theta(config):
         return closedform.theta_ratio_average(moments, config.source, config.k)
     if kind.name == "expnegchisq":
         s_aug, s_un = closedform.exp_neg_chisq_sigmas(config.family, config.source)
-        v_aug = closedform.v_curve(s_aug)
-        if v_aug == 0.0:
-            return math.inf
-        return math.sqrt(closedform.v_curve(s_un) / v_aug)
+        return closedform.theta_ratio_general(closedform.v_curve(s_un), closedform.v_curve(s_aug))
     return None
 
 

@@ -22,7 +22,7 @@ CANONICAL_NAMES = ("average", "expnegchisq", "expnegchisq2d", "smoothmax",
                    "hardmax", "ridge", "ridgerisk")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiskMoments:
     """Second moments of a fresh (covariate, response) pair for the risk form.
 

@@ -23,6 +23,7 @@ draw of k maps; see :func:`sample_repeated_surrogate`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .linalg import check_psd, psd_factor
 from .rng import substream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentationMoments:
     """All moments of a (family, source) pair that the surrogate laws consume.
 
@@ -114,7 +115,7 @@ def estimate_moments(family, source):
     return moments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurrogateSpec:
     """The law of one surrogate row: block mean and the two covariance blocks."""
 
@@ -137,15 +138,11 @@ class SurrogateSpec:
             out[j * d:(j + 1) * d, j * d:(j + 1) * d] = self.diag_block
         return out
 
+    @cached_property
     def _factors(self):
-        # factorizations are computed once per spec and shared read-only
-        cached = getattr(self, "_factor_cache", None)
-        if cached is None:
-            cached = (psd_factor(self.offdiag_block, "offdiag_block"),
-                      psd_factor(self.diag_block - self.offdiag_block,
-                                 "diag_block - offdiag_block"))
-            object.__setattr__(self, "_factor_cache", cached)
-        return cached
+        # computed once per spec and shared read-only
+        return (psd_factor(self.offdiag_block, "offdiag_block"),
+                psd_factor(self.diag_block - self.offdiag_block, "diag_block - offdiag_block"))
 
 
 def build_surrogate(moments, n, k, delta):
@@ -209,7 +206,7 @@ def sample_surrogate_rows(spec, n_rows, seed):
 
 def sample_surrogate_cells(spec, shape, rng):
     """Surrogate rows of leading shape ``shape`` drawn from ``rng``, as (*shape, k, d) cells."""
-    l_shared, l_resid = spec._factors()
+    l_shared, l_resid = spec._factors
     a = rng.standard_normal((*shape, spec.d)) @ l_shared.T
     cells = rng.standard_normal((*shape, spec.k, spec.d)) @ l_resid.T
     cells += spec.mean_block

@@ -250,15 +250,14 @@ def test_ridge_blocks_match_central_differences():
 
 class TestAssembly:
     def test_all_zero_alphas(self):
-        al = bd.AlphaEstimates(alpha=np.zeros((4, 6)), n=2, k=2, num_outer=1,
-                               num_grid=2, seed=0)
+        al = bd.AlphaEstimates(alpha=np.zeros((4, 6)))
         assert bd.assemble_lambdas(al) == (0.0, 0.0)
         assert bd.assemble_omegas(al) == (0.0, 0.0)
 
     def test_single_surviving_term(self):
         a = np.zeros((4, 6))
         a[1, 5] = 0.3  # only the sixth-moment first-derivative entry
-        al = bd.AlphaEstimates(alpha=a, n=2, k=2, num_outer=1, num_grid=2, seed=0)
+        al = bd.AlphaEstimates(alpha=a)
         lam1, lam2 = bd.assemble_lambdas(al)
         assert lam2 == pytest.approx(0.3**3)
         assert lam1 == 0.0
@@ -272,7 +271,7 @@ class TestAssembly:
         arr = np.zeros((4, 6))
         arr[0, :] = v
         arr[1, :] = a
-        al = bd.AlphaEstimates(alpha=arr, n=n, k=k, num_outer=1, num_grid=2, seed=0)
+        al = bd.AlphaEstimates(alpha=arr)
         lam1, lam2 = bd.assemble_lambdas(al)
         assert lam2 == pytest.approx(a**3)
         assert lam1 == pytest.approx(v * a**2 + a**2)

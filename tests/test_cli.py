@@ -196,6 +196,28 @@ class TestCompare:
         se = float(next(l for l in lines if "theta_se" in l).split("=")[1])
         assert abs(theta - 1.0) <= 4 * se
 
+    def test_near_cancelling_sign_flip_theory_is_inf(self, tmp_path):
+        # sigma_aug = |2 p - 1| ~ 1e-8, where v_curve's two terms cancel to -1.1e-16
+        text = """
+source.kind = gaussian
+source.mean = [0.0]
+source.cov = [1.0]
+family.kind = finite_uniform
+family.weights = [0.5000000052857143, 0.4999999947142857]
+family.member0.matrix = [1.0]
+family.member1.matrix = [-1.0]
+statistic.kind = expnegchisq
+protocol = iid_aug
+n = 10
+k = 2
+replicates = 50
+seed = 3
+compare.protocols = iid_aug,unaugmented
+"""
+        cfgp = _write(tmp_path, text)
+        assert cli.main(["compare", "--config", cfgp, "--out", str(tmp_path)]) == 0
+        assert "# theta_theory = inf" in _read_lines(tmp_path / "compare.csv")
+
 
 class TestBounds:
     def test_table_matches_direct_assembly(self, tmp_path):

@@ -167,6 +167,14 @@ class TestF2Variance:
         assert abs(np.var(f2, ddof=1) - f2_variance(rho, sigma)) <= 4 * se
 
 
+def test_curves_nonnegative_where_their_terms_cancel():
+    # both curves difference two terms near 1; around s = 1e-8 that rounds below zero
+    grid = np.logspace(-10.0, 0.0, 1001)
+    assert min(v_curve(s) for s in grid) >= 0.0
+    for rho in (-0.5, 0.0, 0.5):
+        assert min(f2_variance(rho, s) for s in grid) >= 0.0
+
+
 class TestToyRidgeVariance:
     def test_centered_closed_form(self):
         for n in (5, 10, 100):

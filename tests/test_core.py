@@ -178,3 +178,19 @@ def test_regression_source_concatenates_response():
     assert np.allclose(x[:, :2], x[:, 2:])
     joint = src.joint_cov()
     assert np.allclose(joint, np.tile(np.eye(2), (2, 2)))
+
+
+def test_array_records_compare_by_identity():
+    f, g = aq.swap_family(), aq.swap_family()
+    assert (f == g) is False and f == f
+    src = aq.gaussian_source([0.0, 0.0], [[1.0, -0.5], [-0.5, 1.0]])
+    assert src._factor is src._factor  # factored once
+
+    def config(family):
+        return aq.ExperimentConfig(source=src, family=family, protocol="iid_aug",
+                                   statistic=aq.average_statistic(2), n=10, k=2,
+                                   replicates=2, seed=7)
+
+    a, b = config(f), config(f)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert config(g) != a  # an equal-valued but separate family is another family
