@@ -30,4 +30,4 @@ from .bounds import (AlphaEstimates, BoundReport, assemble_lambdas, assemble_ome
                      bound_report, estimate_alpha, moment_constants,
                      repeated_constants, theorem_rhs)
 from .montecarlo import (ComparisonReport, ExperimentConfig, SimulationResult,
-                         compare_protocols, coverage_check, run_experiment)
+                         compare_protocols, coverage_check, run_experiment, simulate)

@@ -217,18 +217,16 @@ def _fig1(out_dir, scale, seed):
     source, family = _crop_setup()
     k = 50
     rows_avg, rows_ridge = [], []
-    # ridge scatter uses the two diagonal entries of the estimate: cropping zeroes
-    # every off-diagonal entry identically, which would degenerate the cloud
+    kinds = (stats.average_statistic(4), stats.ridge_statistic(2, 2, 1.0))
     for proto in ("iid_aug", "unaugmented"):
-        for name, kind, coords in (("average", stats.average_statistic(4), (0, 1)),
-                                   ("ridge", stats.ridge_statistic(2, 2, 1.0), (0, 3))):
-            config = montecarlo.ExperimentConfig(
-                source=source, family=family, protocol=proto, statistic=kind,
-                n=200, k=k, replicates=points, seed=seed)
-            res = montecarlo.run_experiment(config)
-            target = rows_avg if name == "average" else rows_ridge
-            for row in res.samples:
-                target.append((proto, float(row[coords[0]]), float(row[coords[1]])))
+        config = montecarlo.ExperimentConfig(
+            source=source, family=family, protocol=proto, statistic=kinds[0],
+            n=200, k=k, replicates=points, seed=seed)
+        average, ridge = montecarlo.simulate(config, kinds)
+        rows_avg.extend((proto, float(row[0]), float(row[1])) for row in average.samples)
+        # ridge scatter uses the two diagonal entries of the estimate: cropping zeroes
+        # every off-diagonal entry identically, which would degenerate the cloud
+        rows_ridge.extend((proto, float(row[0]), float(row[3])) for row in ridge.samples)
     _write_csv(os.path.join(out_dir, "fig1_average.csv"),
                ["protocol", "coord1", "coord2"], rows_avg)
     _write_csv(os.path.join(out_dir, "fig1_ridge.csv"),
@@ -281,18 +279,18 @@ def _fig4(out_dir, scale, seed):
     for fam_name, setup in (("cropping", _crop_setup), ("rotation", _rotation_setup)):
         source, family = setup()
         d = source.mean.size
-        for stat_name, kind in (
-                ("estimator", stats.ridge_statistic(d, d, lam)),
-                ("risk", stats.ridge_risk_statistic(d, d, lam,
-                                                    stats.risk_moments_from_source(source)))):
-            for proto, ks in (("unaugmented", (1,)), ("iid_aug", (1, 2, 5, 10, 20, 50))):
-                for i, k in enumerate(ks):
-                    config = montecarlo.ExperimentConfig(
-                        source=source, family=family, protocol=proto, statistic=kind,
-                        n=200, k=k, replicates=reps, seed=_cell_seed(seed, i))
-                    res = montecarlo.run_experiment(config)
-                    std, se = _std_with_se(res)
-                    rows.append((fam_name, stat_name, proto, k, std, se))
+        kinds = (stats.ridge_statistic(d, d, lam),
+                 stats.ridge_risk_statistic(d, d, lam, stats.risk_moments_from_source(source)))
+        cells = []  # (protocol, k, ((std, se) of the estimator, of the risk)), one draw each
+        for proto, ks in (("unaugmented", (1,)), ("iid_aug", (1, 2, 5, 10, 20, 50))):
+            for i, k in enumerate(ks):
+                config = montecarlo.ExperimentConfig(
+                    source=source, family=family, protocol=proto, statistic=kinds[0],
+                    n=200, k=k, replicates=reps, seed=_cell_seed(seed, i))
+                cells.append((proto, k, [_std_with_se(res)
+                                         for res in montecarlo.simulate(config, kinds)]))
+        for j, stat_name in enumerate(("estimator", "risk")):
+            rows.extend((fam_name, stat_name, proto, k, *spread[j]) for proto, k, spread in cells)
     _write_csv(os.path.join(out_dir, "fig4.csv"),
                ["family", "quantity", "protocol", "k", "std_sim", "std_se"],
                rows, [f"replicates = {reps}", f"lambda = {lam:g}"])
@@ -305,23 +303,14 @@ def _fig5(out_dir, scale, seed):
     rows = []
     for i, s in enumerate(grid):
         source = core.regression_source([mu], [[s * s]], c)
-        family = core.identity_family(2)
-        std_lam4 = se_lam4 = risk_std = risk_se = 0.0
-        for stat_name, kind in (
-                ("est", stats.ridge_statistic(1, 1, lam)),
-                ("risk", stats.ridge_risk_statistic(1, 1, lam,
-                                                    stats.risk_moments_from_source(source)))):
-            config = montecarlo.ExperimentConfig(
-                source=source, family=family, protocol="iid_aug", statistic=kind,
-                n=n, k=1, replicates=reps, seed=_cell_seed(seed, i))
-            res = montecarlo.run_experiment(config)
-            std, se = _std_with_se(res)
-            if stat_name == "est":
-                std_lam4, se_lam4 = std, se
-            else:
-                risk_std, risk_se = std, se
+        kinds = (stats.ridge_statistic(1, 1, lam),
+                 stats.ridge_risk_statistic(1, 1, lam, stats.risk_moments_from_source(source)))
+        config = montecarlo.ExperimentConfig(
+            source=source, family=core.identity_family(2), protocol="iid_aug",
+            statistic=kinds[0], n=n, k=1, replicates=reps, seed=_cell_seed(seed, i))
+        est, risk = montecarlo.simulate(config, kinds)
         rows.append((float(s), math.sqrt(closedform.toy_ridge_variance(n, mu, s, c, 0.0)),
-                     std_lam4, se_lam4, risk_std, risk_se))
+                     *_std_with_se(est), *_std_with_se(risk)))
     _write_csv(os.path.join(out_dir, "fig5.csv"),
                ["sigma", "std_theory_lam0", "std_sim_lam4", "std_se_lam4",
                 "risk_std_sim_lam4", "risk_std_se_lam4"],

@@ -265,7 +265,7 @@ _DIM_FAMILIES = {"identity": core.identity_family, "random_crop": core.random_cr
                  "cyclic_rotation": core.cyclic_rotation_family}
 
 
-def family_from_config(cfg, source=None):
+def family_from_config(cfg):
     kind, paired = read(cfg, "family.kind", "family.paired")
     if kind == "finite_uniform":
         fam = core.finite_uniform_family(*_members(cfg), read(cfg, "family.weights"))

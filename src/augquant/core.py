@@ -139,7 +139,7 @@ class TransformationFamily:
 
     def __post_init__(self):
         a = np.array(self.matrices, dtype=float)
-        if a.ndim != 3 or a.shape[0] < 1 or a.shape[1] != a.shape[2]:
+        if a.ndim != 3 or 0 in a.shape or a.shape[1] != a.shape[2]:
             raise ContractError(f"matrices must be a nonempty (M, D, D) stack of square maps, "
                                 f"got shape {a.shape}")
         m, d = a.shape[:2]
@@ -236,6 +236,8 @@ def sign_flip_family(d, p_keep):
     (2 p_keep - 1) I, so the between-copy covariance shrinks by that factor
     squared while the per-copy marginal is untouched.
     """
+    if d < 1:
+        raise ContractError("dimension must be positive")
     if not 0.0 <= p_keep <= 1.0:
         raise ContractError("p_keep must lie in [0, 1]")
     return TransformationFamily("finite_uniform", [np.eye(d), -np.eye(d)],

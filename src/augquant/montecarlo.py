@@ -5,9 +5,11 @@ draws everything from the stream (seed, b): source normals of shape (B, n, .),
 then regression noise, then the augmentation draw.  Blocks depend on (n, k, R)
 only, so results are bitwise identical across reruns and worker counts;
 ``manifest.txt`` records the layout's version, ``STREAM``.  A block is one
-``statistics.evaluate_batch`` call on weighted cells: an ``iid_aug`` row's k
-member draws become its member counts, Multinomial(k, weights), of the same
-law, and a ``repeated_aug`` replicate draws one count vector for all rows.
+``statistics.evaluate_batch`` call per statistic on weighted cells: an
+``iid_aug`` row's k member draws become its member counts, Multinomial(k,
+weights), of the same law, and a ``repeated_aug`` replicate draws one count
+vector for all rows.  ``simulate`` evaluates several statistics on one draw;
+``run_experiment`` is its one-statistic call.
 Summaries come from the sample matrix in fixed order; variance SEs from
 delete-one jackknife closed forms, vectorized over replicates.
 """
@@ -119,37 +121,46 @@ def _sub(seed, r):
     return int(np.random.SeedSequence([int(seed), int(r)]).generate_state(1, np.uint64)[0])
 
 
-def run_experiment(config, workers=1):
-    """Run all replicates block by block and summarize; deterministic given config.seed.
+def _summarize(config, samples):
+    """The SimulationResult of config's statistic from its (R, q) samples."""
+    mean = samples.mean(axis=0)
+    cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
+    se_norm, se_first = _jackknife_var_norm_se(samples)
+    lo_q, hi_q = np.quantile(samples[:, 0], [config.alpha / 2, 1 - config.alpha / 2])
+    if not all(np.isfinite(v).all() for v in (samples, mean, cov, se_norm, se_first, lo_q, hi_q)):
+        raise NumericalError(f"the {config.statistic.name} statistic or its summaries (mean, "
+                             "covariance, jackknife SEs, quantiles) are not finite in "
+                             "floating point")
+    return SimulationResult(
+        samples=samples, mean=mean, covariance=cov, var_norm=float(np.linalg.norm(cov)),
+        std_of_first_coord=float(np.sqrt(max(cov[0, 0], 0.0))), se_of_variance=se_norm,
+        se_of_first_coord_var=se_first, empirical_ci_width=float(hi_q - lo_q),
+        config_echo=config)
 
-    The run is serial; ``workers`` is accepted for interface stability, and
-    the result never depended on it.
-    """
-    r_total, kind = config.replicates, config.statistic
-    samples = np.empty((r_total, kind.output_dim))
+
+def simulate(config, kinds):
+    """Each statistic in ``kinds`` on one draw of config's replicates: one SimulationResult per
+    kind, in order, echoing ``config`` with that kind as its statistic.  A kind that does not
+    fit the source raises ConfigError before anything is drawn."""
+    configs = [replace(config, statistic=kind) for kind in kinds]
+    samples = [np.empty((config.replicates, kind.output_dim)) for kind in kinds]
     spec = build_surrogate(estimate_moments(config.family, config.source), config.n, config.k,
                            config.delta) if config.protocol == "surrogate" else None
     size = max(1, CELL_BUDGET // (config.n * config.k))
-    # an overflow shows as a non-finite value below, reported once, not as warnings
+    # an overflow shows as a non-finite value in a summary, reported once, not as warnings
     with np.errstate(all="ignore"):
-        for block, lo in enumerate(range(0, r_total, size)):
-            hi = min(lo + size, r_total)
+        for block, lo in enumerate(range(0, config.replicates, size)):
+            hi = min(lo + size, config.replicates)
             points, weights = _block_cells(config, hi - lo, substream(config.seed, block), spec)
-            samples[lo:hi] = stats.evaluate_batch(kind, points, weights, config.k)
-        mean = samples.mean(axis=0)
-        cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
-        se_norm, se_first = _jackknife_var_norm_se(samples)
-        lo_q, hi_q = np.quantile(samples[:, 0], [config.alpha / 2, 1 - config.alpha / 2])
-    if not all(np.isfinite(v).all() for v in (samples, mean, cov, se_norm, se_first, lo_q, hi_q)):
-        raise NumericalError(f"the {kind.name} statistic or its summaries (mean, covariance, "
-                             "jackknife SEs, quantiles) are not finite in floating point")
-    return SimulationResult(
-        samples=samples, mean=mean, covariance=cov,
-        var_norm=float(np.linalg.norm(cov)),
-        std_of_first_coord=float(np.sqrt(max(cov[0, 0], 0.0))),
-        se_of_variance=se_norm, se_of_first_coord_var=se_first,
-        empirical_ci_width=float(hi_q - lo_q),
-        config_echo=config)
+            for kind, out in zip(kinds, samples):
+                out[lo:hi] = stats.evaluate_batch(kind, points, weights, config.k)
+        return [_summarize(cfg, out) for cfg, out in zip(configs, samples)]
+
+
+def run_experiment(config, workers=1):
+    """``simulate`` of the config's own statistic.  The run is serial; ``workers`` is
+    accepted for interface stability, and the result never depended on it."""
+    return simulate(config, (config.statistic,))[0]
 
 
 @dataclass(frozen=True, eq=False)

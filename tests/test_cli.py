@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+import augquant as aq
 from augquant import bounds as bd
 from augquant import cli
-from augquant.config import (config_text, experiment_from_config, parse_config_text,
+from augquant.config import (config_text, experiment_from_config, fmt, parse_config_text,
                              read_config)
 
 GAUSSIAN_1D = """
@@ -595,6 +596,10 @@ BAD_CONFIGS = [
      "family.member1.matrix is 3x3"),
     ("simulate", SWAP_2D + "family.member0.offset = [1.0, 0.0, 0.0]\n",
      "family.member0.offset has 3 entries"),
+    ("simulate", GAUSSIAN_1D.replace(
+        "family.kind = identity\nfamily.dim = 1",
+        "family.kind = finite_uniform\nfamily.weights = [1.0]\nfamily.member0.matrix = []"),
+     "stack of square maps"),
     ("simulate", _set(GAUSSIAN_1D, "alpha", "abc"), "alpha"),
     ("compare", GAUSSIAN_1D + "compare.protocols = unaugmented\n", "augmented protocol"),
     ("compare", GAUSSIAN_1D + "compare.protocols = iid_aug,unaugmented,iid_aug\n", "twice"),
@@ -606,7 +611,7 @@ class TestRefusedInput:
     @pytest.mark.parametrize("command,text,needle", BAD_CONFIGS,
                              ids=["misspelled", "duplicate", "paired_abc", "repeated_no",
                                   "member_gap", "orphan_offset", "member_3x3_beside_2x2",
-                                  "offset_longer_than_matrix", "alpha_abc",
+                                  "offset_longer_than_matrix", "member_0x0", "alpha_abc",
                                   "no_augmented", "protocol_twice", "theta_k0"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, text, needle):
         cfgp = _write(tmp_path, text)
@@ -705,6 +710,39 @@ class TestFigure:
         assert cli.main(["figure", "--name", "fig3", "--out", str(tmp_path),
                          "--seed", str(2**64 - 1)]) == 0
         assert (tmp_path / "fig3.csv").exists()
+
+    def test_fig1_rows_are_the_lone_runs(self, tmp_path):
+        # both clouds come from one draw per protocol; each must be its statistic's own run
+        assert cli.main(["figure", "--name", "fig1", "--out", str(tmp_path), "--seed", "5"]) == 0
+        source, family = cli._crop_setup()
+        for name, kind, (c1, c2) in (("average", aq.average_statistic(4), (0, 1)),
+                                     ("ridge", aq.ridge_statistic(2, 2, 1.0), (0, 3))):
+            want = ["protocol,coord1,coord2"]
+            for proto in ("iid_aug", "unaugmented"):
+                config = aq.ExperimentConfig(source=source, family=family, protocol=proto,
+                                             statistic=kind, n=200, k=50, replicates=500,
+                                             seed=5)
+                want += [f"{proto},{fmt(float(row[c1]))},{fmt(float(row[c2]))}"
+                         for row in aq.run_experiment(config).samples]
+            assert _read_lines(tmp_path / f"fig1_{name}.csv") == want, name
+
+    def test_fig5_rows_are_the_lone_runs(self, tmp_path):
+        # the estimate and its risk share one draw per cell; each column pair must be
+        # that statistic's own run at the cell's seed
+        assert cli.main(["figure", "--name", "fig5", "--out", str(tmp_path), "--seed", "5"]) == 0
+        rows = [line.split(",") for line in _read_lines(tmp_path / "fig5.csv")[1:]
+                if not line.startswith("#")]
+        grid = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+        assert [float(row[0]) for row in rows] == grid
+        for i, (s, row) in enumerate(zip(grid, rows)):
+            source = aq.regression_source([1.0], [[s * s]], 1.0)
+            risk = aq.ridge_risk_statistic(1, 1, 4.0, aq.risk_moments_from_source(source))
+            for kind, cols in ((aq.ridge_statistic(1, 1, 4.0), slice(2, 4)), (risk, slice(4, 6))):
+                config = aq.ExperimentConfig(source=source, family=aq.identity_family(2),
+                                             protocol="iid_aug", statistic=kind, n=100, k=1,
+                                             replicates=2000, seed=cli._cell_seed(5, i))
+                std, se = cli._std_with_se(aq.run_experiment(config))
+                assert row[cols] == [fmt(std), fmt(se)], (s, kind.name)
 
     def test_unknown_figure_exit_2(self, tmp_path):
         assert cli.main(["figure", "--name", "fig9", "--out", str(tmp_path)]) == 2

@@ -138,14 +138,22 @@ def test_weights_must_sum_to_one():
 @pytest.mark.parametrize("matrices,offsets,weights,needle", [
     (np.eye(2), None, None, "stack of square maps"),
     (np.zeros((0, 2, 2)), None, None, "stack of square maps"),
+    (np.zeros((1, 0, 0)), None, None, "stack of square maps"),
     (np.ones((2, 2, 3)), None, None, "stack of square maps"),
     ([np.eye(2)], [[1.0, 0.0, 0.0]], None, "offsets must have shape"),
     ([np.eye(2), np.eye(2)], [1.0, 0.0], None, "offsets must have shape"),
     ([np.eye(2), np.eye(2)], None, [1.0], "2 entries"),
-], ids=["one-matrix", "no-maps", "not-square", "long-offset", "flat-offsets", "short-weights"])
+], ids=["one-matrix", "no-maps", "zero-dim", "not-square", "long-offset", "flat-offsets",
+        "short-weights"])
 def test_stack_shapes_validated(matrices, offsets, weights, needle):
     with pytest.raises(ContractError, match=needle):
         aq.finite_uniform_family(matrices, offsets, weights)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_sign_flip_needs_a_positive_dimension(d):
+    with pytest.raises(ContractError, match="dimension must be positive"):
+        aq.sign_flip_family(d, 0.5)
 
 
 def test_stack_is_a_copy():

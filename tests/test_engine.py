@@ -8,6 +8,7 @@ the two agree in law, not in bytes.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ import pytest
 import augquant as aq
 from augquant import statistics as st
 from augquant.core import augment_iid, augment_repeated, replicate_unaugmented
-from augquant.montecarlo import PROTOCOLS, _jackknife_var_norm_se, _sub
+from augquant.errors import ConfigError
+from augquant.montecarlo import CELL_BUDGET, PROTOCOLS, _jackknife_var_norm_se, _sub
 from augquant.rng import substream
 from augquant.surrogate import build_surrogate, estimate_moments, sample_surrogate_rows
 
@@ -107,3 +109,33 @@ def test_member_counts_match_materialized_cells(statistic):
         cells = np.stack([np.repeat(images[b, i], counts[b, i], axis=0) for i in range(n)])
         want = st.evaluate(kind, cells.reshape(n, -1), k)
         np.testing.assert_allclose(got[b], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("pair", [("ridge", "ridgerisk"), ("average", "expnegchisq")])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_simulate_gives_each_kind_its_own_run(protocol, pair):
+    if pair[0] == "ridge":
+        source, family, first = _setup("ridge")
+        second = _setup("ridgerisk")[2]
+    else:  # the one-coordinate average, whose slot dimension is the exponential's
+        source, family = _gaussian_setup(1)
+        first, second = aq.average_statistic(1), aq.exp_neg_chisq_statistic()
+    n, k = 40, 40
+    r = 2 * (CELL_BUDGET // (n * k)) + 1  # three blocks, the last one short
+    config = aq.ExperimentConfig(source=source, family=family, protocol=protocol,
+                                 statistic=first, n=n, k=k, replicates=r, seed=77)
+    results = aq.simulate(config, (second, first))
+    for kind, result in zip((second, first), results):
+        alone = aq.run_experiment(replace(config, statistic=kind))
+        assert result.samples.tobytes() == alone.samples.tobytes(), kind.name
+        assert result.config_echo.statistic == kind
+        assert result.config_echo == alone.config_echo
+
+
+def test_simulate_refuses_a_kind_of_another_slot_dimension():
+    source, family = _gaussian_setup(1)
+    config = aq.ExperimentConfig(source=source, family=family, protocol="iid_aug",
+                                 statistic=aq.average_statistic(1), n=4, k=2, replicates=3,
+                                 seed=1)
+    with pytest.raises(ConfigError, match="slot dimension 2"):
+        aq.simulate(config, (aq.average_statistic(1), aq.average_statistic(2)))
