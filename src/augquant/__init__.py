@@ -16,11 +16,9 @@ from .errors import ConfigError, ContractError, NumericalError
 from .surrogate import (AugmentationMoments, SurrogateSpec, build_surrogate,
                         build_unaugmented_surrogate, estimate_moments,
                         sample_repeated_surrogate, sample_surrogate)
-from .statistics import (RiskMoments, StatisticKind, average_statistic,
-                         eval_average, eval_exp_neg_chisq, eval_hard_max,
-                         eval_smooth_max, exp_neg_chisq_2d_statistic,
-                         exp_neg_chisq_statistic, hard_max_statistic,
-                         ridge_derivative, ridge_fit, ridge_risk,
+from .statistics import (RiskMoments, StatisticKind, average_statistic, evaluate,
+                         exp_neg_chisq_2d_statistic, exp_neg_chisq_statistic,
+                         hard_max_statistic, ridge_derivative, ridge_risk,
                          ridge_risk_statistic, ridge_statistic,
                          risk_moments_from_source, smooth_max_statistic)
 from .closedform import (Interval, average_ci, chisq_ci, ci_width_curve, f2_variance,

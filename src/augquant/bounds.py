@@ -63,8 +63,8 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-statistic derivative norms at a point.  Each adapter reports
-# (||f||, ||D^1||, ||D^2||, ||D^3||) for the block of one row.
+# Per-statistic derivative norms at a point.  Each adapter reads the (n, k, D)
+# cells and reports (||f||, ||D^1||, ||D^2||, ||D^3||) for the block of row i.
 # ---------------------------------------------------------------------------
 
 class _MeanDerivs:
@@ -74,13 +74,15 @@ class _MeanDerivs:
     and each statistic supplies only the norms of its derivative tensors at m.
     """
 
-    def __init__(self, kind, n, k):
-        self.kind, self.n, self.k = kind, n, k
+    def __init__(self, kind):
+        self.kind = kind
 
-    def norms(self, w, i):
-        m = stats.eval_average(w, self.k)
-        value = np.linalg.norm(stats.evaluate(self.kind, w, self.k))
-        scale = 1.0 / np.sqrt(self.n * self.k)
+    def norms(self, cells, i):
+        n, k, slot = cells.shape
+        batch, ones = cells[None], np.ones((1, n, k))
+        m = stats.evaluate_batch(stats.average_statistic(slot), batch, ones, k)[0]
+        value = np.linalg.norm(stats.evaluate_batch(self.kind, batch, ones, k)[0])
+        scale = 1.0 / np.sqrt(n * k)
         grads = self._gradient_norms(m)
         return (float(value),) + tuple(float(g * scale**r) for r, g in enumerate(grads, 1))
 
@@ -110,7 +112,7 @@ class _MeanDerivs:
 
 class _RidgeDerivs:
     """Frobenius norms of the ridge estimate's block derivative tensors, or,
-    given ``risk_moments``, of the ridge risk's.
+    for the ridge risk statistic, of the risk's.
 
     The tensors come from ``statistics._RidgeBlocks``, the same ones that
     ``ridge_derivative`` reads entry by entry.
@@ -125,24 +127,24 @@ class _RidgeDerivs:
 
     The third order is summed one first-index slice at a time, so memory stays
     O(W^2 d b).  The estimate keeps the positive-penalty contract of
-    ``ridge_derivative``; the risk, like ``ridge_fit``, accepts lam = 0 when
-    the Gram matrix is invertible.
+    ``ridge_derivative``; the risk norms, like ``evaluate`` on the ridge risk
+    statistic, accept lam = 0 when the Gram matrix is invertible.
     """
 
-    def __init__(self, d, b, lam, k, risk_moments=None):
-        if risk_moments is None and lam <= 0:
+    def __init__(self, kind):
+        if kind.name == "ridge" and kind.lam <= 0:
             raise ContractError("derivative formulas require a positive ridge penalty")
-        self.d, self.b, self.lam, self.k = d, b, lam, k
-        self.risk_moments = risk_moments
+        self.kind = kind
 
-    def norms(self, w, i):
-        p = stats._RidgeBlocks(w, i, self.k, self.d, self.b, self.lam)
+    def norms(self, cells, i):
+        kind = self.kind
+        p = stats._RidgeBlocks(cells, i, kind.d, kind.b, kind.lam)
         width = p.d1.shape[0]
-        if self.risk_moments is None:
+        if kind.name == "ridge":
             s3 = sum(np.sum(p.d3(a) ** 2) for a in range(width))
             return (float(np.linalg.norm(p.fit)), float(np.linalg.norm(p.d1)),
                     float(np.linalg.norm(p.d2)), float(np.sqrt(s3)))
-        rm = self.risk_moments
+        rm = kind.risk_moments
         sv = np.asarray(rm.sigma_v, dtype=float)
         f = stats.ridge_risk(p.fit, rm)
         h = sv @ p.fit - np.asarray(rm.sigma_yv, dtype=float).T
@@ -159,19 +161,13 @@ class _RidgeDerivs:
         return abs(f), float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.sqrt(s3))
 
 
-def derivative_adapter(kind, n, k):
+def derivative_adapter(kind):
     """Pick the analytic derivative-norm evaluator for a statistic."""
-    if kind.name in ("average", "expnegchisq", "expnegchisq2d", "smoothmax"):
-        return _MeanDerivs(kind, n, k)
-    if kind.name == "ridge":
-        return _RidgeDerivs(kind.d, kind.b, kind.lam, k)
-    if kind.name == "ridgerisk":
-        if kind.risk_moments is None:
-            raise ContractError("ridge risk statistic needs risk moments")
-        return _RidgeDerivs(kind.d, kind.b, kind.lam, k, kind.risk_moments)
     if kind.name == "hardmax":
         raise ContractError("the hard max is not differentiable; use its smooth relaxation")
-    raise ContractError(f"no derivative adapter for statistic {kind.name!r}")
+    if kind.name in ("ridge", "ridgerisk"):
+        return _RidgeDerivs(kind)
+    return _MeanDerivs(kind)  # every other canonical name reads the scaled grand mean
 
 
 def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
@@ -182,6 +178,8 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
     before ``i`` are freshly augmented data, the rows after ``i`` are
     surrogate draws, and the segment endpoint is either a fresh augmented row
     or a fresh surrogate row (two branches).  n and k come from the spec.
+    ``adapter.norms(cells, i)`` reads the (n, k, slot) cells with row ``i`` at
+    one grid point of the segment.
     """
     if num_grid < 2:
         raise ContractError("num_grid must be at least 2")
@@ -190,7 +188,7 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
     n, k = surrogate_spec.n, surrogate_spec.k
     if not isinstance(i, (int, np.integer)) or not 0 <= i < n:
         raise ContractError(f"row index must be an integer in [0, {n}), got {i!r}")
-    adapter = derivative_adapter(stat, n, k) if adapter is None else adapter
+    adapter = derivative_adapter(stat) if adapter is None else adapter
     slot = stat.slot_dim
     if surrogate_spec.d != slot or family.dim != slot:
         raise ContractError("statistic slot dimension does not match the family/surrogate")
@@ -205,9 +203,8 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
         x = source.sample(i + 1, rng)
         data = family.images(x)[rows, family.sample_indices((i + 1, k), rng)]
         surr = sample_surrogate_cells(surrogate_spec, (n - i,), rng)
-        w = np.concatenate([data[:i], surr]).reshape(n, k * slot)
-        end_data, end_surr = data[i].reshape(-1), surr[0].reshape(-1)
-        for bi, endpoint in enumerate((end_data, end_surr)):
+        w = np.concatenate([data[:i], surr])
+        for bi, endpoint in enumerate((data[i], surr[0])):
             best = np.zeros(len(ORDERS))
             for s in fracs:
                 w[i] = s * endpoint

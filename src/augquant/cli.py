@@ -166,9 +166,8 @@ def _cmd_bounds(cfg, out_dir, seed):
     num_outer, num_grid, include_repeated = cfgmod.read(
         cfg, "bounds.num_outer", "bounds.num_grid", "bounds.include_repeated")
     report = bounds_mod.bound_report(
-        config.statistic, config.family, config.source, spec, delta=config.delta,
-        num_outer=num_outer, num_grid=num_grid, seed=config.seed, moments=moments,
-        include_repeated=include_repeated)
+        config.statistic, config.family, config.source, spec, num_outer=num_outer,
+        num_grid=num_grid, seed=config.seed, moments=moments, include_repeated=include_repeated)
     header = ["statistic", "n", "k", "delta", "lambda1", "lambda2", "c1", "c2", "c3", "rhs"]
     row = [report.statistic, report.n, report.k, float(report.delta),
            float(report.lambda1), float(report.lambda2), float(report.c1),

@@ -40,6 +40,7 @@ def v_curve(s):
     """
     if s < 0:
         raise ContractError("s must be nonnegative")
+    s = float(s)  # a Python float overflows to inf without a numpy warning
     s2 = s * s
     # the two terms cancel for s near 1e-8 and their difference can round below zero
     return max((1.0 + 4.0 * s2) ** -0.5 - 1.0 / (1.0 + 2.0 * s2), 0.0)
@@ -55,6 +56,7 @@ def chisq_ci(sigma, alpha):
         raise ContractError("sigma must be nonnegative")
     if not 0.0 < alpha < 1.0:
         raise ContractError("alpha must lie in (0, 1)")
+    sigma = float(sigma)  # as in v_curve
     pi_l = chisq1_quantile(alpha / 2.0)
     pi_u = chisq1_quantile(1.0 - alpha / 2.0)
     lo, hi = sorted((math.exp(-sigma * sigma * pi_u), math.exp(-sigma * sigma * pi_l)))
@@ -129,7 +131,7 @@ def f2_variance(rho, sigma):
         raise ContractError("rho must lie strictly inside (-1, 1)")
     if sigma < 0:
         raise ContractError("sigma must be nonnegative")
-    u = (1.0 + rho) * sigma * sigma
+    u = (1.0 + float(rho)) * float(sigma) * float(sigma)  # Python floats, as in v_curve
     return max(4.0 * (1.0 + 2.0 * u) ** -0.5 - 4.0 / (1.0 + u), 0.0)  # as in v_curve
 
 

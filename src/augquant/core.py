@@ -3,8 +3,9 @@
 An augmented dataset holds ``n`` rows of ``k`` transformed copies of each
 observation, laid out row-major: row ``i`` is the concatenation
 ``(t_i1(x_i), ..., t_ik(x_i))`` with the coordinate index innermost.  The
-protocols and surrogate samplers write it, ``statistics.evaluate`` and the
-bound's derivative adapters read it; the Monte Carlo engine does not (below).
+protocols and surrogate samplers write it and ``statistics.evaluate`` reads it.
+The bound's derivative adapters read the same rows as (n, k, d) cells, and the
+Monte Carlo engine does not read it (below).
 
 Transformations are restricted to affine maps ``x -> A x + a``.  All built-in
 families (identity, coordinate swaps, coordinate-zeroing crops, cyclic

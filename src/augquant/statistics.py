@@ -4,12 +4,11 @@ Every statistic consumes the row-major augmented layout (n rows, k slots of d
 coordinates each) and is invariant under permuting the k slots within a row.
 ``evaluate_batch`` is the one implementation of each statistic: it evaluates
 B datasets at once, each row given as cells with multiplicities, and
-``evaluate``, the ``eval_*`` functions and ``ridge_fit`` call it with a batch
-of one.
-The ridge derivative tensors within one row are built together, from one
-factorization of the regularized Gram matrix, by ``_RidgeBlocks``; the
-single-entry ``ridge_derivative`` and the analytic noise-stability path in
-``bounds`` both read them.
+``evaluate`` calls it with a batch of one.
+The ridge derivative tensors within one row are built together, from the
+(n, k, d + b) cells and one factorization of the regularized Gram matrix, by
+``_RidgeBlocks``; the single-entry ``ridge_derivative`` and the analytic
+noise-stability path in ``bounds`` both read them.
 """
 
 from dataclasses import dataclass
@@ -66,6 +65,8 @@ class StatisticKind:
             raise ContractError("ridge penalty must be nonnegative")
         if self.name == "smoothmax" and self.t <= 0:
             raise ContractError("smooth max temperature parameter must be positive")
+        if self.name == "ridgerisk" and self.risk_moments is None:
+            raise ContractError("ridge risk statistic needs risk moments")
 
     @property
     def slot_dim(self):
@@ -102,6 +103,12 @@ def exp_neg_chisq_2d_statistic():
 
 
 def smooth_max_statistic(d_n, t):
+    """Log-sum-exp relaxation of the coordinatewise max of the scaled grand means.
+
+    The temperature is t * log(d_n), which caps the gap to the hard max at 1/t.
+    For d_n = 1 the relaxation is exact and the degenerate temperature is
+    bypassed.
+    """
     return StatisticKind(name="smoothmax", d_n=d_n, t=float(t))
 
 
@@ -147,8 +154,6 @@ def evaluate_batch(kind, points, weights, k):
         fit = g @ cross
         if kind.name == "ridge":
             return fit.reshape(len(fit), -1)
-        if kind.risk_moments is None:
-            raise ContractError("ridge risk statistic needs risk moments")
         return _risks(fit, kind.risk_moments)[:, None]
     m = np.einsum("bnj,bnjd->bd", weights, points) / (np.sqrt(points.shape[1]) * k)
     if kind.name == "average":
@@ -166,33 +171,6 @@ def evaluate(kind, data, k):
     """Dispatch a StatisticKind on an augmented layout; returns a 1-d array."""
     cells = _cells(data, k)
     return evaluate_batch(kind, cells[None], np.ones((1, *cells.shape[:2])), k)[0]
-
-
-def eval_average(data, k):
-    """The root-n scaled grand mean: sum over all cells divided by sqrt(n) * k."""
-    return evaluate(average_statistic(_cells(data, k).shape[2]), data, k)
-
-
-def eval_exp_neg_chisq(data, k, dims="1d"):
-    """exp(-(scaled grand mean)^2), per coordinate; summed over both for "2d"."""
-    kinds = {"1d": exp_neg_chisq_statistic, "2d": exp_neg_chisq_2d_statistic}
-    if dims not in kinds:
-        raise ContractError(f"dims must be '1d' or '2d', got {dims!r}")
-    return float(evaluate(kinds[dims](), data, k)[0])
-
-
-def eval_hard_max(data, k, d_n):
-    return float(evaluate(hard_max_statistic(d_n), data, k)[0])
-
-
-def eval_smooth_max(data, k, d_n, t):
-    """Log-sum-exp relaxation of the coordinatewise max of scaled grand means.
-
-    The temperature is t * log(d_n), which caps the gap to the hard max at 1/t.
-    For d_n = 1 the relaxation is exact and the degenerate temperature is
-    bypassed.
-    """
-    return float(evaluate(smooth_max_statistic(d_n, t), data, k)[0])
 
 
 def _split_vy(cells, d, b):
@@ -219,15 +197,6 @@ def _ridge_system(points, weights, k, d, b, lam):
         raise NumericalError(
             f"regularized Gram matrix is singular (rank deficiency at lam={lam:g})") from exc
     return l_inv.swapaxes(1, 2) @ l_inv, cross
-
-
-def ridge_fit(data, k, d, b, lam):
-    """Ridge estimate on the augmented pairs, via a Cholesky factorization.
-
-    Solves (sum v v^T + n k lam I) B = sum v y^T; lam = 0 is allowed only when
-    the Gram matrix is numerically invertible.
-    """
-    return evaluate(ridge_statistic(d, b, lam), data, k).reshape(d, b)
 
 
 def _risks(b_hats, rm):
@@ -258,14 +227,15 @@ class _RidgeBlocks:
         B_ab  = G (C_ab - M_ab B - M_a B_b - M_b B_a)
         B_abc = -G (M_ab B_c + M_ac B_b + M_bc B_a + M_a B_bc + M_b B_ac + M_c B_ab)
 
-    M_ab and C_ab vanish unless both entries lie in the same slot.  Entries
-    follow the row layout (slot-major, covariates before responses), so with
-    W = k (d + b): ``d1`` is (W, d, b), ``d2`` is (W, W, d, b), and
-    ``d3(a)`` is the (W, W, d, b) slice of the third tensor at first index a.
+    M_ab and C_ab vanish unless both entries lie in the same slot.  The data
+    are (n, k, d + b) cells, and entries follow row i's cells flattened
+    (slot-major, covariates before responses), so with W = k (d + b): ``d1`` is
+    (W, d, b), ``d2`` is (W, W, d, b), and ``d3(a)`` is the (W, W, d, b) slice
+    of the third tensor at first index a.
     """
 
-    def __init__(self, w, i, k, d, b, lam):
-        cells = _cells(w, k)
+    def __init__(self, cells, i, d, b, lam):
+        k = cells.shape[1]
         v, y = _split_vy(cells, d, b)
         g, cross = _ridge_system(cells[None], np.ones((1, *cells.shape[:2])), k, d, b, lam)
         self.g, self.fit = g[0], (g @ cross)[0]
@@ -322,7 +292,8 @@ def ridge_derivative(data, k, d, b, lam, which, i, slots, coords):
     blocks = _SELECTOR_BLOCKS[which]
     if len(slots) != len(blocks) or len(coords) != len(blocks):
         raise ContractError(f"selector {which!r} takes {len(blocks)} slots and coordinates")
-    if not 0 <= i < _cells(data, k).shape[0]:
+    cells = _cells(data, k)
+    if not 0 <= i < cells.shape[0]:
         raise ContractError(f"row index {i} out of range")
     entries = []
     for j, l, block in zip(slots, coords, blocks):
@@ -332,7 +303,7 @@ def ridge_derivative(data, k, d, b, lam, which, i, slots, coords):
         if not 0 <= l < (d if block == "v" else b):
             raise ContractError(f"coordinate index {l} out of range for {block}-block")
         entries.append(j * (d + b) + (l if block == "v" else d + l))
-    p = _RidgeBlocks(data, i, k, d, b, lam)
+    p = _RidgeBlocks(cells, i, d, b, lam)
     if len(entries) == 1:
         return p.d1[entries[0]]
     if len(entries) == 2:

@@ -168,6 +168,7 @@ def test_criterion_06_ridge_derivative_formulas():
     h1, h2, h3 = 1e-6, 1e-4, 2e-3
     rng = np.random.default_rng(20_600)
     rel_tol = 1e-5
+    kind = aq.ridge_statistic(d, b, lam)
 
     def col(j, c, block):
         return j * (d + b) + (c if block == "v" else d + c)
@@ -184,7 +185,7 @@ def test_criterion_06_ridge_derivative_formulas():
                 delta = h if sgn == 0 else -h
                 coeff *= 1.0 if sgn == 0 else -1.0
                 pert[i, col(j, c, block)] += delta
-            total += coeff * aq.ridge_fit(pert, k, d, b, lam)
+            total += coeff * aq.evaluate(kind, pert, k).reshape(d, b)
         return total / (2 * h) ** order
 
     checked = 0
@@ -334,9 +335,9 @@ def test_criterion_10_smooth_max_sandwich():
         for _ in range(1000):
             n, k = int(rng.integers(1, 4)), int(rng.integers(1, 3))
             vals = 2.0 * rng.standard_normal((n, k * d_n))
-            hard = aq.eval_hard_max(vals, k, d_n)
+            hard = aq.evaluate(aq.hard_max_statistic(d_n), vals, k)[0]
             for t in (1.0, 10.0, 100.0):
-                smooth = aq.eval_smooth_max(vals, k, d_n, t)
+                smooth = aq.evaluate(aq.smooth_max_statistic(d_n, t), vals, k)[0]
                 assert 0.0 <= smooth - hard <= 1.0 / t + 1e-12
                 checked += 1
     _report(10, f"{checked} relaxation gaps inside [0, 1/t]")

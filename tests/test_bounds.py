@@ -74,8 +74,37 @@ class TestEstimateAlpha:
         scaled = aq.estimate_alpha(aq.average_statistic(1), fam, src, spec,
                                    i=1, num_outer=16, num_grid=5, seed=6,
                                    adapter=Scaled(bd.derivative_adapter(
-                                       aq.average_statistic(1), 4, 2), 2.5))
+                                       aq.average_statistic(1)), 2.5))
         assert np.allclose(scaled.alpha, 2.5 * base.alpha, rtol=1e-12)
+
+    def test_adapter_reads_cells_along_the_segment(self):
+        # each call gets the (n, k, D) cells; within one branch row i walks the
+        # grid s * endpoint and every other row stays put
+        n, k, d, i, num_grid = 5, 3, 2, 2, 4
+        stat, fam, src, spec = _average_setup(n=n, k=k, d=d)
+
+        class Recording:
+            def __init__(self):
+                self.calls = []
+
+            def norms(self, cells, row):
+                assert row == i
+                self.calls.append(cells.copy())
+                return (1.0, 0.0, 0.0, 0.0)
+
+        rec = Recording()
+        aq.estimate_alpha(stat, fam, src, spec, i=i, num_outer=3, num_grid=num_grid,
+                          seed=8, adapter=rec)
+        assert len(rec.calls) == 3 * 2 * num_grid
+        fracs = np.linspace(0.0, 1.0, num_grid)
+        others = np.arange(n) != i
+        for start in range(0, len(rec.calls), num_grid):
+            branch = rec.calls[start:start + num_grid]
+            endpoint = branch[-1][i]
+            for s, cells in zip(fracs, branch):
+                assert cells.shape == (n, k, d)
+                assert np.array_equal(cells[i], s * endpoint)
+                assert np.array_equal(cells[others], branch[0][others])
 
     def test_grid_too_small(self):
         stat, fam, src, spec = _average_setup()
@@ -187,7 +216,7 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         n, k = 3, 2
         rng = np.random.default_rng(10)
         w = rng.standard_normal((n, k * d))
-        analytic = bd.derivative_adapter(kind, n, k).norms(w, 1)
+        analytic = bd.derivative_adapter(kind).norms(w.reshape(n, k, -1), 1)
         fd = _FiniteDifferenceDerivs(kind, n, k).norms(w, 1)
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
@@ -197,7 +226,7 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         kind = aq.ridge_statistic(d, b, 1.0)
         rng = np.random.default_rng(11)
         w = rng.standard_normal((n, k * (d + b)))
-        analytic = bd.derivative_adapter(kind, n, k).norms(w, 0)
+        analytic = bd.derivative_adapter(kind).norms(w.reshape(n, k, -1), 0)
         fd = _FiniteDifferenceDerivs(kind, n, k).norms(w, 0)
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
@@ -208,7 +237,7 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         kind = aq.ridge_risk_statistic(d, b, 1.0, rm)
         rng = np.random.default_rng(11)
         w = rng.standard_normal((n, k * (d + b)))
-        analytic = bd.derivative_adapter(kind, n, k).norms(w, 0)
+        analytic = bd.derivative_adapter(kind).norms(w.reshape(n, k, -1), 0)
         fd = _FiniteDifferenceDerivs(kind, n, k).norms(w, 0)
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
@@ -216,11 +245,12 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
 
 def test_ridge_blocks_match_central_differences():
     # every entry of the three tensors against central differences of
-    # ridge_fit, with the steps and tolerance of acceptance criterion 06
+    # the ridge estimate, with the steps and tolerance of acceptance criterion 06
     n, k, d, b, lam, i = 3, 2, 2, 2, 0.7, 1
     rng = np.random.default_rng(12)
     w = rng.standard_normal((n, k * (d + b)))
-    blocks = stats._RidgeBlocks(w, i, k, d, b, lam)
+    blocks = stats._RidgeBlocks(w.reshape(n, k, -1), i, d, b, lam)
+    kind = aq.ridge_statistic(d, b, lam)
     width = k * (d + b)
 
     def fd(*entries):
@@ -230,7 +260,7 @@ def test_ridge_blocks_match_central_differences():
             pert = w.copy()
             for a, sgn in zip(entries, signs):
                 pert[i, a] += sgn * h
-            total += np.prod(signs) * aq.ridge_fit(pert, k, d, b, lam)
+            total += np.prod(signs) * aq.evaluate(kind, pert, k).reshape(d, b)
         return total / (2 * h) ** len(entries)
 
     def check(analytic, *entries):
@@ -238,7 +268,8 @@ def test_ridge_blocks_match_central_differences():
         scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric))
         assert np.linalg.norm(analytic - numeric) <= 1e-5 * scale + 1e-7, entries
 
-    np.testing.assert_allclose(blocks.fit, aq.ridge_fit(w, k, d, b, lam), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(blocks.fit, aq.evaluate(kind, w, k).reshape(d, b),
+                               rtol=1e-12, atol=1e-12)
     for a in range(width):
         check(blocks.d1[a], a)
         d3 = blocks.d3(a)

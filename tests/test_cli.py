@@ -511,6 +511,17 @@ class TestNonFiniteRuns:
             err = _exits_cleanly(tmp_path, capsys, [command, "--config", cfgp], 3)
         assert needle in err
 
+    @pytest.mark.parametrize("curve", ["vcurve", "dwidth", "f2var"])
+    def test_huge_predict_grid_writes_the_limit(self, tmp_path, capsys, curve):
+        # 1e300 squared overflows to inf, where each curve reaches its limit 0
+        cfgp = _write(tmp_path, f"predict.curve = {curve}\npredict.grid = [1e300]\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["predict", "--config", cfgp, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert float(_read_lines(out / f"predict_{curve}.csv")[1].split(",")[1]) == 0.0
+
     def test_non_finite_sample_rejected(self, monkeypatch):
         from augquant import montecarlo
         from augquant.errors import NumericalError

@@ -110,7 +110,7 @@ class TestReplicate:
         # the scaled grand mean of a replicate equals sqrt(n) times the plain mean
         data = np.random.default_rng(4).standard_normal((7, 2))
         rep = aq.replicate_unaugmented(data, 5)
-        got = aq.eval_average(rep, 5)
+        got = aq.evaluate(aq.average_statistic(2), rep, 5)
         assert np.allclose(got, np.sqrt(7) * data.mean(axis=0), atol=1e-12)
 
 

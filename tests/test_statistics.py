@@ -8,16 +8,16 @@ from augquant.errors import ContractError, NumericalError
 
 class TestAverage:
     def test_single_cell(self):
-        assert aq.eval_average(np.array([[3.0]]), 1)[0] == 3.0
+        assert aq.evaluate(aq.average_statistic(1), np.array([[3.0]]), 1)[0] == 3.0
 
     def test_constant_cells(self):
         vals = np.ones((4, 2))
-        assert aq.eval_average(vals, 2)[0] == pytest.approx(2.0)
+        assert aq.evaluate(aq.average_statistic(1), vals, 2)[0] == pytest.approx(2.0)
 
     def test_brute_force_sum_oracle(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((5, 6))  # n=5, k=3, d=2
-        got = aq.eval_average(vals, 3)
+        got = aq.evaluate(aq.average_statistic(2), vals, 3)
         total = np.zeros(2)
         for i in range(5):
             for j in range(3):
@@ -27,21 +27,22 @@ class TestAverage:
 
 class TestExpNegChisq:
     def test_zero_data(self):
-        assert aq.eval_exp_neg_chisq(np.zeros((3, 2)), 2, "1d") == 1.0
-        assert aq.eval_exp_neg_chisq(np.zeros((3, 4)), 2, "2d") == 2.0
+        assert aq.evaluate(aq.exp_neg_chisq_statistic(), np.zeros((3, 2)), 2)[0] == 1.0
+        assert aq.evaluate(aq.exp_neg_chisq_2d_statistic(), np.zeros((3, 4)), 2)[0] == 2.0
 
     def test_single_point(self):
-        assert aq.eval_exp_neg_chisq(np.array([[1.0]]), 1, "1d") == pytest.approx(
+        assert aq.evaluate(aq.exp_neg_chisq_statistic(), np.array([[1.0]]), 1)[0] == pytest.approx(
             0.36787944117144233)
 
     def test_composition_oracle(self):
         rng = np.random.default_rng(1)
         vals = rng.standard_normal((4, 3))
-        g = aq.eval_average(vals, 3)[0]
-        assert aq.eval_exp_neg_chisq(vals, 3, "1d") == pytest.approx(np.exp(-g * g), rel=1e-15)
+        g = aq.evaluate(aq.average_statistic(1), vals, 3)[0]
+        assert aq.evaluate(aq.exp_neg_chisq_statistic(), vals, 3)[0] == pytest.approx(
+            np.exp(-g * g), rel=1e-15)
         vals2 = rng.standard_normal((4, 6))
-        g2 = aq.eval_average(vals2, 3)
-        assert aq.eval_exp_neg_chisq(vals2, 3, "2d") == pytest.approx(
+        g2 = aq.evaluate(aq.average_statistic(2), vals2, 3)
+        assert aq.evaluate(aq.exp_neg_chisq_2d_statistic(), vals2, 3)[0] == pytest.approx(
             float(np.exp(-g2 * g2).sum()), rel=1e-15)
 
 
@@ -49,13 +50,14 @@ class TestMax:
     def test_single_coordinate_exact(self):
         vals = np.random.default_rng(2).standard_normal((3, 4))  # k=4, d_n=1
         for t in (0.5, 1.0, 100.0):
-            assert aq.eval_smooth_max(vals, 4, 1, t) == aq.eval_hard_max(vals, 4, 1)
+            assert (aq.evaluate(aq.smooth_max_statistic(1, t), vals, 4)[0]
+                    == aq.evaluate(aq.hard_max_statistic(1), vals, 4)[0])
 
     def test_gap_bounded_by_inverse_temperature(self):
         vals = np.array([[0.1, 0.9]])  # n=1, k=1, d_n=2 -> means (0.1, 0.9)
-        assert aq.eval_hard_max(vals, 1, 2) == pytest.approx(0.9)
+        assert aq.evaluate(aq.hard_max_statistic(2), vals, 1)[0] == pytest.approx(0.9)
         for t in (1.0, 10.0, 100.0):
-            assert abs(aq.eval_smooth_max(vals, 1, 2, t) - 0.9) <= 1.0 / t
+            assert abs(aq.evaluate(aq.smooth_max_statistic(2, t), vals, 1)[0] - 0.9) <= 1.0 / t
 
     def test_sandwich_random_instances(self):
         rng = np.random.default_rng(3)
@@ -63,34 +65,35 @@ class TestMax:
             d_n = int(rng.integers(2, 65))
             n, k = int(rng.integers(1, 4)), int(rng.integers(1, 3))
             vals = rng.standard_normal((n, k * d_n))
-            hard = aq.eval_hard_max(vals, k, d_n)
+            hard = aq.evaluate(aq.hard_max_statistic(d_n), vals, k)[0]
             for t in (1.0, 10.0, 100.0):
-                smooth = aq.eval_smooth_max(vals, k, d_n, t)
+                smooth = aq.evaluate(aq.smooth_max_statistic(d_n, t), vals, k)[0]
                 assert 0.0 <= smooth - hard <= 1.0 / t + 1e-12
 
 
 class TestRidgeFit:
     def test_hand_case(self):
         vals = np.array([[1.0, 2.0]])  # n=k=1, d=b=1, v=1, y=2
-        assert aq.ridge_fit(vals, 1, 1, 1, 1.0)[0, 0] == pytest.approx(1.0)
+        assert aq.evaluate(aq.ridge_statistic(1, 1, 1.0), vals, 1)[0] == pytest.approx(1.0)
 
     def test_zero_response(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal((5, 2))
         vals = np.concatenate([v, np.zeros((5, 2))], axis=1)
-        assert np.allclose(aq.ridge_fit(vals, 1, 2, 2, 0.5), 0.0)
+        assert np.allclose(aq.evaluate(aq.ridge_statistic(2, 2, 0.5), vals, 1), 0.0)
 
     def test_norm_decreasing_in_penalty(self):
         rng = np.random.default_rng(5)
         vals = rng.standard_normal((8, 2 * 4))  # n=8, k=2, d=b=2
-        norms = [np.linalg.norm(aq.ridge_fit(vals, 2, 2, 2, lam)) for lam in (1.0, 10.0, 100.0)]
+        norms = [np.linalg.norm(aq.evaluate(aq.ridge_statistic(2, 2, lam), vals, 2))
+                 for lam in (1.0, 10.0, 100.0)]
         assert norms[0] > norms[1] > norms[2]
 
     def test_normal_equations_residual(self):
         rng = np.random.default_rng(6)
         vals = rng.standard_normal((10, 3 * 5))  # n=10, k=3, d=3, b=2
         d, b, lam = 3, 2, 0.7
-        bh = aq.ridge_fit(vals, 3, d, b, lam)
+        bh = aq.evaluate(aq.ridge_statistic(d, b, lam), vals, 3).reshape(d, b)
         cells = vals.reshape(10, 3, 5)
         v = cells[:, :, :d].reshape(-1, d)
         y = cells[:, :, d:].reshape(-1, b)
@@ -101,19 +104,19 @@ class TestRidgeFit:
     def test_singular_at_zero_penalty(self):
         vals = np.zeros((2, 4))  # rank-0 Gram
         with pytest.raises(NumericalError):
-            aq.ridge_fit(vals, 1, 2, 2, 0.0)
+            aq.evaluate(aq.ridge_statistic(2, 2, 0.0), vals, 1)
 
     @pytest.mark.parametrize("col", [0, 3])  # a covariate, a response
     def test_nan_in_data_is_numerical_error(self, col):
         vals = np.random.default_rng(7).standard_normal((6, 4))
         vals[2, col] = np.nan
         with pytest.raises(NumericalError):
-            aq.ridge_fit(vals, 1, 2, 2, 1.0)
+            aq.evaluate(aq.ridge_statistic(2, 2, 1.0), vals, 1)
 
     def test_nan_penalty_is_numerical_error(self):
         vals = np.random.default_rng(8).standard_normal((6, 4))
         with pytest.raises(NumericalError):
-            aq.ridge_fit(vals, 1, 2, 2, float("nan"))
+            aq.evaluate(aq.ridge_statistic(2, 2, float("nan")), vals, 1)
 
 
 class TestRidgeRisk:
@@ -141,6 +144,10 @@ class TestRidgeRisk:
         rm = st.RiskMoments(sigma_y=1.0, sigma_yv=np.zeros((2, 3)), sigma_v=np.eye(3))
         with pytest.raises(ContractError):
             aq.ridge_risk(np.zeros((2, 2)), rm)
+
+    def test_statistic_without_risk_moments_refused(self):
+        with pytest.raises(ContractError, match="risk moments"):
+            aq.ridge_risk_statistic(2, 2, 1.0, None)
 
 
 class TestRidgeDerivatives:
@@ -197,13 +204,14 @@ def test_average_derivative_norms_by_finite_differences():
     rng = np.random.default_rng(10)
     n, k, d = 4, 3, 2
     vals = rng.standard_normal((n, k * d))
+    avg = aq.average_statistic(d)
     h = 1e-3
     grads = []
     for col in range(k * d):
         vp, vm = vals.copy(), vals.copy()
         vp[1, col] += h
         vm[1, col] -= h
-        grads.append((aq.eval_average(vp, k) - aq.eval_average(vm, k)) / (2 * h))
+        grads.append((aq.evaluate(avg, vp, k) - aq.evaluate(avg, vm, k)) / (2 * h))
     g = np.asarray(grads)
     expected = np.sqrt(d) / np.sqrt(n * k)
     assert np.linalg.norm(g) == pytest.approx(expected, rel=1e-12)
@@ -212,8 +220,8 @@ def test_average_derivative_norms_by_finite_differences():
         vp, vm = vals.copy(), vals.copy()
         vp[1, col] += h
         vm[1, col] -= h
-        second.append((aq.eval_average(vp, k) - 2 * aq.eval_average(vals, k)
-                       + aq.eval_average(vm, k)) / (h * h))
+        second.append((aq.evaluate(avg, vp, k) - 2 * aq.evaluate(avg, vals, k)
+                       + aq.evaluate(avg, vm, k)) / (h * h))
     assert np.linalg.norm(np.asarray(second)) <= 1e-8
 
 
