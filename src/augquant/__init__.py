@@ -13,8 +13,7 @@ from .core import (AugmentedDataset, DataSource, TransformationFamily, augment_i
                    gaussian_source, identity_family, random_crop_family, regression_source,
                    replicate_unaugmented, sign_flip_family, swap_family)
 from .errors import ConfigError, ContractError, NumericalError
-from .surrogate import (AugmentationMoments, SurrogateSpec, build_surrogate,
-                        build_unaugmented_surrogate, estimate_moments,
+from .surrogate import (AugmentationMoments, SurrogateSpec, build_surrogate, estimate_moments,
                         sample_repeated_surrogate, sample_surrogate)
 from .statistics import (RiskMoments, StatisticKind, average_statistic, evaluate,
                          exp_neg_chisq_2d_statistic, exp_neg_chisq_statistic,

@@ -72,6 +72,13 @@ class _MeanDerivs:
     grand mean m = sum(cells) / (sqrt(n) k).  Every entry of row i moves m by
     e_l / (sqrt(n) k), whatever its slot, so ||D^r f|| = (nk)^(-r/2) ||grad^r f(m)||
     and each statistic supplies only the norms of its derivative tensors at m.
+
+    The smooth max's gradient is its softmax weights omega, and its second and
+    third derivatives are tau and tau^2 times the second and third cumulants of
+    the one-hot vector e_J, J ~ omega.  With the Gram G = I - omega 1^T
+    - 1 omega^T + (omega^T omega) 1 1^T of the centred vectors e_j - omega, the
+    r-th cumulant's squared Frobenius norm is sum_ij omega_i omega_j G_ij^r, so
+    no d_n^3 tensor is formed.
     """
 
     def __init__(self, kind):
@@ -95,19 +102,14 @@ class _MeanDerivs:
             e = np.exp(-m * m)
             return (np.linalg.norm(2.0 * m * e), np.linalg.norm((4.0 * m * m - 2.0) * e),
                     np.linalg.norm((12.0 * m - 8.0 * m**3) * e))
-        # smooth max: the softmax weights and their derivatives; at d_n = 1
-        # tau = t log 1 = 0 makes the second and third tensors vanish
+        # smooth max: the softmax weights omega and the Gram of e_j - omega; at
+        # d_n = 1 tau = t log 1 = 0 makes the second and third tensors vanish
         tau = self.kind.t * np.log(self.kind.d_n)
         omega = np.exp(tau * (m - m.max()))
         omega /= omega.sum()
-        h = np.diag(omega) - np.outer(omega, omega)
-        g = 2.0 * omega[:, None, None] * omega[None, :, None] * omega[None, None, :]
-        idx = np.arange(omega.size)
-        g[:, idx, idx] -= omega[:, None] * omega[None, :]
-        g[idx, :, idx] -= (omega[:, None] * omega[None, :]).T
-        g[idx, idx, :] -= omega[:, None] * omega[None, :]
-        g[idx, idx, idx] += omega
-        return np.linalg.norm(omega), tau * np.linalg.norm(h), tau * tau * np.linalg.norm(g)
+        g = np.eye(omega.size) - omega - omega[:, None] + omega @ omega
+        return (np.linalg.norm(omega), tau * np.sqrt(omega @ g**2 @ omega),
+                tau * tau * np.sqrt(max(omega @ g**3 @ omega, 0.0)))
 
 
 class _RidgeDerivs:

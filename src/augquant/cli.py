@@ -27,26 +27,9 @@ FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 TOO_BIG = ("array is too big", "Maximum allowed")
 
 
-def _workers_default():
-    env = os.environ.get("AUGQUANT_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _cell_seed(seed, i):
     """The seed of a figure's i-th cell, wrapped into the stream-key range."""
     return (seed + i) % 2**64
-
-
-def _check_workers(value):
-    """The --workers count, at least 1; AUGQUANT_WORKERS or 1 when not given."""
-    if value is None:
-        return _workers_default()
-    if value < 1:
-        raise ConfigError(f"--workers must be at least 1, got {value}")
-    return value
 
 
 def _stage(out_dir):
@@ -85,15 +68,6 @@ def _write_manifest(out_dir, command, cfg, seed, workers, scale=None):
     cfgmod.atomic_write(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
-def _write_csv(path, header, rows, footer_lines=()):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cfgmod.fmt(v) if isinstance(v, float) else str(v) for v in row))
-    for fl in footer_lines:
-        lines.append("# " + fl)
-    cfgmod.atomic_write(path, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # predict: closed-form curves on user grids
 # ---------------------------------------------------------------------------
@@ -126,7 +100,8 @@ def _cmd_predict(cfg, out_dir, seed):
         rows = [(k, closedform.theta_ratio_average(moments, source, k)) for k in ks]
     else:
         raise ConfigError(f"unknown predict.curve {curve!r}")
-    _write_csv(os.path.join(out_dir, f"predict_{curve}.csv"), header, rows)
+    cfgmod.atomic_write(os.path.join(out_dir, f"predict_{curve}.csv"),
+                        cfgmod.csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +129,8 @@ def _cmd_compare(cfg, out_dir, seed):
         footer.append(f"theta_theory = {cfgmod.fmt(report.theta_theory)}")
     if report.degenerate:
         footer.append("degenerate = true  # zero augmented variance")
-    _write_csv(os.path.join(out_dir, "compare.csv"),
-               ["protocol", "var_norm", "var_norm_se", "std_first_coord", "ci_width"],
-               rows, footer)
+    cfgmod.atomic_write(os.path.join(out_dir, "compare.csv"), cfgmod.csv_text(
+        ["protocol", "var_norm", "var_norm_se", "std_first_coord", "ci_width"], rows, footer))
 
 
 def _cmd_bounds(cfg, out_dir, seed):
@@ -179,7 +153,8 @@ def _cmd_bounds(cfg, out_dir, seed):
                   f"m1 = {cfgmod.fmt(report.m1)}", f"m2 = {cfgmod.fmt(report.m2)}",
                   f"m3 = {cfgmod.fmt(report.m3)}",
                   f"rhs_repeated = {cfgmod.fmt(report.rhs_repeated)}"]
-    _write_csv(os.path.join(out_dir, "bounds.csv"), header, [tuple(row)], footer)
+    cfgmod.atomic_write(os.path.join(out_dir, "bounds.csv"),
+                        cfgmod.csv_text(header, [tuple(row)], footer))
     widths = [max(len(h), 12) for h in header]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     print("  ".join((v if isinstance(v, str) else format(v, ".6g")).ljust(w)
@@ -226,10 +201,9 @@ def _fig1(out_dir, scale, seed):
         # ridge scatter uses the two diagonal entries of the estimate: cropping zeroes
         # every off-diagonal entry identically, which would degenerate the cloud
         rows_ridge.extend((proto, float(row[0]), float(row[3])) for row in ridge.samples)
-    _write_csv(os.path.join(out_dir, "fig1_average.csv"),
-               ["protocol", "coord1", "coord2"], rows_avg)
-    _write_csv(os.path.join(out_dir, "fig1_ridge.csv"),
-               ["protocol", "coord1", "coord2"], rows_ridge)
+    for name, rows in (("average", rows_avg), ("ridge", rows_ridge)):
+        cfgmod.atomic_write(os.path.join(out_dir, f"fig1_{name}.csv"),
+                            cfgmod.csv_text(["protocol", "coord1", "coord2"], rows))
 
 
 def _fig2(out_dir, scale, seed):
@@ -246,9 +220,9 @@ def _fig2(out_dir, scale, seed):
         std, se = _std_with_se(res)
         rows.append((float(s), std, se, math.sqrt(closedform.v_curve(s)),
                      res.empirical_ci_width, closedform.ci_width_curve(s, 0.05)))
-    _write_csv(os.path.join(out_dir, "fig2.csv"),
-               ["s", "std_sim", "std_se", "std_theory", "width_sim", "width_theory"],
-               rows, [f"replicates = {reps}"])
+    cfgmod.atomic_write(os.path.join(out_dir, "fig2.csv"), cfgmod.csv_text(
+        ["s", "std_sim", "std_se", "std_theory", "width_sim", "width_theory"],
+        rows, [f"replicates = {reps}"]))
 
 
 def _fig3(out_dir, scale, seed):
@@ -267,8 +241,8 @@ def _fig3(out_dir, scale, seed):
         res = montecarlo.run_experiment(config)
         std, se = _std_with_se(res)
         rows.append((k, std, se, std_theory))
-    _write_csv(os.path.join(out_dir, "fig3.csv"),
-               ["k", "std_sim", "std_se", "std_theory"], rows, [f"replicates = {reps}"])
+    cfgmod.atomic_write(os.path.join(out_dir, "fig3.csv"), cfgmod.csv_text(
+        ["k", "std_sim", "std_se", "std_theory"], rows, [f"replicates = {reps}"]))
 
 
 def _fig4(out_dir, scale, seed):
@@ -290,9 +264,9 @@ def _fig4(out_dir, scale, seed):
                                          for res in montecarlo.simulate(config, kinds)]))
         for j, stat_name in enumerate(("estimator", "risk")):
             rows.extend((fam_name, stat_name, proto, k, *spread[j]) for proto, k, spread in cells)
-    _write_csv(os.path.join(out_dir, "fig4.csv"),
-               ["family", "quantity", "protocol", "k", "std_sim", "std_se"],
-               rows, [f"replicates = {reps}", f"lambda = {lam:g}"])
+    cfgmod.atomic_write(os.path.join(out_dir, "fig4.csv"), cfgmod.csv_text(
+        ["family", "quantity", "protocol", "k", "std_sim", "std_se"],
+        rows, [f"replicates = {reps}", f"lambda = {lam:g}"]))
 
 
 def _fig5(out_dir, scale, seed):
@@ -310,11 +284,11 @@ def _fig5(out_dir, scale, seed):
         est, risk = montecarlo.simulate(config, kinds)
         rows.append((float(s), math.sqrt(closedform.toy_ridge_variance(n, mu, s, c, 0.0)),
                      *_std_with_se(est), *_std_with_se(risk)))
-    _write_csv(os.path.join(out_dir, "fig5.csv"),
-               ["sigma", "std_theory_lam0", "std_sim_lam4", "std_se_lam4",
-                "risk_std_sim_lam4", "risk_std_se_lam4"],
-               rows, [f"replicates = {reps}", f"n = {n}", f"mu = {mu:g}", f"c = {c:g}",
-                      f"lambda = {lam:g}"])
+    cfgmod.atomic_write(os.path.join(out_dir, "fig5.csv"), cfgmod.csv_text(
+        ["sigma", "std_theory_lam0", "std_sim_lam4", "std_se_lam4", "risk_std_sim_lam4",
+         "risk_std_se_lam4"],
+        rows, [f"replicates = {reps}", f"n = {n}", f"mu = {mu:g}", f"c = {c:g}",
+               f"lambda = {lam:g}"]))
 
 
 def _cmd_figure(name, out_dir, scale, seed):
@@ -340,8 +314,8 @@ def build_parser():
             p.add_argument("--config", required=True, help="flat key-value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker count (default: AUGQUANT_WORKERS or 1)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker count, recorded in manifest.txt (default: 1)")
         if name == "figure":
             p.add_argument("--name", required=True, choices=FIGURES)
             p.add_argument("--scale", choices=(DESK, PAPER), default=DESK)
@@ -357,7 +331,8 @@ def main(argv=None):
         return int(exc.code or 0)
     stage = None
     try:
-        workers = _check_workers(args.workers)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         if args.command == "figure":
             command, cfg, scale = f"figure:{args.name}", {"figure.name": args.name}, args.scale
             seeded = {"seed": 20240}
@@ -368,7 +343,7 @@ def main(argv=None):
         # --seed when given, else the config's seed: an int in the stream-key range
         seed = cfgmod.read(seeded if args.seed is None else {"seed": args.seed}, "seed")
         stage = _stage(args.out)
-        _write_manifest(stage, command, cfg, seed, workers, scale)
+        _write_manifest(stage, command, cfg, seed, args.workers, scale)
         if args.command == "figure":
             _cmd_figure(args.name, stage, args.scale, seed)
         else:

@@ -284,11 +284,11 @@ _STATISTIC_FIELDS = {"average": {"statistic.d": "d"},
                      "ridgerisk": {"statistic.lambda": "lam"}}
 
 
-def statistic_from_config(cfg, source=None):
+def statistic_from_config(cfg, source):
     kind = read(cfg, "statistic.kind")
     fields = {field: read(cfg, key) for key, field in _STATISTIC_FIELDS.get(kind, {}).items()}
     if kind in ("ridge", "ridgerisk"):
-        if source is None or source.kind != "regression":
+        if source.kind != "regression":
             raise ConfigError("ridge statistics need a regression source")
         fields.update(d=source.mean.size, b=source.mean.size, risk_moments=(
             stats.risk_moments_from_source(source) if kind == "ridgerisk" else None))
@@ -330,25 +330,26 @@ def experiment_to_dict(config):
     return out
 
 
+def csv_text(header, rows, footer_lines=()):
+    """The header row, one line per row (floats as ``fmt``), then ``#``-prefixed footer lines."""
+    lines = [",".join(header)]
+    lines += [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    lines += ["# " + line for line in footer_lines]
+    return "\n".join(lines) + "\n"
+
+
 def result_csv_text(result):
     """Samples as CSV rows plus a '#'-prefixed summary and config-echo footer.
 
     The wall time is intentionally not serialized: output files must be
     byte-identical across reruns at the same seed.
     """
-    q = result.samples.shape[1]
-    lines = [",".join(f"sample_{j}" for j in range(q))]
-    for row in result.samples:
-        lines.append(",".join(fmt(v) for v in row))
-    lines.append("# mean = " + fmt_list(result.mean))
-    lines.append("# covariance = " + fmt_list(result.covariance.reshape(-1)))
-    for name in ("var_norm", "std_of_first_coord", "se_of_variance", "se_of_first_coord_var",
-                 "empirical_ci_width"):
-        lines.append(f"# {name} = {fmt(getattr(result, name))}")
-    for key, value in sorted(experiment_to_dict(result.config_echo).items()):
-        if isinstance(value, (list, tuple)):
-            lines.append(f"# config.{key} = {fmt_list(value)}")
-        else:
-            lines.append(f"# config.{key} = {value}")
-    return "\n".join(lines) + "\n"
-
+    footer = ["mean = " + fmt_list(result.mean),
+              "covariance = " + fmt_list(result.covariance.reshape(-1))]
+    footer += [f"{name} = {fmt(getattr(result, name))}" for name in (
+        "var_norm", "std_of_first_coord", "se_of_variance", "se_of_first_coord_var",
+        "empirical_ci_width")]
+    footer += [f"config.{key} = {fmt_list(value) if isinstance(value, (list, tuple)) else value}"
+               for key, value in sorted(experiment_to_dict(result.config_echo).items())]
+    return csv_text([f"sample_{j}" for j in range(result.samples.shape[1])], result.samples,
+                    footer)

@@ -129,8 +129,7 @@ class TransformationFamily:
     probabilities (uniform when none are given; must sum to one within
     1e-12).  ``kind`` names the constructor that produced the family;
     ``config.experiment_to_dict`` writes it back as ``family.kind``, with a
-    ``_paired`` suffix as ``family.paired``.  ``cdf`` is the normalized
-    cumulative weight that ``sample_indices`` inverts.
+    ``_paired`` suffix as ``family.paired``.
     """
 
     kind: str
@@ -156,10 +155,6 @@ class TransformationFamily:
         object.__setattr__(self, "offsets", off)
         object.__setattr__(self, "weights", w)
 
-    @cached_property
-    def cdf(self):
-        return self.weights.cumsum() / self.weights.cumsum()[-1]
-
     @property
     def dim(self):
         return self.matrices.shape[1]
@@ -170,11 +165,8 @@ class TransformationFamily:
         return (x @ self.matrices.reshape(m * d, d).T).reshape(len(x), m, d) + self.offsets
 
     def sample_indices(self, shape, rng):
-        """Member indices of the given shape: ``rng.choice(M, shape, p=weights)``,
-        the same draw and bytes, without its per-call validation."""
-        if len(self.weights) == 1:
-            return np.zeros(shape, dtype=np.intp)
-        return self.cdf.searchsorted(rng.random(shape), side="right")
+        """Member indices of the given shape, drawn with probabilities ``weights``."""
+        return rng.choice(len(self.weights), shape, p=self.weights)
 
     def paired(self, d_resp):
         """Lift the family to concatenated (covariate, response) vectors.

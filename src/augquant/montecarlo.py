@@ -229,22 +229,19 @@ def coverage_check(config, interval_rule):
     quantile interval.  Returns (coverage, binomial SE, interval).
     """
     kind = config.statistic
-    moments = estimate_moments(config.family, config.source)
     if interval_rule == "average_ci":
         if kind.name != "average" or kind.d != 1:
             raise ConfigError("average interval rule applies to the d=1 average statistic")
         proto = "unaugmented" if config.protocol == "unaugmented" else "augmented"
-        interval = closedform.average_ci(moments, config.source, config.n, config.k,
-                                         config.alpha, proto)
+        interval = closedform.average_ci(estimate_moments(config.family, config.source),
+                                         config.source, config.n, config.k, config.alpha, proto)
         scale = 1.0 / math.sqrt(config.n)
     elif interval_rule == "chisq_ci":
         if kind.name != "expnegchisq":
             raise ConfigError("chi-squared interval rule applies to the 1-d exponential statistic")
-        if config.protocol in ("unaugmented",):
-            sigma = math.sqrt(float(config.source.joint_cov()[0, 0]))
-        else:
-            sigma = math.sqrt(max(float(moments.sigma12[0, 0]), 0.0))
-        interval = closedform.chisq_ci(sigma, config.alpha)
+        s_aug, s_un = closedform.exp_neg_chisq_sigmas(config.family, config.source)
+        interval = closedform.chisq_ci(s_un if config.protocol == "unaugmented" else s_aug,
+                                       config.alpha)
         scale = 1.0
     else:
         raise ConfigError(f"unknown interval rule {interval_rule!r}")

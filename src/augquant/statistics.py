@@ -292,6 +292,9 @@ def ridge_derivative(data, k, d, b, lam, which, i, slots, coords):
     blocks = _SELECTOR_BLOCKS[which]
     if len(slots) != len(blocks) or len(coords) != len(blocks):
         raise ContractError(f"selector {which!r} takes {len(blocks)} slots and coordinates")
+    if not all(isinstance(x, (int, np.integer)) for x in (i, *slots, *coords)):
+        raise ContractError(f"row, slot and coordinate indices must be integers, got i={i!r}, "
+                            f"slots={tuple(slots)!r}, coords={tuple(coords)!r}")
     cells = _cells(data, k)
     if not 0 <= i < cells.shape[0]:
         raise ContractError(f"row index {i} out of range")

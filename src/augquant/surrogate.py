@@ -160,20 +160,6 @@ def build_surrogate(moments, n, k, delta):
                          diag_block=diag, offdiag_block=off)
 
 
-def build_unaugmented_surrogate(source, n, k):
-    """Surrogate for the k-fold replicate baseline: both blocks equal Var X.
-
-    Rows are exact k-fold replicates of one Gaussian draw, matching the
-    replicate construction the downstream variance formulas rely on.
-    """
-    if n < 1 or k < 1:
-        raise ContractError("n and k must be positive")
-    cov = source.joint_cov()
-    return SurrogateSpec(n=n, k=k, d=cov.shape[0], delta=0.0,
-                         mean_block=source.joint_mean(),
-                         diag_block=cov, offdiag_block=cov.copy())
-
-
 def sample_surrogate(spec, seed):
     """Draw n i.i.d. surrogate rows as an (n, k*d) matrix; deterministic given seed."""
     return sample_surrogate_rows(spec, spec.n, seed)

@@ -758,8 +758,8 @@ class TestFigure:
     def test_unknown_figure_exit_2(self, tmp_path):
         assert cli.main(["figure", "--name", "fig9", "--out", str(tmp_path)]) == 2
 
-    def test_workers_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("AUGQUANT_WORKERS", "2")
-        assert cli._workers_default() == 2
-        monkeypatch.setenv("AUGQUANT_WORKERS", "junk")
-        assert cli._workers_default() == 1
+    def test_workers_env_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AUGQUANT_WORKERS", "3")
+        cfgp = _write(tmp_path, "predict.curve = vcurve\npredict.grid = [1.0]\n")
+        assert cli.main(["predict", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+        assert "workers = 1\n" in (tmp_path / "out" / "manifest.txt").read_text()

@@ -6,16 +6,19 @@ from augquant.errors import ContractError
 
 
 class TestDraws:
-    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.2, 0.3, 0.5],
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5],
                                          [0.1, 0.05, 0.2, 0.15, 0.1, 0.3, 0.1]])
     @pytest.mark.parametrize("shape", [7, (5,), (3, 4), (2, 3, 2)])
     def test_index_draw_is_generator_choice(self, weights, shape):
         fam = aq.finite_uniform_family([[[float(i)]] for i in range(len(weights))],
                                        weights=weights)
         for seed in range(20):
-            got = fam.sample_indices(shape, np.random.default_rng(seed))
-            want = np.random.default_rng(seed).choice(len(weights), size=shape, p=fam.weights)
+            rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = fam.sample_indices(shape, rng_got)
+            want = rng_want.choice(len(weights), size=shape, p=fam.weights)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+            # both draws leave the stream at the same position
+            assert rng_got.random() == rng_want.random()
 
     @pytest.mark.parametrize("source", [
         aq.gaussian_source([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]]),

@@ -169,6 +169,19 @@ class TestRidgeDerivatives:
         with pytest.raises(ContractError):
             aq.ridge_derivative(vals, 1, 2, 2, 1.0, "dV", 2, (0,), (0,))
 
+    @pytest.mark.parametrize("i, slots, coords", [(1.5, (0,), (0,)), (0, (0.5,), (0,)),
+                                                  (0, (0,), (0.5,)), (np.float64(0), (0,), (0,))])
+    def test_non_integer_index_refused(self, i, slots, coords):
+        with pytest.raises(ContractError, match="must be integers"):
+            aq.ridge_derivative(np.ones((2, 4)), 1, 2, 2, 1.0, "dY", i, slots, coords)
+
+    def test_numpy_integer_indices_accepted(self):
+        vals = np.random.default_rng(3).standard_normal((3, 8))
+        want = aq.ridge_derivative(vals, 2, 2, 2, 1.0, "dYdV", 1, (0, 1), (1, 0))
+        got = aq.ridge_derivative(vals, 2, 2, 2, 1.0, "dYdV", np.int64(1),
+                                  (np.int32(0), np.int64(1)), (np.int64(1), np.int8(0)))
+        assert np.array_equal(got, want)
+
     def test_requires_positive_penalty(self):
         with pytest.raises(ContractError):
             aq.ridge_derivative(np.ones((2, 4)), 1, 2, 2, 0.0, "dY", 0, (0,), (0,))

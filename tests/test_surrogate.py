@@ -143,10 +143,9 @@ class TestBuildSurrogate:
         m = aq.estimate_moments(aq.identity_family(2), src)
         for delta in (0.0, 0.5, 1.0):
             spec = aq.build_surrogate(m, 4, 3, delta)
-            ref = aq.build_unaugmented_surrogate(src, 4, 3)
-            assert np.allclose(spec.diag_block, ref.diag_block)
-            assert np.allclose(spec.offdiag_block, ref.offdiag_block)
-            assert np.allclose(spec.mean_block, ref.mean_block)
+            assert np.allclose(spec.diag_block, src.joint_cov())
+            assert np.allclose(spec.offdiag_block, src.joint_cov())
+            assert np.allclose(spec.mean_block, src.joint_mean())
 
     def test_ordering_violation_rejected(self):
         bad = AugmentationMoments(
@@ -159,8 +158,8 @@ class TestBuildSurrogate:
 
 class TestSampleSurrogate:
     def test_perfect_replication_when_blocks_equal(self):
-        src = aq.gaussian_source([1.0, 2.0], EXCHANGEABLE)
-        spec = aq.build_unaugmented_surrogate(src, n=100, k=4)
+        spec = aq.SurrogateSpec(n=100, k=4, d=2, delta=0.0, mean_block=np.array([1.0, 2.0]),
+                                diag_block=EXCHANGEABLE, offdiag_block=EXCHANGEABLE)
         rows = aq.sample_surrogate(spec, seed=3).reshape(100, 4, 2)
         for j in range(1, 4):
             assert np.allclose(rows[:, j, :], rows[:, 0, :], atol=1e-12)
