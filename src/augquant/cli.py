@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 """
 
 import argparse
+import itertools
 import math
 import os
 import shutil
@@ -18,6 +19,7 @@ from . import bounds as bounds_mod
 from . import closedform, config as cfgmod, core, montecarlo
 from . import statistics as stats
 from .errors import ConfigError, ContractError, NumericalError
+from .rng import child_seed
 from .surrogate import build_surrogate, estimate_moments
 
 DESK = "desk"
@@ -25,11 +27,6 @@ PAPER = "paper"
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 # how numpy's ValueError starts when it refuses to allocate an array
 TOO_BIG = ("array is too big", "Maximum allowed")
-
-
-def _cell_seed(seed, i):
-    """The seed of a figure's i-th cell, wrapped into the stream-key range."""
-    return (seed + i) % 2**64
 
 
 def _stage(out_dir):
@@ -109,9 +106,9 @@ def _cmd_predict(cfg, out_dir, seed):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg, out_dir, seed):
-    config = cfgmod.experiment_from_config(cfg, seed_override=seed)
-    result = montecarlo.run_experiment(config)
-    cfgmod.atomic_write(os.path.join(out_dir, "result.csv"), cfgmod.result_csv_text(result))
+    result = montecarlo.run_experiment(cfgmod.experiment_from_config(cfg, seed_override=seed))
+    cfgmod.atomic_write(os.path.join(out_dir, "result.csv"),
+                        cfgmod.result_csv_text(result, {**cfg, "seed": seed}))
 
 
 def _cmd_compare(cfg, out_dir, seed):
@@ -162,7 +159,7 @@ def _cmd_bounds(cfg, out_dir, seed):
 
 
 # ---------------------------------------------------------------------------
-# figure: CSV bundles behind the reference figures (desk or paper scale)
+# figure: CSV bundles behind the reference figures; cell c, in run order, seeds child_seed(seed, c)
 # ---------------------------------------------------------------------------
 
 def _crop_setup():
@@ -192,10 +189,10 @@ def _fig1(out_dir, scale, seed):
     k = 50
     rows_avg, rows_ridge = [], []
     kinds = (stats.average_statistic(4), stats.ridge_statistic(2, 2, 1.0))
-    for proto in ("iid_aug", "unaugmented"):
+    for c, proto in enumerate(("iid_aug", "unaugmented")):
         config = montecarlo.ExperimentConfig(
             source=source, family=family, protocol=proto, statistic=kinds[0],
-            n=200, k=k, replicates=points, seed=seed)
+            n=200, k=k, replicates=points, seed=child_seed(seed, c))
         average, ridge = montecarlo.simulate(config, kinds)
         rows_avg.extend((proto, float(row[0]), float(row[1])) for row in average.samples)
         # ridge scatter uses the two diagonal entries of the estimate: cropping zeroes
@@ -215,7 +212,7 @@ def _fig2(out_dir, scale, seed):
         config = montecarlo.ExperimentConfig(
             source=source, family=core.identity_family(1), protocol="surrogate",
             statistic=stats.exp_neg_chisq_statistic(), n=50, k=1,
-            replicates=reps, seed=_cell_seed(seed, i), delta=1.0)
+            replicates=reps, seed=child_seed(seed, i), delta=1.0)
         res = montecarlo.run_experiment(config)
         std, se = _std_with_se(res)
         rows.append((float(s), std, se, math.sqrt(closedform.v_curve(s)),
@@ -237,7 +234,7 @@ def _fig3(out_dir, scale, seed):
         config = montecarlo.ExperimentConfig(
             source=source, family=family, protocol="iid_aug",
             statistic=stats.exp_neg_chisq_2d_statistic(), n=100, k=k,
-            replicates=reps, seed=_cell_seed(seed, i))
+            replicates=reps, seed=child_seed(seed, i))
         res = montecarlo.run_experiment(config)
         std, se = _std_with_se(res)
         rows.append((k, std, se, std_theory))
@@ -248,7 +245,7 @@ def _fig3(out_dir, scale, seed):
 def _fig4(out_dir, scale, seed):
     reps = 2000 if scale == DESK else 10_000
     lam = 1.0
-    rows = []
+    rows, cell_number = [], itertools.count()  # counted across both families
     for fam_name, setup in (("cropping", _crop_setup), ("rotation", _rotation_setup)):
         source, family = setup()
         d = source.mean.size
@@ -256,10 +253,10 @@ def _fig4(out_dir, scale, seed):
                  stats.ridge_risk_statistic(d, d, lam, stats.risk_moments_from_source(source)))
         cells = []  # (protocol, k, ((std, se) of the estimator, of the risk)), one draw each
         for proto, ks in (("unaugmented", (1,)), ("iid_aug", (1, 2, 5, 10, 20, 50))):
-            for i, k in enumerate(ks):
+            for k in ks:
                 config = montecarlo.ExperimentConfig(
                     source=source, family=family, protocol=proto, statistic=kinds[0],
-                    n=200, k=k, replicates=reps, seed=_cell_seed(seed, i))
+                    n=200, k=k, replicates=reps, seed=child_seed(seed, next(cell_number)))
                 cells.append((proto, k, [_std_with_se(res)
                                          for res in montecarlo.simulate(config, kinds)]))
         for j, stat_name in enumerate(("estimator", "risk")):
@@ -280,7 +277,7 @@ def _fig5(out_dir, scale, seed):
                  stats.ridge_risk_statistic(1, 1, lam, stats.risk_moments_from_source(source)))
         config = montecarlo.ExperimentConfig(
             source=source, family=core.identity_family(2), protocol="iid_aug",
-            statistic=kinds[0], n=n, k=1, replicates=reps, seed=_cell_seed(seed, i))
+            statistic=kinds[0], n=n, k=1, replicates=reps, seed=child_seed(seed, i))
         est, risk = montecarlo.simulate(config, kinds)
         rows.append((float(s), math.sqrt(closedform.toy_ridge_variance(n, mu, s, c, 0.0)),
                      *_std_with_se(est), *_std_with_se(risk)))

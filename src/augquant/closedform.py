@@ -81,18 +81,14 @@ def theta_ratio_general(var_unaug_norm, var_aug_norm):
     return math.sqrt(var_unaug_norm / var_aug_norm)
 
 
-def average_variance_norms(moments, source, k):
-    """Frobenius norms of the average's surrogate covariances (unaug, aug); k >= 1."""
+def theta_ratio_average(moments, source, k):
+    """Benefit ratio for the scaled grand mean at a fixed number of copies k >= 1: the
+    ratio of the Frobenius norms of its unaugmented and augmented surrogate covariances."""
     if k < 1:
         raise ContractError(f"the number of copies k must be at least 1, got {k}")
     cov_aug = moments.sigma11 / k + (k - 1) / k * moments.sigma12
-    return (float(np.linalg.norm(source.joint_cov())), float(np.linalg.norm(cov_aug)))
-
-
-def theta_ratio_average(moments, source, k):
-    """Benefit ratio for the scaled grand mean at a fixed number of copies k."""
-    unaug, aug = average_variance_norms(moments, source, k)
-    return theta_ratio_general(unaug, aug)
+    return theta_ratio_general(float(np.linalg.norm(source.joint_cov())),
+                               float(np.linalg.norm(cov_aug)))
 
 
 def average_ci(moments, source, n, k, alpha, protocol):
@@ -124,15 +120,14 @@ def f2_variance(rho, sigma):
 
     For the uniform identity/swap family on an exchangeable source with
     correlation rho and scale sigma: 4 (1 + 2 (1+rho) sigma^2)^{-1/2}
-    - 4 (1 + (1+rho) sigma^2)^{-1}.  Identical to 4 * v_curve applied at
+    - 4 (1 + (1+rho) sigma^2)^{-1}, which is 4 * v_curve applied at
     sigma * sqrt((1 + rho) / 2).
     """
     if not -1.0 < rho < 1.0:
         raise ContractError("rho must lie strictly inside (-1, 1)")
     if sigma < 0:
         raise ContractError("sigma must be nonnegative")
-    u = (1.0 + float(rho)) * float(sigma) * float(sigma)  # Python floats, as in v_curve
-    return max(4.0 * (1.0 + 2.0 * u) ** -0.5 - 4.0 / (1.0 + u), 0.0)  # as in v_curve
+    return 4.0 * v_curve(float(sigma) * math.sqrt((1.0 + float(rho)) / 2.0))
 
 
 def toy_ridge_variance(n, mu, sigma, c, lam):

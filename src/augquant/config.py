@@ -217,7 +217,7 @@ def read_config(path):
 
 
 # ---------------------------------------------------------------------------
-# Builders: config dict <-> domain objects
+# Builders: config dict -> domain objects
 # ---------------------------------------------------------------------------
 
 def source_from_config(cfg):
@@ -302,32 +302,8 @@ def experiment_from_config(cfg, seed_override=None):
     return ExperimentConfig(
         source=source, family=family_from_config(cfg),
         statistic=statistic_from_config(cfg, source), protocol=protocol, n=n, k=k,
-        replicates=replicates, seed=seed if seed_override is None else int(seed_override),
+        replicates=replicates, seed=seed if seed_override is None else seed_override,
         alpha=alpha, delta=delta)
-
-
-def experiment_to_dict(config):
-    src, fam, stat = config.source, config.family, config.statistic
-    out = {"protocol": config.protocol, "n": config.n, "k": config.k,
-           "replicates": config.replicates, "seed": config.seed, "alpha": config.alpha,
-           "delta": config.delta, "source.kind": src.kind, "source.mean": list(src.mean),
-           "source.cov": list(src.cov.reshape(-1)), "statistic.kind": stat.name}
-    if src.kind == "regression":
-        out["source.noise_scale"] = src.noise_scale
-    kind, paired = fam.kind.replace("_paired", ""), fam.kind.endswith("_paired")
-    dim = fam.dim // 2 if paired else fam.dim  # a paired family repeats each map twice
-    if kind in _DIM_FAMILIES:
-        out.update({"family.kind": kind, "family.dim": dim})
-    else:
-        out.update({"family.kind": "finite_uniform", "family.weights": list(fam.weights)})
-        for i in range(len(fam.weights)):
-            out[f"family.member{i}.matrix"] = list(fam.matrices[i, :dim, :dim].reshape(-1))
-            out[f"family.member{i}.offset"] = list(fam.offsets[i, :dim])
-    if paired:
-        out["family.paired"] = True
-    for key, field in _STATISTIC_FIELDS.get(stat.name, {}).items():
-        out[key] = getattr(stat, field)
-    return out
 
 
 def csv_text(header, rows, footer_lines=()):
@@ -338,18 +314,15 @@ def csv_text(header, rows, footer_lines=()):
     return "\n".join(lines) + "\n"
 
 
-def result_csv_text(result):
-    """Samples as CSV rows plus a '#'-prefixed summary and config-echo footer.
-
-    The wall time is intentionally not serialized: output files must be
-    byte-identical across reruns at the same seed.
-    """
+def result_csv_text(result, cfg):
+    """Samples as CSV rows, then '#'-prefixed summary lines and ``cfg``, the parsed config
+    that ran (with its resolved seed), one ``config.`` line per key.  Nothing is timed, so
+    reruns match byte for byte."""
     footer = ["mean = " + fmt_list(result.mean),
               "covariance = " + fmt_list(result.covariance.reshape(-1))]
     footer += [f"{name} = {fmt(getattr(result, name))}" for name in (
         "var_norm", "std_of_first_coord", "se_of_variance", "se_of_first_coord_var",
         "empirical_ci_width")]
-    footer += [f"config.{key} = {fmt_list(value) if isinstance(value, (list, tuple)) else value}"
-               for key, value in sorted(experiment_to_dict(result.config_echo).items())]
+    footer += ["config." + line for line in config_text(cfg).splitlines()]
     return csv_text([f"sample_{j}" for j in range(result.samples.shape[1])], result.samples,
                     footer)

@@ -127,12 +127,9 @@ class TransformationFamily:
     ``matrices`` (M, D, D) and ``offsets`` (M, D) stack the maps in member
     order (zero offsets when none are given), and ``weights`` holds their
     probabilities (uniform when none are given; must sum to one within
-    1e-12).  ``kind`` names the constructor that produced the family;
-    ``config.experiment_to_dict`` writes it back as ``family.kind``, with a
-    ``_paired`` suffix as ``family.paired``.
+    1e-12).  The constructors below build the common stacks.
     """
 
-    kind: str
     matrices: np.ndarray
     offsets: np.ndarray = None
     weights: np.ndarray = None
@@ -180,8 +177,7 @@ class TransformationFamily:
             raise ContractError("paired family requires response dim equal to covariate dim")
         mats = np.zeros((len(self.weights), 2 * d, 2 * d))
         mats[:, :d, :d] = mats[:, d:, d:] = self.matrices
-        return TransformationFamily(self.kind + "_paired", mats,
-                                    np.concatenate([self.offsets, self.offsets], axis=1),
+        return TransformationFamily(mats, np.concatenate([self.offsets, self.offsets], axis=1),
                                     self.weights)
 
 
@@ -189,19 +185,18 @@ def identity_family(d):
     """Point mass at the identity map of R^d."""
     if d < 1:
         raise ContractError("dimension must be positive")
-    return TransformationFamily("identity", np.eye(d)[None])
+    return TransformationFamily(np.eye(d)[None])
 
 
 def finite_uniform_family(matrices, offsets=None, weights=None):
     """The maps x -> matrices[m] x + offsets[m], drawn with probabilities ``weights``
     (uniform when omitted); offsets default to zero."""
-    return TransformationFamily("finite_uniform", matrices, offsets, weights)
+    return TransformationFamily(matrices, offsets, weights)
 
 
 def swap_family(weights=None):
     """Uniform (or reweighted) choice between the identity and the coordinate swap on R^2."""
-    return TransformationFamily("finite_uniform", [np.eye(2), [[0.0, 1.0], [1.0, 0.0]]],
-                                weights=weights)
+    return TransformationFamily([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]], weights=weights)
 
 
 def random_crop_family(d):
@@ -210,7 +205,7 @@ def random_crop_family(d):
         raise ContractError("random crop needs dimension at least 2")
     mats = np.stack([np.eye(d), np.eye(d)])
     mats[0, 0, 0] = mats[1, 1, 1] = 0.0
-    return TransformationFamily("random_crop", mats)
+    return TransformationFamily(mats)
 
 
 def cyclic_rotation_family(d):
@@ -218,8 +213,7 @@ def cyclic_rotation_family(d):
     coordinate i to (i + s) mod d."""
     if d < 1:
         raise ContractError("dimension must be positive")
-    return TransformationFamily("cyclic_rotation",
-                                [np.roll(np.eye(d), s, axis=0) for s in range(d)])
+    return TransformationFamily([np.roll(np.eye(d), s, axis=0) for s in range(d)])
 
 
 def sign_flip_family(d, p_keep):
@@ -233,8 +227,7 @@ def sign_flip_family(d, p_keep):
         raise ContractError("dimension must be positive")
     if not 0.0 <= p_keep <= 1.0:
         raise ContractError("p_keep must lie in [0, 1]")
-    return TransformationFamily("finite_uniform", [np.eye(d), -np.eye(d)],
-                                weights=[p_keep, 1.0 - p_keep])
+    return TransformationFamily([np.eye(d), -np.eye(d)], weights=[p_keep, 1.0 - p_keep])
 
 
 @dataclass(frozen=True, eq=False)

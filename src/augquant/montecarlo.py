@@ -22,7 +22,7 @@ import numpy as np
 from . import closedform
 from . import statistics as stats
 from .errors import ConfigError, NumericalError
-from .rng import substream
+from .rng import child_seed, is_seed, substream
 from .surrogate import build_surrogate, estimate_moments, sample_surrogate_cells
 
 STREAM = 2
@@ -46,6 +46,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
+        if not is_seed(self.seed):
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.n < 1 or self.k < 1:
             raise ConfigError("n and k must be positive")
         if self.replicates < 2:
@@ -114,11 +116,6 @@ def _block_cells(config, size, rng, spec):
     counts = rng.multinomial(k, fam.weights, size=(size, rows))
     images = fam.images(x.reshape(size * n, -1)).reshape(size, n, *fam.offsets.shape)
     return images, np.broadcast_to(counts, (size, n, len(fam.weights)))
-
-
-def _sub(seed, r):
-    # the integer seed of stream (seed, r): a comparison's r-th protocol runs on it
-    return int(np.random.SeedSequence([int(seed), int(r)]).generate_state(1, np.uint64)[0])
 
 
 def _summarize(config, samples):
@@ -190,7 +187,7 @@ def compare_protocols(config_base, protocols):
     with a delta-method standard error from the two jackknife variance SEs.
     Protocol list must contain "unaugmented" plus at least one augmented
     protocol (the first non-baseline entry is the ratio's denominator), each
-    once.
+    once.  The i-th protocol runs on the root seed ``child_seed(seed, i)``.
     """
     if "unaugmented" not in protocols:
         raise ConfigError("comparison needs the unaugmented baseline protocol")
@@ -200,8 +197,7 @@ def compare_protocols(config_base, protocols):
         raise ConfigError(f"comparison lists a protocol twice: {list(protocols)}")
     results = {}
     for idx, proto in enumerate(protocols):
-        cfg = replace(config_base, protocol=proto,
-                      seed=_sub(config_base.seed, idx))
+        cfg = replace(config_base, protocol=proto, seed=child_seed(config_base.seed, idx))
         results[proto] = run_experiment(cfg)
     aug_name = next(p for p in protocols if p != "unaugmented")
     va = results[aug_name].var_norm

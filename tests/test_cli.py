@@ -1,5 +1,6 @@
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from augquant import bounds as bd
 from augquant import cli
 from augquant.config import (config_text, experiment_from_config, fmt, parse_config_text,
                              read_config)
+from augquant.rng import child_seed
 
 GAUSSIAN_1D = """
 source.kind = gaussian
@@ -297,6 +299,12 @@ class TestSeedRange:
         assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_out_of_range_override_is_refused_not_truncated(self, seed):
+        from augquant.errors import ConfigError
+        with pytest.raises(ConfigError, match="seed"):
+            experiment_from_config(parse_config_text(GAUSSIAN_1D), seed_override=seed)
 
     def test_largest_seed_runs(self, tmp_path):
         cfgp = _write(tmp_path, GAUSSIAN_1D)
@@ -717,7 +725,8 @@ class TestFigure:
             assert abs(std_sim - std_theory) <= 6 * max(std_se, 1e-4)
 
     def test_fig3_at_largest_seed(self, tmp_path):
-        # the cell seeds (seed + i) mod 2**64 stay inside the stream-key range
+        # the cell seeds child_seed(seed, i) are hashed from the largest root seed
+        # into the stream-key range
         assert cli.main(["figure", "--name", "fig3", "--out", str(tmp_path),
                          "--seed", str(2**64 - 1)]) == 0
         assert (tmp_path / "fig3.csv").exists()
@@ -729,10 +738,10 @@ class TestFigure:
         for name, kind, (c1, c2) in (("average", aq.average_statistic(4), (0, 1)),
                                      ("ridge", aq.ridge_statistic(2, 2, 1.0), (0, 3))):
             want = ["protocol,coord1,coord2"]
-            for proto in ("iid_aug", "unaugmented"):
+            for c, proto in enumerate(("iid_aug", "unaugmented")):
                 config = aq.ExperimentConfig(source=source, family=family, protocol=proto,
                                              statistic=kind, n=200, k=50, replicates=500,
-                                             seed=5)
+                                             seed=child_seed(5, c))
                 want += [f"{proto},{fmt(float(row[c1]))},{fmt(float(row[c2]))}"
                          for row in aq.run_experiment(config).samples]
             assert _read_lines(tmp_path / f"fig1_{name}.csv") == want, name
@@ -751,9 +760,30 @@ class TestFigure:
             for kind, cols in ((aq.ridge_statistic(1, 1, 4.0), slice(2, 4)), (risk, slice(4, 6))):
                 config = aq.ExperimentConfig(source=source, family=aq.identity_family(2),
                                              protocol="iid_aug", statistic=kind, n=100, k=1,
-                                             replicates=2000, seed=cli._cell_seed(5, i))
+                                             replicates=2000, seed=child_seed(5, i))
                 std, se = cli._std_with_se(aq.run_experiment(config))
                 assert row[cols] == [fmt(std), fmt(se)], (s, kind.name)
+
+    def test_no_two_cells_share_a_seed(self, tmp_path, monkeypatch):
+        # an engine stub records each cell's seed; within a figure, the cells of the runs
+        # at seeds 5 and 6 must all run on distinct seeds
+        seeds = []
+        fake = SimpleNamespace(samples=np.zeros((1, 4)), std_of_first_coord=1.0,
+                               se_of_first_coord_var=0.0, empirical_ci_width=0.0)
+
+        def simulate(config, kinds):
+            seeds.append(config.seed)
+            return [fake] * len(kinds)
+        monkeypatch.setattr(cli.montecarlo, "simulate", simulate)
+        monkeypatch.setattr(cli.montecarlo, "run_experiment", lambda config: simulate(
+            config, (config.statistic,))[0])
+        for name, cells in (("fig1", 2), ("fig2", 8), ("fig3", 4), ("fig4", 14), ("fig5", 6)):
+            seeds.clear()
+            for seed in ("5", "6"):
+                assert cli.main(["figure", "--name", name, "--seed", seed,
+                                 "--out", str(tmp_path / name / seed)]) == 0
+            assert len(seeds) == 2 * cells, name
+            assert len(set(seeds)) == len(seeds), name
 
     def test_unknown_figure_exit_2(self, tmp_path):
         assert cli.main(["figure", "--name", "fig9", "--out", str(tmp_path)]) == 2

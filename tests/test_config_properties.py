@@ -1,100 +1,26 @@
-"""Property tests of the config format: experiments round-trip through config
-text, and a config with one key mutated runs or is refused, never crashes.
+"""Property tests of the config format: a config with one key mutated runs or is
+refused, never crashes, and a simulate that runs draws the same samples again
+from the config its result.csv echoes.
 
-Both properties run a fixed, derandomized set of examples, so the suite stays
+The property runs a fixed, derandomized set of examples, so the suite stays
 deterministic.
 """
 
 import contextlib
-import dataclasses
 import io
 import os
 import string
 import tempfile
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import augquant as aq
 from augquant import cli
-from augquant.config import (KEYS, config_text, experiment_from_config, experiment_to_dict,
-                             parse_config_text)
-from augquant.montecarlo import PROTOCOLS
+from augquant.config import KEYS
 
 
 def _fixed(max_examples):
     return settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
-
-
-def _state(x):
-    """x with every dataclass, tuple and array unfolded into plain comparable values."""
-    if dataclasses.is_dataclass(x):
-        return type(x).__name__, tuple((f.name, _state(getattr(x, f.name)))
-                                       for f in dataclasses.fields(x))
-    if isinstance(x, np.ndarray):
-        return x.shape, x.tolist()
-    if isinstance(x, (tuple, list)):
-        return tuple(map(_state, x))
-    return x
-
-
-def _numbers(lo, hi, size):
-    return st.lists(st.floats(lo, hi, allow_nan=False, allow_infinity=False),
-                    min_size=size, max_size=size)
-
-
-@st.composite
-def experiments(draw):
-    regression = draw(st.booleans())
-    d = draw(st.integers(1, 2))
-    mean = draw(_numbers(-4, 4, d))
-    scales = np.array(draw(_numbers(0.1, 3, d)))
-    rho = draw(st.floats(-0.9, 0.9))
-    cov = np.outer(scales, scales) * np.array([[1.0, rho], [rho, 1.0]])[:d, :d]
-    if regression:
-        source = aq.regression_source(mean, cov, draw(st.floats(0, 3)))
-    else:
-        source = aq.gaussian_source(mean, cov)
-
-    kind = draw(st.sampled_from(["identity", "cyclic_rotation", "finite_uniform"]
-                                + (["random_crop"] if d == 2 else [])))
-    if kind == "finite_uniform":
-        m = draw(st.integers(1, 3))
-        maps = [(np.reshape(draw(_numbers(-2, 2, d * d)), (d, d)), draw(_numbers(-2, 2, d)))
-                for _ in range(m)]
-        raw = np.array(draw(_numbers(0.1, 1, m)))
-        family = aq.finite_uniform_family(*zip(*maps), raw / raw.sum())
-    else:
-        family = {"identity": aq.identity_family, "cyclic_rotation": aq.cyclic_rotation_family,
-                  "random_crop": aq.random_crop_family}[kind](d)
-    if regression:
-        family = family.paired(d)
-
-    slot = source.dim
-    choices = [aq.average_statistic(slot)]
-    if regression:
-        lam = draw(st.floats(0, 5))
-        choices += [aq.ridge_statistic(d, d, lam),
-                    aq.ridge_risk_statistic(d, d, lam, aq.risk_moments_from_source(source))]
-    else:
-        choices += [aq.smooth_max_statistic(slot, draw(st.floats(0.1, 5))),
-                    aq.hard_max_statistic(slot),
-                    aq.exp_neg_chisq_statistic() if d == 1 else aq.exp_neg_chisq_2d_statistic()]
-    return aq.ExperimentConfig(
-        source=source, family=family, statistic=draw(st.sampled_from(choices)),
-        protocol=draw(st.sampled_from(PROTOCOLS)), n=draw(st.integers(1, 500)),
-        k=draw(st.integers(1, 64)), replicates=draw(st.integers(2, 10**6)),
-        seed=draw(st.integers(0, 2**64 - 1)),
-        alpha=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
-        delta=draw(st.floats(0, 1)))
-
-
-@_fixed(60)
-@given(experiments())
-def test_experiment_round_trips_through_config_text(experiment):
-    text = config_text(experiment_to_dict(experiment))
-    assert _state(experiment_from_config(parse_config_text(text))) == _state(experiment)
 
 
 # small, fast base configs, one per command
@@ -180,13 +106,18 @@ def test_base_configs_run(command, text):
         assert _run(tmp, command, text) == 0
 
 
-def _run(tmp, command, text):
+def _run(tmp, command, text, out="out"):
     cfg = os.path.join(tmp, "run.cfg")
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.write(text)
     quiet = io.StringIO()
     with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-        return cli.main([command, "--config", cfg, "--out", os.path.join(tmp, "out")])
+        return cli.main([command, "--config", cfg, "--out", os.path.join(tmp, out)])
+
+
+def _result_lines(tmp, out):
+    with open(os.path.join(tmp, out, "result.csv"), encoding="utf-8") as fh:
+        return fh.read().splitlines()
 
 
 @_fixed(300)
@@ -198,3 +129,12 @@ def test_mutated_config_runs_or_is_refused(case):
         assert code in (0, 2, 3)
         if code != 0:
             assert os.listdir(tmp) == ["run.cfg"]
+        elif command == "simulate":
+            # the echo is the config that ran: rerun on it, the sample rows come back
+            lines = _result_lines(tmp, "out")
+            echo = "".join(line[len("# config."):] + "\n" for line in lines
+                           if line.startswith("# config."))
+            assert _run(tmp, "simulate", echo, out="rerun") == 0
+            rows = [line for line in lines if not line.startswith("#")]
+            assert [line for line in _result_lines(tmp, "rerun")
+                    if not line.startswith("#")] == rows

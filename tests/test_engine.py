@@ -16,9 +16,9 @@ import pytest
 import augquant as aq
 from augquant import statistics as st
 from augquant.core import augment_iid, augment_repeated, replicate_unaugmented
-from augquant.errors import ConfigError
-from augquant.montecarlo import CELL_BUDGET, PROTOCOLS, _jackknife_var_norm_se, _sub
-from augquant.rng import substream
+from augquant.errors import ConfigError, ContractError
+from augquant.montecarlo import CELL_BUDGET, PROTOCOLS, _jackknife_var_norm_se
+from augquant.rng import child_seed, substream
 from augquant.surrogate import build_surrogate, estimate_moments, sample_surrogate_rows
 
 
@@ -28,10 +28,11 @@ def _replicate_sampler(config):
     kind, seed = config.statistic, config.seed
     if config.protocol == "surrogate":
         spec = build_surrogate(estimate_moments(fam, src), n, k, config.delta)
-        return lambda r: st.evaluate(kind, sample_surrogate_rows(spec, n, _sub(seed, r)), k)
+        return lambda r: st.evaluate(
+            kind, sample_surrogate_rows(spec, n, child_seed(seed, r)), k)
     if config.protocol == "repeated_surrogate":
         return lambda r: st.evaluate(
-            kind, aq.sample_repeated_surrogate(fam, src, n, k, _sub(seed, r)), k)
+            kind, aq.sample_repeated_surrogate(fam, src, n, k, child_seed(seed, r)), k)
 
     def run(r):
         rng = substream(seed, r)
@@ -139,3 +140,28 @@ def test_simulate_refuses_a_kind_of_another_slot_dimension():
                                  seed=1)
     with pytest.raises(ConfigError, match="slot dimension 2"):
         aq.simulate(config, (aq.average_statistic(1), aq.average_statistic(2)))
+
+
+@pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 3, 1.5, np.float64(2.0), True, "3"])
+def test_a_seed_outside_the_stream_key_range_is_refused(seed):
+    source, family = _gaussian_setup(1)
+    with pytest.raises(ConfigError, match="seed"):
+        aq.ExperimentConfig(source=source, family=family, protocol="iid_aug",
+                            statistic=aq.average_statistic(1), n=4, k=2, replicates=3,
+                            seed=seed)
+    for draw in (lambda: substream(seed), lambda: substream(seed, 0), lambda: child_seed(seed, 1),
+                 lambda: augment_iid(np.zeros((3, 1)), family, 2, seed)):
+        with pytest.raises(ContractError, match="seed"):
+            draw()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)])
+def test_every_seed_in_the_stream_key_range_runs(seed):
+    source, family = _gaussian_setup(1)
+    config = aq.ExperimentConfig(source=source, family=family, protocol="iid_aug",
+                                 statistic=aq.average_statistic(1), n=4, k=2, replicates=3,
+                                 seed=seed)
+    report = aq.compare_protocols(config, ["iid_aug", "unaugmented"])
+    assert report.results["iid_aug"].samples.tobytes() == aq.run_experiment(
+        replace(config, seed=child_seed(seed, 0))).samples.tobytes()
+    assert substream(seed).random() == substream(int(seed)).random()

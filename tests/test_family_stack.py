@@ -134,7 +134,6 @@ class TestStack:
     def test_paired_keeps_offsets(self):
         fam = _dense_family()
         lifted = fam.paired(3)
-        assert lifted.kind == "finite_uniform_paired"
         assert np.array_equal(lifted.weights, fam.weights)
         assert lifted.matrices.shape == (3, 6, 6) and lifted.offsets.shape == (3, 6)
         for m in range(3):

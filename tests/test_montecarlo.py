@@ -5,7 +5,8 @@ import pytest
 
 import augquant as aq
 from augquant.closedform import f2_variance, v_curve
-from augquant.config import experiment_from_config, parse_config_text, result_csv_text
+from augquant import cli
+from augquant.config import experiment_from_config, parse_config_text
 from augquant.errors import ConfigError
 from augquant.montecarlo import _jackknife_var_norm_se
 
@@ -262,13 +263,36 @@ def _reload_result(text):
     return samples, summary, experiment_from_config(parse_config_text(echo))
 
 
-def test_result_round_trip_through_csv():
-    src = _exchangeable_source()
-    cfg = aq.ExperimentConfig(source=src, family=aq.swap_family(), protocol="surrogate",
-                              statistic=aq.average_statistic(2), n=6, k=2,
-                              replicates=25, seed=13, alpha=0.1, delta=0.5)
-    res = aq.run_experiment(cfg)
-    samples, back, echo = _reload_result(result_csv_text(res))
+# the run's own keys, then one family per case: config text of a source, family and statistic
+_RUN = "protocol = surrogate\nn = 6\nk = 2\nreplicates = 25\nseed = 13\nalpha = 0.1\ndelta = 0.5\n"
+_REGRESSION = ("source.kind = regression\nsource.mean = {mean}\nsource.cov = {cov}\n"
+               "source.noise_scale = 0.5\nfamily.paired = true\n")
+_ECHO_CASES = {
+    "identity_paired": _REGRESSION.format(mean="[0.5]", cov="[1.0]")
+    + "family.kind = identity\nfamily.dim = 1\nstatistic.kind = average\nstatistic.d = 2\n",
+    "random_crop_paired": _REGRESSION.format(mean="[0.5, -1.0]", cov="[1.0, 0.3, 0.3, 2.0]")
+    + "family.kind = random_crop\nfamily.dim = 2\nstatistic.kind = average\nstatistic.d = 4\n",
+    "cyclic_rotation_paired": _REGRESSION.format(mean="[0.5, -1.0]", cov="[1.0, 0.3, 0.3, 2.0]")
+    + "family.kind = cyclic_rotation\nfamily.dim = 2\nstatistic.kind = average\n"
+      "statistic.d = 4\n",
+    "finite_uniform": "source.kind = gaussian\nsource.mean = [0.0, 0.0]\n"
+    "source.cov = [1.0, -0.5, -0.5, 1.0]\nfamily.kind = finite_uniform\n"
+    "family.weights = [0.25, 0.75]\nfamily.member0.matrix = [1.0, 0.0, 0.0, 1.0]\n"
+    "family.member1.matrix = [0.0, 1.0, 1.0, 0.0]\nfamily.member1.offset = [0.5, -0.25]\n"
+    "statistic.kind = average\nstatistic.d = 2\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ECHO_CASES))
+def test_result_round_trip_through_csv(tmp_path, case):
+    (tmp_path / "run.cfg").write_text(_RUN + _ECHO_CASES[case])
+    assert cli.main(["simulate", "--config", str(tmp_path / "run.cfg"), "--out",
+                     str(tmp_path / "out"), "--seed", "99"]) == 0
+    res = aq.run_experiment(experiment_from_config(
+        parse_config_text(_RUN + _ECHO_CASES[case]), seed_override=99))
+    text = (tmp_path / "out" / "result.csv").read_text()
+    assert "# config.seed = 99" in text.splitlines()  # the override, not the config's 13
+    samples, back, echo = _reload_result(text)
     assert np.array_equal(samples, res.samples)
     assert np.array_equal(back["mean"], res.mean)
     assert np.array_equal(back["covariance"].reshape(res.covariance.shape), res.covariance)
@@ -277,7 +301,10 @@ def test_result_round_trip_through_csv():
     assert back["se_of_variance"] == res.se_of_variance
     assert back["empirical_ci_width"] == res.empirical_ci_width
     assert (echo.protocol, echo.n, echo.k, echo.replicates, echo.seed,
-            echo.alpha, echo.delta) == ("surrogate", 6, 2, 25, 13, 0.1, 0.5)
-    assert np.array_equal(echo.source.cov, src.cov)
+            echo.alpha, echo.delta) == ("surrogate", 6, 2, 25, 99, 0.1, 0.5)
+    assert np.array_equal(echo.source.cov, res.config_echo.source.cov)
+    assert np.array_equal(echo.family.matrices, res.config_echo.family.matrices)
+    assert np.array_equal(echo.family.offsets, res.config_echo.family.offsets)
+    assert np.array_equal(echo.family.weights, res.config_echo.family.weights)
     rerun = aq.run_experiment(echo)
     assert rerun.samples.tobytes() == res.samples.tobytes()
