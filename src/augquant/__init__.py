@@ -20,7 +20,7 @@ from .statistics import (RiskMoments, StatisticKind, average_statistic, evaluate
                          hard_max_statistic, ridge_derivative, ridge_risk,
                          ridge_risk_statistic, ridge_statistic,
                          risk_moments_from_source, smooth_max_statistic)
-from .closedform import (Interval, average_ci, chisq_ci, ci_width_curve, f2_variance,
+from .closedform import (Interval, average_ci, chisq_ci, f2_variance,
                          repeated_toy_covariance, theta_ratio_average,
                          theta_ratio_general, toy_ridge_variance, v_curve)
 from .bounds import (AlphaEstimates, BoundReport, assemble_lambdas, assemble_omegas,

@@ -76,7 +76,7 @@ def _cmd_predict(cfg, out_dir, seed):
         rows = [(float(s), closedform.v_curve(s)) for s in grid]
     elif curve == "dwidth":
         header = ["s", f"ci_width_alpha_{alpha:g}"]
-        rows = [(float(s), closedform.ci_width_curve(s, alpha)) for s in grid]
+        rows = [(float(s), closedform.chisq_ci(s, alpha).width) for s in grid]
     elif curve == "f2var":
         rho = cfgmod.read(cfg, "predict.rho")
         header = ["sigma", f"f2_variance_rho_{rho:g}"]
@@ -216,7 +216,7 @@ def _fig2(out_dir, scale, seed):
         res = montecarlo.run_experiment(config)
         std, se = _std_with_se(res)
         rows.append((float(s), std, se, math.sqrt(closedform.v_curve(s)),
-                     res.empirical_ci_width, closedform.ci_width_curve(s, 0.05)))
+                     res.empirical_ci_width, closedform.chisq_ci(s, 0.05).width))
     cfgmod.atomic_write(os.path.join(out_dir, "fig2.csv"), cfgmod.csv_text(
         ["s", "std_sim", "std_se", "std_theory", "width_sim", "width_theory"],
         rows, [f"replicates = {reps}"]))

@@ -2,6 +2,8 @@
 
 Everything here is an analytic counterpart to a quantity the simulation engine
 can estimate, so each function has a Monte Carlo oracle in the test suite.
+Every form for the scaled grand mean of k copies reads one covariance of the moments,
+Sigma_k = sigma11 / k + (k - 1) / k * sigma12; unaugmented is the identity family's.
 """
 
 import math
@@ -12,7 +14,6 @@ import numpy as np
 from .errors import ContractError, NumericalError
 from .quadrature import integrate
 from .quantiles import chisq1_quantile, normal_quantile
-from .surrogate import estimate_moments
 
 
 @dataclass(frozen=True)
@@ -63,15 +64,6 @@ def chisq_ci(sigma, alpha):
     return Interval(lo=lo, hi=hi, level=1.0 - alpha)
 
 
-def ci_width_curve(s, alpha):
-    """Absolute width of the chi-squared interval as a function of s.
-
-    Defined as |exp(-s^2 q_u) - exp(-s^2 q_l)|; the absolute value fixes the
-    sign so the width is nonnegative for every s.
-    """
-    return chisq_ci(s, alpha).width
-
-
 def theta_ratio_general(var_unaug_norm, var_aug_norm):
     """sqrt(unaugmented variance norm / augmented variance norm); > 1 is a win."""
     if var_unaug_norm < 0 or var_aug_norm < 0:
@@ -81,37 +73,30 @@ def theta_ratio_general(var_unaug_norm, var_aug_norm):
     return math.sqrt(var_unaug_norm / var_aug_norm)
 
 
+def _grand_mean_cov(moments, k):
+    """Sigma_k = sigma11 / k + (k - 1) / k * sigma12: the surrogate covariance of the
+    scaled grand mean when each of its rows carries k >= 1 augmented copies."""
+    if k < 1:
+        raise ContractError(f"the number of copies k must be at least 1, got {k}")
+    return moments.sigma11 / k + (k - 1) / k * moments.sigma12
+
+
 def theta_ratio_average(moments, source, k):
     """Benefit ratio for the scaled grand mean at a fixed number of copies k >= 1: the
     ratio of the Frobenius norms of its unaugmented and augmented surrogate covariances."""
-    if k < 1:
-        raise ContractError(f"the number of copies k must be at least 1, got {k}")
-    cov_aug = moments.sigma11 / k + (k - 1) / k * moments.sigma12
     return theta_ratio_general(float(np.linalg.norm(source.joint_cov())),
-                               float(np.linalg.norm(cov_aug)))
+                               float(np.linalg.norm(_grand_mean_cov(moments, k))))
 
 
-def average_ci(moments, source, n, k, alpha, protocol):
-    """Confidence interval for the plain grand mean of the surrogates (d = 1).
-
-    ``protocol="augmented"``: centered at the mean of a transformed
-    observation with half-width z * sqrt(Var X) / sqrt(theta^2 n), which equals
-    z * sqrt(per-row average variance) / sqrt(n).  ``protocol="unaugmented"``:
-    centered at the source mean with half-width z * sqrt(Var X) / sqrt(n).
-    """
-    if moments.dim != 1 or source.joint_mean().shape[0] != 1:
+def average_ci(moments, n, k, alpha):
+    """Confidence interval for the plain grand mean of the surrogates (d = 1) at level
+    1 - alpha: mean_phi_x +- z * sqrt(Sigma_k / n).  The identity family's moments give
+    the unaugmented interval, mu +- z * sqrt(Var X / n)."""
+    if moments.dim != 1:
         raise ContractError("confidence intervals are implemented for dimension 1 only")
-    if protocol not in ("augmented", "unaugmented"):
-        raise ContractError(f"unknown protocol {protocol!r}")
     z = normal_quantile(1.0 - alpha / 2.0)
-    sd_x = math.sqrt(float(source.joint_cov()[0, 0]))
-    if protocol == "augmented":
-        theta = theta_ratio_average(moments, source, k)
-        center = float(moments.mean_phi_x[0])
-        half = z * sd_x / math.sqrt(theta * theta * n)
-    else:
-        center = float(source.joint_mean()[0])
-        half = z * sd_x / math.sqrt(n)
+    center = float(moments.mean_phi_x[0])
+    half = z * math.sqrt(max(float(_grand_mean_cov(moments, k)[0, 0]), 0.0) / n)
     return Interval(lo=center - half, hi=center + half, level=1.0 - alpha)
 
 
@@ -205,9 +190,10 @@ def repeated_toy_covariance(family, mu, w):
     return float(family.weights @ (vals - mean) ** 2)
 
 
-def exp_neg_chisq_sigmas(family, source):
-    """(sigma_aug, sigma_unaug) pair feeding the variance curve, for d = 1."""
-    m = estimate_moments(family, source)
-    if m.dim != 1:
+def exp_neg_chisq_sigma(moments, k):
+    """The scale s = sqrt(Sigma_k) of the 1-d scaled grand mean at k copies, which feeds
+    the exponential statistic's variance curve and interval; the identity family's
+    moments give the unaugmented scale, sqrt(Var X)."""
+    if moments.dim != 1:
         raise ContractError("the exponential statistic's curve applies to dimension 1")
-    return math.sqrt(max(float(m.sigma12[0, 0]), 0.0)), math.sqrt(float(source.joint_cov()[0, 0]))
+    return math.sqrt(max(float(_grand_mean_cov(moments, k)[0, 0]), 0.0))

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import closedform
 from . import statistics as stats
+from .core import identity_family
 from .errors import ConfigError, NumericalError
 from .rng import child_seed, is_seed, substream
 from .surrogate import build_surrogate, estimate_moments, sample_surrogate_cells
@@ -74,7 +75,6 @@ class SimulationResult:
     se_of_variance: float
     se_of_first_coord_var: float
     empirical_ci_width: float
-    config_echo: ExperimentConfig
 
 
 def _jackknife_var_norm_se(samples):
@@ -131,14 +131,13 @@ def _summarize(config, samples):
     return SimulationResult(
         samples=samples, mean=mean, covariance=cov, var_norm=float(np.linalg.norm(cov)),
         std_of_first_coord=float(np.sqrt(max(cov[0, 0], 0.0))), se_of_variance=se_norm,
-        se_of_first_coord_var=se_first, empirical_ci_width=float(hi_q - lo_q),
-        config_echo=config)
+        se_of_first_coord_var=se_first, empirical_ci_width=float(hi_q - lo_q))
 
 
 def simulate(config, kinds):
     """Each statistic in ``kinds`` on one draw of config's replicates: one SimulationResult per
-    kind, in order, echoing ``config`` with that kind as its statistic.  A kind that does not
-    fit the source raises ConfigError before anything is drawn."""
+    kind, in order.  A kind that does not fit the source raises ConfigError before anything
+    is drawn."""
     configs = [replace(config, statistic=kind) for kind in kinds]
     samples = [np.empty((config.replicates, kind.output_dim)) for kind in kinds]
     spec = build_surrogate(estimate_moments(config.family, config.source), config.n, config.k,
@@ -166,7 +165,10 @@ class ComparisonReport:
     theta_hat: float
     theta_se: float
     theta_theory: float = None
-    degenerate: bool = False
+
+    @property
+    def degenerate(self):
+        return math.isinf(self.theta_hat)  # zero augmented variance
 
 
 def _theory_theta(config):
@@ -175,7 +177,8 @@ def _theory_theta(config):
         moments = estimate_moments(config.family, config.source)
         return closedform.theta_ratio_average(moments, config.source, config.k)
     if kind.name == "expnegchisq":
-        s_aug, s_un = closedform.exp_neg_chisq_sigmas(config.family, config.source)
+        s_aug, s_un = (closedform.exp_neg_chisq_sigma(estimate_moments(f, config.source), config.k)
+                       for f in (config.family, identity_family(config.source.dim)))
         return closedform.theta_ratio_general(closedform.v_curve(s_un), closedform.v_curve(s_aug))
     return None
 
@@ -199,19 +202,14 @@ def compare_protocols(config_base, protocols):
     for idx, proto in enumerate(protocols):
         cfg = replace(config_base, protocol=proto, seed=child_seed(config_base.seed, idx))
         results[proto] = run_experiment(cfg)
-    aug_name = next(p for p in protocols if p != "unaugmented")
-    va = results[aug_name].var_norm
-    vu = results["unaugmented"].var_norm
+    aug, unaug = results[next(p for p in protocols if p != "unaugmented")], results["unaugmented"]
+    va, vu = aug.var_norm, unaug.var_norm
+    theta = closedform.theta_ratio_general(vu, va)
     if va == 0.0:
-        return ComparisonReport(results=results, theta_hat=math.inf, theta_se=float("nan"),
-                                theta_theory=_theory_theta(config_base), degenerate=True)
-    theta = math.sqrt(vu / va)
-    sa = results[aug_name].se_of_variance
-    su = results["unaugmented"].se_of_variance
-    rel = 0.0
-    if vu > 0:
-        rel = (su / vu) ** 2 + (sa / va) ** 2
-    se = 0.5 * theta * math.sqrt(rel)
+        se = math.nan
+    else:
+        rel = (unaug.se_of_variance / vu) ** 2 + (aug.se_of_variance / va) ** 2 if vu > 0 else 0.0
+        se = 0.5 * theta * math.sqrt(rel)
     return ComparisonReport(results=results, theta_hat=theta, theta_se=se,
                             theta_theory=_theory_theta(config_base))
 
@@ -219,24 +217,24 @@ def compare_protocols(config_base, protocols):
 def coverage_check(config, interval_rule):
     """Empirical coverage of a fixed closed-form interval over replicates.
 
-    ``interval_rule="average_ci"`` checks the plain grand mean (the scaled
-    statistic divided by sqrt(n)) against the d=1 interval for the config's
-    protocol; ``"chisq_ci"`` checks the exponential statistic against its
-    quantile interval.  Returns (coverage, binomial SE, interval).
+    Both rules read the moments of the config's family (of the identity family under
+    ``unaugmented``) at the config's k: ``"average_ci"`` checks the plain grand mean (the
+    scaled statistic over sqrt(n)) against its d=1 interval, ``"chisq_ci"`` the exponential
+    statistic against its quantile interval.  Returns (coverage, binomial SE, interval).
     """
     kind = config.statistic
+    family = identity_family(config.source.dim) if config.protocol == "unaugmented" \
+        else config.family
+    moments = estimate_moments(family, config.source)
     if interval_rule == "average_ci":
         if kind.name != "average" or kind.d != 1:
             raise ConfigError("average interval rule applies to the d=1 average statistic")
-        proto = "unaugmented" if config.protocol == "unaugmented" else "augmented"
-        interval = closedform.average_ci(estimate_moments(config.family, config.source),
-                                         config.source, config.n, config.k, config.alpha, proto)
+        interval = closedform.average_ci(moments, config.n, config.k, config.alpha)
         scale = 1.0 / math.sqrt(config.n)
     elif interval_rule == "chisq_ci":
         if kind.name != "expnegchisq":
             raise ConfigError("chi-squared interval rule applies to the 1-d exponential statistic")
-        s_aug, s_un = closedform.exp_neg_chisq_sigmas(config.family, config.source)
-        interval = closedform.chisq_ci(s_un if config.protocol == "unaugmented" else s_aug,
+        interval = closedform.chisq_ci(closedform.exp_neg_chisq_sigma(moments, config.k),
                                        config.alpha)
         scale = 1.0
     else:

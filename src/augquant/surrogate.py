@@ -34,15 +34,15 @@ from .rng import substream
 
 @dataclass(frozen=True, eq=False)
 class AugmentationMoments:
-    """All moments of a (family, source) pair that the surrogate laws consume.
+    """The moments of a (family, source) pair.
 
     mean_phi_x     : mean of a transformed observation
     sigma11        : covariance of a transformed observation
     sigma12        : covariance between two independently transformed copies
     mean_cond_var  : expected conditional covariance given the observation,
                      sigma11 - sigma12 by the law of total variance
-    mean_var_given_map : expected conditional covariance given the map;
-                     sandwiched between sigma11 and sigma12 in the Loewner order
+    mean_var_given_map : E[A Sigma A^T], between sigma11 and sigma12 in the Loewner
+                     order; a diagnostic that no surrogate law reads
     sixth_moment   : E ||transformed observation||^6
     """
 
@@ -99,9 +99,9 @@ def estimate_moments(family, source):
         own = np.einsum("iiab->iab", cross)  # A_i Sigma A_i^T
         mean = w @ means
         var_given_map = np.tensordot(w, own, axes=1)
-        # second moment of A X + a, averaged over the family, minus mean outer product
-        second = var_given_map + np.tensordot(w, means[:, :, None] * means[:, None, :], axes=1)
-        sigma11 = second - np.outer(mean, mean)
+        # total variance: E[A Sigma A^T] plus the weighted spread of the centred member means
+        spread = means - mean
+        sigma11 = var_given_map + (spread.T * w) @ spread
         sigma12 = np.tensordot(np.outer(w, w), cross, axes=2)  # Cov(A_1 X + a_1, A_2 X + a_2)
         sigma11 = 0.5 * (sigma11 + sigma11.T)
         sigma12 = 0.5 * (sigma12 + sigma12.T)

@@ -108,12 +108,12 @@ class TestPredict:
         assert float(lines[1].split(",")[1]) == pytest.approx(0.005180003817526732)
 
     def test_width_and_f2_curves(self, tmp_path):
-        from augquant.closedform import ci_width_curve, f2_variance
+        from augquant.closedform import chisq_ci, f2_variance
         cfgp = _write(tmp_path, "predict.curve = dwidth\npredict.grid = [0.5, 2.0]\n"
                                 "predict.alpha = 0.05\n")
         assert cli.main(["predict", "--config", cfgp, "--out", str(tmp_path)]) == 0
         lines = _read_lines(tmp_path / "predict_dwidth.csv")
-        assert float(lines[1].split(",")[1]) == pytest.approx(ci_width_curve(0.5, 0.05))
+        assert float(lines[1].split(",")[1]) == pytest.approx(chisq_ci(0.5, 0.05).width)
         cfgp = _write(tmp_path, "predict.curve = f2var\npredict.grid = [1.0]\n"
                                 "predict.rho = -0.5\n", name="f2.cfg")
         assert cli.main(["predict", "--config", cfgp, "--out", str(tmp_path)]) == 0
@@ -175,6 +175,13 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path)]) == 3
         assert "rank" in capsys.readouterr().err
 
+    def test_surrogate_at_a_large_source_mean(self, tmp_path, capsys):
+        # the identity family's sigma11 is Sigma itself at mean 1e8, not a cancelled 0
+        text = _set(_set(GAUSSIAN_1D, "source.mean", "[1e8]"), "protocol", "surrogate")
+        cfgp = _write(tmp_path, text)
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
         cfgp = _write(tmp_path, GAUSSIAN_1D.replace("replicates = 2", "replicates = 40"))
         out1, out2, out3 = (tmp_path / s for s in ("a", "b", "c"))
@@ -200,13 +207,14 @@ class TestCompare:
         assert abs(theta - 1.0) <= 4 * se
 
     def test_near_cancelling_sign_flip_theory_is_inf(self, tmp_path):
-        # sigma_aug = |2 p - 1| ~ 1e-8, where v_curve's two terms cancel to -1.1e-16
+        # at k = 2 the even sign flip gives sigma_aug = sqrt(1e-16 / 2) ~ 7.1e-9, where
+        # v_curve's two terms cancel to -1.1e-16, and sigma_unaug = 1e-8, where they cancel to 0
         text = """
 source.kind = gaussian
 source.mean = [0.0]
-source.cov = [1.0]
+source.cov = [1e-16]
 family.kind = finite_uniform
-family.weights = [0.5000000052857143, 0.4999999947142857]
+family.weights = [0.5, 0.5]
 family.member0.matrix = [1.0]
 family.member1.matrix = [-1.0]
 statistic.kind = expnegchisq
@@ -220,6 +228,28 @@ compare.protocols = iid_aug,unaugmented
         cfgp = _write(tmp_path, text)
         assert cli.main(["compare", "--config", cfgp, "--out", str(tmp_path)]) == 0
         assert "# theta_theory = inf" in _read_lines(tmp_path / "compare.csv")
+
+    def test_exponential_theory_at_one_copy_is_one(self, tmp_path):
+        # one sign-flipped copy has the law of the observation itself
+        text = """
+source.kind = gaussian
+source.mean = [0.0]
+source.cov = [1.0]
+family.kind = finite_uniform
+family.weights = [0.3, 0.7]
+family.member0.matrix = [1.0]
+family.member1.matrix = [-1.0]
+statistic.kind = expnegchisq
+protocol = iid_aug
+n = 100
+k = 1
+replicates = 100
+seed = 7
+compare.protocols = iid_aug,unaugmented
+"""
+        cfgp = _write(tmp_path, text)
+        assert cli.main(["compare", "--config", cfgp, "--out", str(tmp_path)]) == 0
+        assert "# theta_theory = 1" in _read_lines(tmp_path / "compare.csv")
 
 
 class TestBounds:
@@ -508,8 +538,10 @@ class TestNonFiniteRuns:
         ("simulate", HUGE_MEAN, "summaries"),
         ("compare", HUGE_MEAN, "summaries"),
         ("bounds", TINY_T, "non-finite derivative"),
-        ("bounds", HUGE_MEAN, "moments sigma11, sixth_moment are not finite"),
-        ("simulate", _set(HUGE_MEAN, "protocol", "surrogate"), "moments sigma11"),
+        # the centred sigma11 stays finite at mean 1e155; the sixth moment overflows
+        ("bounds", HUGE_MEAN, "moments sixth_moment are not finite"),
+        ("simulate", _set(HUGE_MEAN, "protocol", "surrogate"),
+         "moments sixth_moment are not finite"),
     ], ids=["simulate-tiny-t", "simulate-huge-mean", "compare-huge-mean", "bounds-tiny-t",
             "bounds-huge-mean", "surrogate-huge-mean"])
     def test_exits_3(self, tmp_path, capsys, command, text, needle):

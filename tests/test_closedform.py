@@ -5,11 +5,12 @@ import pytest
 from scipy import integrate as sint
 
 import augquant as aq
-from augquant.closedform import (average_ci, chisq_ci, ci_width_curve, f2_variance,
+from augquant.closedform import (average_ci, chisq_ci, exp_neg_chisq_sigma, f2_variance,
                                  repeated_toy_covariance, theta_ratio_average,
                                  theta_ratio_general, toy_ridge_variance, v_curve)
 from augquant.errors import ContractError
 from augquant.quadrature import integrate
+from augquant.quantiles import normal_quantile
 
 
 class TestVCurve:
@@ -48,7 +49,7 @@ class TestChisqCi:
         for s in (0.2, 1.0, 4.0):
             iv = chisq_ci(s, 0.05)
             assert 0.0 < iv.lo < iv.hi <= 1.0
-            assert ci_width_curve(s, 0.05) == pytest.approx(iv.hi - iv.lo)
+            assert iv.width > 0.0
 
     def test_alpha_domain(self):
         with pytest.raises(ContractError):
@@ -58,8 +59,8 @@ class TestChisqCi:
 
     def test_width_curve_eventually_decays(self):
         # like the variance curve, the width rises and then falls back to zero
-        assert ci_width_curve(1.0, 0.05) > ci_width_curve(0.1, 0.05)
-        assert ci_width_curve(60.0, 0.05) < ci_width_curve(15.0, 0.05)
+        assert chisq_ci(1.0, 0.05).width > chisq_ci(0.1, 0.05).width
+        assert chisq_ci(60.0, 0.05).width < chisq_ci(15.0, 0.05).width
 
 
 class TestThetaRatio:
@@ -95,8 +96,9 @@ class TestThetaRatio:
             theta_ratio_average(m, src, k)
         one = aq.gaussian_source([0.0], [[1.0]])
         with pytest.raises(ContractError, match="at least 1"):
-            average_ci(aq.estimate_moments(aq.identity_family(1), one), one, 10, k, 0.05,
-                       "augmented")
+            average_ci(aq.estimate_moments(aq.identity_family(1), one), 10, k, 0.05)
+        with pytest.raises(ContractError, match="at least 1"):
+            exp_neg_chisq_sigma(aq.estimate_moments(aq.identity_family(1), one), k)
 
     def test_averaged_covariance_never_exceeds_marginal(self):
         cases = [
@@ -114,32 +116,34 @@ class TestThetaRatio:
 
 class TestAverageCi:
     def test_identity_family_intervals_coincide(self):
+        # the identity family's moments give the unaugmented interval mu +- z sqrt(Sigma / n)
         src = aq.gaussian_source([0.4], [[1.7]])
         m = aq.estimate_moments(aq.identity_family(1), src)
-        a = average_ci(m, src, 50, 3, 0.05, "augmented")
-        u = average_ci(m, src, 50, 3, 0.05, "unaugmented")
-        assert a.lo == pytest.approx(u.lo) and a.hi == pytest.approx(u.hi)
+        half = normal_quantile(0.975) * math.sqrt(1.7 / 50)
+        for k in (1, 3, 10):
+            iv = average_ci(m, 50, k, 0.05)
+            np.testing.assert_array_max_ulp(iv.lo, 0.4 - half, maxulp=4)
+            np.testing.assert_array_max_ulp(iv.hi, 0.4 + half, maxulp=4)
 
     def test_half_width_uses_normal_quantile(self):
         src = aq.gaussian_source([0.0], [[1.0]])
         m = aq.estimate_moments(aq.identity_family(1), src)
-        iv = average_ci(m, src, 100, 1, 0.05, "unaugmented")
+        iv = average_ci(m, 100, 1, 0.05)
         assert iv.hi == pytest.approx(1.959963984540054 / 10, rel=1e-10)
 
     def test_negative_correlation_swap_narrows(self):
         # a mean-zero sign-flip family with partial flip probability shrinks the
         # averaged covariance, so the augmented interval is strictly narrower
         src = aq.gaussian_source([0.0], [[1.0]])
-        m = aq.estimate_moments(aq.sign_flip_family(1, 0.5), src)
-        a = average_ci(m, src, 50, 4, 0.05, "augmented")
-        u = average_ci(m, src, 50, 4, 0.05, "unaugmented")
+        a = average_ci(aq.estimate_moments(aq.sign_flip_family(1, 0.5), src), 50, 4, 0.05)
+        u = average_ci(aq.estimate_moments(aq.identity_family(1), src), 50, 4, 0.05)
         assert a.width < u.width
 
     def test_dimension_restriction(self):
         src = aq.gaussian_source([0.0, 0.0], np.eye(2))
         m = aq.estimate_moments(aq.identity_family(2), src)
         with pytest.raises(ContractError):
-            average_ci(m, src, 10, 2, 0.05, "augmented")
+            average_ci(m, 10, 2, 0.05)
 
 
 class TestF2Variance:

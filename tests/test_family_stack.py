@@ -9,7 +9,7 @@ import augquant as aq
 from augquant import bounds as bd
 from augquant import surrogate as sg
 from augquant.rng import substream
-from test_surrogate import monte_carlo_moments
+from test_surrogate import EXCHANGEABLE, monte_carlo_moments
 
 WEIGHTS = [0.2, 0.3, 0.5]
 
@@ -149,6 +149,21 @@ class TestMomentsFromStack:
         got = aq.estimate_moments(family, source)
         for key, want in _ref_exact_moments(family, source).items():
             _close(getattr(got, key), want)
+
+    @pytest.mark.parametrize("family,source", [
+        (aq.swap_family(), aq.gaussian_source([0.0, 0.0], EXCHANGEABLE)),
+        (aq.random_crop_family(2), aq.gaussian_source([1.0, 1.0], [[1.0, 0.5], [0.5, 1.0]])),
+        (aq.cyclic_rotation_family(4), aq.gaussian_source([2.0] * 4, np.eye(4))),
+        (aq.sign_flip_family(1, 0.7), aq.gaussian_source([0.2], [[1.5]])),
+        (aq.finite_uniform_family([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]],
+                                  [[0.0, 0.0], [0.5, -0.25]], [0.25, 0.75]),
+         aq.gaussian_source([0.0, 0.0], EXCHANGEABLE)),
+    ], ids=["swap", "crop", "rotation", "sign_flip", "finite_uniform_offsets"])
+    def test_centred_sigma11_matches_the_raw_second_moment(self, family, source):
+        # the reference takes the raw second moment minus the mean's outer product
+        want = _ref_exact_moments(family, source)["sigma11"]
+        got = aq.estimate_moments(family, source).sigma11
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("family,source", _setups())
     def test_repeated_constants_match_per_member_formulas(self, family, source):

@@ -5,7 +5,7 @@ import pytest
 
 import augquant as aq
 from augquant.closedform import f2_variance, v_curve
-from augquant import cli
+from augquant import cli, closedform
 from augquant.config import experiment_from_config, parse_config_text
 from augquant.errors import ConfigError
 from augquant.montecarlo import _jackknife_var_norm_se
@@ -180,7 +180,28 @@ class TestCompareProtocols:
                                   protocol="iid_aug", statistic=aq.average_statistic(1),
                                   n=5, k=1, replicates=10, seed=0)
         rep = aq.compare_protocols(cfg, ["iid_aug", "unaugmented"])
-        assert rep.degenerate and rep.theta_hat == math.inf
+        assert rep.degenerate and rep.theta_hat == math.inf and math.isnan(rep.theta_se)
+
+    def test_ratio_is_the_closed_form_ratio_of_the_variance_norms(self):
+        cfg = aq.ExperimentConfig(source=_exchangeable_source(), family=aq.swap_family(),
+                                  protocol="iid_aug", statistic=aq.average_statistic(2),
+                                  n=10, k=3, replicates=200, seed=4)
+        rep = aq.compare_protocols(cfg, ["iid_aug", "unaugmented"])
+        want = closedform.theta_ratio_general(rep.results["unaugmented"].var_norm,
+                                              rep.results["iid_aug"].var_norm)
+        assert rep.theta_hat == want and not rep.degenerate
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_exponential_theory_follows_the_number_of_copies(self, k):
+        # sign flips keep 30% of the time: the grand mean's variance is 1/k + (k-1)/k * 0.16
+        src = aq.gaussian_source([0.0], [[1.0]])
+        cfg = aq.ExperimentConfig(source=src, family=aq.sign_flip_family(1, 0.3),
+                                  protocol="iid_aug", statistic=aq.exp_neg_chisq_statistic(),
+                                  n=100, k=k, replicates=4000, seed=11)
+        rep = aq.compare_protocols(cfg, ["iid_aug", "unaugmented"])
+        s = math.sqrt(1.0 / k + (k - 1) / k * 0.16)
+        assert rep.theta_theory == pytest.approx(math.sqrt(v_curve(1.0) / v_curve(s)), rel=1e-12)
+        assert abs(rep.theta_hat - rep.theta_theory) <= 3 * rep.theta_se
 
 
 class TestCoverage:
@@ -288,8 +309,8 @@ def test_result_round_trip_through_csv(tmp_path, case):
     (tmp_path / "run.cfg").write_text(_RUN + _ECHO_CASES[case])
     assert cli.main(["simulate", "--config", str(tmp_path / "run.cfg"), "--out",
                      str(tmp_path / "out"), "--seed", "99"]) == 0
-    res = aq.run_experiment(experiment_from_config(
-        parse_config_text(_RUN + _ECHO_CASES[case]), seed_override=99))
+    ran = experiment_from_config(parse_config_text(_RUN + _ECHO_CASES[case]), seed_override=99)
+    res = aq.run_experiment(ran)
     text = (tmp_path / "out" / "result.csv").read_text()
     assert "# config.seed = 99" in text.splitlines()  # the override, not the config's 13
     samples, back, echo = _reload_result(text)
@@ -302,9 +323,9 @@ def test_result_round_trip_through_csv(tmp_path, case):
     assert back["empirical_ci_width"] == res.empirical_ci_width
     assert (echo.protocol, echo.n, echo.k, echo.replicates, echo.seed,
             echo.alpha, echo.delta) == ("surrogate", 6, 2, 25, 99, 0.1, 0.5)
-    assert np.array_equal(echo.source.cov, res.config_echo.source.cov)
-    assert np.array_equal(echo.family.matrices, res.config_echo.family.matrices)
-    assert np.array_equal(echo.family.offsets, res.config_echo.family.offsets)
-    assert np.array_equal(echo.family.weights, res.config_echo.family.weights)
+    assert np.array_equal(echo.source.cov, ran.source.cov)
+    assert np.array_equal(echo.family.matrices, ran.family.matrices)
+    assert np.array_equal(echo.family.offsets, ran.family.offsets)
+    assert np.array_equal(echo.family.weights, ran.family.weights)
     rerun = aq.run_experiment(echo)
     assert rerun.samples.tobytes() == res.samples.tobytes()

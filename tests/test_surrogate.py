@@ -53,6 +53,16 @@ class TestExactMoments:
         assert np.allclose(m.sigma12, cov)
         assert np.allclose(m.mean_cond_var, 0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("mean,cov", [([1e8], [[1.0]]),
+                                          ([3.3e7, -3.3e7], [[1.0, 0.3], [0.3, 2.0]])])
+    def test_identity_family_is_exact_at_a_large_mean(self, mean, cov):
+        # a raw second moment minus the mean's outer product cancels Sigma away at these means
+        src = aq.gaussian_source(mean, cov)
+        m = aq.estimate_moments(aq.identity_family(len(mean)), src)
+        assert m.sigma11.tobytes() == src.joint_cov().tobytes()
+        assert m.sigma12.tobytes() == src.joint_cov().tobytes()
+        assert np.all(m.mean_cond_var == 0.0)
+
     def test_swap_cross_covariance(self):
         fam, src = _swap_setup()
         m = aq.estimate_moments(fam, src)
