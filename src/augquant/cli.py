@@ -288,12 +288,6 @@ def _fig5(out_dir, scale, seed):
                f"lambda = {lam:g}"]))
 
 
-def _cmd_figure(name, out_dir, scale, seed):
-    # argparse has checked name against FIGURES
-    {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}[name](
-        out_dir, scale, seed)
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser():
@@ -341,11 +335,13 @@ def main(argv=None):
         seed = cfgmod.read(seeded if args.seed is None else {"seed": args.seed}, "seed")
         stage = _stage(args.out)
         _write_manifest(stage, command, cfg, seed, args.workers, scale)
-        if args.command == "figure":
-            _cmd_figure(args.name, stage, args.scale, seed)
-        else:
+        if args.command == "figure":  # argparse has checked the name against FIGURES
+            {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}[
+                args.name](stage, args.scale, seed)
+        else:  # --seed stands in for the config's seed key
             {"predict": _cmd_predict, "simulate": _cmd_simulate, "compare": _cmd_compare,
-             "bounds": _cmd_bounds}[command](cfg, stage, seed)
+             "bounds": _cmd_bounds}[command](
+                cfg if args.seed is None else {**cfg, "seed": seed}, stage, seed)
         _publish(stage, args.out)
         return 0
     except (ConfigError, ContractError, OSError) as exc:

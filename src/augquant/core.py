@@ -30,20 +30,6 @@ from .linalg import psd_factor
 from .rng import substream
 
 
-def _check_cov(cov):
-    """The source covariance as a float array, refused unless square, symmetric and PSD."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ContractError(f"cov must be square, got shape {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-10):
-        raise ContractError("cov must be symmetric")
-    w = np.linalg.eigvalsh(cov)
-    scale = max(abs(w).max(), 1.0)
-    if w.min() < -1e-8 * scale:
-        raise ContractError(f"cov is not positive semidefinite (eigmin={w.min():g})")
-    return cov
-
-
 @dataclass(frozen=True, eq=False)
 class DataSource:
     """A Gaussian data-generating distribution on R^dim.
@@ -64,7 +50,8 @@ class DataSource:
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float).reshape(-1))
-        object.__setattr__(self, "cov", _check_cov(self.cov))
+        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
+        self._factor  # the factorization refuses a cov that is not square, symmetric and PSD
         if self.kind not in ("gaussian", "regression"):
             raise ContractError(f"unknown source kind {self.kind!r}")
         if self.mean.shape[0] != self.cov.shape[0]:
@@ -99,7 +86,7 @@ class DataSource:
 
     @cached_property
     def _factor(self):
-        return psd_factor(self.cov, "source covariance")
+        return psd_factor(self.cov, "cov", ContractError)
 
     def sample(self, n, rng):
         """Draw ``n`` i.i.d. observations as an (n, dim) array; a shape tuple ``n``

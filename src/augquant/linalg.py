@@ -1,43 +1,33 @@
-"""Tolerant PSD checks and factorization shared by samplers.
+"""The one PSD rule and the one factorization behind every Gaussian draw.
 
-Policy: a jitter of PSD_JITTER * (trace/d) is added before Cholesky; matrices
-with an eigenvalue below -EIG_FAIL * (trace/d) are rejected outright, because
-the covariance identities guarantee positive semidefiniteness and larger
-violations indicate estimation bugs rather than rounding noise.
+Rule: ``psd_factor`` refuses a matrix that is not square, not symmetric
+(``np.allclose(m, m.T, atol=1e-10)``), or whose smallest eigenvalue is below
+-EIG_FAIL times its largest absolute eigenvalue, with the error class its caller
+names: ContractError from ``DataSource`` (the covariance is an input) and
+NumericalError from ``build_surrogate`` (the moment identities make its blocks
+PSD, so a violation is an estimation bug, not rounding noise).  A passing matrix
+is symmetrized and factored by Cholesky after a jitter of PSD_JITTER * (trace/d);
+only here does a failed Cholesky fall back to a clipped eigendecomposition.
 """
 
 import numpy as np
 
-from .errors import NumericalError
-
 PSD_JITTER = 1e-10
-EIG_FAIL = 1e-6
+EIG_FAIL = 1e-8
 
 
-def _psd_scale(m):
-    d = m.shape[0]
-    return max(np.trace(m) / d, np.finfo(float).tiny)
-
-
-def check_psd(m, name):
-    """Fail if ``m`` has an eigenvalue below -EIG_FAIL * (trace/d)."""
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if w.min() < -EIG_FAIL * _psd_scale(m):
-        raise NumericalError(
-            f"{name} violates the covariance ordering guaranteed for valid moments "
-            f"(eigmin={w.min():g}); this indicates an estimation bug, not noise")
-    return w
-
-
-def psd_factor(m, name="covariance"):
-    """Return L with L L^T = m (+ tiny jitter), for symmetric PSD m.
-
-    Tries Cholesky after adding PSD_JITTER * (trace/d) * I; falls back to an
-    eigendecomposition with negative eigenvalues clipped to zero, which also
-    covers legitimately rank-deficient covariances (e.g. a zero matrix).
-    """
-    m = 0.5 * (np.asarray(m, dtype=float) + np.asarray(m, dtype=float).T)
-    check_psd(m, name)
+def psd_factor(m, name, error):
+    """L with L L^T = m (+ tiny jitter), or ``error`` naming ``name`` when ``m`` fails the
+    rule; the clipped fallback covers rank-deficient covariances such as a zero matrix."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise error(f"{name} must be square, got shape {m.shape}")
+    if not np.allclose(m, m.T, atol=1e-10):
+        raise error(f"{name} must be symmetric")
+    m = 0.5 * (m + m.T)
+    w = np.linalg.eigvalsh(m)
+    if w.min() < -EIG_FAIL * abs(w).max():
+        raise error(f"{name} is not positive semidefinite (eigmin={w.min():g})")
     jitter = PSD_JITTER * (np.trace(m) / m.shape[0])  # exactly 0 for a zero matrix
     try:
         return np.linalg.cholesky(m + jitter * np.eye(m.shape[0]))

@@ -171,14 +171,28 @@ class ComparisonReport:
         return math.isinf(self.theta_hat)  # zero augmented variance
 
 
+def _grand_mean_moments(config):
+    """The moments whose Sigma_k is the covariance of the scaled grand mean under config's
+    protocol, with the surrogate's diagonal block as sigma11; None for a repeated protocol."""
+    if config.protocol.startswith("repeated"):
+        return None
+    moments = estimate_moments(config.family if config.protocol != "unaugmented"
+                               else identity_family(config.source.dim), config.source)
+    if config.protocol == "surrogate":
+        spec = build_surrogate(moments, config.n, config.k, config.delta)
+        moments = replace(moments, sigma11=spec.diag_block)
+    return moments
+
+
 def _theory_theta(config):
-    kind = config.statistic
-    if kind.name == "average":
-        moments = estimate_moments(config.family, config.source)
+    """theta of config's protocol against unaugmented, or None where no closed form holds."""
+    moments, kind = _grand_mean_moments(config), config.statistic
+    if moments is not None and kind.name == "average":
         return closedform.theta_ratio_average(moments, config.source, config.k)
-    if kind.name == "expnegchisq":
-        s_aug, s_un = (closedform.exp_neg_chisq_sigma(estimate_moments(f, config.source), config.k)
-                       for f in (config.family, identity_family(config.source.dim)))
+    if moments is not None and kind.name == "expnegchisq" and not (
+            np.any(moments.mean_phi_x) or np.any(config.source.mean)):  # both laws centred
+        s_aug, s_un = (closedform.exp_neg_chisq_sigma(m, config.k) for m in (
+            moments, _grand_mean_moments(replace(config, protocol="unaugmented"))))
         return closedform.theta_ratio_general(closedform.v_curve(s_un), closedform.v_curve(s_aug))
     return None
 
@@ -202,7 +216,8 @@ def compare_protocols(config_base, protocols):
     for idx, proto in enumerate(protocols):
         cfg = replace(config_base, protocol=proto, seed=child_seed(config_base.seed, idx))
         results[proto] = run_experiment(cfg)
-    aug, unaug = results[next(p for p in protocols if p != "unaugmented")], results["unaugmented"]
+    aug_protocol = next(p for p in protocols if p != "unaugmented")
+    aug, unaug = results[aug_protocol], results["unaugmented"]
     va, vu = aug.var_norm, unaug.var_norm
     theta = closedform.theta_ratio_general(vu, va)
     if va == 0.0:
@@ -211,29 +226,28 @@ def compare_protocols(config_base, protocols):
         rel = (unaug.se_of_variance / vu) ** 2 + (aug.se_of_variance / va) ** 2 if vu > 0 else 0.0
         se = 0.5 * theta * math.sqrt(rel)
     return ComparisonReport(results=results, theta_hat=theta, theta_se=se,
-                            theta_theory=_theory_theta(config_base))
+                            theta_theory=_theory_theta(replace(config_base, protocol=aug_protocol)))
 
 
 def coverage_check(config, interval_rule):
     """Empirical coverage of a fixed closed-form interval over replicates.
 
-    Both rules read the moments of the config's family (of the identity family under
-    ``unaugmented``) at the config's k: ``"average_ci"`` checks the plain grand mean (the
-    scaled statistic over sqrt(n)) against its d=1 interval, ``"chisq_ci"`` the exponential
-    statistic against its quantile interval.  Returns (coverage, binomial SE, interval).
+    Both rules read ``_grand_mean_moments(config)`` at the config's k and refuse a repeated
+    protocol: ``"average_ci"`` checks the plain grand mean (the scaled statistic over sqrt(n))
+    against its d=1 interval, ``"chisq_ci"`` the exponential statistic of a centred law
+    against its quantile interval.  Returns (coverage, binomial SE, interval).
     """
-    kind = config.statistic
-    family = identity_family(config.source.dim) if config.protocol == "unaugmented" \
-        else config.family
-    moments = estimate_moments(family, config.source)
+    kind, moments = config.statistic, _grand_mean_moments(config)
+    if moments is None:
+        raise ConfigError(f"no closed-form interval for {config.protocol}: its rows share maps")
     if interval_rule == "average_ci":
         if kind.name != "average" or kind.d != 1:
             raise ConfigError("average interval rule applies to the d=1 average statistic")
         interval = closedform.average_ci(moments, config.n, config.k, config.alpha)
         scale = 1.0 / math.sqrt(config.n)
     elif interval_rule == "chisq_ci":
-        if kind.name != "expnegchisq":
-            raise ConfigError("chi-squared interval rule applies to the 1-d exponential statistic")
+        if kind.name != "expnegchisq" or np.any(moments.mean_phi_x):
+            raise ConfigError("chi-squared interval rule applies to the centred exponential")
         interval = closedform.chisq_ci(closedform.exp_neg_chisq_sigma(moments, config.k),
                                        config.alpha)
         scale = 1.0

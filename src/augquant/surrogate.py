@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .linalg import check_psd, psd_factor
+from .linalg import psd_factor
 from .rng import substream
 
 
@@ -140,9 +140,10 @@ class SurrogateSpec:
 
     @cached_property
     def _factors(self):
-        # computed once per spec and shared read-only
-        return (psd_factor(self.offdiag_block, "offdiag_block"),
-                psd_factor(self.diag_block - self.offdiag_block, "diag_block - offdiag_block"))
+        # computed once per spec, when build_surrogate validates it, and shared read-only
+        return (psd_factor(self.offdiag_block, "offdiag_block", NumericalError),
+                psd_factor(self.diag_block - self.offdiag_block, "diag_block - offdiag_block",
+                           NumericalError))
 
 
 def build_surrogate(moments, n, k, delta):
@@ -151,13 +152,12 @@ def build_surrogate(moments, n, k, delta):
         raise ContractError("delta must lie in [0, 1]")
     if n < 1 or k < 1:
         raise ContractError("n and k must be positive")
-    diag = (1.0 - delta) * moments.sigma11 + delta * moments.sigma12
-    off = moments.sigma12
-    check_psd(diag - off, "diag_block - offdiag_block (within-row covariance gap)")
-    check_psd(off, "offdiag_block (cross-copy covariance)")
-    return SurrogateSpec(n=n, k=k, d=moments.dim, delta=float(delta),
+    spec = SurrogateSpec(n=n, k=k, d=moments.dim, delta=float(delta),
                          mean_block=moments.mean_phi_x.copy(),
-                         diag_block=diag, offdiag_block=off)
+                         diag_block=(1.0 - delta) * moments.sigma11 + delta * moments.sigma12,
+                         offdiag_block=moments.sigma12)
+    spec._factors  # factoring refuses blocks that are not PSD, with NumericalError
+    return spec
 
 
 def sample_surrogate(spec, seed):

@@ -8,8 +8,8 @@ import pytest
 import augquant as aq
 from augquant import bounds as bd
 from augquant import cli
-from augquant.config import (config_text, experiment_from_config, fmt, parse_config_text,
-                             read_config)
+from augquant.config import (config_hash, config_text, experiment_from_config, fmt,
+                             parse_config_text, read_config)
 from augquant.rng import child_seed
 
 GAUSSIAN_1D = """
@@ -336,6 +336,21 @@ class TestSeedRange:
         with pytest.raises(ConfigError, match="seed"):
             experiment_from_config(parse_config_text(GAUSSIAN_1D), seed_override=seed)
 
+    @pytest.mark.parametrize("command,output", [("simulate", "result.csv"),
+                                                ("compare", "compare.csv"),
+                                                ("bounds", "bounds.csv")])
+    def test_flag_stands_in_for_an_absent_seed_key(self, tmp_path, command, output):
+        cfgp = _write(tmp_path, SWAP_SMALL.replace("seed = 7\n", ""))
+        assert "seed" not in read_config(cfgp)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfgp, "--out", str(out), "--seed", "3"]) == 0
+        assert (out / output).exists()
+        manifest = (out / "manifest.txt").read_text()
+        assert "seed = 3\n" in manifest
+        assert f"config_hash = {config_hash(read_config(cfgp))}\n" in manifest
+        if command == "simulate":
+            assert "# config.seed = 3" in _read_lines(out / output)
+
     def test_largest_seed_runs(self, tmp_path):
         cfgp = _write(tmp_path, GAUSSIAN_1D)
         assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path),
@@ -655,6 +670,12 @@ BAD_CONFIGS = [
     ("compare", GAUSSIAN_1D + "compare.protocols = unaugmented\n", "augmented protocol"),
     ("compare", GAUSSIAN_1D + "compare.protocols = iid_aug,unaugmented,iid_aug\n", "twice"),
     ("predict", THETA.replace("[1, 2]", "[0, 1]"), "at least 1"),
+    # below -1e-8 max|lambda|: a source covariance is an input, refused when read
+    ("simulate", _set(SWAP_2D, "source.cov", "[1e-6, 0.0, 0.0, -5e-9]"), "cov"),
+    ("simulate", _set(_set(SWAP_2D, "source.cov", "[1e-6, 0.0, 0.0, -5e-9]"),
+                      "protocol", "surrogate"), "cov"),
+    ("bounds", _set(SWAP_2D, "source.cov", "[1e-6, 0.0, 0.0, -5e-9]"), "cov"),
+    ("simulate", _set(SWAP_2D, "source.cov", "[1e-3, 0.0, 0.0, -5e-11]"), "cov"),
 ]
 
 
@@ -663,7 +684,9 @@ class TestRefusedInput:
                              ids=["misspelled", "duplicate", "paired_abc", "repeated_no",
                                   "member_gap", "orphan_offset", "member_3x3_beside_2x2",
                                   "offset_longer_than_matrix", "member_0x0", "alpha_abc",
-                                  "no_augmented", "protocol_twice", "theta_k0"])
+                                  "no_augmented", "protocol_twice", "theta_k0",
+                                  "cov_not_psd", "cov_not_psd_surrogate", "cov_not_psd_bounds",
+                                  "cov_not_psd_small_scale"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, text, needle):
         cfgp = _write(tmp_path, text)
         assert needle in _exits_cleanly(tmp_path, capsys, [command, "--config", cfgp], 2)

@@ -204,6 +204,31 @@ class TestCompareProtocols:
         assert abs(rep.theta_hat - rep.theta_theory) <= 3 * rep.theta_se
 
 
+    def test_surrogate_theory_reads_delta(self):
+        # the ratio's protocol is the list's first augmented entry; at delta = 1 its Sigma_k
+        # is sigma12 = 0.16 Var X, so theta = sqrt(1 / 0.16)
+        cfg = aq.ExperimentConfig(source=aq.gaussian_source([1.0], [[1.0]]),
+                                  family=aq.sign_flip_family(1, 0.3), protocol="iid_aug",
+                                  statistic=aq.average_statistic(1), n=20, k=4,
+                                  replicates=4000, seed=5, delta=1.0)
+        rep = aq.compare_protocols(cfg, ["surrogate", "unaugmented"])
+        assert rep.theta_theory == pytest.approx(2.5, rel=1e-12)
+        assert abs(rep.theta_hat - rep.theta_theory) <= 3 * rep.theta_se
+
+    @pytest.mark.parametrize("mean,family,protocol,statistic", [
+        (1.0, aq.sign_flip_family(1, 0.3), "repeated_aug", aq.average_statistic(1)),
+        (1.0, aq.sign_flip_family(1, 0.3), "repeated_surrogate", aq.average_statistic(1)),
+        (0.0, aq.finite_uniform_family([[[1.0]], [[-0.5]]], [[0.2], [1.0]], [0.6, 0.4]),
+         "iid_aug", aq.exp_neg_chisq_statistic()),
+        (1.0, aq.sign_flip_family(1, 0.5), "iid_aug", aq.exp_neg_chisq_statistic()),
+    ], ids=["repeated_aug", "repeated_surrogate", "offset_exp", "uncentred_source_exp"])
+    def test_no_theory_without_a_closed_form(self, mean, family, protocol, statistic):
+        cfg = aq.ExperimentConfig(source=aq.gaussian_source([mean], [[1.0]]), family=family,
+                                  protocol="iid_aug", statistic=statistic, n=20, k=2,
+                                  replicates=50, seed=5)
+        assert aq.compare_protocols(cfg, [protocol, "unaugmented"]).theta_theory is None
+
+
 class TestCoverage:
     def test_nominal_95_on_surrogate_draws(self):
         src = aq.gaussian_source([0.0], [[1.0]])
@@ -229,16 +254,35 @@ class TestCoverage:
         p, se, interval = aq.coverage_check(cfg, "chisq_ci")
         assert p == 1.0 and interval.lo == interval.hi == 1.0
 
-    def test_repeated_surrogate_gets_augmented_interval(self):
+    def test_repeated_protocols_have_no_interval(self):
+        # rows that share their maps are not the i.i.d. law whose interval Sigma_k gives
         src = aq.gaussian_source([0.0], [[1.0]])
         fam = aq.finite_uniform_family([[[1.0]], [[1.0]]], [[1.0], [-1.0]], [0.8, 0.2])
-        intervals = {}
         for proto in ("repeated_aug", "repeated_surrogate"):
             cfg = aq.ExperimentConfig(source=src, family=fam, protocol=proto,
                                       statistic=aq.average_statistic(1), n=50, k=4,
                                       replicates=20, seed=15)
-            intervals[proto] = aq.coverage_check(cfg, "average_ci")[2]
-        assert intervals["repeated_surrogate"] == intervals["repeated_aug"]
+            with pytest.raises(ConfigError, match=proto):
+                aq.coverage_check(cfg, "average_ci")
+
+    def test_surrogate_interval_reads_delta(self):
+        # at delta = 1 the surrogate's diagonal block is sigma12, so Sigma_k is sigma12
+        src = aq.gaussian_source([0.0], [[1.0]])
+        cfg = aq.ExperimentConfig(source=src, family=aq.sign_flip_family(1, 0.3),
+                                  protocol="surrogate", statistic=aq.average_statistic(1),
+                                  n=20, k=2, replicates=2000, seed=3, delta=1.0)
+        p, se, interval = aq.coverage_check(cfg, "average_ci")
+        assert interval.hi == pytest.approx(1.959963984540054 * math.sqrt(0.16 / 20), rel=1e-9)
+        assert abs(p - 0.95) <= 4 * math.sqrt(0.95 * 0.05 / 2000)
+
+    def test_chisq_interval_needs_a_centred_law(self):
+        src = aq.gaussian_source([0.0], [[1.0]])
+        fam = aq.finite_uniform_family([[[1.0]], [[-0.5]]], [[0.2], [1.0]], [0.6, 0.4])
+        cfg = aq.ExperimentConfig(source=src, family=fam, protocol="iid_aug",
+                                  statistic=aq.exp_neg_chisq_statistic(), n=20, k=2,
+                                  replicates=20, seed=3)
+        with pytest.raises(ConfigError, match="centred"):
+            aq.coverage_check(cfg, "chisq_ci")
 
     def test_rule_statistic_pairing_enforced(self):
         src = aq.gaussian_source([0.0], [[1.0]])

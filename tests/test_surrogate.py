@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import augquant as aq
-from augquant.errors import NumericalError
+from augquant.errors import ContractError, NumericalError
 from augquant.rng import substream
 from augquant.surrogate import (AugmentationMoments, _member_moments, psd_factor,
                                 sample_surrogate_rows)
@@ -247,14 +247,43 @@ class TestRepeatedSurrogate:
 class TestPsdPolicy:
     def test_small_negative_eigenvalue_tolerated(self):
         m = np.array([[1.0, 0.0], [0.0, -1e-9]])
-        fac = psd_factor(m, "test")
+        fac = psd_factor(m, "test", NumericalError)
         assert np.allclose(fac @ fac.T, np.array([[1.0, 0.0], [0.0, 0.0]]), atol=1e-8)
 
     def test_large_violation_fails(self):
         with pytest.raises(NumericalError):
-            psd_factor(np.array([[1.0, 0.0], [0.0, -1e-3]]), "test")
+            psd_factor(np.array([[1.0, 0.0], [0.0, -1e-3]]), "test", NumericalError)
 
     def test_zero_matrix_factors(self):
-        fac = psd_factor(np.zeros((3, 3)), "test")
+        fac = psd_factor(np.zeros((3, 3)), "test", NumericalError)
         assert np.allclose(fac, 0.0)
 
+    # one rule at every scale of the covariance: lambda_min >= -1e-8 max|lambda|
+    @pytest.mark.parametrize("cov,refused", [
+        ([[1.0, 0.0], [0.0, -1e-9]], False),
+        ([[0.0, 0.0], [0.0, 0.0]], False),
+        ([[1.0, 0.0], [0.0, -1e-7]], True),
+        ([[1e-6, 0.0], [0.0, -5e-9]], True),
+        ([[1e-3, 0.0], [0.0, -5e-11]], True),
+        ([[1.0, 0.5], [0.4, 1.0]], True),
+        ([[1.0, 0.0]], True),
+    ], ids=["1,-1e-9", "zero", "1,-1e-7", "1e-6,-5e-9", "1e-3,-5e-11", "asymmetric",
+            "not_square"])
+    def test_source_cov_checked_at_construction(self, cov, refused):
+        if refused:
+            with pytest.raises(ContractError, match="cov"):
+                aq.gaussian_source([0.0, 0.0], cov)
+        else:
+            fac = aq.gaussian_source([0.0, 0.0], cov)._factor
+            assert np.allclose(fac @ fac.T, np.clip(cov, 0.0, None), atol=1e-8)
+
+    @pytest.mark.parametrize("sigma12,block", [
+        ([[1.0, 0.0], [0.0, -1e-3]], "offdiag_block"),
+        ([[1.0, 0.0], [0.0, 1.5]], "diag_block - offdiag_block"),
+    ], ids=["offdiag", "gap"])
+    def test_surrogate_blocks_checked_at_build(self, sigma12, block):
+        bad = AugmentationMoments(mean_phi_x=np.zeros(2), sigma11=np.eye(2),
+                                  sigma12=np.array(sigma12), mean_var_given_map=np.eye(2),
+                                  sixth_moment=1.0)
+        with pytest.raises(NumericalError, match=block):
+            aq.build_surrogate(bad, 2, 2, 0.0)
