@@ -78,7 +78,7 @@ class _MeanDerivs:
     the one-hot vector e_J, J ~ omega.  With the Gram G = I - omega 1^T
     - 1 omega^T + (omega^T omega) 1 1^T of the centred vectors e_j - omega, the
     r-th cumulant's squared Frobenius norm is sum_ij omega_i omega_j G_ij^r, so
-    no d_n^3 tensor is formed.
+    no d^3 tensor is formed.
     """
 
     def __init__(self, kind):
@@ -103,8 +103,8 @@ class _MeanDerivs:
             return (np.linalg.norm(2.0 * m * e), np.linalg.norm((4.0 * m * m - 2.0) * e),
                     np.linalg.norm((12.0 * m - 8.0 * m**3) * e))
         # smooth max: the softmax weights omega and the Gram of e_j - omega; at
-        # d_n = 1 tau = t log 1 = 0 makes the second and third tensors vanish
-        tau = self.kind.t * np.log(self.kind.d_n)
+        # d = 1 tau = t log 1 = 0 makes the second and third tensors vanish
+        tau = self.kind.t * np.log(self.kind.d)
         omega = np.exp(tau * (m - m.max()))
         omega /= omega.sum()
         g = np.eye(omega.size) - omega - omega[:, None] + omega @ omega

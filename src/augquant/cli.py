@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import itertools
 import math
 import os
@@ -24,7 +25,6 @@ from .surrogate import build_surrogate, estimate_moments
 
 DESK = "desk"
 PAPER = "paper"
-FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 # how numpy's ValueError starts when it refuses to allocate an array
 TOO_BIG = ("array is too big", "Maximum allowed")
 
@@ -55,7 +55,7 @@ def _write_manifest(out_dir, command, cfg, seed, workers, scale=None):
     lines = [
         f"command = {command}",
         f"version = {__version__}",
-        f"config_hash = {cfgmod.config_hash(cfg) if cfg is not None else 'none'}",
+        f"config_hash = {cfgmod.config_hash(cfg)}",
         f"seed = {seed}",
         f"workers = {workers}",
         f"stream = {montecarlo.STREAM}",
@@ -69,7 +69,7 @@ def _write_manifest(out_dir, command, cfg, seed, workers, scale=None):
 # predict: closed-form curves on user grids
 # ---------------------------------------------------------------------------
 
-def _cmd_predict(cfg, out_dir, seed):
+def _cmd_predict(cfg, out_dir):
     curve, grid, alpha = cfgmod.read(cfg, "predict.curve", "predict.grid", "predict.alpha")
     if curve == "vcurve":
         header = ["s", "variance"]
@@ -105,16 +105,16 @@ def _cmd_predict(cfg, out_dir, seed):
 # simulate / compare / bounds: thin wrappers over the engine
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(cfg, out_dir, seed):
-    result = montecarlo.run_experiment(cfgmod.experiment_from_config(cfg, seed_override=seed))
+def _cmd_simulate(cfg, out_dir):
+    result = montecarlo.run_experiment(cfgmod.experiment_from_config(cfg))
     cfgmod.atomic_write(os.path.join(out_dir, "result.csv"),
-                        cfgmod.result_csv_text(result, {**cfg, "seed": seed}))
+                        cfgmod.result_csv_text(result, cfg))
 
 
-def _cmd_compare(cfg, out_dir, seed):
+def _cmd_compare(cfg, out_dir):
     protocols = [p.strip() for p in cfgmod.read(cfg, "compare.protocols").split(",")
                  if p.strip()]
-    config = cfgmod.experiment_from_config(cfg, seed_override=seed)
+    config = cfgmod.experiment_from_config(cfg)
     report = montecarlo.compare_protocols(config, protocols)
     rows = []
     for proto, res in report.results.items():
@@ -130,8 +130,8 @@ def _cmd_compare(cfg, out_dir, seed):
         ["protocol", "var_norm", "var_norm_se", "std_first_coord", "ci_width"], rows, footer))
 
 
-def _cmd_bounds(cfg, out_dir, seed):
-    config = cfgmod.experiment_from_config(cfg, seed_override=seed)
+def _cmd_bounds(cfg, out_dir):
+    config = cfgmod.experiment_from_config(cfg)
     moments = estimate_moments(config.family, config.source)
     spec = build_surrogate(moments, config.n, config.k, config.delta)
     num_outer, num_grid, include_repeated = cfgmod.read(
@@ -139,17 +139,13 @@ def _cmd_bounds(cfg, out_dir, seed):
     report = bounds_mod.bound_report(
         config.statistic, config.family, config.source, spec, num_outer=num_outer,
         num_grid=num_grid, seed=config.seed, moments=moments, include_repeated=include_repeated)
-    header = ["statistic", "n", "k", "delta", "lambda1", "lambda2", "c1", "c2", "c3", "rhs"]
-    row = [report.statistic, report.n, report.k, float(report.delta),
-           float(report.lambda1), float(report.lambda2), float(report.c1),
-           float(report.c2), float(report.c3), float(report.rhs_iid)]
-    footer = []
-    if report.rhs_repeated is not None:
-        footer = [f"omega1 = {cfgmod.fmt(report.omega1)}",
-                  f"omega2 = {cfgmod.fmt(report.omega2)}",
-                  f"m1 = {cfgmod.fmt(report.m1)}", f"m2 = {cfgmod.fmt(report.m2)}",
-                  f"m3 = {cfgmod.fmt(report.m3)}",
-                  f"rhs_repeated = {cfgmod.fmt(report.rhs_repeated)}"]
+    # BoundReport's fields: the i.i.d. bound's are the row, rhs_iid as rhs, and the repeated
+    # bound's, which default to None (set only with include_repeated), footer lines
+    fields = dataclasses.fields(report)
+    header = ["rhs" if f.name == "rhs_iid" else f.name for f in fields if f.default is not None]
+    row = [getattr(report, f.name) for f in fields if f.default is not None]
+    footer = [f"{f.name} = {cfgmod.fmt(getattr(report, f.name))}" for f in fields
+              if f.default is None and getattr(report, f.name) is not None]
     cfgmod.atomic_write(os.path.join(out_dir, "bounds.csv"),
                         cfgmod.csv_text(header, [tuple(row)], footer))
     widths = [max(len(h), 12) for h in header]
@@ -165,7 +161,7 @@ def _cmd_bounds(cfg, out_dir, seed):
 def _crop_setup():
     source = core.regression_source(mean=[1.0, 1.0], cov=[[1.0, 0.5], [0.5, 1.0]],
                                     noise_scale=1.0)
-    family = core.random_crop_family(2).paired(2)
+    family = core.random_crop_family(2).paired()
     return source, family
 
 
@@ -173,7 +169,7 @@ def _rotation_setup():
     block = np.array([[1.0, 0.9], [0.9, 1.0]])
     cov = np.kron(np.eye(2), block)
     source = core.regression_source(mean=[2.0] * 4, cov=cov, noise_scale=1.0)
-    family = core.cyclic_rotation_family(4).paired(4)
+    family = core.cyclic_rotation_family(4).paired()
     return source, family
 
 
@@ -288,6 +284,12 @@ def _fig5(out_dir, scale, seed):
                f"lambda = {lam:g}"]))
 
 
+FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}
+# command -> what runs it: a function of (config, output directory), or the figure table
+COMMANDS = {"predict": _cmd_predict, "simulate": _cmd_simulate, "compare": _cmd_compare,
+            "bounds": _cmd_bounds, "figure": FIGURES}
+
+
 # ---------------------------------------------------------------------------
 
 def build_parser():
@@ -298,16 +300,16 @@ def build_parser():
                     "seeded Monte Carlo verification.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("predict", True), ("simulate", True),
-                               ("compare", True), ("bounds", True), ("figure", False)):
+    for name, run in COMMANDS.items():
         p = sub.add_parser(name)
-        if needs_config:
+        if run is not FIGURES:
             p.add_argument("--config", required=True, help="flat key-value config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=int, default=20240 if run is FIGURES else None,
+                       help="seed override")
         p.add_argument("--workers", type=int, default=1,
                        help="worker count, recorded in manifest.txt (default: 1)")
-        if name == "figure":
+        if run is FIGURES:
             p.add_argument("--name", required=True, choices=FIGURES)
             p.add_argument("--scale", choices=(DESK, PAPER), default=DESK)
     return parser
@@ -324,24 +326,19 @@ def main(argv=None):
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-        if args.command == "figure":
-            command, cfg, scale = f"figure:{args.name}", {"figure.name": args.name}, args.scale
-            seeded = {"seed": 20240}
+        run, scale = COMMANDS[args.command], getattr(args, "scale", None)
+        if run is FIGURES:  # argparse has checked the name against FIGURES
+            command, cfg = f"{args.command}:{args.name}", {"figure.name": args.name}
+            run = lambda run_cfg, out_dir: FIGURES[args.name](out_dir, scale, run_cfg["seed"])
         else:
-            command, cfg, scale = args.command, cfgmod.read_config(args.config), None
-            # a config without a seed key (predict draws nothing) records seed 0
-            seeded = {"seed": 0, **cfg}
-        # --seed when given, else the config's seed: an int in the stream-key range
-        seed = cfgmod.read(seeded if args.seed is None else {"seed": args.seed}, "seed")
+            command, cfg = args.command, cfgmod.read_config(args.config)
+        # --seed when given (a figure's has a default), else the config's: an int in the
+        # stream-key range; a config without one (predict draws nothing) records seed 0
+        given = cfg if args.seed is None else {"seed": args.seed}
+        seed = cfgmod.read({"seed": 0, **given}, "seed")
         stage = _stage(args.out)
         _write_manifest(stage, command, cfg, seed, args.workers, scale)
-        if args.command == "figure":  # argparse has checked the name against FIGURES
-            {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}[
-                args.name](stage, args.scale, seed)
-        else:  # --seed stands in for the config's seed key
-            {"predict": _cmd_predict, "simulate": _cmd_simulate, "compare": _cmd_compare,
-             "bounds": _cmd_bounds}[command](
-                cfg if args.seed is None else {**cfg, "seed": seed}, stage, seed)
+        run({**cfg, "seed": seed} if "seed" in given else cfg, stage)
         _publish(stage, args.out)
         return 0
     except (ConfigError, ContractError, OSError) as exc:

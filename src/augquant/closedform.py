@@ -20,11 +20,8 @@ from .quantiles import chisq1_quantile, normal_quantile
 class Interval:
     lo: float
     hi: float
-    level: float
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ContractError("confidence level must lie in (0, 1)")
         if self.lo > self.hi:
             raise ContractError("interval endpoints out of order")
 
@@ -61,7 +58,7 @@ def chisq_ci(sigma, alpha):
     pi_l = chisq1_quantile(alpha / 2.0)
     pi_u = chisq1_quantile(1.0 - alpha / 2.0)
     lo, hi = sorted((math.exp(-sigma * sigma * pi_u), math.exp(-sigma * sigma * pi_l)))
-    return Interval(lo=lo, hi=hi, level=1.0 - alpha)
+    return Interval(lo=lo, hi=hi)
 
 
 def theta_ratio_general(var_unaug_norm, var_aug_norm):
@@ -94,10 +91,12 @@ def average_ci(moments, n, k, alpha):
     the unaugmented interval, mu +- z * sqrt(Var X / n)."""
     if moments.dim != 1:
         raise ContractError("confidence intervals are implemented for dimension 1 only")
+    if not 0.0 < alpha < 1.0:
+        raise ContractError("alpha must lie in (0, 1)")
     z = normal_quantile(1.0 - alpha / 2.0)
     center = float(moments.mean_phi_x[0])
     half = z * math.sqrt(max(float(_grand_mean_cov(moments, k)[0, 0]), 0.0) / n)
-    return Interval(lo=center - half, hi=center + half, level=1.0 - alpha)
+    return Interval(lo=center - half, hi=center + half)
 
 
 def f2_variance(rho, sigma):

@@ -273,13 +273,13 @@ def family_from_config(cfg):
         fam = _DIM_FAMILIES[kind](read(cfg, "family.dim"))
     else:
         raise ConfigError(f"unknown family.kind {kind!r}")
-    return fam.paired(fam.dim) if paired else fam
+    return fam.paired() if paired else fam
 
 
 # statistic.kind -> {config key: StatisticKind field} of the parameters it takes
 _STATISTIC_FIELDS = {"average": {"statistic.d": "d"},
-                     "smoothmax": {"statistic.d_n": "d_n", "statistic.t": "t"},
-                     "hardmax": {"statistic.d_n": "d_n"},
+                     "smoothmax": {"statistic.d_n": "d", "statistic.t": "t"},
+                     "hardmax": {"statistic.d_n": "d"},
                      "ridge": {"statistic.lambda": "lam"},
                      "ridgerisk": {"statistic.lambda": "lam"}}
 

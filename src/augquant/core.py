@@ -51,6 +51,8 @@ class DataSource:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float).reshape(-1))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
+        if not np.isfinite(self.mean).all():
+            raise ContractError("mean must be finite")
         self._factor  # the factorization refuses a cov that is not square, symmetric and PSD
         if self.kind not in ("gaussian", "regression"):
             raise ContractError(f"unknown source kind {self.kind!r}")
@@ -152,16 +154,13 @@ class TransformationFamily:
         """Member indices of the given shape, drawn with probabilities ``weights``."""
         return rng.choice(len(self.weights), shape, p=self.weights)
 
-    def paired(self, d_resp):
+    def paired(self):
         """Lift the family to concatenated (covariate, response) vectors.
 
         Each member A becomes blockdiag(A, A), i.e. the same map is applied to
-        the covariate and the response blocks simultaneously.  Requires the
-        response dimension to equal the family's dimension.
+        the covariate and the response blocks simultaneously.
         """
         d = self.dim
-        if d_resp != d:
-            raise ContractError("paired family requires response dim equal to covariate dim")
         mats = np.zeros((len(self.weights), 2 * d, 2 * d))
         mats[:, :d, :d] = mats[:, d:, d:] = self.matrices
         return TransformationFamily(mats, np.concatenate([self.offsets, self.offsets], axis=1),

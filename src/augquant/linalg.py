@@ -1,6 +1,6 @@
 """The one PSD rule and the one factorization behind every Gaussian draw.
 
-Rule: ``psd_factor`` refuses a matrix that is not square, not symmetric
+Rule: ``psd_factor`` refuses a matrix that is not square, not finite, not symmetric
 (``np.allclose(m, m.T, atol=1e-10)``), or whose smallest eigenvalue is below
 -EIG_FAIL times its largest absolute eigenvalue, with the error class its caller
 names: ContractError from ``DataSource`` (the covariance is an input) and
@@ -22,6 +22,8 @@ def psd_factor(m, name, error):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise error(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise error(f"{name} must be finite")
     if not np.allclose(m, m.T, atol=1e-10):
         raise error(f"{name} must be symmetric")
     m = 0.5 * (m + m.T)

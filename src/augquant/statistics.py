@@ -54,7 +54,6 @@ class StatisticKind:
     d: int = 1
     b: int = 1
     t: float = 1.0
-    d_n: int = 1
     lam: float = 0.0
     risk_moments: RiskMoments = None
 
@@ -71,14 +70,12 @@ class StatisticKind:
     @property
     def slot_dim(self):
         """Dimension each augmented cell must have for this statistic."""
-        if self.name == "average":
+        if self.name in ("average", "smoothmax", "hardmax"):
             return self.d
         if self.name == "expnegchisq":
             return 1
         if self.name == "expnegchisq2d":
             return 2
-        if self.name in ("smoothmax", "hardmax"):
-            return self.d_n
         return self.d + self.b
 
     @property
@@ -109,11 +106,11 @@ def smooth_max_statistic(d_n, t):
     For d_n = 1 the relaxation is exact and the degenerate temperature is
     bypassed.
     """
-    return StatisticKind(name="smoothmax", d_n=d_n, t=float(t))
+    return StatisticKind(name="smoothmax", d=d_n, t=float(t))
 
 
 def hard_max_statistic(d_n):
-    return StatisticKind(name="hardmax", d_n=d_n)
+    return StatisticKind(name="hardmax", d=d_n)
 
 
 def ridge_statistic(d, b, lam):
@@ -161,9 +158,9 @@ def evaluate_batch(kind, points, weights, k):
     if kind.name in ("expnegchisq", "expnegchisq2d"):
         return np.exp(-m * m).sum(axis=1, keepdims=True)
     shift = m.max(axis=1, keepdims=True)
-    if kind.name == "hardmax" or kind.d_n == 1:
+    if kind.name == "hardmax" or kind.d == 1:
         return shift  # the log-sum-exp relaxation is exact for one coordinate
-    tau = kind.t * np.log(kind.d_n)
+    tau = kind.t * np.log(kind.d)
     return shift + np.log(np.exp(tau * (m - shift)).sum(axis=1, keepdims=True)) / tau
 
 

@@ -4,7 +4,7 @@ The surrogate for i.i.d. augmentation is a block Gaussian: row i of a sampled
 matrix has mean ``1_k (x) mean_block`` and covariance
 ``I_k (x) diag_block + (1_{kxk} - I_k) (x) offdiag_block`` with
 
-    diag_block    = (1 - delta) * S11 + delta * S12,
+    diag_block    = S12 + (1 - delta) * (S11 - S12),
     offdiag_block = S12,
 
 where S11 is the marginal covariance of a transformed observation and S12 the
@@ -16,7 +16,8 @@ covariance (:func:`estimate_moments`).  Sampling uses the additive decomposition
     A_i ~ N(0, offdiag_block),  B_ij ~ N(mean_block, diag_block - offdiag_block),
 
 which factorizes two d x d matrices instead of one kd x kd matrix and encodes
-the block structure by construction.
+the block structure by construction; a one-member family (S11 = S12) has B's
+covariance exactly 0 at every delta.
 
 For repeated augmentation the surrogate is conditionally Gaussian given one
 draw of k maps; see :func:`sample_repeated_surrogate`.
@@ -154,7 +155,7 @@ def build_surrogate(moments, n, k, delta):
         raise ContractError("n and k must be positive")
     spec = SurrogateSpec(n=n, k=k, d=moments.dim, delta=float(delta),
                          mean_block=moments.mean_phi_x.copy(),
-                         diag_block=(1.0 - delta) * moments.sigma11 + delta * moments.sigma12,
+                         diag_block=moments.sigma12 + (1.0 - delta) * moments.mean_cond_var,
                          offdiag_block=moments.sigma12)
     spec._factors  # factoring refuses blocks that are not PSD, with NumericalError
     return spec

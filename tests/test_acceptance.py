@@ -256,7 +256,7 @@ def test_criterion_07_toy_ridge_variance():
 def test_criterion_08_opposite_effects_for_ridge():
     lam, n, reps = 1.0, 200, 4000
     src = aq.regression_source([1.0, 1.0], [[1.0, 0.5], [0.5, 1.0]], 1.0)
-    fam = aq.random_crop_family(2).paired(2)
+    fam = aq.random_crop_family(2).paired()
     rm = st.risk_moments_from_source(src)
     summary = {}
     for name, kind in (("estimator", aq.ridge_statistic(2, 2, lam)),

@@ -420,6 +420,24 @@ replicates = 2
 seed = 3
 """
 
+# a one-member family: sigma11 = sigma12, so the surrogate's residual block is exactly 0
+ONE_MEMBER_SURROGATE = """
+source.kind = gaussian
+source.mean = [0.0, 0.0]
+source.cov = [1.0, 0.9, 0.9, 1.0]
+family.kind = identity
+family.dim = 2
+statistic.kind = average
+statistic.d = 2
+protocol = surrogate
+delta = 0.7
+n = 10
+k = 5
+replicates = 20
+seed = 3
+compare.protocols = surrogate, unaugmented
+"""
+
 TOYRIDGE = "predict.curve = toyridge\npredict.grid = [0.5, 1.0]\npredict.n = 10\n"
 THETA = SWAP_2D + "predict.curve = theta\npredict.grid = [1, 2]\n"
 
@@ -454,8 +472,11 @@ class TestNumericInputs:
 
     @pytest.mark.parametrize("command,base", [("simulate", GAUSSIAN_1D), ("simulate", RIDGE_1D),
                                               ("bounds", SWAP_2D), ("predict", TOYRIDGE),
-                                              ("predict", THETA)],
-                             ids=["gaussian", "ridge", "bounds", "toyridge", "theta"])
+                                              ("predict", THETA),
+                                              ("simulate", ONE_MEMBER_SURROGATE),
+                                              ("compare", ONE_MEMBER_SURROGATE)],
+                             ids=["gaussian", "ridge", "bounds", "toyridge", "theta",
+                                  "one_member_surrogate", "one_member_compare"])
     def test_base_configs_run(self, tmp_path, command, base):
         cfgp = _write(tmp_path, base)
         assert cli.main([command, "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
@@ -479,10 +500,13 @@ class TestNumericInputs:
         assert not (out / "manifest.txt").exists()
 
     def test_integral_float_seed_runs(self, tmp_path):
-        cfgp = _write(tmp_path, _set(GAUSSIAN_1D, "seed", "3.0"))
-        out = tmp_path / "out"
-        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
-        assert "seed = 3\n" in (out / "manifest.txt").read_text()
+        for written, seed in (("3.0", "3"), ("1e17", "100000000000000000")):
+            cfgp = _write(tmp_path, _set(GAUSSIAN_1D, "seed", written))
+            out = tmp_path / written
+            assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+            assert f"seed = {seed}\n" in (out / "manifest.txt").read_text()
+            # result.csv echoes the typed seed, so the echo reruns as written
+            assert f"# config.seed = {seed}" in _read_lines(out / "result.csv")
 
 
 class TestHugeNumbers:

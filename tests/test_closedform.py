@@ -139,6 +139,12 @@ class TestAverageCi:
         u = average_ci(aq.estimate_moments(aq.identity_family(1), src), 50, 4, 0.05)
         assert a.width < u.width
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    def test_alpha_domain(self, alpha):
+        m = aq.estimate_moments(aq.identity_family(1), aq.gaussian_source([0.0], [[1.0]]))
+        with pytest.raises(ContractError, match="alpha"):
+            average_ci(m, 10, 2, alpha)
+
     def test_dimension_restriction(self):
         src = aq.gaussian_source([0.0, 0.0], np.eye(2))
         m = aq.estimate_moments(aq.identity_family(2), src)

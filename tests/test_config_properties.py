@@ -1,8 +1,10 @@
 """Property tests of the config format: a config with one key mutated runs or is
 refused, never crashes, and a simulate that runs draws the same samples again
-from the config its result.csv echoes.
+from the config its result.csv echoes; a valid config drawn over every
+statistic, family kind, protocol and source kind runs whenever its numbers are
+tame.
 
-The property runs a fixed, derandomized set of examples, so the suite stays
+Each property runs a fixed, derandomized set of examples, so the suite stays
 deterministic.
 """
 
@@ -12,11 +14,13 @@ import os
 import string
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from augquant import cli
 from augquant.config import KEYS
+from augquant.montecarlo import PROTOCOLS
 
 
 def _fixed(max_examples):
@@ -100,19 +104,103 @@ def mutated_configs(draw):
     return command, "\n".join(lines) + "\n"
 
 
+def _vector(values):
+    return "[" + ", ".join(repr(float(v)) for v in np.ravel(values)) + "]"
+
+
+# interior deltas at which (1 - delta) S + delta S rounds away from S, besides the whole range
+DELTAS = st.one_of(st.sampled_from([0.3, 0.7]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def valid_configs(draw):
+    """(command, config text, tame): a config every key of which is valid.  It is tame
+    when the covariance's eigenvalues lie in [0.1, 10], |mean| <= 10, the ridge penalty
+    is positive and the smooth max's t is at least 0.1; otherwise one of those numbers
+    is drawn from an extreme set, and the run may be refused (2) or fail (3)."""
+    wild = draw(st.sampled_from([None, None, None, "eig", "mean", "lambda", "t"]))
+    kind = draw(st.sampled_from(["gaussian", "regression"]))
+    d = draw(st.integers(1, 3 if kind == "gaussian" else 2))
+    dim = d if kind == "gaussian" else 2 * d  # the dimension of a source row
+    eig = draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d))
+    if wild == "eig":
+        eig[0] = draw(st.sampled_from([-1e-3, 0.0, 1e-12, 1e-4, 1e3, 1e12]))
+    q = np.linalg.qr(np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d,
+                                            max_size=d * d))).reshape(d, d) + 3 * np.eye(d))[0]
+    cov = q @ np.diag(eig) @ q.T
+    mean = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    if wild == "mean":
+        mean[0] = draw(st.sampled_from([1e155, 1e4, -1e8]))
+    lines = [f"source.kind = {kind}", f"source.mean = {_vector(mean)}",
+             f"source.cov = {_vector(0.5 * (cov + cov.T))}"]
+    if kind == "regression":
+        lines.append(f"source.noise_scale = {draw(st.floats(0.0, 2.0))!r}")
+    # a regression source's family acts on (covariate, response) pairs, lifted or whole
+    paired = kind == "regression" and draw(st.booleans())
+    fam_dim = d if paired else dim
+    family = draw(st.sampled_from(["finite_uniform"] + ["random_crop"] * (fam_dim >= 2)
+                                  + ["cyclic_rotation", "identity"]))
+    lines += [f"family.kind = {family}", f"family.dim = {fam_dim}",
+              f"family.paired = {str(paired).lower()}"]
+    if family == "finite_uniform":
+        members = draw(st.integers(1, 3))
+        entries = st.floats(-2.0, 2.0)
+        for m in range(members):
+            matrix = draw(st.lists(entries, min_size=fam_dim ** 2, max_size=fam_dim ** 2))
+            lines.append(f"family.member{m}.matrix = {_vector(matrix)}")
+            if draw(st.booleans()):
+                offset = draw(st.lists(entries, min_size=fam_dim, max_size=fam_dim))
+                lines.append(f"family.member{m}.offset = {_vector(offset)}")
+        if draw(st.booleans()):
+            w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=members,
+                                       max_size=members)))
+            lines.append(f"family.weights = {_vector(w / w.sum())}")
+    statistics = ["ridge", "ridgerisk"] if kind == "regression" else []
+    statistics += {1: ["expnegchisq"], 2: ["expnegchisq2d"]}.get(dim, [])
+    statistics += ["smoothmax", "hardmax", "average"]
+    stat = draw(st.sampled_from(statistics))
+    lines.append(f"statistic.kind = {stat}")
+    if stat == "average":
+        lines.append(f"statistic.d = {dim}")
+    if stat in ("smoothmax", "hardmax"):
+        lines.append(f"statistic.d_n = {dim}")
+    if stat == "smoothmax":
+        t = draw(st.sampled_from([1e-3, 1e-300])) if wild == "t" else draw(st.floats(0.1, 5.0))
+        lines.append(f"statistic.t = {t!r}")
+    if stat.startswith("ridge"):
+        lam = 0.0 if wild == "lambda" else draw(st.floats(0.01, 5.0))
+        lines.append(f"statistic.lambda = {lam!r}")
+    protocol = draw(st.sampled_from(sorted(PROTOCOLS, key=lambda p: p != "surrogate")))
+    lines += [f"protocol = {protocol}", f"delta = {draw(DELTAS)!r}",
+              f"n = {draw(st.integers(1, 6))}", f"k = {draw(st.integers(1, 4))}",
+              f"replicates = {draw(st.integers(2, 5))}",
+              f"seed = {draw(st.integers(0, 2**64 - 1))}"]
+    command = draw(st.sampled_from(["simulate", "compare"]))
+    if command == "compare":
+        others = draw(st.lists(st.sampled_from([p for p in PROTOCOLS if p != "unaugmented"]),
+                               min_size=1, max_size=4, unique=True))
+        order = draw(st.permutations(others + ["unaugmented"]))
+        lines.append(f"compare.protocols = {', '.join(order)}")
+    tame = wild is None or (wild == "t" and stat != "smoothmax") or (
+        wild == "lambda" and not stat.startswith("ridge"))
+    return command, "\n".join(lines) + "\n", tame
+
+
 @pytest.mark.parametrize("command,text", BASES)
 def test_base_configs_run(command, text):
     with tempfile.TemporaryDirectory() as tmp:
-        assert _run(tmp, command, text) == 0
+        assert _run(tmp, command, text)[0] == 0
 
 
 def _run(tmp, command, text, out="out"):
+    """The exit code and the stderr text of one run on ``text``."""
     cfg = os.path.join(tmp, "run.cfg")
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.write(text)
-    quiet = io.StringIO()
-    with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-        return cli.main([command, "--config", cfg, "--out", os.path.join(tmp, out)])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", cfg, "--out", os.path.join(tmp, out)])
+    return code, err.getvalue()
 
 
 def _result_lines(tmp, out):
@@ -120,21 +208,45 @@ def _result_lines(tmp, out):
         return fh.read().splitlines()
 
 
+def _check_run(tmp, command, text):
+    """Run ``text``: it exits 0, or exits 2 or 3 with one stderr line and writes nothing;
+    a simulate that runs draws the same sample rows again from its echo.  The exit code."""
+    code, err = _run(tmp, command, text)
+    assert code in (0, 2, 3)
+    if code != 0:
+        assert len(err.strip().splitlines()) == 1, err
+        assert os.listdir(tmp) == ["run.cfg"]
+    elif command == "simulate":
+        # the echo is the config that ran: rerun on it, the sample rows come back
+        lines = _result_lines(tmp, "out")
+        echo = "".join(line[len("# config."):] + "\n" for line in lines
+                       if line.startswith("# config."))
+        assert _run(tmp, "simulate", echo, out="rerun")[0] == 0
+        rows = [line for line in lines if not line.startswith("#")]
+        assert [line for line in _result_lines(tmp, "rerun")
+                if not line.startswith("#")] == rows
+    return code
+
+
 @_fixed(300)
 @given(mutated_configs())
 def test_mutated_config_runs_or_is_refused(case):
     command, text = case
     with tempfile.TemporaryDirectory() as tmp:
-        code = _run(tmp, command, text)
-        assert code in (0, 2, 3)
-        if code != 0:
-            assert os.listdir(tmp) == ["run.cfg"]
-        elif command == "simulate":
-            # the echo is the config that ran: rerun on it, the sample rows come back
-            lines = _result_lines(tmp, "out")
-            echo = "".join(line[len("# config."):] + "\n" for line in lines
-                           if line.startswith("# config."))
-            assert _run(tmp, "simulate", echo, out="rerun") == 0
-            rows = [line for line in lines if not line.startswith("#")]
-            assert [line for line in _result_lines(tmp, "rerun")
-                    if not line.startswith("#")] == rows
+        _check_run(tmp, command, text)
+
+
+def test_valid_configs_run_when_tame():
+    codes = []
+
+    @_fixed(120)
+    @given(valid_configs())
+    def run(case):
+        command, text, tame = case
+        with tempfile.TemporaryDirectory() as tmp:
+            code = _check_run(tmp, command, text)
+        assert code == 0 or not tame, text
+        codes.append(code)
+
+    run()
+    assert sum(code == 0 for code in codes) >= len(codes) / 2, codes

@@ -175,7 +175,7 @@ def test_cyclic_rotation_members():
 
 
 def test_paired_family_acts_jointly():
-    fam = aq.random_crop_family(2).paired(2)
+    fam = aq.random_crop_family(2).paired()
     out = fam.images(np.array([[3.0, 4.0, 5.0, 6.0]]))[0, 0]
     assert np.array_equal(out, [0.0, 4.0, 0.0, 6.0])
 

@@ -62,7 +62,7 @@ def _gaussian_setup(d):
 
 def _regression_setup():
     source = aq.regression_source([1.0, 0.5], [[1.0, 0.3], [0.3, 0.8]], 0.7)
-    return source, aq.random_crop_family(2).paired(2)
+    return source, aq.random_crop_family(2).paired()
 
 
 def _setup(name):

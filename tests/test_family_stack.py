@@ -27,7 +27,7 @@ def _dense_source(d=3):
 
 
 def _setups():
-    fam = _dense_family(2).paired(2)
+    fam = _dense_family(2).paired()
     reg = aq.regression_source([0.7, -1.2], [[1.5, 0.4], [0.4, 0.8]], 0.6)
     return [(_dense_family(), _dense_source()), (fam, reg)]
 
@@ -133,7 +133,7 @@ class TestStack:
 
     def test_paired_keeps_offsets(self):
         fam = _dense_family()
-        lifted = fam.paired(3)
+        lifted = fam.paired()
         assert np.array_equal(lifted.weights, fam.weights)
         assert lifted.matrices.shape == (3, 6, 6) and lifted.offsets.shape == (3, 6)
         for m in range(3):

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -157,6 +158,23 @@ class TestBuildSurrogate:
             assert np.allclose(spec.offdiag_block, src.joint_cov())
             assert np.allclose(spec.mean_block, src.joint_mean())
 
+    # a single map A gives sigma11 = sigma12 = A Sigma A^T bitwise, so the residual
+    # block diag - offdiag is exactly 0 at every delta, not rounding noise
+    @pytest.mark.parametrize("family,source", [
+        (aq.identity_family(1), aq.gaussian_source([0.5], [[2.0]])),
+        (aq.identity_family(2), aq.gaussian_source([1.0, -3.0], [[1.0, 0.9], [0.9, 1.0]])),
+        (aq.identity_family(2).paired(),
+         aq.regression_source([1.0, 2.0], [[1.0, 0.3], [0.3, 2.0]], 0.7)),
+        (aq.finite_uniform_family([[[0.3, -1.2], [0.8, 2.5]]], [[1.0, -2.0]]),
+         aq.gaussian_source([4.0, 1e3], [[3.0, -1.1], [-1.1, 0.6]])),
+    ], ids=["identity_1d", "identity_2d", "paired_identity", "one_member_finite_uniform"])
+    @pytest.mark.parametrize("delta", [0.3, 0.5, 0.7])
+    def test_one_member_family_builds_at_every_delta(self, family, source, delta):
+        m = aq.estimate_moments(family, source)
+        spec = aq.build_surrogate(m, 10, 5, delta)
+        assert np.array_equal(spec.diag_block, m.sigma12)
+        assert np.array_equal(spec.diag_block - spec.offdiag_block, np.zeros_like(m.sigma12))
+
     def test_ordering_violation_rejected(self):
         bad = AugmentationMoments(
             mean_phi_x=np.zeros(1), sigma11=np.array([[1.0]]),
@@ -258,24 +276,35 @@ class TestPsdPolicy:
         fac = psd_factor(np.zeros((3, 3)), "test", NumericalError)
         assert np.allclose(fac, 0.0)
 
-    # one rule at every scale of the covariance: lambda_min >= -1e-8 max|lambda|
-    @pytest.mark.parametrize("cov,refused", [
-        ([[1.0, 0.0], [0.0, -1e-9]], False),
-        ([[0.0, 0.0], [0.0, 0.0]], False),
-        ([[1.0, 0.0], [0.0, -1e-7]], True),
-        ([[1e-6, 0.0], [0.0, -5e-9]], True),
-        ([[1e-3, 0.0], [0.0, -5e-11]], True),
-        ([[1.0, 0.5], [0.4, 1.0]], True),
-        ([[1.0, 0.0]], True),
+    # one rule at every scale of the covariance: lambda_min >= -1e-8 max|lambda|; a
+    # non-finite mean or cov entry is refused by name, before anything can warn
+    @pytest.mark.parametrize("cov,refused,mean", [
+        ([[1.0, 0.0], [0.0, -1e-9]], None, None),
+        ([[0.0, 0.0], [0.0, 0.0]], None, None),
+        ([[1.0, 0.0], [0.0, -1e-7]], "cov", None),
+        ([[1e-6, 0.0], [0.0, -5e-9]], "cov", None),
+        ([[1e-3, 0.0], [0.0, -5e-11]], "cov", None),
+        ([[1.0, 0.5], [0.4, 1.0]], "cov", None),
+        ([[1.0, 0.0]], "cov", None),
+        ([[1.0, 0.0], [0.0, np.inf]], "cov", None),
+        ([[1.0, np.inf], [np.inf, 1.0]], "cov", None),
+        ([[np.nan, 0.0], [0.0, 1.0]], "cov", None),
+        (np.eye(2), "mean", [np.inf, 0.0]),
+        (np.eye(2), "mean", [0.0, np.nan]),
     ], ids=["1,-1e-9", "zero", "1,-1e-7", "1e-6,-5e-9", "1e-3,-5e-11", "asymmetric",
-            "not_square"])
-    def test_source_cov_checked_at_construction(self, cov, refused):
-        if refused:
-            with pytest.raises(ContractError, match="cov"):
-                aq.gaussian_source([0.0, 0.0], cov)
-        else:
-            fac = aq.gaussian_source([0.0, 0.0], cov)._factor
-            assert np.allclose(fac @ fac.T, np.clip(cov, 0.0, None), atol=1e-8)
+            "not_square", "inf_diagonal", "inf_off_diagonal", "nan_diagonal", "inf_mean",
+            "nan_mean"])
+    def test_source_cov_checked_at_construction(self, cov, refused, mean):
+        mean = [0.0, 0.0] if mean is None else mean
+        for make in (aq.gaussian_source, lambda m, c: aq.regression_source(m, c, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if refused:
+                    with pytest.raises(ContractError, match=f"^{refused} "):
+                        make(mean, cov)
+                else:
+                    fac = make(mean, cov)._factor
+                    assert np.allclose(fac @ fac.T, np.clip(cov, 0.0, None), atol=1e-8)
 
     @pytest.mark.parametrize("sigma12,block", [
         ([[1.0, 0.0], [0.0, -1e-3]], "offdiag_block"),
