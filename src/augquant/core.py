@@ -146,9 +146,12 @@ class TransformationFamily:
         return self.matrices.shape[1]
 
     def images(self, x):
-        """Every row of ``x`` (rows, D) under every member, shape (rows, M, D)."""
+        """Every row of ``x`` (rows, D) under every member, shape (rows, M, D): one
+        (rows, D) @ (D, M D) product, with the offsets added on its flat rows."""
         m, d = self.offsets.shape
-        return (x @ self.matrices.reshape(m * d, d).T).reshape(len(x), m, d) + self.offsets
+        out = x @ self.matrices.reshape(m * d, d).T
+        out += self.offsets.reshape(-1)
+        return out.reshape(len(x), m, d)
 
     def sample_indices(self, shape, rng):
         """Member indices of the given shape, drawn with probabilities ``weights``."""

@@ -8,8 +8,10 @@ only, so results are bitwise identical across reruns and worker counts;
 ``statistics.evaluate_batch`` call per statistic on weighted cells: an
 ``iid_aug`` row's k member draws become its member counts, Multinomial(k,
 weights), of the same law, and a ``repeated_aug`` replicate draws one count
-vector for all rows.  ``simulate`` evaluates several statistics on one draw;
-``run_experiment`` is its one-statistic call.
+vector for all rows.  The counts reach ``evaluate_batch`` as one C-contiguous
+float64 (B, n, M) array, repeated counts copied to every row.  ``simulate``
+evaluates several statistics on one draw; ``run_experiment`` is its
+one-statistic call.
 Summaries come from the sample matrix in fixed order; variance SEs from
 delete-one jackknife closed forms, vectorized over replicates.
 """
@@ -115,7 +117,8 @@ def _block_cells(config, size, rng, spec):
     rows = n if config.protocol == "iid_aug" else 1
     counts = rng.multinomial(k, fam.weights, size=(size, rows))
     images = fam.images(x.reshape(size * n, -1)).reshape(size, n, *fam.offsets.shape)
-    return images, np.broadcast_to(counts, (size, n, len(fam.weights)))
+    # one C-contiguous float64 array, which einsum's grand sum reads without a cast buffer
+    return images, np.broadcast_to(counts, (size, n, len(fam.weights))).astype(float, order="C")
 
 
 def _summarize(config, samples):

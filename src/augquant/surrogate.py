@@ -192,10 +192,16 @@ def sample_surrogate_rows(spec, n_rows, seed):
 
 
 def sample_surrogate_cells(spec, shape, rng):
-    """Surrogate rows of leading shape ``shape`` drawn from ``rng``, as (*shape, k, d) cells."""
+    """Surrogate rows of leading shape ``shape`` drawn from ``rng``, as (*shape, k, d) cells.
+
+    The shared normals (*shape, d) and then the residual normals (*shape, k, d) are drawn
+    from ``rng``, in that order.  The residual factor multiplies all residual normals as
+    one (rows k, d) @ (d, d) product, and the mean and the shared draw are added on the
+    flat (rows, k d) view."""
     l_shared, l_resid = spec._factors
-    a = rng.standard_normal((*shape, spec.d)) @ l_shared.T
-    cells = rng.standard_normal((*shape, spec.k, spec.d)) @ l_resid.T
-    cells += spec.mean_block
-    cells += a[..., None, :]
-    return cells
+    k, d = spec.k, spec.d
+    a = rng.standard_normal((*shape, d)) @ l_shared.T
+    cells = (rng.standard_normal((*shape, k, d)).reshape(-1, d) @ l_resid.T).reshape(-1, k * d)
+    cells += np.tile(spec.mean_block, k)
+    cells += np.tile(a.reshape(-1, d), (1, k))
+    return cells.reshape(*shape, k, d)

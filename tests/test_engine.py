@@ -17,7 +17,7 @@ import augquant as aq
 from augquant import statistics as st
 from augquant.core import augment_iid, augment_repeated, replicate_unaugmented
 from augquant.errors import ConfigError, ContractError
-from augquant.montecarlo import CELL_BUDGET, PROTOCOLS, _jackknife_var_norm_se
+from augquant.montecarlo import CELL_BUDGET, PROTOCOLS, _block_cells, _jackknife_var_norm_se
 from augquant.rng import child_seed, substream
 from augquant.surrogate import build_surrogate, estimate_moments, sample_surrogate_rows
 
@@ -110,6 +110,28 @@ def test_member_counts_match_materialized_cells(statistic):
         cells = np.stack([np.repeat(images[b, i], counts[b, i], axis=0) for i in range(n)])
         want = st.evaluate(kind, cells.reshape(n, -1), k)
         np.testing.assert_allclose(got[b], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("statistic", st.CANONICAL_NAMES)
+@pytest.mark.parametrize("protocol", ["iid_aug", "repeated_aug"])
+def test_block_weights_are_float_counts(protocol, statistic):
+    source, family, kind = _setup(statistic)
+    n, k, batch = 7, 5, 3
+    config = aq.ExperimentConfig(source=source, family=family, protocol=protocol,
+                                 statistic=kind, n=n, k=k, replicates=batch, seed=4)
+    points, weights = _block_cells(config, batch, substream(4, 0), None)
+    assert weights.dtype == np.float64 and weights.flags.c_contiguous
+    assert weights.shape == (batch, n, len(family.weights))
+    # int64 member counts, one vector per row (iid) or broadcast over the rows (repeated)
+    rows = n if protocol == "iid_aug" else 1
+    counts = np.random.default_rng(9).multinomial(k, family.weights, size=(batch, rows))
+    counts = np.broadcast_to(counts, weights.shape)
+    as_int = st.evaluate_batch(kind, points, counts, k)
+    as_float = st.evaluate_batch(kind, points, counts.astype(float), k)
+    if protocol == "iid_aug":
+        assert as_int.tobytes() == as_float.tobytes()
+    else:  # the stride-0 int64 sum may run in another order
+        np.testing.assert_allclose(as_float, as_int, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("pair", [("ridge", "ridgerisk"), ("average", "expnegchisq")])

@@ -8,7 +8,7 @@ import augquant as aq
 from augquant.errors import ContractError, NumericalError
 from augquant.rng import substream
 from augquant.surrogate import (AugmentationMoments, _member_moments, psd_factor,
-                                sample_surrogate_rows)
+                                sample_surrogate_cells, sample_surrogate_rows)
 
 EXCHANGEABLE = np.array([[1.0, -0.5], [-0.5, 1.0]])
 
@@ -222,6 +222,31 @@ class TestSampleSurrogate:
         fam, src = _swap_setup()
         spec = aq.build_surrogate(aq.estimate_moments(fam, src), 20, 2, 0.5)
         assert aq.sample_surrogate(spec, 9).tobytes() == aq.sample_surrogate(spec, 9).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_cells_match_the_stacked_product(self, shape, k, d):
+        # the reference multiplies with a stacked matmul and adds by broadcasting; its bits
+        # may differ from the one 2-D product (a vector-matrix product at k = 1, d = 4)
+        def stacked(spec, shape, rng):
+            l_shared, l_resid = spec._factors
+            a = rng.standard_normal((*shape, spec.d)) @ l_shared.T
+            cells = rng.standard_normal((*shape, spec.k, spec.d)) @ l_resid.T
+            cells += spec.mean_block
+            cells += a[..., None, :]
+            return cells
+
+        g = np.random.default_rng(100 * k + d).standard_normal((2, d, d))
+        offdiag = g[0] @ g[0].T
+        spec = aq.SurrogateSpec(n=1, k=k, d=d, delta=0.0, mean_block=np.linspace(1.0, -2.0, d),
+                                diag_block=offdiag + g[1] @ g[1].T, offdiag_block=offdiag)
+        got_rng, want_rng = substream(5), substream(5)
+        got = sample_surrogate_cells(spec, shape, got_rng)
+        want = stacked(spec, shape, want_rng)
+        assert got.shape == want.shape == (*shape, k, d)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert got_rng.random() == want_rng.random()  # the stream is consumed as before
 
 
 class TestRepeatedSurrogate:
