@@ -263,7 +263,8 @@ def moment_constants(moments, spec):
 def repeated_constants(family, source):
     """(m1, m2, m3): map-conditional moment spreads, exact for finite affine families."""
     w = family.weights
-    cond_means, cross = _member_moments(family, source)
+    cond_means, left = _member_moments(family, source)
+    cross = left[:, None] @ family.matrices.transpose(0, 2, 1)[None]  # A_i Sigma A_j^T
     mean_of_means = w @ cond_means
     var_mean = ((cond_means - mean_of_means).T * w) @ (cond_means - mean_of_means)
     m1 = float(np.sqrt(2.0 * np.trace(var_mean)))

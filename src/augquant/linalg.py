@@ -6,19 +6,19 @@ Rule: ``psd_factor`` refuses a matrix that is not square, not finite, not symmet
 names: ContractError from ``DataSource`` (the covariance is an input) and
 NumericalError from ``build_surrogate`` (the moment identities make its blocks
 PSD, so a violation is an estimation bug, not rounding noise).  A passing matrix
-is symmetrized and factored by Cholesky after a jitter of PSD_JITTER * (trace/d);
-only here does a failed Cholesky fall back to a clipped eigendecomposition.
+is symmetrized and eigendecomposed once; the factor is its symmetric square root,
+with the eigenvalues the rule lets through in [-EIG_FAIL max|w|, 0) clipped to 0.
 """
 
 import numpy as np
 
-PSD_JITTER = 1e-10
 EIG_FAIL = 1e-8
 
 
 def psd_factor(m, name, error):
-    """L with L L^T = m (+ tiny jitter), or ``error`` naming ``name`` when ``m`` fails the
-    rule; the clipped fallback covers rank-deficient covariances such as a zero matrix."""
+    """The symmetric square root F of ``m``, so F F^T = m, from one ``eigh``; or
+    ``error`` naming ``name`` when ``m`` fails the rule.  Singular matrices such as a
+    zero matrix or a residual block of repeated maps are reproduced to rounding."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise error(f"{name} must be square, got shape {m.shape}")
@@ -26,14 +26,7 @@ def psd_factor(m, name, error):
         raise error(f"{name} must be finite")
     if not np.allclose(m, m.T, atol=1e-10):
         raise error(f"{name} must be symmetric")
-    m = 0.5 * (m + m.T)
-    w = np.linalg.eigvalsh(m)
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
     if w.min() < -EIG_FAIL * abs(w).max():
         raise error(f"{name} is not positive semidefinite (eigmin={w.min():g})")
-    jitter = PSD_JITTER * (np.trace(m) / m.shape[0])  # exactly 0 for a zero matrix
-    try:
-        return np.linalg.cholesky(m + jitter * np.eye(m.shape[0]))
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(m)
-        w = np.clip(w, 0.0, None)
-        return v * np.sqrt(w)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T

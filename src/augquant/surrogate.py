@@ -16,8 +16,8 @@ covariance (:func:`estimate_moments`).  Sampling uses the additive decomposition
     A_i ~ N(0, offdiag_block),  B_ij ~ N(mean_block, diag_block - offdiag_block),
 
 which factorizes two d x d matrices instead of one kd x kd matrix and encodes
-the block structure by construction; a one-member family (S11 = S12) has B's
-covariance exactly 0 at every delta.
+the block structure by construction; a family of one map, listed once or more
+(S11 = S12), has B's covariance exactly 0 at every delta.
 
 For repeated augmentation the surrogate is conditionally Gaussian given one
 draw of k maps; see :func:`sample_repeated_surrogate`.
@@ -77,35 +77,38 @@ def _gaussian_sixth_moment(mean, cov):
 
 
 def _member_moments(family, source):
-    """For X ~ N(mu, Sigma): the member means A_i mu + a_i, (M, D), and the
-    cross-covariances Cov(A_i X + a_i, A_j X + a_j) = A_i Sigma A_j^T, (M, M, D, D)."""
+    """For X ~ N(mu, Sigma): the member means A_i mu + a_i, (M, D), and the left
+    products A_i Sigma, (M, D, D), so Cov(A_i X + a_i, A_j X + a_j) = (A_i Sigma) A_j^T."""
     mu, sigma = source.joint_mean(), source.joint_cov()
     if family.dim != mu.shape[0]:
         raise ContractError(f"family dim {family.dim} does not match source dim {mu.shape[0]}")
-    mats = family.matrices
-    means = mats @ mu + family.offsets
-    cross = (mats @ sigma)[:, None] @ mats.transpose(0, 2, 1)[None]
-    return means, cross
+    return family.matrices @ mu + family.offsets, family.matrices @ sigma
 
 
 def estimate_moments(family, source):
     """Closed-form moments of the augmented observation for a finite affine
     family on a Gaussian source, the only pairs the package accepts.
 
+    sigma11 = sigma12 + two PSD spreads (of the maps and of the member means), so
+    sigma11 - sigma12 is exactly 0 for a family that repeats one map at any weights.
+
     Raises NumericalError when a moment is not finite in floating point (a
     source mean near 1e155 overflows the second and sixth moments)."""
-    w = family.weights
+    w, sigma = family.weights, source.joint_cov()
     with np.errstate(all="ignore"):
-        means, cross = _member_moments(family, source)
-        own = np.einsum("iiab->iab", cross)  # A_i Sigma A_i^T
+        means, left = _member_moments(family, source)
+        own = left @ family.matrices.transpose(0, 2, 1)  # A_i Sigma A_i^T
         mean = w @ means
-        var_given_map = np.tensordot(w, own, axes=1)
+        a_bar = np.tensordot(w, family.matrices, axes=1)
+        sigma12 = a_bar @ sigma @ a_bar.T  # Cov(A_1 X + a_1, A_2 X + a_2)
+        sigma12 = 0.5 * (sigma12 + sigma12.T)
+        # E[A Sigma A^T] = A_bar Sigma A_bar^T + E[(A - A_bar) Sigma (A - A_bar)^T]
+        dev = family.matrices - a_bar
+        var_given_map = sigma12 + np.tensordot(w, dev @ sigma @ dev.transpose(0, 2, 1), axes=1)
         # total variance: E[A Sigma A^T] plus the weighted spread of the centred member means
         spread = means - mean
         sigma11 = var_given_map + (spread.T * w) @ spread
-        sigma12 = np.tensordot(np.outer(w, w), cross, axes=2)  # Cov(A_1 X + a_1, A_2 X + a_2)
         sigma11 = 0.5 * (sigma11 + sigma11.T)
-        sigma12 = 0.5 * (sigma12 + sigma12.T)
         sixth = w @ _gaussian_sixth_moment(means, own)
     moments = AugmentationMoments(mean_phi_x=mean, sigma11=sigma11, sigma12=sigma12,
                                   mean_var_given_map=var_given_map, sixth_moment=float(sixth))

@@ -175,6 +175,18 @@ class TestBuildSurrogate:
         assert np.array_equal(spec.diag_block, m.sigma12)
         assert np.array_equal(spec.diag_block - spec.offdiag_block, np.zeros_like(m.sigma12))
 
+    # a family that lists one map twice: sigma11 - sigma12 is a sum of PSD spreads that
+    # vanish for repeated maps, so the residual block is 0, not indefinite rounding noise
+    @pytest.mark.parametrize("matrix", [np.eye(2), np.array([[0.3, -1.2], [0.8, 2.5]])],
+                             ids=["identity", "dense"])
+    @pytest.mark.parametrize("weights", [[0.3, 0.7], [0.1, 0.9], [1 / 3, 2 / 3], [0.25, 0.75]])
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_repeated_map_family_builds_at_every_delta(self, matrix, weights, delta):
+        fam = aq.finite_uniform_family([matrix, matrix], weights=weights)
+        m = aq.estimate_moments(fam, aq.gaussian_source([1.0, -3.0], [[1.0, 0.9], [0.9, 1.0]]))
+        spec = aq.build_surrogate(m, 10, 5, delta)
+        assert np.array_equal(spec.diag_block - spec.offdiag_block, np.zeros((2, 2)))
+
     def test_ordering_violation_rejected(self):
         bad = AugmentationMoments(
             mean_phi_x=np.zeros(1), sigma11=np.array([[1.0]]),
@@ -341,3 +353,24 @@ class TestPsdPolicy:
                                   sixth_moment=1.0)
         with pytest.raises(NumericalError, match=block):
             aq.build_surrogate(bad, 2, 2, 0.0)
+
+
+def _readme_swap_residual():
+    """diag_block - offdiag_block of the README's swap surrogate (n 100, k 5, delta 0)."""
+    spec = aq.build_surrogate(aq.estimate_moments(*_swap_setup()), 100, 5, 0.0)
+    return spec.diag_block - spec.offdiag_block
+
+
+class TestSingularFactors:
+    # the factor is the symmetric square root from one eigh, so a singular block is
+    # reproduced to rounding and the factor equals its transpose
+    @pytest.mark.parametrize("m", [
+        np.ones((2, 2)),
+        np.zeros((3, 3)),
+        _readme_swap_residual(),
+    ], ids=["ones", "zero", "readme_swap_residual"])
+    def test_singular_block_reproduced_to_rounding(self, m):
+        fac = psd_factor(m, "test", NumericalError)
+        scale = np.abs(m).max()
+        assert np.abs(fac @ fac.T - m).max() <= 1e-14 * scale
+        assert np.abs(fac - fac.T).max() <= 1e-14 * scale
