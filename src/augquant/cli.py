@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 
 import argparse
 import dataclasses
-import itertools
 import math
 import os
 import shutil
@@ -17,8 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import bounds as bounds_mod
-from . import closedform, config as cfgmod, core, montecarlo
-from . import statistics as stats
+from . import closedform, config as cfgmod, montecarlo
 from .errors import ConfigError, ContractError, NumericalError
 from .rng import child_seed
 from .surrogate import build_surrogate, estimate_moments
@@ -155,22 +153,37 @@ def _cmd_bounds(cfg, out_dir):
 
 
 # ---------------------------------------------------------------------------
-# figure: CSV bundles behind the reference figures; cell c, in run order, seeds child_seed(seed, c)
+# figure: CSV bundles behind the reference figures, each cell a config run by _run_cells
 # ---------------------------------------------------------------------------
 
-def _crop_setup():
-    source = core.regression_source(mean=[1.0, 1.0], cov=[[1.0, 0.5], [0.5, 1.0]],
-                                    noise_scale=1.0)
-    family = core.random_crop_family(2).paired()
-    return source, family
+# the regression setups of fig1 and fig4: a source and its paired family, as config keys
+CROP = {"source.kind": "regression", "source.mean": [1.0, 1.0],
+        "source.cov": [1.0, 0.5, 0.5, 1.0], "source.noise_scale": 1.0,
+        "family.kind": "random_crop", "family.dim": 2, "family.paired": True}
+ROTATION = {"source.kind": "regression", "source.mean": [2.0] * 4,
+            "source.cov": np.kron(np.eye(2), [[1.0, 0.9], [0.9, 1.0]]).ravel().tolist(),
+            "source.noise_scale": 1.0, "family.kind": "cyclic_rotation", "family.dim": 4,
+            "family.paired": True}
 
 
-def _rotation_setup():
-    block = np.array([[1.0, 0.9], [0.9, 1.0]])
-    cov = np.kron(np.eye(2), block)
-    source = core.regression_source(mean=[2.0] * 4, cov=cov, noise_scale=1.0)
-    family = core.cyclic_rotation_family(4).paired()
-    return source, family
+def _run_cells(out_dir, seed, cells, names):
+    """Each statistic in names on one draw of each cell, a config without seed or
+    statistic.kind: one list of results per cell, in the order of names.
+
+    Cell c, in run order, runs on the seed child_seed(seed, c).  cells.txt echoes
+    every cell as a ``# cell c`` line and then its config with that seed and
+    statistic.kind names[0]; ``augquant simulate`` on a block, with statistic.kind
+    set to a row's statistic, reruns that row's draw."""
+    results, echo = [], []
+    for c, cell in enumerate(cells):
+        cell = {**cell, "seed": child_seed(seed, c), "statistic.kind": names[0]}
+        config = cfgmod.experiment_from_config(cell)
+        kinds = [cfgmod.statistic_from_config({**cell, "statistic.kind": name}, config.source)
+                 for name in names]
+        results.append(montecarlo.simulate(config, kinds))
+        echo.append(f"# cell {c}\n" + cfgmod.config_text(cell))
+    cfgmod.atomic_write(os.path.join(out_dir, "cells.txt"), "".join(echo))
+    return results
 
 
 def _std_with_se(result):
@@ -181,15 +194,12 @@ def _std_with_se(result):
 
 def _fig1(out_dir, scale, seed):
     points = 500 if scale == DESK else 2000
-    source, family = _crop_setup()
-    k = 50
+    protocols = ("iid_aug", "unaugmented")
+    results = _run_cells(out_dir, seed, [
+        {**CROP, "protocol": proto, "n": 200, "k": 50, "replicates": points,
+         "statistic.d": 4, "statistic.lambda": 1.0} for proto in protocols], ("average", "ridge"))
     rows_avg, rows_ridge = [], []
-    kinds = (stats.average_statistic(4), stats.ridge_statistic(2, 2, 1.0))
-    for c, proto in enumerate(("iid_aug", "unaugmented")):
-        config = montecarlo.ExperimentConfig(
-            source=source, family=family, protocol=proto, statistic=kinds[0],
-            n=200, k=k, replicates=points, seed=child_seed(seed, c))
-        average, ridge = montecarlo.simulate(config, kinds)
+    for proto, (average, ridge) in zip(protocols, results):
         rows_avg.extend((proto, float(row[0]), float(row[1])) for row in average.samples)
         # ridge scatter uses the two diagonal entries of the estimate: cropping zeroes
         # every off-diagonal entry identically, which would degenerate the cloud
@@ -202,17 +212,13 @@ def _fig1(out_dir, scale, seed):
 def _fig2(out_dir, scale, seed):
     reps = 2000 if scale == DESK else 10_000
     grid = [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
-    rows = []
-    for i, s in enumerate(grid):
-        source = core.gaussian_source([0.0], [[s * s]])
-        config = montecarlo.ExperimentConfig(
-            source=source, family=core.identity_family(1), protocol="surrogate",
-            statistic=stats.exp_neg_chisq_statistic(), n=50, k=1,
-            replicates=reps, seed=child_seed(seed, i), delta=1.0)
-        res = montecarlo.run_experiment(config)
-        std, se = _std_with_se(res)
-        rows.append((float(s), std, se, math.sqrt(closedform.v_curve(s)),
-                     res.empirical_ci_width, closedform.chisq_ci(s, 0.05).width))
+    results = _run_cells(out_dir, seed, [
+        {"source.kind": "gaussian", "source.mean": [0.0], "source.cov": [s * s],
+         "family.kind": "identity", "family.dim": 1, "protocol": "surrogate", "delta": 1.0,
+         "n": 50, "k": 1, "replicates": reps} for s in grid], ("expnegchisq",))
+    rows = [(float(s), *_std_with_se(res), math.sqrt(closedform.v_curve(s)),
+             res.empirical_ci_width, closedform.chisq_ci(s, 0.05).width)
+            for s, (res,) in zip(grid, results)]
     cfgmod.atomic_write(os.path.join(out_dir, "fig2.csv"), cfgmod.csv_text(
         ["s", "std_sim", "std_se", "std_theory", "width_sim", "width_theory"],
         rows, [f"replicates = {reps}"]))
@@ -221,19 +227,16 @@ def _fig2(out_dir, scale, seed):
 def _fig3(out_dir, scale, seed):
     reps = 2000 if scale == DESK else 10_000
     rho, sigma = -0.5, 1.0
-    source = core.gaussian_source([0.0, 0.0],
-                                  sigma * sigma * np.array([[1.0, rho], [rho, 1.0]]))
-    family = core.swap_family()
+    ks = (1, 5, 20, 50)
+    # the swap family: the identity or the coordinate swap, with equal weights
+    results = _run_cells(out_dir, seed, [
+        {"source.kind": "gaussian", "source.mean": [0.0, 0.0],
+         "source.cov": [sigma * sigma * v for v in (1.0, rho, rho, 1.0)],
+         "family.kind": "finite_uniform", "family.member0.matrix": [1.0, 0.0, 0.0, 1.0],
+         "family.member1.matrix": [0.0, 1.0, 1.0, 0.0], "protocol": "iid_aug", "n": 100,
+         "k": k, "replicates": reps} for k in ks], ("expnegchisq2d",))
     std_theory = math.sqrt(closedform.f2_variance(rho, sigma))
-    rows = []
-    for i, k in enumerate((1, 5, 20, 50)):
-        config = montecarlo.ExperimentConfig(
-            source=source, family=family, protocol="iid_aug",
-            statistic=stats.exp_neg_chisq_2d_statistic(), n=100, k=k,
-            replicates=reps, seed=child_seed(seed, i))
-        res = montecarlo.run_experiment(config)
-        std, se = _std_with_se(res)
-        rows.append((k, std, se, std_theory))
+    rows = [(k, *_std_with_se(res), std_theory) for k, (res,) in zip(ks, results)]
     cfgmod.atomic_write(os.path.join(out_dir, "fig3.csv"), cfgmod.csv_text(
         ["k", "std_sim", "std_se", "std_theory"], rows, [f"replicates = {reps}"]))
 
@@ -241,22 +244,18 @@ def _fig3(out_dir, scale, seed):
 def _fig4(out_dir, scale, seed):
     reps = 2000 if scale == DESK else 10_000
     lam = 1.0
-    rows, cell_number = [], itertools.count()  # counted across both families
-    for fam_name, setup in (("cropping", _crop_setup), ("rotation", _rotation_setup)):
-        source, family = setup()
-        d = source.mean.size
-        kinds = (stats.ridge_statistic(d, d, lam),
-                 stats.ridge_risk_statistic(d, d, lam, stats.risk_moments_from_source(source)))
-        cells = []  # (protocol, k, ((std, se) of the estimator, of the risk)), one draw each
-        for proto, ks in (("unaugmented", (1,)), ("iid_aug", (1, 2, 5, 10, 20, 50))):
-            for k in ks:
-                config = montecarlo.ExperimentConfig(
-                    source=source, family=family, protocol=proto, statistic=kinds[0],
-                    n=200, k=k, replicates=reps, seed=child_seed(seed, next(cell_number)))
-                cells.append((proto, k, [_std_with_se(res)
-                                         for res in montecarlo.simulate(config, kinds)]))
-        for j, stat_name in enumerate(("estimator", "risk")):
-            rows.extend((fam_name, stat_name, proto, k, *spread[j]) for proto, k, spread in cells)
+    runs = [(fam_name, setup, proto, k)
+            for fam_name, setup in (("cropping", CROP), ("rotation", ROTATION))
+            for proto, ks in (("unaugmented", (1,)), ("iid_aug", (1, 2, 5, 10, 20, 50)))
+            for k in ks]
+    results = _run_cells(out_dir, seed, [
+        {**setup, "protocol": proto, "n": 200, "k": k, "replicates": reps,
+         "statistic.lambda": lam} for _, setup, proto, k in runs], ("ridge", "ridgerisk"))
+    # one draw per cell gives both quantities; each family lists its estimator rows first
+    rows = [(fam_name, quantity, proto, k, *_std_with_se(res[j]))
+            for fam_name in ("cropping", "rotation")
+            for j, quantity in enumerate(("estimator", "risk"))
+            for (cell_fam, _, proto, k), res in zip(runs, results) if cell_fam == fam_name]
     cfgmod.atomic_write(os.path.join(out_dir, "fig4.csv"), cfgmod.csv_text(
         ["family", "quantity", "protocol", "k", "std_sim", "std_se"],
         rows, [f"replicates = {reps}", f"lambda = {lam:g}"]))
@@ -266,17 +265,13 @@ def _fig5(out_dir, scale, seed):
     reps = 2000 if scale == DESK else 10_000
     n, mu, c, lam = 100, 1.0, 1.0, 4.0
     grid = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-    rows = []
-    for i, s in enumerate(grid):
-        source = core.regression_source([mu], [[s * s]], c)
-        kinds = (stats.ridge_statistic(1, 1, lam),
-                 stats.ridge_risk_statistic(1, 1, lam, stats.risk_moments_from_source(source)))
-        config = montecarlo.ExperimentConfig(
-            source=source, family=core.identity_family(2), protocol="iid_aug",
-            statistic=kinds[0], n=n, k=1, replicates=reps, seed=child_seed(seed, i))
-        est, risk = montecarlo.simulate(config, kinds)
-        rows.append((float(s), math.sqrt(closedform.toy_ridge_variance(n, mu, s, c, 0.0)),
-                     *_std_with_se(est), *_std_with_se(risk)))
+    results = _run_cells(out_dir, seed, [
+        {"source.kind": "regression", "source.mean": [mu], "source.cov": [s * s],
+         "source.noise_scale": c, "family.kind": "identity", "family.dim": 2,
+         "protocol": "iid_aug", "n": n, "k": 1, "replicates": reps, "statistic.lambda": lam}
+        for s in grid], ("ridge", "ridgerisk"))
+    rows = [(float(s), math.sqrt(closedform.toy_ridge_variance(n, mu, s, c, 0.0)),
+             *_std_with_se(est), *_std_with_se(risk)) for s, (est, risk) in zip(grid, results)]
     cfgmod.atomic_write(os.path.join(out_dir, "fig5.csv"), cfgmod.csv_text(
         ["sigma", "std_theory_lam0", "std_sim_lam4", "std_se_lam4", "risk_std_sim_lam4",
          "risk_std_se_lam4"],

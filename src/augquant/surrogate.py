@@ -199,12 +199,13 @@ def sample_surrogate_cells(spec, shape, rng):
 
     The shared normals (*shape, d) and then the residual normals (*shape, k, d) are drawn
     from ``rng``, in that order.  The residual factor multiplies all residual normals as
-    one (rows k, d) @ (d, d) product, and the mean and the shared draw are added on the
-    flat (rows, k d) view."""
+    one (rows k, d) @ (d, d) product; the tiled mean is added on the flat (rows, k d)
+    view, and the shared draw, broadcast over the k copies, on the (rows, k, d) view."""
     l_shared, l_resid = spec._factors
     k, d = spec.k, spec.d
     a = rng.standard_normal((*shape, d)) @ l_shared.T
     cells = (rng.standard_normal((*shape, k, d)).reshape(-1, d) @ l_resid.T).reshape(-1, k * d)
     cells += np.tile(spec.mean_block, k)
-    cells += np.tile(a.reshape(-1, d), (1, k))
+    cells = cells.reshape(-1, k, d)
+    cells += a.reshape(-1, 1, d)
     return cells.reshape(*shape, k, d)

@@ -58,6 +58,14 @@ def _read_lines(path):
         return fh.read().splitlines()
 
 
+def _cell_blocks(path):
+    """The config text of each ``# cell c`` block of a figure's cells.txt, in cell order."""
+    blocks = _read_lines(path)
+    starts = [i for i, line in enumerate(blocks) if line.startswith("# cell ")]
+    assert [blocks[i] for i in starts] == [f"# cell {c}" for c in range(len(starts))]
+    return ["\n".join(blocks[i + 1:j]) for i, j in zip(starts, starts[1:] + [len(blocks)])]
+
+
 class TestConfigFormat:
     def test_round_trip(self):
         cfg = parse_config_text(GAUSSIAN_1D)
@@ -812,15 +820,15 @@ class TestFigure:
 
     def test_fig1_rows_are_the_lone_runs(self, tmp_path):
         # both clouds come from one draw per protocol; each must be its statistic's own run
+        # of the cell that cells.txt echoes
         assert cli.main(["figure", "--name", "fig1", "--out", str(tmp_path), "--seed", "5"]) == 0
-        source, family = cli._crop_setup()
-        for name, kind, (c1, c2) in (("average", aq.average_statistic(4), (0, 1)),
-                                     ("ridge", aq.ridge_statistic(2, 2, 1.0), (0, 3))):
+        cells = _cell_blocks(tmp_path / "cells.txt")
+        for name, (c1, c2) in (("average", (0, 1)), ("ridge", (0, 3))):
             want = ["protocol,coord1,coord2"]
             for c, proto in enumerate(("iid_aug", "unaugmented")):
-                config = aq.ExperimentConfig(source=source, family=family, protocol=proto,
-                                             statistic=kind, n=200, k=50, replicates=500,
-                                             seed=child_seed(5, c))
+                cell = parse_config_text(cells[c])
+                assert cell["protocol"] == proto
+                config = experiment_from_config({**cell, "statistic.kind": name})
                 want += [f"{proto},{fmt(float(row[c1]))},{fmt(float(row[c2]))}"
                          for row in aq.run_experiment(config).samples]
             assert _read_lines(tmp_path / f"fig1_{name}.csv") == want, name
@@ -861,8 +869,29 @@ class TestFigure:
             for seed in ("5", "6"):
                 assert cli.main(["figure", "--name", name, "--seed", seed,
                                  "--out", str(tmp_path / name / seed)]) == 0
+                # cells.txt holds one block per cell, each with the seed its cell ran on
+                blocks = _cell_blocks(tmp_path / name / seed / "cells.txt")
+                assert len(blocks) == cells, name
+                assert [parse_config_text(b)["seed"] for b in blocks] == seeds[-cells:], name
             assert len(seeds) == 2 * cells, name
             assert len(set(seeds)) == len(seeds), name
+
+    @pytest.mark.parametrize("name, cell, columns", [
+        ("fig2", 2, {"expnegchisq": 1}),
+        ("fig5", 4, {"ridge": 2, "ridgerisk": 4}),
+    ])
+    def test_simulate_on_an_echoed_cell_gives_its_std(self, tmp_path, name, cell, columns):
+        # row c of fig2 and fig5 is cell c; its std_sim columns are simulate's
+        # std_of_first_coord on the cell, with statistic.kind set to each statistic
+        fig = tmp_path / name
+        assert cli.main(["figure", "--name", name, "--out", str(fig)]) == 0
+        cfg = parse_config_text(_cell_blocks(fig / "cells.txt")[cell])
+        fields = _read_lines(fig / f"{name}.csv")[1 + cell].split(",")
+        for kind, column in columns.items():
+            out = tmp_path / kind
+            path = _write(tmp_path, config_text({**cfg, "statistic.kind": kind}), f"{kind}.cfg")
+            assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+            assert f"# std_of_first_coord = {fields[column]}" in _read_lines(out / "result.csv")
 
     def test_unknown_figure_exit_2(self, tmp_path):
         assert cli.main(["figure", "--name", "fig9", "--out", str(tmp_path)]) == 2
