@@ -97,7 +97,7 @@ class _MeanDerivs:
         """(||grad f||, ||grad^2 f||, ||grad^3 f||) at the scaled mean m."""
         if self.kind.name == "average":
             return np.sqrt(m.size), 0.0, 0.0
-        if self.kind.name in ("expnegchisq", "expnegchisq2d"):
+        if self.kind.name == "expnegchisq":
             # f = sum_l exp(-m_l^2): every derivative tensor is diagonal
             e = np.exp(-m * m)
             return (np.linalg.norm(2.0 * m * e), np.linalg.norm((4.0 * m * m - 2.0) * e),

@@ -234,7 +234,7 @@ def _fig3(out_dir, scale, seed):
          "source.cov": [sigma * sigma * v for v in (1.0, rho, rho, 1.0)],
          "family.kind": "finite_uniform", "family.member0.matrix": [1.0, 0.0, 0.0, 1.0],
          "family.member1.matrix": [0.0, 1.0, 1.0, 0.0], "protocol": "iid_aug", "n": 100,
-         "k": k, "replicates": reps} for k in ks], ("expnegchisq2d",))
+         "k": k, "replicates": reps, "statistic.d": 2} for k in ks], ("expnegchisq",))
     std_theory = math.sqrt(closedform.f2_variance(rho, sigma))
     rows = [(k, *_std_with_se(res), std_theory) for k, (res,) in zip(ks, results)]
     cfgmod.atomic_write(os.path.join(out_dir, "fig3.csv"), cfgmod.csv_text(

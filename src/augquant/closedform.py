@@ -2,8 +2,9 @@
 
 Everything here is an analytic counterpart to a quantity the simulation engine
 can estimate, so each function has a Monte Carlo oracle in the test suite.
-Every form for the scaled grand mean of k copies reads one covariance of the moments,
-Sigma_k = sigma11 / k + (k - 1) / k * sigma12; unaugmented is the identity family's.
+``_grand_mean_cov`` is the one formula for the covariance of the scaled grand mean of
+k copies, Sigma_k = s11 / k + (k - 1) / k * s12; ``montecarlo._grand_mean_law`` builds
+each protocol's law from it.
 """
 
 import math
@@ -70,32 +71,34 @@ def theta_ratio_general(var_unaug_norm, var_aug_norm):
     return math.sqrt(var_unaug_norm / var_aug_norm)
 
 
-def _grand_mean_cov(moments, k):
-    """Sigma_k = sigma11 / k + (k - 1) / k * sigma12: the surrogate covariance of the
-    scaled grand mean when each of its rows carries k >= 1 augmented copies."""
+def _grand_mean_cov(s11, s12, k):
+    """Sigma_k = s11 / k + (k - 1) / k * s12: the covariance of the scaled grand mean
+    when each row carries k >= 1 copies, each of covariance s11 and every two of
+    covariance s12."""
     if k < 1:
         raise ContractError(f"the number of copies k must be at least 1, got {k}")
-    return moments.sigma11 / k + (k - 1) / k * moments.sigma12
+    return s11 / k + (k - 1) / k * s12
 
 
 def theta_ratio_average(moments, source, k):
     """Benefit ratio for the scaled grand mean at a fixed number of copies k >= 1: the
     ratio of the Frobenius norms of its unaugmented and augmented surrogate covariances."""
-    return theta_ratio_general(float(np.linalg.norm(source.joint_cov())),
-                               float(np.linalg.norm(_grand_mean_cov(moments, k))))
+    return theta_ratio_general(
+        float(np.linalg.norm(source.joint_cov())),
+        float(np.linalg.norm(_grand_mean_cov(moments.sigma11, moments.sigma12, k))))
 
 
-def average_ci(moments, n, k, alpha):
-    """Confidence interval for the plain grand mean of the surrogates (d = 1) at level
-    1 - alpha: mean_phi_x +- z * sqrt(Sigma_k / n).  The identity family's moments give
-    the unaugmented interval, mu +- z * sqrt(Var X / n)."""
-    if moments.dim != 1:
+def average_ci(mean, cov, n, alpha):
+    """Confidence interval at level 1 - alpha for the plain grand mean of n rows whose
+    scaled grand mean has the 1-d law (mean, cov): mean +- z * sqrt(cov / n)."""
+    mean, cov = np.ravel(mean), np.ravel(cov)
+    if mean.size != 1 or cov.size != 1:
         raise ContractError("confidence intervals are implemented for dimension 1 only")
     if not 0.0 < alpha < 1.0:
         raise ContractError("alpha must lie in (0, 1)")
     z = normal_quantile(1.0 - alpha / 2.0)
-    center = float(moments.mean_phi_x[0])
-    half = z * math.sqrt(max(float(_grand_mean_cov(moments, k)[0, 0]), 0.0) / n)
+    center = float(mean[0])
+    half = z * math.sqrt(max(float(cov[0]), 0.0) / n)
     return Interval(lo=center - half, hi=center + half)
 
 
@@ -188,11 +191,3 @@ def repeated_toy_covariance(family, mu, w):
     mean = float(family.weights @ vals)
     return float(family.weights @ (vals - mean) ** 2)
 
-
-def exp_neg_chisq_sigma(moments, k):
-    """The scale s = sqrt(Sigma_k) of the 1-d scaled grand mean at k copies, which feeds
-    the exponential statistic's variance curve and interval; the identity family's
-    moments give the unaugmented scale, sqrt(Var X)."""
-    if moments.dim != 1:
-        raise ContractError("the exponential statistic's curve applies to dimension 1")
-    return math.sqrt(max(float(_grand_mean_cov(moments, k)[0, 0]), 0.0))

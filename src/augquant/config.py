@@ -146,8 +146,7 @@ KEYS = {
     "family.member<N>.matrix": (_vector, REQUIRED),
     "family.member<N>.offset": (_vector, None),
     "statistic.kind": (_name, REQUIRED), "statistic.d": (_int, 1),
-    "statistic.d_n": (_int, 1), "statistic.t": (_float, 1.0),
-    "statistic.lambda": (_float, 0.0),
+    "statistic.t": (_float, 1.0), "statistic.lambda": (_float, 0.0),
     "compare.protocols": (_name, REQUIRED),
     "bounds.num_outer": (_int, 64), "bounds.num_grid": (_int, 17),
     "bounds.include_repeated": (_bool, False),
@@ -276,17 +275,17 @@ def family_from_config(cfg):
     return fam.paired() if paired else fam
 
 
-# statistic.kind -> {config key: StatisticKind field} of the parameters it takes
-_STATISTIC_FIELDS = {"average": {"statistic.d": "d"},
-                     "smoothmax": {"statistic.d_n": "d", "statistic.t": "t"},
-                     "hardmax": {"statistic.d_n": "d"},
+# statistic.kind -> {config key: StatisticKind field} of the parameters it takes; a kind
+# not listed takes statistic.d, the number of coordinates of the scaled grand mean
+_STATISTIC_FIELDS = {"smoothmax": {"statistic.d": "d", "statistic.t": "t"},
                      "ridge": {"statistic.lambda": "lam"},
                      "ridgerisk": {"statistic.lambda": "lam"}}
 
 
 def statistic_from_config(cfg, source):
     kind = read(cfg, "statistic.kind")
-    fields = {field: read(cfg, key) for key, field in _STATISTIC_FIELDS.get(kind, {}).items()}
+    fields = {field: read(cfg, key) for key, field in
+              _STATISTIC_FIELDS.get(kind, {"statistic.d": "d"}).items()}
     if kind in ("ridge", "ridgerisk"):
         if source.kind != "regression":
             raise ConfigError("ridge statistics need a regression source")

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import closedform
 from . import statistics as stats
-from .core import identity_family
 from .errors import ConfigError, NumericalError
 from .rng import child_seed, is_seed, substream
 from .surrogate import build_surrogate, estimate_moments, sample_surrogate_cells
@@ -174,29 +173,38 @@ class ComparisonReport:
         return math.isinf(self.theta_hat)  # zero augmented variance
 
 
-def _grand_mean_moments(config):
-    """The moments whose Sigma_k is the covariance of the scaled grand mean under config's
-    protocol, with the surrogate's diagonal block as sigma11; None for a repeated protocol."""
+def _grand_mean_law(config):
+    """(mean, Sigma) of the scaled grand mean sum_ij cell_ij / (sqrt(n) k) under config's
+    protocol, mean being that of one cell.  The repeated protocols share one set of k maps
+    among all n rows: given the maps, each copy has covariance E[A Sigma A^T], and the
+    spread of the maps' means, Var(A mu + a) = sigma11 - E[A Sigma A^T], enters n / k times."""
+    if config.protocol == "unaugmented":
+        return config.source.joint_mean(), config.source.joint_cov()
+    m, k = estimate_moments(config.family, config.source), config.k
     if config.protocol.startswith("repeated"):
-        return None
-    moments = estimate_moments(config.family if config.protocol != "unaugmented"
-                               else identity_family(config.source.dim), config.source)
-    if config.protocol == "surrogate":
-        spec = build_surrogate(moments, config.n, config.k, config.delta)
-        moments = replace(moments, sigma11=spec.diag_block)
-    return moments
+        return m.mean_phi_x, (closedform._grand_mean_cov(m.mean_var_given_map, m.sigma12, k)
+                              + config.n / k * (m.sigma11 - m.mean_var_given_map))
+    s11 = (m.sigma11 if config.protocol == "iid_aug"
+           else build_surrogate(m, config.n, k, config.delta).diag_block)
+    return m.mean_phi_x, closedform._grand_mean_cov(s11, m.sigma12, k)
 
 
 def _theory_theta(config):
-    """theta of config's protocol against unaugmented, or None where no closed form holds."""
-    moments, kind = _grand_mean_moments(config), config.statistic
-    if moments is not None and kind.name == "average":
-        return closedform.theta_ratio_average(moments, config.source, config.k)
-    if moments is not None and kind.name == "expnegchisq" and not (
-            np.any(moments.mean_phi_x) or np.any(config.source.mean)):  # both laws centred
-        s_aug, s_un = (closedform.exp_neg_chisq_sigma(m, config.k) for m in (
-            moments, _grand_mean_moments(replace(config, protocol="unaugmented"))))
-        return closedform.theta_ratio_general(closedform.v_curve(s_un), closedform.v_curve(s_aug))
+    """theta of config's protocol against unaugmented from their grand-mean laws, or None
+    where no closed form holds: the exponential's v_curve needs a centred 1-d Gaussian
+    grand mean on both sides, and shared maps make the repeated protocols' a mixture."""
+    kind = config.statistic
+    if kind.name not in ("average", "expnegchisq"):
+        return None
+    (mean, cov), (mean_un, cov_un) = (_grand_mean_law(replace(config, protocol=p))
+                                      for p in (config.protocol, "unaugmented"))
+    if kind.name == "average":
+        return closedform.theta_ratio_general(float(np.linalg.norm(cov_un)),
+                                              float(np.linalg.norm(cov)))
+    if kind.d == 1 and not config.protocol.startswith("repeated") and not (
+            np.any(mean) or np.any(mean_un)):
+        s, s_un = (math.sqrt(max(float(c[0, 0]), 0.0)) for c in (cov, cov_un))
+        return closedform.theta_ratio_general(closedform.v_curve(s_un), closedform.v_curve(s))
     return None
 
 
@@ -235,24 +243,25 @@ def compare_protocols(config_base, protocols):
 def coverage_check(config, interval_rule):
     """Empirical coverage of a fixed closed-form interval over replicates.
 
-    Both rules read ``_grand_mean_moments(config)`` at the config's k and refuse a repeated
-    protocol: ``"average_ci"`` checks the plain grand mean (the scaled statistic over sqrt(n))
-    against its d=1 interval, ``"chisq_ci"`` the exponential statistic of a centred law
-    against its quantile interval.  Returns (coverage, binomial SE, interval).
+    Both rules read ``_grand_mean_law(config)`` and refuse a repeated protocol, whose
+    grand mean is a mixture over the shared maps: ``"average_ci"`` checks the plain grand
+    mean (the scaled statistic over sqrt(n)) against its d=1 interval, ``"chisq_ci"`` the
+    1-d exponential statistic of a centred law against its quantile interval.  Returns
+    (coverage, binomial SE, interval).
     """
-    kind, moments = config.statistic, _grand_mean_moments(config)
-    if moments is None:
+    kind = config.statistic
+    if config.protocol.startswith("repeated"):
         raise ConfigError(f"no closed-form interval for {config.protocol}: its rows share maps")
+    mean, cov = _grand_mean_law(config)
     if interval_rule == "average_ci":
         if kind.name != "average" or kind.d != 1:
             raise ConfigError("average interval rule applies to the d=1 average statistic")
-        interval = closedform.average_ci(moments, config.n, config.k, config.alpha)
+        interval = closedform.average_ci(mean, cov, config.n, config.alpha)
         scale = 1.0 / math.sqrt(config.n)
     elif interval_rule == "chisq_ci":
-        if kind.name != "expnegchisq" or np.any(moments.mean_phi_x):
-            raise ConfigError("chi-squared interval rule applies to the centred exponential")
-        interval = closedform.chisq_ci(closedform.exp_neg_chisq_sigma(moments, config.k),
-                                       config.alpha)
+        if kind.name != "expnegchisq" or kind.d != 1 or np.any(mean):
+            raise ConfigError("chi-squared interval rule applies to the centred 1-d exponential")
+        interval = closedform.chisq_ci(math.sqrt(max(float(cov[0, 0]), 0.0)), config.alpha)
         scale = 1.0
     else:
         raise ConfigError(f"unknown interval rule {interval_rule!r}")

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 
-CANONICAL_NAMES = ("average", "expnegchisq", "expnegchisq2d", "smoothmax",
-                   "hardmax", "ridge", "ridgerisk")
+CANONICAL_NAMES = ("average", "expnegchisq", "smoothmax", "hardmax", "ridge", "ridgerisk")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +69,7 @@ class StatisticKind:
     @property
     def slot_dim(self):
         """Dimension each augmented cell must have for this statistic."""
-        if self.name in ("average", "smoothmax", "hardmax"):
-            return self.d
-        if self.name == "expnegchisq":
-            return 1
-        if self.name == "expnegchisq2d":
-            return 2
-        return self.d + self.b
+        return self.d + self.b if self.name in ("ridge", "ridgerisk") else self.d
 
     @property
     def output_dim(self):
@@ -96,7 +89,7 @@ def exp_neg_chisq_statistic():
 
 
 def exp_neg_chisq_2d_statistic():
-    return StatisticKind(name="expnegchisq2d")
+    return StatisticKind(name="expnegchisq", d=2)
 
 
 def smooth_max_statistic(d_n, t):
@@ -155,7 +148,7 @@ def evaluate_batch(kind, points, weights, k):
     m = np.einsum("bnj,bnjd->bd", weights, points) / (np.sqrt(points.shape[1]) * k)
     if kind.name == "average":
         return m
-    if kind.name in ("expnegchisq", "expnegchisq2d"):
+    if kind.name == "expnegchisq":
         return np.exp(-m * m).sum(axis=1, keepdims=True)
     shift = m.max(axis=1, keepdims=True)
     if kind.name == "hardmax" or kind.d == 1:

@@ -43,7 +43,8 @@ class AugmentationMoments:
     mean_cond_var  : expected conditional covariance given the observation,
                      sigma11 - sigma12 by the law of total variance
     mean_var_given_map : E[A Sigma A^T], between sigma11 and sigma12 in the Loewner
-                     order; a diagnostic that no surrogate law reads
+                     order; the covariance of a copy given its map, which the
+                     repeated protocols' grand-mean law reads
     sixth_moment   : E ||transformed observation||^6
     """
 

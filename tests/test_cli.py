@@ -1,3 +1,4 @@
+import math
 import os
 import warnings
 from types import SimpleNamespace
@@ -236,6 +237,34 @@ compare.protocols = iid_aug,unaugmented
         cfgp = _write(tmp_path, text)
         assert cli.main(["compare", "--config", cfgp, "--out", str(tmp_path)]) == 0
         assert "# theta_theory = inf" in _read_lines(tmp_path / "compare.csv")
+
+    def test_repeated_theory_is_written(self, tmp_path):
+        # sign flips keeping 30% of the time on N(1, 1): E[A^2] = 1, sigma12 = 0.16 and
+        # Var(A mu) = 0.84, so at n = 20, k = 4 Sigma = 1 / 4 + 3 / 4 * 0.16 + 5 * 0.84
+        text = """
+source.kind = gaussian
+source.mean = [1.0]
+source.cov = [1.0]
+family.kind = finite_uniform
+family.weights = [0.3, 0.7]
+family.member0.matrix = [1.0]
+family.member1.matrix = [-1.0]
+statistic.kind = average
+protocol = iid_aug
+n = 20
+k = 4
+replicates = 4000
+seed = 5
+compare.protocols = repeated_aug, unaugmented
+"""
+        cfgp = _write(tmp_path, text)
+        assert cli.main(["compare", "--config", cfgp, "--out", str(tmp_path)]) == 0
+        footer = dict(line[2:].split(" = ") for line in _read_lines(tmp_path / "compare.csv")
+                      if line.startswith("# "))
+        theory, theta, se = (float(footer[key]) for key in ("theta_theory", "theta_hat",
+                                                             "theta_se"))
+        assert theory == pytest.approx(math.sqrt(1.0 / 4.57), rel=1e-12)
+        assert abs(theta - theory) <= 3 * se
 
     def test_exponential_theory_at_one_copy_is_one(self, tmp_path):
         # one sign-flipped copy has the law of the observation itself
@@ -571,9 +600,23 @@ bounds.num_outer = 2
 bounds.num_grid = 2
 """
 # a smooth-max temperature so small that the statistic's values lie near the float limit
-TINY_T = (_set(SWAP_SMALL, "statistic.kind", "smoothmax")
-          + "statistic.d_n = 2\nstatistic.t = 1e-300\n")
+SMOOTHMAX = _set(SWAP_SMALL, "statistic.kind", "smoothmax")  # statistic.d = 2 sizes it
+TINY_T = SMOOTHMAX + "statistic.t = 1e-300\n"
 HUGE_MEAN = _set(SWAP_SMALL, "source.mean", "[1e155, 1e155]")
+
+
+class TestStatisticSize:
+    """statistic.d is the one size key of every statistic but the ridge kinds."""
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "bounds"])
+    def test_smoothmax_is_sized_by_statistic_d(self, tmp_path, command):
+        cfgp = _write(tmp_path, SMOOTHMAX)
+        assert cli.main([command, "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+
+    def test_two_coordinate_exponential_is_sized_by_statistic_d(self, tmp_path):
+        cfgp = _write(tmp_path, _set(SWAP_SMALL, "statistic.kind", "expnegchisq"))
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+        assert "# config.statistic.d = 2" in _read_lines(tmp_path / "out" / "result.csv")
 
 
 class TestNonFiniteRuns:
@@ -708,6 +751,8 @@ BAD_CONFIGS = [
                       "protocol", "surrogate"), "cov"),
     ("bounds", _set(SWAP_2D, "source.cov", "[1e-6, 0.0, 0.0, -5e-9]"), "cov"),
     ("simulate", _set(SWAP_2D, "source.cov", "[1e-3, 0.0, 0.0, -5e-11]"), "cov"),
+    ("simulate", SMOOTHMAX.replace("statistic.d = 2", "statistic.d_n = 2"),
+     "unknown key 'statistic.d_n'"),
 ]
 
 
@@ -718,7 +763,7 @@ class TestRefusedInput:
                                   "offset_longer_than_matrix", "member_0x0", "alpha_abc",
                                   "no_augmented", "protocol_twice", "theta_k0",
                                   "cov_not_psd", "cov_not_psd_surrogate", "cov_not_psd_bounds",
-                                  "cov_not_psd_small_scale"])
+                                  "cov_not_psd_small_scale", "size_key_d_n"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, text, needle):
         cfgp = _write(tmp_path, text)
         assert needle in _exits_cleanly(tmp_path, capsys, [command, "--config", cfgp], 2)

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate as sint
 
 import augquant as aq
-from augquant.closedform import (average_ci, chisq_ci, exp_neg_chisq_sigma, f2_variance,
+from augquant.closedform import (_grand_mean_cov, average_ci, chisq_ci, f2_variance,
                                  repeated_toy_covariance, theta_ratio_average,
                                  theta_ratio_general, toy_ridge_variance, v_curve)
 from augquant.errors import ContractError
@@ -94,11 +94,8 @@ class TestThetaRatio:
         m = aq.estimate_moments(aq.swap_family(), src)
         with pytest.raises(ContractError, match="at least 1"):
             theta_ratio_average(m, src, k)
-        one = aq.gaussian_source([0.0], [[1.0]])
         with pytest.raises(ContractError, match="at least 1"):
-            average_ci(aq.estimate_moments(aq.identity_family(1), one), 10, k, 0.05)
-        with pytest.raises(ContractError, match="at least 1"):
-            exp_neg_chisq_sigma(aq.estimate_moments(aq.identity_family(1), one), k)
+            _grand_mean_cov(m.sigma11, m.sigma12, k)
 
     def test_averaged_covariance_never_exceeds_marginal(self):
         cases = [
@@ -121,35 +118,31 @@ class TestAverageCi:
         m = aq.estimate_moments(aq.identity_family(1), src)
         half = normal_quantile(0.975) * math.sqrt(1.7 / 50)
         for k in (1, 3, 10):
-            iv = average_ci(m, 50, k, 0.05)
+            iv = average_ci(m.mean_phi_x, _grand_mean_cov(m.sigma11, m.sigma12, k), 50, 0.05)
             np.testing.assert_array_max_ulp(iv.lo, 0.4 - half, maxulp=4)
             np.testing.assert_array_max_ulp(iv.hi, 0.4 + half, maxulp=4)
 
     def test_half_width_uses_normal_quantile(self):
-        src = aq.gaussian_source([0.0], [[1.0]])
-        m = aq.estimate_moments(aq.identity_family(1), src)
-        iv = average_ci(m, 100, 1, 0.05)
+        iv = average_ci([0.0], [[1.0]], 100, 0.05)
         assert iv.hi == pytest.approx(1.959963984540054 / 10, rel=1e-10)
 
     def test_negative_correlation_swap_narrows(self):
         # a mean-zero sign-flip family with partial flip probability shrinks the
         # averaged covariance, so the augmented interval is strictly narrower
         src = aq.gaussian_source([0.0], [[1.0]])
-        a = average_ci(aq.estimate_moments(aq.sign_flip_family(1, 0.5), src), 50, 4, 0.05)
-        u = average_ci(aq.estimate_moments(aq.identity_family(1), src), 50, 4, 0.05)
+        a, u = (average_ci(m.mean_phi_x, _grand_mean_cov(m.sigma11, m.sigma12, 4), 50, 0.05)
+                for m in (aq.estimate_moments(fam, src)
+                          for fam in (aq.sign_flip_family(1, 0.5), aq.identity_family(1))))
         assert a.width < u.width
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
     def test_alpha_domain(self, alpha):
-        m = aq.estimate_moments(aq.identity_family(1), aq.gaussian_source([0.0], [[1.0]]))
         with pytest.raises(ContractError, match="alpha"):
-            average_ci(m, 10, 2, alpha)
+            average_ci([0.0], [[1.0]], 10, alpha)
 
     def test_dimension_restriction(self):
-        src = aq.gaussian_source([0.0, 0.0], np.eye(2))
-        m = aq.estimate_moments(aq.identity_family(2), src)
         with pytest.raises(ContractError):
-            average_ci(m, 10, 2, 0.05)
+            average_ci([0.0, 0.0], np.eye(2), 10, 0.05)
 
 
 class TestF2Variance:

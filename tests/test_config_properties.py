@@ -156,14 +156,11 @@ def valid_configs(draw):
                                        max_size=members)))
             lines.append(f"family.weights = {_vector(w / w.sum())}")
     statistics = ["ridge", "ridgerisk"] if kind == "regression" else []
-    statistics += {1: ["expnegchisq"], 2: ["expnegchisq2d"]}.get(dim, [])
-    statistics += ["smoothmax", "hardmax", "average"]
+    statistics += ["expnegchisq", "smoothmax", "hardmax", "average"]
     stat = draw(st.sampled_from(statistics))
     lines.append(f"statistic.kind = {stat}")
-    if stat == "average":
+    if not stat.startswith("ridge"):
         lines.append(f"statistic.d = {dim}")
-    if stat in ("smoothmax", "hardmax"):
-        lines.append(f"statistic.d_n = {dim}")
     if stat == "smoothmax":
         t = draw(st.sampled_from([1e-3, 1e-300])) if wild == "t" else draw(st.floats(0.1, 5.0))
         lines.append(f"statistic.t = {t!r}")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import augquant as aq
 from augquant.closedform import f2_variance, v_curve
-from augquant import cli, closedform
+from augquant import cli, closedform, montecarlo
 from augquant.config import experiment_from_config, parse_config_text
 from augquant.errors import ConfigError
 from augquant.montecarlo import _jackknife_var_norm_se
@@ -215,18 +216,76 @@ class TestCompareProtocols:
         assert rep.theta_theory == pytest.approx(2.5, rel=1e-12)
         assert abs(rep.theta_hat - rep.theta_theory) <= 3 * rep.theta_se
 
+    @pytest.mark.parametrize("protocol", ["repeated_aug", "repeated_surrogate"])
+    def test_repeated_theory_is_the_shared_map_law(self, protocol):
+        # sign flips keeping 30% of the time on N(1, 1): E[A^2] = 1, sigma12 = 0.16 and
+        # Var(A mu) = 0.84, so at n = 20, k = 2 Sigma = 1 / 2 + 0.16 / 2 + 10 * 0.84
+        cfg = aq.ExperimentConfig(source=aq.gaussian_source([1.0], [[1.0]]),
+                                  family=aq.sign_flip_family(1, 0.3), protocol="iid_aug",
+                                  statistic=aq.average_statistic(1), n=20, k=2,
+                                  replicates=50, seed=5)
+        rep = aq.compare_protocols(cfg, [protocol, "unaugmented"])
+        assert rep.theta_theory == pytest.approx(math.sqrt(1.0 / 8.98), rel=1e-12)
+
     @pytest.mark.parametrize("mean,family,protocol,statistic", [
-        (1.0, aq.sign_flip_family(1, 0.3), "repeated_aug", aq.average_statistic(1)),
-        (1.0, aq.sign_flip_family(1, 0.3), "repeated_surrogate", aq.average_statistic(1)),
         (0.0, aq.finite_uniform_family([[[1.0]], [[-0.5]]], [[0.2], [1.0]], [0.6, 0.4]),
          "iid_aug", aq.exp_neg_chisq_statistic()),
         (1.0, aq.sign_flip_family(1, 0.5), "iid_aug", aq.exp_neg_chisq_statistic()),
-    ], ids=["repeated_aug", "repeated_surrogate", "offset_exp", "uncentred_source_exp"])
+        (0.0, aq.sign_flip_family(1, 0.3), "repeated_aug", aq.exp_neg_chisq_statistic()),
+    ], ids=["offset_exp", "uncentred_source_exp", "repeated_exp"])
     def test_no_theory_without_a_closed_form(self, mean, family, protocol, statistic):
         cfg = aq.ExperimentConfig(source=aq.gaussian_source([mean], [[1.0]]), family=family,
                                   protocol="iid_aug", statistic=statistic, n=20, k=2,
                                   replicates=50, seed=5)
         assert aq.compare_protocols(cfg, [protocol, "unaugmented"]).theta_theory is None
+
+
+def _jackknife_cov_se(samples):
+    """Delete-one jackknife SE of every entry of the sample covariance of (R, q) samples."""
+    r = len(samples)
+    dev = samples - samples.mean(axis=0)
+    loo = (dev.T @ dev - r / (r - 1.0) * dev[:, :, None] * dev[:, None, :]) / (r - 2.0)
+    return np.sqrt((r - 1.0) / r * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+
+
+class TestRepeatedLaw:
+    """The repeated protocols' grand-mean covariance against repeated_aug's sample covariance
+    of the average.  In every case the maps move the mean, so the n / k term carries most
+    of Sigma.  R = 100000 puts each entry's jackknife SE near 0.4% of its value, so that
+    sigma11 in place of E[A Sigma A^T] in the 1 / k term would lie 5 SE or more away."""
+
+    CASES = {
+        "sign_flip": (aq.gaussian_source([1.0], [[1.0]]), aq.sign_flip_family(1, 0.3), 20, 4),
+        "swap": (aq.gaussian_source([1.0, -2.0], [[1.0, -0.5], [-0.5, 1.0]]),
+                 aq.swap_family(), 50, 5),
+        "offset_maps": (aq.gaussian_source([1.0, -3.0], [[1.0, 0.9], [0.9, 1.0]]),
+                        aq.finite_uniform_family(
+                            [[[0.3, -1.2], [0.8, 2.5]], [[1.0, 0.0], [0.0, -1.0]]],
+                            [[1.0, 0.0], [-0.5, 2.0]], [0.3, 0.7]), 30, 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_sample_covariance(self, case):
+        src, fam, n, k = self.CASES[case]
+        cfg = aq.ExperimentConfig(source=src, family=fam, protocol="repeated_aug",
+                                  statistic=aq.average_statistic(src.dim), n=n, k=k,
+                                  replicates=100_000, seed=11)
+        mean, sigma = montecarlo._grand_mean_law(cfg)
+        samples = aq.run_experiment(cfg).samples
+        z = (np.cov(samples, rowvar=False).reshape(sigma.shape) - sigma) \
+            / _jackknife_cov_se(samples)
+        assert np.all(np.abs(z) <= 4.0), z
+        assert np.array_equal(mean, aq.estimate_moments(fam, src).mean_phi_x)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_repeated_surrogate_has_the_same_law(self, case):
+        src, fam, n, k = self.CASES[case]
+        cfg = aq.ExperimentConfig(source=src, family=fam, protocol="repeated_aug",
+                                  statistic=aq.average_statistic(src.dim), n=n, k=k,
+                                  replicates=2, seed=11)
+        aug, sur = (montecarlo._grand_mean_law(dataclasses.replace(cfg, protocol=p))
+                    for p in ("repeated_aug", "repeated_surrogate"))
+        assert all(np.array_equal(a, b) for a, b in zip(aug, sur))
 
 
 class TestCoverage:
@@ -283,6 +342,14 @@ class TestCoverage:
                                   replicates=20, seed=3)
         with pytest.raises(ConfigError, match="centred"):
             aq.coverage_check(cfg, "chisq_ci")
+
+    def test_chisq_interval_needs_one_coordinate(self):
+        cfg = aq.ExperimentConfig(source=_exchangeable_source(), family=aq.swap_family(),
+                                  protocol="iid_aug", statistic=aq.exp_neg_chisq_2d_statistic(),
+                                  n=20, k=2, replicates=20, seed=3)
+        with pytest.raises(ConfigError, match="1-d exponential"):
+            aq.coverage_check(cfg, "chisq_ci")
+        assert aq.compare_protocols(cfg, ["iid_aug", "unaugmented"]).theta_theory is None
 
     def test_rule_statistic_pairing_enforced(self):
         src = aq.gaussian_source([0.0], [[1.0]])

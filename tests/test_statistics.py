@@ -45,6 +45,18 @@ class TestExpNegChisq:
         assert aq.evaluate(aq.exp_neg_chisq_2d_statistic(), vals2, 3)[0] == pytest.approx(
             float(np.exp(-g2 * g2).sum()), rel=1e-15)
 
+    def test_size_is_the_slot_dimension(self):
+        # one name at every size: d sizes the slots, 2 for the two-coordinate statistic
+        assert aq.exp_neg_chisq_2d_statistic() == st.StatisticKind("expnegchisq", d=2)
+        kind = st.StatisticKind("expnegchisq", d=5)
+        assert kind.slot_dim == 5 and kind.output_dim == 1
+        vals = np.random.default_rng(3).standard_normal((4, 10))  # n=4, k=2, d=5
+        g = aq.evaluate(aq.average_statistic(5), vals, 2)
+        assert aq.evaluate(kind, vals, 2)[0] == pytest.approx(float(np.exp(-g * g).sum()),
+                                                              rel=1e-15)
+        with pytest.raises(ContractError, match="slot dimension"):
+            aq.evaluate(kind, np.zeros((4, 2)), 2)
+
 
 class TestMax:
     def test_single_coordinate_exact(self):
