@@ -8,9 +8,9 @@ simulation of the actual augmented estimators.
 
 __version__ = "0.1.0"
 
-from .core import (AugmentedDataset, DataSource, TransformationFamily, augment_iid,
-                   augment_repeated, cyclic_rotation_family, finite_uniform_family,
-                   gaussian_source, identity_family, random_crop_family, regression_source,
+from .core import (DataSource, TransformationFamily, augment_iid, augment_repeated,
+                   cyclic_rotation_family, finite_uniform_family, gaussian_source,
+                   identity_family, random_crop_family, regression_source,
                    replicate_unaugmented, sign_flip_family, swap_family)
 from .errors import ConfigError, ContractError, NumericalError
 from .surrogate import (AugmentationMoments, SurrogateSpec, build_surrogate, estimate_moments,

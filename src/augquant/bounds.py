@@ -103,8 +103,8 @@ class _MeanDerivs:
             return (np.linalg.norm(2.0 * m * e), np.linalg.norm((4.0 * m * m - 2.0) * e),
                     np.linalg.norm((12.0 * m - 8.0 * m**3) * e))
         # smooth max: the softmax weights omega and the Gram of e_j - omega; at
-        # d = 1 tau = t log 1 = 0 makes the second and third tensors vanish
-        tau = self.kind.t * np.log(self.kind.d)
+        # d = 1 tau = 0 makes the second and third tensors vanish
+        tau = self.kind.tau
         omega = np.exp(tau * (m - m.max()))
         omega /= omega.sum()
         g = np.eye(omega.size) - omega - omega[:, None] + omega @ omega

@@ -1,9 +1,10 @@
 """Data sources, affine transformation families, and augmentation protocols.
 
-An augmented dataset holds ``n`` rows of ``k`` transformed copies of each
-observation, laid out row-major: row ``i`` is the concatenation
-``(t_i1(x_i), ..., t_ik(x_i))`` with the coordinate index innermost.  The
-protocols and surrogate samplers write it and ``statistics.evaluate`` reads it.
+An augmented dataset is a plain (n, k*d) float array: ``n`` rows of ``k``
+transformed copies of each observation, laid out row-major, so row ``i`` is the
+concatenation ``(t_i1(x_i), ..., t_ik(x_i))`` with the coordinate index
+innermost.  The protocols and surrogate samplers return it and
+``statistics.evaluate`` reads it; ``reshape(n, k, d)`` gives the cells.
 The bound's derivative adapters read the same rows as (n, k, d) cells, and the
 Monte Carlo engine does not read it (below).
 
@@ -219,33 +220,6 @@ def sign_flip_family(d, p_keep):
     return TransformationFamily([np.eye(d), -np.eye(d)], weights=[p_keep, 1.0 - p_keep])
 
 
-@dataclass(frozen=True, eq=False)
-class AugmentedDataset:
-    """n rows of k transformed copies, values shape (n, k*d), row-major.
-
-    ``labels`` records, when available, which family member produced each of
-    the n*k cells; it is bookkeeping for diagnostics and tests, not part of
-    the wire layout.
-    """
-
-    n: int
-    k: int
-    d: int
-    values: np.ndarray
-    labels: np.ndarray = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.n, self.k * self.d):
-            raise ContractError(f"values shape {v.shape} does not match (n, k*d)="
-                                f"({self.n}, {self.k * self.d})")
-        object.__setattr__(self, "values", v)
-
-    def cells(self):
-        """View of values with shape (n, k, d)."""
-        return self.values.reshape(self.n, self.k, self.d)
-
-
 def _validate_data(data, k, family=None):
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
@@ -267,8 +241,7 @@ def augment_iid(data, family, k, seed):
     data = _validate_data(data, k, family)
     n, d = data.shape
     idx = family.sample_indices((n, k), substream(seed))
-    out = family.images(data)[np.arange(n)[:, None], idx]
-    return AugmentedDataset(n=n, k=k, d=d, values=out.reshape(n, k * d), labels=idx)
+    return family.images(data)[np.arange(n)[:, None], idx].reshape(n, k * d)
 
 
 def augment_repeated(data, family, k, seed):
@@ -280,14 +253,9 @@ def augment_repeated(data, family, k, seed):
     data = _validate_data(data, k, family)
     n, d = data.shape
     idx_k = family.sample_indices((k,), substream(seed))
-    out = family.images(data)[:, idx_k]
-    labels = np.broadcast_to(idx_k, (n, k)).copy()
-    return AugmentedDataset(n=n, k=k, d=d, values=out.reshape(n, k * d), labels=labels)
+    return family.images(data)[:, idx_k].reshape(n, k * d)
 
 
 def replicate_unaugmented(data, k):
     """The k-fold replicate baseline: row i is (x_i, ..., x_i), k copies."""
-    data = _validate_data(data, k)
-    n, d = data.shape
-    values = np.tile(data, (1, k))
-    return AugmentedDataset(n=n, k=k, d=d, values=values, labels=None)
+    return np.tile(_validate_data(data, k), (1, k))

@@ -72,6 +72,11 @@ class StatisticKind:
         return self.d + self.b if self.name in ("ridge", "ridgerisk") else self.d
 
     @property
+    def tau(self):
+        """The smooth max's temperature t log d; 0 at d = 1."""
+        return self.t * np.log(self.d)
+
+    @property
     def output_dim(self):
         if self.name == "average":
             return self.d
@@ -95,9 +100,9 @@ def exp_neg_chisq_2d_statistic():
 def smooth_max_statistic(d_n, t):
     """Log-sum-exp relaxation of the coordinatewise max of the scaled grand means.
 
-    The temperature is t * log(d_n), which caps the gap to the hard max at 1/t.
-    For d_n = 1 the relaxation is exact and the degenerate temperature is
-    bypassed.
+    The temperature ``StatisticKind.tau`` = t * log(d_n) caps the gap to the
+    hard max at 1/t.  For d_n = 1 the relaxation is exact and the degenerate
+    temperature is bypassed.
     """
     return StatisticKind(name="smoothmax", d=d_n, t=float(t))
 
@@ -116,9 +121,8 @@ def ridge_risk_statistic(d, b, lam, risk_moments):
 
 
 def _cells(data, k):
-    """Coerce an AugmentedDataset or raw (n, k*d) array to (n, k, d) cells."""
-    values = getattr(data, "values", data)
-    values = np.asarray(values, dtype=float)
+    """View an (n, k*d) array of augmented rows as (n, k, d) cells."""
+    values = np.asarray(data, dtype=float)
     if values.ndim != 2:
         raise ContractError("expected a 2-d augmented layout")
     n, cols = values.shape
@@ -153,7 +157,7 @@ def evaluate_batch(kind, points, weights, k):
     shift = m.max(axis=1, keepdims=True)
     if kind.name == "hardmax" or kind.d == 1:
         return shift  # the log-sum-exp relaxation is exact for one coordinate
-    tau = kind.t * np.log(kind.d)
+    tau = kind.tau
     return shift + np.log(np.exp(tau * (m - shift)).sum(axis=1, keepdims=True)) / tau
 
 

@@ -311,7 +311,7 @@ def test_criterion_09_repeated_augmentation_shift():
             rng = substream(seed, r)
             data = src.sample(2, rng)
             aug = augment(data, fam, 1, int(rng.integers(2**63)))
-            cells = aug.cells()
+            cells = aug.reshape(len(data), 1, -1)
             vals[r, 0] = (cells[0, 0] + sign * cells[1, 0]) @ w_dir
         var = float(np.var(vals[:, 0], ddof=1))
         se = _jackknife_var_norm_se(vals)[1]

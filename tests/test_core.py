@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import augquant as aq
+from augquant import surrogate as sg
 from augquant.errors import ContractError
+from test_family_stack import _members
 
 
 class TestDraws:
@@ -38,28 +40,30 @@ class TestAugmentIid:
     def test_identity_blocks(self):
         data = np.arange(6.0).reshape(3, 2)
         aug = aq.augment_iid(data, aq.identity_family(2), k=4, seed=0)
-        assert aug.values.shape == (3, 8)
+        assert aug.shape == (3, 8)
         for j in range(4):
-            assert np.array_equal(aug.cells()[:, j, :], data)
+            assert np.array_equal(aug.reshape(3, 4, 2)[:, j, :], data)
 
     def test_support_enumeration(self):
         support = {(1, 2, 1, 2), (1, 2, 2, 1), (2, 1, 1, 2), (2, 1, 2, 1)}
         for seed in range(20):
             aug = aq.augment_iid(np.array([[1.0, 2.0]]), aq.swap_family(), k=2, seed=seed)
-            assert tuple(aug.values[0]) in support
+            assert tuple(aug[0]) in support
 
     def test_swap_frequency(self):
-        # 1e5 cells at weight 1/2; tolerance 0.005 is ~3 binomial SEs
-        aug = aq.augment_iid(np.zeros((1000, 2)), aq.swap_family(), k=100, seed=5)
-        freq = np.mean(aug.labels == 1)
+        # 1e5 cells at weight 1/2; tolerance 0.005 is ~3 binomial SEs.  On the row
+        # (0, 1) a swapped cell is (1, 0), so its first coordinate counts the swaps.
+        aug = aq.augment_iid(np.tile([0.0, 1.0], (1000, 1)), aq.swap_family(), k=100, seed=5)
+        freq = np.mean(aug.reshape(1000, 100, 2)[:, :, 0] == 1.0)
         assert abs(freq - 0.5) <= 0.005
 
     def test_determinism(self):
         data = np.random.default_rng(1).standard_normal((10, 2))
         a = aq.augment_iid(data, aq.swap_family(), k=3, seed=99)
         b = aq.augment_iid(data, aq.swap_family(), k=3, seed=99)
-        assert a.values.tobytes() == b.values.tobytes()
-        assert np.array_equal(a.labels, b.labels)
+        assert a.tobytes() == b.tobytes()
+        assert np.array_equal(_members(aq.swap_family(), data, a),
+                              _members(aq.swap_family(), data, b))
 
     def test_empty_data_rejected(self):
         with pytest.raises(ContractError):
@@ -75,39 +79,42 @@ class TestAugmentRepeated:
         data = np.random.default_rng(2).standard_normal((5, 2))
         rep = aq.augment_repeated(data, aq.identity_family(2), k=3, seed=1)
         iid = aq.augment_iid(data, aq.identity_family(2), k=3, seed=1)
-        assert np.array_equal(rep.values, iid.values)
+        assert np.array_equal(rep, iid)
 
     def test_rows_coupled_at_k1(self):
         data = np.array([[1.0, 2.0], [3.0, 4.0]])
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         for seed in range(10):
             aug = aq.augment_repeated(data, aq.swap_family(), k=1, seed=seed)
-            label = aug.labels[0, 0]
-            assert np.all(aug.labels == label)
+            members = _members(aq.swap_family(), data, aug)
+            label = members[0, 0]
+            assert np.all(members == label)
             expected = data if label == 0 else data @ swap.T
-            assert np.array_equal(aug.cells()[:, 0, :], expected)
+            assert np.array_equal(aug, expected)
 
     def test_column_labels_shared_across_rows(self):
-        data = np.zeros((4, 2))
+        # distinct coordinates, so every row's swap image differs from its identity image
+        data = np.arange(8.0).reshape(4, 2)
         for seed in range(1000):
             aug = aq.augment_repeated(data, aq.swap_family(), k=3, seed=seed)
-            assert np.all(aug.labels == aug.labels[0])
+            members = _members(aq.swap_family(), data, aug)
+            assert np.all(members == members[0])
 
 
 class TestReplicate:
     def test_k1_unchanged(self):
         data = np.array([[1.0, 2.0]])
-        assert np.array_equal(aq.replicate_unaugmented(data, 1).values, data)
+        assert np.array_equal(aq.replicate_unaugmented(data, 1), data)
 
     def test_k3_scalar(self):
         out = aq.replicate_unaugmented(np.array([[5.0]]), 3)
-        assert np.array_equal(out.values, [[5.0, 5.0, 5.0]])
+        assert np.array_equal(out, [[5.0, 5.0, 5.0]])
 
     def test_matches_identity_augment(self):
         data = np.random.default_rng(3).standard_normal((6, 3))
         rep = aq.replicate_unaugmented(data, 4)
         iid = aq.augment_iid(data, aq.identity_family(3), k=4, seed=0)
-        assert np.array_equal(rep.values, iid.values)
+        assert np.array_equal(rep, iid)
 
     def test_average_identity(self):
         # the scaled grand mean of a replicate equals sqrt(n) times the plain mean
@@ -117,13 +124,36 @@ class TestReplicate:
         assert np.allclose(got, np.sqrt(7) * data.mean(axis=0), atol=1e-12)
 
 
+_SOURCE = aq.gaussian_source([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]])
+_SPEC = aq.build_surrogate(aq.estimate_moments(aq.swap_family(), _SOURCE), n=6, k=4, delta=0.0)
+_DATA = np.random.default_rng(6).standard_normal((6, 2))
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda: aq.augment_iid(_DATA, aq.swap_family(), 4, seed=1),
+    lambda: aq.augment_repeated(_DATA, aq.swap_family(), 4, seed=1),
+    lambda: aq.replicate_unaugmented(_DATA, 4),
+    lambda: aq.sample_surrogate(_SPEC, seed=1),
+    lambda: sg.sample_surrogate_rows(_SPEC, 6, seed=1),
+    lambda: aq.sample_repeated_surrogate(aq.swap_family(), _SOURCE, 6, 4, seed=1),
+], ids=["augment_iid", "augment_repeated", "replicate_unaugmented", "sample_surrogate",
+        "sample_surrogate_rows", "sample_repeated_surrogate"])
+def test_per_dataset_samplers_return_rows(sampler):
+    # every per-dataset sampler returns plain (n, k*d) float rows that evaluate reads
+    rows = sampler()
+    assert type(rows) is np.ndarray and rows.dtype == np.float64 and rows.shape == (6, 8)
+    got = aq.evaluate(aq.average_statistic(2), rows, 4)
+    want = rows.reshape(6, 4, 2).mean(axis=1).sum(axis=0) / np.sqrt(6)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_point_mass_protocols_agree_in_distribution():
     # any fixed transformation: per-cell marginals of both protocols coincide
     fam = aq.finite_uniform_family([[[0.5, 0.2], [0.0, 1.5]]], [[0.3, -0.1]])
     rng = np.random.default_rng(8)
     data = rng.standard_normal((50_000, 2))
-    a = aq.augment_iid(data, fam, k=2, seed=1).cells().reshape(-1, 2)
-    b = aq.augment_repeated(data, fam, k=2, seed=2).cells().reshape(-1, 2)
+    a = aq.augment_iid(data, fam, k=2, seed=1).reshape(-1, 2)
+    b = aq.augment_repeated(data, fam, k=2, seed=2).reshape(-1, 2)
     n_cells = a.shape[0]
     se_mean = a.std(axis=0) / np.sqrt(n_cells)
     assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * 2 * se_mean)

@@ -100,6 +100,17 @@ def _apply(family, m, x):
     return x @ family.matrices[m].T + family.offsets[m]
 
 
+def _members(family, data, rows):
+    """Each cell's member, shape (n, k), for (n, k*d) rows or (n, k, d) cells:
+    the one member m whose reference image ``_apply(family, m, x)`` of the
+    cell's observation x the cell matches, which must be the only one within 1e-9."""
+    n, d = data.shape
+    ref = np.stack([_apply(family, m, data) for m in range(len(family.weights))], axis=1)
+    dist = np.abs(rows.reshape(n, -1, 1, d) - ref[:, None]).max(axis=-1)
+    assert np.all((dist <= 1e-9).sum(axis=-1) == 1)
+    return dist.argmin(axis=-1)
+
+
 # ---------------------------------------------------------------------------
 
 class TestStack:
@@ -114,22 +125,22 @@ class TestStack:
     def test_augment_iid_cells(self):
         fam = _dense_family()
         data = np.random.default_rng(2).normal(size=(40, 3))
-        aug = aq.augment_iid(data, fam, k=6, seed=3)
-        assert set(np.unique(aug.labels)) == {0, 1, 2}
-        cells = aug.cells()
+        cells = aq.augment_iid(data, fam, k=6, seed=3).reshape(40, 6, 3)
+        members = _members(fam, data, cells)
+        assert set(np.unique(members)) == {0, 1, 2}
         for i in range(40):
             for j in range(6):
-                _close(cells[i, j], _apply(fam, aug.labels[i, j], data[i]))
+                _close(cells[i, j], _apply(fam, members[i, j], data[i]))
 
     def test_augment_repeated_cells(self):
         fam = _dense_family()
         data = np.random.default_rng(4).normal(size=(9, 3))
-        aug = aq.augment_repeated(data, fam, k=12, seed=5)
-        assert set(np.unique(aug.labels[0])) == {0, 1, 2}
-        assert np.all(aug.labels == aug.labels[0])
-        cells = aug.cells()
+        cells = aq.augment_repeated(data, fam, k=12, seed=5).reshape(9, 12, 3)
+        members = _members(fam, data, cells)
+        assert set(np.unique(members[0])) == {0, 1, 2}
+        assert np.all(members == members[0])
         for j in range(12):
-            _close(cells[:, j], _apply(fam, aug.labels[0, j], data))
+            _close(cells[:, j], _apply(fam, members[0, j], data))
 
     def test_paired_keeps_offsets(self):
         fam = _dense_family()
