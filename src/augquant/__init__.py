@@ -20,9 +20,9 @@ from .statistics import (RiskMoments, StatisticKind, average_statistic, evaluate
                          hard_max_statistic, ridge_derivative, ridge_risk,
                          ridge_risk_statistic, ridge_statistic,
                          risk_moments_from_source, smooth_max_statistic)
-from .closedform import (Interval, average_ci, chisq_ci, f2_variance,
-                         repeated_toy_covariance, theta_ratio_average,
-                         theta_ratio_general, toy_ridge_variance, v_curve)
+from .closedform import (Interval, average_ci, chisq_ci, f2_variance, grand_mean_law,
+                         repeated_toy_covariance, theta_ratio_general, theta_theory,
+                         toy_ridge_variance, v_curve)
 from .bounds import (AlphaEstimates, BoundReport, assemble_lambdas, assemble_omegas,
                      bound_report, estimate_alpha, moment_constants,
                      repeated_constants, theorem_rhs)

@@ -19,6 +19,7 @@ from . import bounds as bounds_mod
 from . import closedform, config as cfgmod, montecarlo
 from .errors import ConfigError, ContractError, NumericalError
 from .rng import child_seed
+from .statistics import average_statistic
 from .surrogate import build_surrogate, estimate_moments
 
 DESK = "desk"
@@ -87,12 +88,13 @@ def _cmd_predict(cfg, out_dir):
     elif curve == "theta":
         source = cfgmod.source_from_config(cfg)
         family = cfgmod.family_from_config(cfg)
-        moments = estimate_moments(family, source)
         header = ["k", "theta_average"]
         if not all(g.is_integer() for g in grid):
             raise ConfigError(f"predict.grid must list integers k for theta, got {list(grid)}")
-        ks = [int(g) for g in grid]
-        rows = [(k, closedform.theta_ratio_average(moments, source, k)) for k in ks]
+        # the iid_aug law reads neither n nor delta, so n = 1 and delta = 0 change no row
+        kind = average_statistic(source.dim)
+        rows = [(k, closedform.theta_theory(kind, family, source, "iid_aug", 1, k, 0.0))
+                for k in map(int, grid)]
     else:
         raise ConfigError(f"unknown predict.curve {curve!r}")
     cfgmod.atomic_write(os.path.join(out_dir, f"predict_{curve}.csv"),

@@ -3,8 +3,9 @@
 Everything here is an analytic counterpart to a quantity the simulation engine
 can estimate, so each function has a Monte Carlo oracle in the test suite.
 ``_grand_mean_cov`` is the one formula for the covariance of the scaled grand mean of
-k copies, Sigma_k = s11 / k + (k - 1) / k * s12; ``montecarlo._grand_mean_law`` builds
-each protocol's law from it.
+k copies, Sigma_k = s11 / k + (k - 1) / k * s12; ``grand_mean_law`` builds each
+protocol's law from it, and ``theta_theory``, the benefit ratio that ``compare`` and
+``predict theta`` both write, reads that law.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import ContractError, NumericalError
 from .quadrature import integrate
 from .quantiles import chisq1_quantile, normal_quantile
+from .surrogate import build_surrogate, estimate_moments
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,39 @@ def _grand_mean_cov(s11, s12, k):
     return s11 / k + (k - 1) / k * s12
 
 
-def theta_ratio_average(moments, source, k):
-    """Benefit ratio for the scaled grand mean at a fixed number of copies k >= 1: the
-    ratio of the Frobenius norms of its unaugmented and augmented surrogate covariances."""
-    return theta_ratio_general(
-        float(np.linalg.norm(source.joint_cov())),
-        float(np.linalg.norm(_grand_mean_cov(moments.sigma11, moments.sigma12, k))))
+def grand_mean_law(family, source, protocol, n, k, delta):
+    """(mean, Sigma) of the scaled grand mean sum_ij cell_ij / (sqrt(n) k) of n rows of k
+    cells under protocol, mean being that of one cell; ``iid_aug`` reads neither n nor
+    delta.  The repeated protocols share one set of k maps among all n rows: given the
+    maps, each copy has covariance E[A Sigma A^T], and the spread of the maps' means,
+    Var(A mu + a) = sigma11 - E[A Sigma A^T], enters n / k times."""
+    if protocol == "unaugmented":
+        return source.joint_mean(), source.joint_cov()
+    if protocol not in ("iid_aug", "repeated_aug", "surrogate", "repeated_surrogate"):
+        raise ContractError(f"unknown protocol {protocol!r}")
+    m = estimate_moments(family, source)
+    if protocol.startswith("repeated"):
+        return m.mean_phi_x, (_grand_mean_cov(m.mean_var_given_map, m.sigma12, k)
+                              + n / k * (m.sigma11 - m.mean_var_given_map))
+    s11 = m.sigma11 if protocol == "iid_aug" else build_surrogate(m, n, k, delta).diag_block
+    return m.mean_phi_x, _grand_mean_cov(s11, m.sigma12, k)
+
+
+def theta_theory(kind, family, source, protocol, n, k, delta):
+    """theta of protocol against unaugmented from their grand-mean laws, or None where no
+    closed form holds: the exponential's v_curve needs a centred 1-d Gaussian grand mean
+    on both sides, and shared maps make the repeated protocols' a mixture."""
+    if kind.name not in ("average", "expnegchisq"):
+        return None
+    (mean, cov), (mean_un, cov_un) = (grand_mean_law(family, source, p, n, k, delta)
+                                      for p in (protocol, "unaugmented"))
+    if kind.name == "average":
+        return theta_ratio_general(float(np.linalg.norm(cov_un)), float(np.linalg.norm(cov)))
+    if kind.d == 1 and not protocol.startswith("repeated") and not (
+            np.any(mean) or np.any(mean_un)):
+        s, s_un = (math.sqrt(max(float(c[0, 0]), 0.0)) for c in (cov, cov_un))
+        return theta_ratio_general(v_curve(s_un), v_curve(s))
+    return None
 
 
 def average_ci(mean, cov, n, alpha):

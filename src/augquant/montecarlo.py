@@ -11,9 +11,9 @@ weights), of the same law, and a ``repeated_aug`` replicate draws one count
 vector for all rows.  The counts reach ``evaluate_batch`` as one C-contiguous
 float64 (B, n, M) array, repeated counts copied to every row.  ``simulate``
 evaluates several statistics on one draw; ``run_experiment`` is its
-one-statistic call.
-Summaries come from the sample matrix in fixed order; variance SEs from
-delete-one jackknife closed forms, vectorized over replicates.
+one-statistic call.  Summaries come from the sample matrix in fixed order; variance SEs
+from delete-one jackknife closed forms, vectorized over replicates.  The grand-mean laws
+and theta_theory that the engine is checked against are ``closedform``'s.
 """
 
 import math
@@ -173,41 +173,6 @@ class ComparisonReport:
         return math.isinf(self.theta_hat)  # zero augmented variance
 
 
-def _grand_mean_law(config):
-    """(mean, Sigma) of the scaled grand mean sum_ij cell_ij / (sqrt(n) k) under config's
-    protocol, mean being that of one cell.  The repeated protocols share one set of k maps
-    among all n rows: given the maps, each copy has covariance E[A Sigma A^T], and the
-    spread of the maps' means, Var(A mu + a) = sigma11 - E[A Sigma A^T], enters n / k times."""
-    if config.protocol == "unaugmented":
-        return config.source.joint_mean(), config.source.joint_cov()
-    m, k = estimate_moments(config.family, config.source), config.k
-    if config.protocol.startswith("repeated"):
-        return m.mean_phi_x, (closedform._grand_mean_cov(m.mean_var_given_map, m.sigma12, k)
-                              + config.n / k * (m.sigma11 - m.mean_var_given_map))
-    s11 = (m.sigma11 if config.protocol == "iid_aug"
-           else build_surrogate(m, config.n, k, config.delta).diag_block)
-    return m.mean_phi_x, closedform._grand_mean_cov(s11, m.sigma12, k)
-
-
-def _theory_theta(config):
-    """theta of config's protocol against unaugmented from their grand-mean laws, or None
-    where no closed form holds: the exponential's v_curve needs a centred 1-d Gaussian
-    grand mean on both sides, and shared maps make the repeated protocols' a mixture."""
-    kind = config.statistic
-    if kind.name not in ("average", "expnegchisq"):
-        return None
-    (mean, cov), (mean_un, cov_un) = (_grand_mean_law(replace(config, protocol=p))
-                                      for p in (config.protocol, "unaugmented"))
-    if kind.name == "average":
-        return closedform.theta_ratio_general(float(np.linalg.norm(cov_un)),
-                                              float(np.linalg.norm(cov)))
-    if kind.d == 1 and not config.protocol.startswith("repeated") and not (
-            np.any(mean) or np.any(mean_un)):
-        s, s_un = (math.sqrt(max(float(c[0, 0]), 0.0)) for c in (cov, cov_un))
-        return closedform.theta_ratio_general(closedform.v_curve(s_un), closedform.v_curve(s))
-    return None
-
-
 def compare_protocols(config_base, protocols):
     """Run the same statistic under several protocols and report the benefit ratio.
 
@@ -236,23 +201,26 @@ def compare_protocols(config_base, protocols):
     else:
         rel = (unaug.se_of_variance / vu) ** 2 + (aug.se_of_variance / va) ** 2 if vu > 0 else 0.0
         se = 0.5 * theta * math.sqrt(rel)
-    return ComparisonReport(results=results, theta_hat=theta, theta_se=se,
-                            theta_theory=_theory_theta(replace(config_base, protocol=aug_protocol)))
+    theory = closedform.theta_theory(config_base.statistic, config_base.family,
+                                     config_base.source, aug_protocol, config_base.n,
+                                     config_base.k, config_base.delta)
+    return ComparisonReport(results=results, theta_hat=theta, theta_se=se, theta_theory=theory)
 
 
 def coverage_check(config, interval_rule):
     """Empirical coverage of a fixed closed-form interval over replicates.
 
-    Both rules read ``_grand_mean_law(config)`` and refuse a repeated protocol, whose
-    grand mean is a mixture over the shared maps: ``"average_ci"`` checks the plain grand
-    mean (the scaled statistic over sqrt(n)) against its d=1 interval, ``"chisq_ci"`` the
-    1-d exponential statistic of a centred law against its quantile interval.  Returns
+    Both rules read config's ``closedform.grand_mean_law`` and refuse a repeated protocol,
+    whose grand mean is a mixture over the shared maps: ``"average_ci"`` checks the plain
+    grand mean (the scaled statistic over sqrt(n)) against its d=1 interval, ``"chisq_ci"``
+    the 1-d exponential statistic of a centred law against its quantile interval.  Returns
     (coverage, binomial SE, interval).
     """
     kind = config.statistic
     if config.protocol.startswith("repeated"):
         raise ConfigError(f"no closed-form interval for {config.protocol}: its rows share maps")
-    mean, cov = _grand_mean_law(config)
+    mean, cov = closedform.grand_mean_law(config.family, config.source, config.protocol,
+                                          config.n, config.k, config.delta)
     if interval_rule == "average_ci":
         if kind.name != "average" or kind.d != 1:
             raise ConfigError("average interval rule applies to the d=1 average statistic")

@@ -1,5 +1,8 @@
+import itertools
 import math
 import os
+import pathlib
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -9,8 +12,9 @@ import pytest
 import augquant as aq
 from augquant import bounds as bd
 from augquant import cli
-from augquant.config import (config_hash, config_text, experiment_from_config, fmt,
-                             parse_config_text, read_config)
+from augquant.config import (config_hash, config_text, experiment_from_config,
+                             family_from_config, fmt, parse_config_text, read_config,
+                             source_from_config)
 from augquant.rng import child_seed
 
 GAUSSIAN_1D = """
@@ -145,11 +149,53 @@ family.member1.matrix = [0.0, 1.0, 1.0, 0.0]
         assert cli.main(["predict", "--config", cfgp, "--out", str(tmp_path)]) == 0
         lines = _read_lines(tmp_path / "predict_theta.csv")
         import augquant as aq
-        import numpy as np
         src = aq.gaussian_source([0, 0], [[1, -0.5], [-0.5, 1]])
-        m = aq.estimate_moments(aq.swap_family(), src)
-        from augquant.closedform import theta_ratio_average
-        assert float(lines[2].split(",")[1]) == pytest.approx(theta_ratio_average(m, src, 5))
+        theta = aq.theta_theory(aq.average_statistic(2), aq.swap_family(), src, "iid_aug", 1, 5,
+                                0.0)
+        assert float(lines[2].split(",")[1]) == pytest.approx(theta)
+
+
+def _average_setup(name):
+    """The README's swap config ("swap") or fig1's paired regression crop ("crop"), with
+    the average statistic and 20 replicates, since theta_theory reads no replicate."""
+    if name == "swap":
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        (text,) = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+        text = _set(text, "statistic.kind", "average")
+    else:
+        text = config_text({**cli.CROP, "statistic.kind": "average", "statistic.d": 4,
+                            "protocol": "iid_aug", "n": 200, "k": 1, "seed": 7})
+    return _set(text, "replicates", 20)
+
+
+class TestPredictMatchesCompare:
+    """predict theta and compare read one law: predict's row at k is compare's
+    theta_theory for iid_aug against unaugmented at that k."""
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    @pytest.mark.parametrize("setup", ["swap", "crop"])
+    def test_theta_row_is_compare_theta_theory(self, tmp_path, setup, k):
+        text = _set(_average_setup(setup), "k", k) + (
+            f"predict.curve = theta\npredict.grid = [{k}]\n"
+            "compare.protocols = iid_aug, unaugmented\n")
+        cfgp = _write(tmp_path, text)
+        for command in ("predict", "compare"):
+            assert cli.main([command, "--config", cfgp, "--out", str(tmp_path)]) == 0
+        (row,) = _read_lines(tmp_path / "predict_theta.csv")[1:]
+        row_k, theta = row.split(",")
+        assert row_k == str(k)
+        assert f"# theta_theory = {theta}" in _read_lines(tmp_path / "compare.csv")
+
+    @pytest.mark.parametrize("setup", ["swap", "crop"])
+    def test_iid_law_reads_neither_n_nor_delta(self, setup):
+        # so predict's n = 1 and delta = 0 cannot change its rows
+        cfg = parse_config_text(_average_setup(setup))
+        source, family = source_from_config(cfg), family_from_config(cfg)
+        for k in (1, 5, 20):
+            law = aq.grand_mean_law(family, source, "iid_aug", 1, k, 0.0)
+            for n, delta in itertools.product((1, 50), (0.0, 0.7)):
+                other = aq.grand_mean_law(family, source, "iid_aug", n, k, delta)
+                assert [a.tobytes() for a in other] == [a.tobytes() for a in law]
 
 
 class TestSimulate:

@@ -6,8 +6,8 @@ from scipy import integrate as sint
 
 import augquant as aq
 from augquant.closedform import (_grand_mean_cov, average_ci, chisq_ci, f2_variance,
-                                 repeated_toy_covariance, theta_ratio_average,
-                                 theta_ratio_general, toy_ridge_variance, v_curve)
+                                 grand_mean_law, repeated_toy_covariance, theta_ratio_general,
+                                 theta_theory, toy_ridge_variance, v_curve)
 from augquant.errors import ContractError
 from augquant.quadrature import integrate
 from augquant.quantiles import normal_quantile
@@ -63,6 +63,11 @@ class TestChisqCi:
         assert chisq_ci(60.0, 0.05).width < chisq_ci(15.0, 0.05).width
 
 
+def _iid_theta(family, source, k):
+    """iid_aug's theta_theory for the grand mean, as predict theta writes it."""
+    return theta_theory(aq.average_statistic(source.dim), family, source, "iid_aug", 1, k, 0.0)
+
+
 class TestThetaRatio:
     def test_equal_arguments(self):
         assert theta_ratio_general(0.7, 0.7) == 1.0
@@ -76,26 +81,32 @@ class TestThetaRatio:
 
     def test_identity_family_is_one(self):
         src = aq.gaussian_source([0.0, 0.0], [[1.0, -0.5], [-0.5, 1.0]])
-        m = aq.estimate_moments(aq.identity_family(2), src)
         for k in (1, 3, 10):
-            assert theta_ratio_average(m, src, k) == pytest.approx(1.0, rel=1e-12)
+            assert _iid_theta(aq.identity_family(2), src, k) == pytest.approx(1.0, rel=1e-12)
 
     def test_sqrt_k_growth_when_cross_covariance_vanishes(self):
         # zero-mean sign flips kill the cross-copy covariance entirely
-        src = aq.gaussian_source([0.0], [[2.0]])
-        m = aq.estimate_moments(aq.sign_flip_family(1, 0.5), src)
+        src, fam = aq.gaussian_source([0.0], [[2.0]]), aq.sign_flip_family(1, 0.5)
+        m = aq.estimate_moments(fam, src)
         assert np.allclose(m.sigma12, 0.0, atol=1e-14)
         for k in (10, 100, 1000):
-            assert theta_ratio_average(m, src, k) == pytest.approx(math.sqrt(k), rel=1e-12)
+            assert _iid_theta(fam, src, k) == pytest.approx(math.sqrt(k), rel=1e-12)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_fewer_than_one_copy_rejected(self, k):
-        src = aq.gaussian_source([0.0, 0.0], [[1.0, -0.5], [-0.5, 1.0]])
-        m = aq.estimate_moments(aq.swap_family(), src)
+        src, fam = aq.gaussian_source([0.0, 0.0], [[1.0, -0.5], [-0.5, 1.0]]), aq.swap_family()
+        m = aq.estimate_moments(fam, src)
         with pytest.raises(ContractError, match="at least 1"):
-            theta_ratio_average(m, src, k)
+            _iid_theta(fam, src, k)
         with pytest.raises(ContractError, match="at least 1"):
             _grand_mean_cov(m.sigma11, m.sigma12, k)
+
+    def test_unknown_protocol_rejected(self):
+        src = aq.gaussian_source([0.0, 0.0], [[1.0, -0.5], [-0.5, 1.0]])
+        with pytest.raises(ContractError, match="unknown protocol 'iid-aug'"):
+            grand_mean_law(aq.swap_family(), src, "iid-aug", 10, 2, 0.0)
+        with pytest.raises(ContractError, match="unknown protocol 'repeated'"):
+            theta_theory(aq.average_statistic(2), aq.swap_family(), src, "repeated", 10, 2, 0.0)
 
     def test_averaged_covariance_never_exceeds_marginal(self):
         cases = [

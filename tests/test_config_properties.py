@@ -1,8 +1,8 @@
 """Property tests of the config format: a config with one key mutated runs or is
 refused, never crashes, and a simulate that runs draws the same samples again
 from the config its result.csv echoes; a valid config drawn over every
-statistic, family kind, protocol and source kind runs whenever its numbers are
-tame.
+statistic, family kind, protocol and source kind runs under simulate, compare,
+bounds and predict theta whenever its numbers are tame.
 
 Each property runs a fixed, derandomized set of examples, so the suite stays
 deterministic.
@@ -114,7 +114,8 @@ DELTAS = st.one_of(st.sampled_from([0.3, 0.7]), st.floats(0.0, 1.0))
 
 @st.composite
 def valid_configs(draw):
-    """(command, config text, tame): a config every key of which is valid.  It is tame
+    """(command, config text, tame): a config every key of which is valid, for simulate,
+    compare, bounds or predict theta.  It is tame
     when the covariance's eigenvalues lie in [0.1, 10], |mean| <= 10, the ridge penalty
     is positive and the smooth max's t is at least 0.1; otherwise one of those numbers
     is drawn from an extreme set, and the run may be refused (2) or fail (3)."""
@@ -172,14 +173,21 @@ def valid_configs(draw):
               f"n = {draw(st.integers(1, 6))}", f"k = {draw(st.integers(1, 4))}",
               f"replicates = {draw(st.integers(2, 5))}",
               f"seed = {draw(st.integers(0, 2**64 - 1))}"]
-    command = draw(st.sampled_from(["simulate", "compare"]))
+    command = draw(st.sampled_from(["simulate", "compare", "bounds", "predict"]))
     if command == "compare":
         others = draw(st.lists(st.sampled_from([p for p in PROTOCOLS if p != "unaugmented"]),
                                min_size=1, max_size=4, unique=True))
         order = draw(st.permutations(others + ["unaugmented"]))
         lines.append(f"compare.protocols = {', '.join(order)}")
+    elif command == "bounds":
+        lines += ["bounds.num_outer = 2", "bounds.num_grid = 2",
+                  f"bounds.include_repeated = {str(draw(st.booleans())).lower()}"]
+    elif command == "predict":
+        lines += ["predict.curve = theta", "predict.grid = [1, 3]"]
     tame = wild is None or (wild == "t" and stat != "smoothmax") or (
         wild == "lambda" and not stat.startswith("ridge"))
+    # the hard max has no derivatives, so bounds refuses it (exit 2) by design
+    tame = tame and not (command == "bounds" and stat == "hardmax")
     return command, "\n".join(lines) + "\n", tame
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 import augquant as aq
 from augquant.closedform import f2_variance, v_curve
-from augquant import cli, closedform, montecarlo
+from augquant import cli, closedform
 from augquant.config import experiment_from_config, parse_config_text
 from augquant.errors import ConfigError
 from augquant.montecarlo import _jackknife_var_norm_se
@@ -270,7 +269,7 @@ class TestRepeatedLaw:
         cfg = aq.ExperimentConfig(source=src, family=fam, protocol="repeated_aug",
                                   statistic=aq.average_statistic(src.dim), n=n, k=k,
                                   replicates=100_000, seed=11)
-        mean, sigma = montecarlo._grand_mean_law(cfg)
+        mean, sigma = closedform.grand_mean_law(fam, src, "repeated_aug", n, k, 0.0)
         samples = aq.run_experiment(cfg).samples
         z = (np.cov(samples, rowvar=False).reshape(sigma.shape) - sigma) \
             / _jackknife_cov_se(samples)
@@ -280,10 +279,7 @@ class TestRepeatedLaw:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_repeated_surrogate_has_the_same_law(self, case):
         src, fam, n, k = self.CASES[case]
-        cfg = aq.ExperimentConfig(source=src, family=fam, protocol="repeated_aug",
-                                  statistic=aq.average_statistic(src.dim), n=n, k=k,
-                                  replicates=2, seed=11)
-        aug, sur = (montecarlo._grand_mean_law(dataclasses.replace(cfg, protocol=p))
+        aug, sur = (closedform.grand_mean_law(fam, src, p, n, k, 0.0)
                     for p in ("repeated_aug", "repeated_surrogate"))
         assert all(np.array_equal(a, b) for a, b in zip(aug, sur))
 
