@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .quadrature import integrate
 from .quantiles import chisq1_quantile, normal_quantile
 from .surrogate import build_surrogate, estimate_moments
 
@@ -37,7 +36,8 @@ def v_curve(s):
     """Variance of exp(-G^2) for G ~ N(0, s^2).
 
     V(s) = (1 + 4 s^2)^{-1/2} - (1 + 2 s^2)^{-1}; zero at s = 0, rises to an
-    interior maximum near s = 1.55 and decays back to zero as s grows.
+    interior maximum at s* = sqrt(u*) ~ 1.6159, where (1 + 2 u*)^2 = (1 + 4 u*)^{3/2},
+    and decays back to zero as s grows.
     """
     if s < 0:
         raise ContractError("s must be nonnegative")
@@ -151,13 +151,10 @@ def toy_ridge_variance(n, mu, sigma, c, lam):
 
     Exact branch (lam = 0, n > 2, sigma > 0):
 
-        n c^2 / (2 (n - 2) sigma^2) * int_0^1 exp(-n mu^2 t / (2 sigma^2))
-                                               (1 - t)^{n/2 - 2} dt
+        n c^2 / (2 (n - 2) sigma^2) * int_0^1 exp(-r t) (1 - t)^{n/2 - 2} dt,
 
-    evaluated by adaptive quadrature to absolute tolerance 1e-10; the
-    integrand's endpoint power is negative for n = 3, so n in {3, 4} carries
-    reduced accuracy.  For mu = 0 the closed form n c^2 / ((n-2)^2 sigma^2) is
-    returned directly.
+    with r = n mu^2 / (2 sigma^2).  Term by term in exp(r (1 - t)), the integral is
+    E[1 / (n/2 - 1 + K)], K ~ Poisson(r): Kummer's 1F1(1; n/2; -r) / (n/2 - 1).
 
     Limit branch (lam > 0): the small-sigma limit mu^2 c^2 / (n (lam + mu^2)^2).
 
@@ -186,22 +183,29 @@ def _toy_ridge_variance(n, mu, sigma, c, lam):
         raise ContractError("the exact variance requires n > 2 at lam = 0")
     if sigma <= 0:
         raise ContractError("the exact branch requires sigma > 0")
-    if mu == 0.0:
-        return n * c * c / ((n - 2.0) ** 2 * sigma * sigma)
     rate = n * mu * mu / (2.0 * sigma * sigma)
-    power = 0.5 * n - 2.0
+    return (n * c * c / (2.0 * (n - 2.0) * sigma * sigma)
+            * _poisson_inverse_mean(rate, 0.5 * n - 1.0))
 
-    def integrand(t):
-        u = 1.0 - t
-        if u <= 0.0:
-            # quadrature nodes can round onto the endpoint; for n < 4 the
-            # integrand diverges there (integrably), so report the limit 0
-            # contribution and let refinement resolve the shrinking sliver
-            return 0.0
-        return math.exp(-rate * t) * u**power
 
-    val = integrate(integrand, 0.0, 1.0, abs_tol=1e-10, max_intervals=4000)
-    return n * c * c / (2.0 * (n - 2.0) * sigma * sigma) * val
+def _poisson_inverse_mean(r, a):
+    """E[1 / (a + K)] for K ~ Poisson(r), r >= 0 and a > 0.  Up to r = 1e6 it sums the
+    k within 12 sqrt(r) + 40 of floor(r), all but about e^-50 of the mass, with weights
+    relative to the first from cumulative sums of log r - log j; beyond, the
+    central-moment expansion in t = 1 / (a + r) and q = r t is exact to rounding and,
+    unlike powers of a + r, stays in range."""
+    if r == 0.0:
+        return 1.0 / a
+    if not r <= 1e6:  # a nan rate too, so that it comes out nan
+        t = 1.0 / (a + r)
+        q = r * t
+        return t * (1.0 + q * t - q * t * t + 3.0 * q * q * t * t + q * t ** 3)
+    mode = math.floor(r)
+    width = int(12.0 * math.sqrt(r)) + 40
+    k = np.arange(max(mode - width, 0), mode + width + 1, dtype=float)
+    log_w = np.concatenate(([0.0], np.cumsum(math.log(r) - np.log(k[1:]))))
+    w = np.exp(log_w - log_w.max())
+    return float(w @ (1.0 / (a + k)) / w.sum())
 
 
 def repeated_toy_covariance(family, mu, w):

@@ -70,7 +70,7 @@ def test_criterion_02_variance_curve():
         worst = max(worst, z)
         assert z <= 4.0
     # non-monotone shape of the curve itself: rises from zero to an interior
-    # peak near s = 1.55, then decays (the stated grid {0.25, 0.5, 1, 2} lies on
+    # peak at s ~ 1.6159, then decays (the stated grid {0.25, 0.5, 1, 2} lies on
     # the rising flank, so the peak must be bracketed more widely)
     grid = np.linspace(0.0, 20.0, 4001)
     vals = np.array([v_curve(s) for s in grid])
@@ -249,7 +249,7 @@ def test_criterion_07_toy_ridge_variance():
 
     v1, v10 = sim_var(1.0, 20_720), sim_var(10.0, 20_721)
     assert v10 < v1
-    _report(7, f"quadrature matched at 3 scales (worst z={worst:.2f}); small-scale "
+    _report(7, f"exact series matched at 3 scales (worst z={worst:.2f}); small-scale "
                f"limit {limit:g} matched; decay direction {v1:.2e} -> {v10:.2e}")
 
 

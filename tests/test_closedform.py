@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate as sint
+from hypothesis import given, settings, strategies as st
+from scipy import integrate as sint, special
 
 import augquant as aq
 from augquant.closedform import (_grand_mean_cov, average_ci, chisq_ci, f2_variance,
                                  grand_mean_law, repeated_toy_covariance, theta_ratio_general,
                                  theta_theory, toy_ridge_variance, v_curve)
-from augquant.errors import ContractError
-from augquant.quadrature import integrate
+from augquant.errors import ContractError, NumericalError
 from augquant.quantiles import normal_quantile
 
 
@@ -28,11 +28,12 @@ class TestVCurve:
             assert abs(np.var(f, ddof=1) - v_curve(s)) <= 4 * se
 
     def test_non_monotone_with_interior_peak(self):
-        # rises from zero to a maximum near s = 1.55, then decays toward zero
+        # rises from zero to a maximum at s* = sqrt(u*) ~ 1.6159, where
+        # (1 + 2 u*)^2 = (1 + 4 u*)^(3/2), then decays toward zero
         grid = np.linspace(0.0, 20.0, 2001)
         vals = np.array([v_curve(s) for s in grid])
         peak = grid[np.argmax(vals)]
-        assert 1.4 < peak < 1.7
+        assert abs(peak - 1.6159) <= 0.01
         assert v_curve(peak) > v_curve(0.05)
         assert v_curve(peak) > v_curve(5.0)
         assert v_curve(0.5) > v_curve(0.05)
@@ -195,14 +196,49 @@ class TestToyRidgeVariance:
             assert toy_ridge_variance(n, 0.0, 1.0, 1.0, 0.0) == pytest.approx(
                 n / (n - 2.0) ** 2, rel=1e-12)
 
-    def test_quadrature_matches_external_integrator(self):
+    def test_series_matches_external_integrator(self):
         for n, mu, sigma in ((5, 1.0, 0.5), (20, 2.0, 1.0), (100, 1.0, 1.0), (3, 1.0, 2.0)):
             rate = n * mu * mu / (2 * sigma * sigma)
             ref, _ = sint.quad(lambda t: math.exp(-rate * t) * (1 - t) ** (n / 2 - 2),
                                0, 1, epsabs=1e-13, epsrel=1e-13)
             expected = n / (2 * (n - 2) * sigma * sigma) * ref
-            tol = 1e-8 if n >= 5 else 1e-6  # n=3 has an integrable endpoint singularity
-            assert toy_ridge_variance(n, mu, sigma, 1.0, 0.0) == pytest.approx(expected, rel=tol)
+            assert toy_ridge_variance(n, mu, sigma, 1.0, 0.0) == pytest.approx(expected,
+                                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("n,mu,sigma", [
+        (3, 1.0, 2.0), (4, 0.5, 1.0), (10, 2.0, 0.3), (1000, 0.2, 0.05),
+        # the integrand's mass sits in a sliver at t = 0, narrower than a coarse grid's step
+        (100, 1.0, 0.1), (10**4, 1.0, 1.0), (10**5, 0.1, 100.0), (100, 3.0, 0.25)])
+    def test_matches_kummer_function(self, n, mu, sigma):
+        # int_0^1 exp(-r t) (1 - t)^(n/2 - 2) dt = 1F1(1; n/2; -r) / (n/2 - 1), r <= 1e4
+        rate = n * mu * mu / (2 * sigma * sigma)
+        assert rate <= 1e4
+        expected = (n / (2 * (n - 2) * sigma * sigma)
+                    * special.hyp1f1(1.0, n / 2, -rate) / (n / 2 - 1))
+        assert toy_ridge_variance(n, mu, sigma, 1.0, 0.0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [1e76, 1e150])
+    def test_large_mean_reaches_its_limit(self, mu):
+        # c^2 / ((n - 2) mu^2) to first order in 1 / r, where powers of r overflow
+        assert toy_ridge_variance(100, mu, 1.0, 1.0, 0.0) == pytest.approx(
+            1.0 / (98.0 * mu * mu), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, 1e155])
+    def test_rate_out_of_range_raises(self, mu):
+        # mu^2 is nan or overflows, so the Poisson rate is not a finite number
+        with pytest.raises(NumericalError, match="floating-point range"):
+            toy_ridge_variance(100, mu, 1.0, 1.0, 0.0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.floats(math.log(3.0), math.log(1e7)), st.floats(-1e3, 1e3),
+           st.floats(math.log(1e-4), math.log(1e4)), st.floats(0.1, 10.0))
+    def test_within_jensen_bracket(self, log_n, mu, log_sigma, c):
+        # E[1 / (a + K)] for K ~ Poisson(r) lies in [1 / (a + r), 1 / a], a = n/2 - 1
+        n, sigma = max(3, round(math.exp(log_n))), math.exp(log_sigma)
+        s = n * c * c / (2 * (n - 2) * sigma * sigma)
+        a, r = n / 2 - 1, n * mu * mu / (2 * sigma * sigma)
+        v = toy_ridge_variance(n, mu, sigma, c, 0.0)
+        assert s / (a + r) * (1 - 1e-12) <= v <= s / a * (1 + 1e-12)
 
     def test_small_sigma_limit_branch(self):
         assert toy_ridge_variance(100, 1.0, 0.01, 1.0, 4.0) == pytest.approx(1 / 2500)
@@ -232,22 +268,3 @@ class TestRepeatedToyCovariance:
         fam = aq.finite_uniform_family([np.eye(2)], [[1.0, 0.0]])
         with pytest.raises(ContractError):
             repeated_toy_covariance(fam, [1.0, 0.0], [1.0, 0.0])
-
-
-class TestQuadrature:
-    def test_polynomial_exact(self):
-        assert integrate(lambda t: 3 * t * t, 0.0, 2.0) == pytest.approx(8.0, abs=1e-12)
-
-    def test_oscillatory_against_scipy(self):
-        f = lambda t: math.exp(-3 * t) * math.cos(12 * t)
-        ref, _ = sint.quad(f, 0.0, 1.0, epsabs=1e-13)
-        assert integrate(f, 0.0, 1.0) == pytest.approx(ref, abs=1e-10)
-
-    def test_endpoint_half_power(self):
-        assert integrate(lambda t: math.sqrt(1 - t), 0.0, 1.0) == pytest.approx(2 / 3, abs=1e-9)
-
-    def test_budget_exhaustion_raises(self):
-        from augquant.errors import NumericalError
-        with pytest.raises(NumericalError):
-            integrate(lambda t: (1 - t) ** -0.5 if t < 1 else 0.0, 0.0, 1.0,
-                      abs_tol=1e-13, max_intervals=8)

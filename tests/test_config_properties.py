@@ -2,7 +2,7 @@
 refused, never crashes, and a simulate that runs draws the same samples again
 from the config its result.csv echoes; a valid config drawn over every
 statistic, family kind, protocol and source kind runs under simulate, compare,
-bounds and predict theta whenever its numbers are tame.
+bounds and every predict curve whenever its numbers are tame.
 
 Each property runs a fixed, derandomized set of examples, so the suite stays
 deterministic.
@@ -10,6 +10,7 @@ deterministic.
 
 import contextlib
 import io
+import math
 import os
 import string
 import tempfile
@@ -112,13 +113,65 @@ def _vector(values):
 DELTAS = st.one_of(st.sampled_from([0.3, 0.7]), st.floats(0.0, 1.0))
 
 
+# one number of each closed-form curve from an extreme set: (key, value), a grid value
+# replacing the grid's first
+WILD_CURVE_KEYS = {
+    "vcurve": [("predict.grid", -1.0), ("predict.grid", 1e300)],
+    "dwidth": [("predict.grid", -1.0), ("predict.grid", 1e300), ("predict.alpha", 1.0),
+               ("predict.alpha", 1e-300)],
+    "f2var": [("predict.grid", -1.0), ("predict.grid", 1e300), ("predict.rho", 1.0),
+              ("predict.rho", -1.0)],
+    "toyridge": [("predict.grid", 0.0), ("predict.grid", 1e-160), ("predict.n", 2),
+                 ("predict.mu", 1e155), ("predict.lambda", -1.0)],
+}
+
+
+COMMANDS = [("simulate", None), ("compare", None), ("bounds", None)] + [
+    ("predict", curve) for curve in ["theta", *WILD_CURVE_KEYS]]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def curve_keys(draw, curve, wild):
+    """The keys of ``predict.curve = curve`` but the curve's own: tame, or with one
+    number from ``WILD_CURVE_KEYS`` when ``wild``.  Tame toyridge configs span
+    log-uniform n in [3, 1e7] and sigma in [1e-4, 1e4] with |mu| <= 1e3."""
+    if curve == "theta":
+        return ["predict.grid = [1, 3]"]
+    keys, scales = {}, st.floats(0.0, 10.0)
+    if curve == "dwidth":
+        keys["predict.alpha"] = draw(st.floats(0.01, 0.5))
+    elif curve == "f2var":
+        keys["predict.rho"] = draw(st.floats(-0.99, 0.99))
+    elif curve == "toyridge":
+        keys["predict.n"] = max(3, round(draw(_log_uniform(3.0, 1e7))))
+        keys["predict.mu"] = draw(st.floats(-1e3, 1e3))
+        keys["predict.c"] = draw(st.floats(0.1, 10.0))
+        keys["predict.lambda"] = draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0)))
+        scales = _log_uniform(1e-4, 1e4)
+    grid = draw(st.lists(scales, min_size=1, max_size=4))
+    if wild:
+        key, value = draw(st.sampled_from(WILD_CURVE_KEYS[curve]))
+        if key == "predict.grid":
+            grid[0] = value
+        else:
+            keys[key] = value
+    return [f"predict.grid = {_vector(grid)}"] + [f"{key} = {value!r}"
+                                                  for key, value in keys.items()]
+
+
 @st.composite
 def valid_configs(draw):
     """(command, config text, tame): a config every key of which is valid, for simulate,
-    compare, bounds or predict theta.  It is tame
+    compare, bounds or one predict curve.  It is tame
     when the covariance's eigenvalues lie in [0.1, 10], |mean| <= 10, the ridge penalty
     is positive and the smooth max's t is at least 0.1; otherwise one of those numbers
-    is drawn from an extreme set, and the run may be refused (2) or fail (3)."""
+    is drawn from an extreme set, and the run may be refused (2) or fail (3).  A predict
+    curve other than theta reads none of those numbers and draws one of its own from an
+    extreme set instead."""
     wild = draw(st.sampled_from([None, None, None, "eig", "mean", "lambda", "t"]))
     kind = draw(st.sampled_from(["gaussian", "regression"]))
     d = draw(st.integers(1, 3 if kind == "gaussian" else 2))
@@ -173,7 +226,7 @@ def valid_configs(draw):
               f"n = {draw(st.integers(1, 6))}", f"k = {draw(st.integers(1, 4))}",
               f"replicates = {draw(st.integers(2, 5))}",
               f"seed = {draw(st.integers(0, 2**64 - 1))}"]
-    command = draw(st.sampled_from(["simulate", "compare", "bounds", "predict"]))
+    command, curve = draw(st.sampled_from(COMMANDS))
     if command == "compare":
         others = draw(st.lists(st.sampled_from([p for p in PROTOCOLS if p != "unaugmented"]),
                                min_size=1, max_size=4, unique=True))
@@ -183,9 +236,11 @@ def valid_configs(draw):
         lines += ["bounds.num_outer = 2", "bounds.num_grid = 2",
                   f"bounds.include_repeated = {str(draw(st.booleans())).lower()}"]
     elif command == "predict":
-        lines += ["predict.curve = theta", "predict.grid = [1, 3]"]
+        lines += [f"predict.curve = {curve}"] + draw(curve_keys(curve, wild is not None))
     tame = wild is None or (wild == "t" and stat != "smoothmax") or (
         wild == "lambda" and not stat.startswith("ridge"))
+    if command == "predict" and curve != "theta":
+        tame = wild is None
     # the hard max has no derivatives, so bounds refuses it (exit 2) by design
     tame = tame and not (command == "bounds" and stat == "hardmax")
     return command, "\n".join(lines) + "\n", tame
@@ -242,9 +297,9 @@ def test_mutated_config_runs_or_is_refused(case):
 
 
 def test_valid_configs_run_when_tame():
-    codes = []
+    codes, reached = [], set()
 
-    @_fixed(120)
+    @_fixed(150)
     @given(valid_configs())
     def run(case):
         command, text, tame = case
@@ -252,6 +307,10 @@ def test_valid_configs_run_when_tame():
             code = _check_run(tmp, command, text)
         assert code == 0 or not tame, text
         codes.append(code)
+        if code == 0:
+            reached.add((command, next((line.split(" = ")[1] for line in text.splitlines()
+                                        if line.startswith("predict.curve")), None)))
 
     run()
     assert sum(code == 0 for code in codes) >= len(codes) / 2, codes
+    assert reached == set(COMMANDS), reached  # every command and curve runs

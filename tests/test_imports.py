@@ -8,7 +8,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_import_loads_no_heavy_scipy_modules():
-    # the normal quantile uses the stdlib and quadrature stays in the package
+    # the normal quantile uses the stdlib and the toy ridge series numpy alone
     # because these scipy modules add measurable import time and memory
     code = ("import sys, augquant; "
             "print(*sorted(m for m in ('scipy.special', 'scipy.stats', 'scipy.integrate') "
