@@ -31,7 +31,7 @@ TOO_BIG = ("array is too big", "Maximum allowed")
 def _stage(out_dir):
     """A new temp directory in out_dir, or in its nearest existing ancestor when absent.
 
-    A run writes every output here and moves it into out_dir only on success,
+    main writes a run's files here and moves them into out_dir only on success,
     so a failed run leaves out_dir as it found it, or absent.
     """
     where = os.path.abspath(out_dir)
@@ -50,7 +50,7 @@ def _publish(stage, out_dir):
     os.rmdir(stage)
 
 
-def _write_manifest(out_dir, command, cfg, seed, workers, scale=None):
+def _manifest(command, cfg, seed, workers, scale=None):
     lines = [
         f"command = {command}",
         f"version = {__version__}",
@@ -61,14 +61,14 @@ def _write_manifest(out_dir, command, cfg, seed, workers, scale=None):
     ]
     if scale is not None:
         lines.append(f"scale = {scale}")
-    cfgmod.atomic_write(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # predict: closed-form curves on user grids
 # ---------------------------------------------------------------------------
 
-def _cmd_predict(cfg, out_dir):
+def _cmd_predict(cfg):
     curve, grid, alpha = cfgmod.read(cfg, "predict.curve", "predict.grid", "predict.alpha")
     if curve == "vcurve":
         header = ["s", "variance"]
@@ -97,21 +97,19 @@ def _cmd_predict(cfg, out_dir):
                 for k in map(int, grid)]
     else:
         raise ConfigError(f"unknown predict.curve {curve!r}")
-    cfgmod.atomic_write(os.path.join(out_dir, f"predict_{curve}.csv"),
-                        cfgmod.csv_text(header, rows))
+    return {f"predict_{curve}.csv": cfgmod.csv_text(header, rows)}
 
 
 # ---------------------------------------------------------------------------
 # simulate / compare / bounds: thin wrappers over the engine
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(cfg, out_dir):
+def _cmd_simulate(cfg):
     result = montecarlo.run_experiment(cfgmod.experiment_from_config(cfg))
-    cfgmod.atomic_write(os.path.join(out_dir, "result.csv"),
-                        cfgmod.result_csv_text(result, cfg))
+    return {"result.csv": cfgmod.result_csv_text(result, cfg)}
 
 
-def _cmd_compare(cfg, out_dir):
+def _cmd_compare(cfg):
     protocols = [p.strip() for p in cfgmod.read(cfg, "compare.protocols").split(",")
                  if p.strip()]
     config = cfgmod.experiment_from_config(cfg)
@@ -126,11 +124,11 @@ def _cmd_compare(cfg, out_dir):
         footer.append(f"theta_theory = {cfgmod.fmt(report.theta_theory)}")
     if report.degenerate:
         footer.append("degenerate = true  # zero augmented variance")
-    cfgmod.atomic_write(os.path.join(out_dir, "compare.csv"), cfgmod.csv_text(
-        ["protocol", "var_norm", "var_norm_se", "std_first_coord", "ci_width"], rows, footer))
+    return {"compare.csv": cfgmod.csv_text(
+        ["protocol", "var_norm", "var_norm_se", "std_first_coord", "ci_width"], rows, footer)}
 
 
-def _cmd_bounds(cfg, out_dir):
+def _cmd_bounds(cfg):
     config = cfgmod.experiment_from_config(cfg)
     moments = estimate_moments(config.family, config.source)
     spec = build_surrogate(moments, config.n, config.k, config.delta)
@@ -146,12 +144,11 @@ def _cmd_bounds(cfg, out_dir):
     row = [getattr(report, f.name) for f in fields if f.default is not None]
     footer = [f"{f.name} = {cfgmod.fmt(getattr(report, f.name))}" for f in fields
               if f.default is None and getattr(report, f.name) is not None]
-    cfgmod.atomic_write(os.path.join(out_dir, "bounds.csv"),
-                        cfgmod.csv_text(header, [tuple(row)], footer))
     widths = [max(len(h), 12) for h in header]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     print("  ".join((v if isinstance(v, str) else format(v, ".6g")).ljust(w)
                     for v, w in zip(row, widths)))
+    return {"bounds.csv": cfgmod.csv_text(header, [tuple(row)], footer)}
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +165,10 @@ ROTATION = {"source.kind": "regression", "source.mean": [2.0] * 4,
             "family.paired": True}
 
 
-def _run_cells(out_dir, seed, cells, names):
+def _run_cells(seed, cells, names):
     """Each statistic in names on one draw of each cell, a config without seed or
-    statistic.kind: one list of results per cell, in the order of names.
+    statistic.kind: one list of results per cell, in the order of names, and the
+    text of cells.txt.
 
     Cell c, in run order, runs on the seed child_seed(seed, c).  cells.txt echoes
     every cell as a ``# cell c`` line and then its config with that seed and
@@ -184,8 +182,7 @@ def _run_cells(out_dir, seed, cells, names):
                  for name in names]
         results.append(montecarlo.simulate(config, kinds))
         echo.append(f"# cell {c}\n" + cfgmod.config_text(cell))
-    cfgmod.atomic_write(os.path.join(out_dir, "cells.txt"), "".join(echo))
-    return results
+    return results, "".join(echo)
 
 
 def _std_with_se(result):
@@ -194,10 +191,10 @@ def _std_with_se(result):
     return std, se
 
 
-def _fig1(out_dir, scale, seed):
+def _fig1(scale, seed):
     points = 500 if scale == DESK else 2000
     protocols = ("iid_aug", "unaugmented")
-    results = _run_cells(out_dir, seed, [
+    results, cells = _run_cells(seed, [
         {**CROP, "protocol": proto, "n": 200, "k": 50, "replicates": points,
          "statistic.d": 4, "statistic.lambda": 1.0} for proto in protocols], ("average", "ridge"))
     rows_avg, rows_ridge = [], []
@@ -206,32 +203,32 @@ def _fig1(out_dir, scale, seed):
         # ridge scatter uses the two diagonal entries of the estimate: cropping zeroes
         # every off-diagonal entry identically, which would degenerate the cloud
         rows_ridge.extend((proto, float(row[0]), float(row[3])) for row in ridge.samples)
-    for name, rows in (("average", rows_avg), ("ridge", rows_ridge)):
-        cfgmod.atomic_write(os.path.join(out_dir, f"fig1_{name}.csv"),
-                            cfgmod.csv_text(["protocol", "coord1", "coord2"], rows))
+    header = ["protocol", "coord1", "coord2"]
+    return {"cells.txt": cells, "fig1_average.csv": cfgmod.csv_text(header, rows_avg),
+            "fig1_ridge.csv": cfgmod.csv_text(header, rows_ridge)}
 
 
-def _fig2(out_dir, scale, seed):
+def _fig2(scale, seed):
     reps = 2000 if scale == DESK else 10_000
     grid = [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
-    results = _run_cells(out_dir, seed, [
+    results, cells = _run_cells(seed, [
         {"source.kind": "gaussian", "source.mean": [0.0], "source.cov": [s * s],
          "family.kind": "identity", "family.dim": 1, "protocol": "surrogate", "delta": 1.0,
          "n": 50, "k": 1, "replicates": reps} for s in grid], ("expnegchisq",))
     rows = [(float(s), *_std_with_se(res), math.sqrt(closedform.v_curve(s)),
              res.empirical_ci_width, closedform.chisq_ci(s, 0.05).width)
             for s, (res,) in zip(grid, results)]
-    cfgmod.atomic_write(os.path.join(out_dir, "fig2.csv"), cfgmod.csv_text(
+    return {"cells.txt": cells, "fig2.csv": cfgmod.csv_text(
         ["s", "std_sim", "std_se", "std_theory", "width_sim", "width_theory"],
-        rows, [f"replicates = {reps}"]))
+        rows, [f"replicates = {reps}"])}
 
 
-def _fig3(out_dir, scale, seed):
+def _fig3(scale, seed):
     reps = 2000 if scale == DESK else 10_000
     rho, sigma = -0.5, 1.0
     ks = (1, 5, 20, 50)
     # the swap family: the identity or the coordinate swap, with equal weights
-    results = _run_cells(out_dir, seed, [
+    results, cells = _run_cells(seed, [
         {"source.kind": "gaussian", "source.mean": [0.0, 0.0],
          "source.cov": [sigma * sigma * v for v in (1.0, rho, rho, 1.0)],
          "family.kind": "finite_uniform", "family.member0.matrix": [1.0, 0.0, 0.0, 1.0],
@@ -239,18 +236,18 @@ def _fig3(out_dir, scale, seed):
          "k": k, "replicates": reps, "statistic.d": 2} for k in ks], ("expnegchisq",))
     std_theory = math.sqrt(closedform.f2_variance(rho, sigma))
     rows = [(k, *_std_with_se(res), std_theory) for k, (res,) in zip(ks, results)]
-    cfgmod.atomic_write(os.path.join(out_dir, "fig3.csv"), cfgmod.csv_text(
-        ["k", "std_sim", "std_se", "std_theory"], rows, [f"replicates = {reps}"]))
+    return {"cells.txt": cells, "fig3.csv": cfgmod.csv_text(
+        ["k", "std_sim", "std_se", "std_theory"], rows, [f"replicates = {reps}"])}
 
 
-def _fig4(out_dir, scale, seed):
+def _fig4(scale, seed):
     reps = 2000 if scale == DESK else 10_000
     lam = 1.0
     runs = [(fam_name, setup, proto, k)
             for fam_name, setup in (("cropping", CROP), ("rotation", ROTATION))
             for proto, ks in (("unaugmented", (1,)), ("iid_aug", (1, 2, 5, 10, 20, 50)))
             for k in ks]
-    results = _run_cells(out_dir, seed, [
+    results, cells = _run_cells(seed, [
         {**setup, "protocol": proto, "n": 200, "k": k, "replicates": reps,
          "statistic.lambda": lam} for _, setup, proto, k in runs], ("ridge", "ridgerisk"))
     # one draw per cell gives both quantities; each family lists its estimator rows first
@@ -258,31 +255,31 @@ def _fig4(out_dir, scale, seed):
             for fam_name in ("cropping", "rotation")
             for j, quantity in enumerate(("estimator", "risk"))
             for (cell_fam, _, proto, k), res in zip(runs, results) if cell_fam == fam_name]
-    cfgmod.atomic_write(os.path.join(out_dir, "fig4.csv"), cfgmod.csv_text(
+    return {"cells.txt": cells, "fig4.csv": cfgmod.csv_text(
         ["family", "quantity", "protocol", "k", "std_sim", "std_se"],
-        rows, [f"replicates = {reps}", f"lambda = {lam:g}"]))
+        rows, [f"replicates = {reps}", f"lambda = {lam:g}"])}
 
 
-def _fig5(out_dir, scale, seed):
+def _fig5(scale, seed):
     reps = 2000 if scale == DESK else 10_000
     n, mu, c, lam = 100, 1.0, 1.0, 4.0
     grid = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-    results = _run_cells(out_dir, seed, [
+    results, cells = _run_cells(seed, [
         {"source.kind": "regression", "source.mean": [mu], "source.cov": [s * s],
          "source.noise_scale": c, "family.kind": "identity", "family.dim": 2,
          "protocol": "iid_aug", "n": n, "k": 1, "replicates": reps, "statistic.lambda": lam}
         for s in grid], ("ridge", "ridgerisk"))
     rows = [(float(s), math.sqrt(closedform.toy_ridge_variance(n, mu, s, c, 0.0)),
              *_std_with_se(est), *_std_with_se(risk)) for s, (est, risk) in zip(grid, results)]
-    cfgmod.atomic_write(os.path.join(out_dir, "fig5.csv"), cfgmod.csv_text(
+    return {"cells.txt": cells, "fig5.csv": cfgmod.csv_text(
         ["sigma", "std_theory_lam0", "std_sim_lam4", "std_se_lam4", "risk_std_sim_lam4",
          "risk_std_se_lam4"],
         rows, [f"replicates = {reps}", f"n = {n}", f"mu = {mu:g}", f"c = {c:g}",
-               f"lambda = {lam:g}"]))
+               f"lambda = {lam:g}"])}
 
 
 FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}
-# command -> what runs it: a function of (config, output directory), or the figure table
+# command -> what runs it: a function from the config to its files, {name: text}, or FIGURES
 COMMANDS = {"predict": _cmd_predict, "simulate": _cmd_simulate, "compare": _cmd_compare,
             "bounds": _cmd_bounds, "figure": FIGURES}
 
@@ -326,16 +323,18 @@ def main(argv=None):
         run, scale = COMMANDS[args.command], getattr(args, "scale", None)
         if run is FIGURES:  # argparse has checked the name against FIGURES
             command, cfg = f"{args.command}:{args.name}", {"figure.name": args.name}
-            run = lambda run_cfg, out_dir: FIGURES[args.name](out_dir, scale, run_cfg["seed"])
+            run = lambda run_cfg: FIGURES[args.name](scale, run_cfg["seed"])
         else:
             command, cfg = args.command, cfgmod.read_config(args.config)
         # --seed when given (a figure's has a default), else the config's: an int in the
         # stream-key range; a config without one (predict draws nothing) records seed 0
         given = cfg if args.seed is None else {"seed": args.seed}
         seed = cfgmod.read({"seed": 0, **given}, "seed")
-        stage = _stage(args.out)
-        _write_manifest(stage, command, cfg, seed, args.workers, scale)
-        run({**cfg, "seed": seed} if "seed" in given else cfg, stage)
+        stage = _stage(args.out)  # made first: a bad --out is refused before any computing
+        files = run({**cfg, "seed": seed} if "seed" in given else cfg)
+        files["manifest.txt"] = _manifest(command, cfg, seed, args.workers, scale)
+        for name, text in files.items():
+            cfgmod.atomic_write(os.path.join(stage, name), text)
         _publish(stage, args.out)
         return 0
     except (ConfigError, ContractError, OSError) as exc:

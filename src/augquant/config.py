@@ -11,9 +11,7 @@ and ``#``-prefixed footer summary lines.
 
 import hashlib
 import math
-import os
 import re
-import tempfile
 
 import numpy as np
 
@@ -49,18 +47,10 @@ def config_hash(cfg):
 
 
 def atomic_write(path, text):
-    """Write text to path via a temp file and rename, so readers never see partial files."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write text to path as UTF-8.  A plain write is enough: the CLI writes only into a
+    run's private stage directory and publishes it only when the run has succeeded."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

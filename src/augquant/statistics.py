@@ -39,9 +39,9 @@ def risk_moments_from_source(source):
     if source.kind != "regression":
         raise ContractError("risk moments require a regression source")
     mu = source.mean
-    second_v = source.cov + np.outer(mu, mu)
-    sigma_y = float(np.trace(source.cov) + mu @ mu
-                    + mu.size * source.noise_scale**2)
+    with np.errstate(all="ignore"):  # a non-finite moment is refused where it is read
+        second_v = source.cov + np.outer(mu, mu)
+        sigma_y = float(np.trace(source.cov) + mu @ mu + mu.size * source.noise_scale**2)
     return RiskMoments(sigma_y=sigma_y, sigma_yv=second_v.copy(), sigma_v=second_v.copy())
 
 

@@ -649,6 +649,21 @@ bounds.num_grid = 2
 SMOOTHMAX = _set(SWAP_SMALL, "statistic.kind", "smoothmax")  # statistic.d = 2 sizes it
 TINY_T = SMOOTHMAX + "statistic.t = 1e-300\n"
 HUGE_MEAN = _set(SWAP_SMALL, "source.mean", "[1e155, 1e155]")
+# the risk moments' outer product and mu @ mu overflow at this mean
+HUGE_RISK_MEAN = """
+source.kind = regression
+source.mean = [1e+155, 0.45]
+source.cov = [1.0, 0.0, 0.0, 1.0]
+source.noise_scale = 1.0
+family.kind = identity
+family.dim = 4
+statistic.kind = ridgerisk
+protocol = repeated_surrogate
+n = 1
+k = 1
+replicates = 4
+seed = 1
+"""
 
 
 class TestStatisticSize:
@@ -678,8 +693,9 @@ class TestNonFiniteRuns:
         ("bounds", HUGE_MEAN, "moments sixth_moment are not finite"),
         ("simulate", _set(HUGE_MEAN, "protocol", "surrogate"),
          "moments sixth_moment are not finite"),
+        ("simulate", HUGE_RISK_MEAN, "ridge system has non-finite entries"),
     ], ids=["simulate-tiny-t", "simulate-huge-mean", "compare-huge-mean", "bounds-tiny-t",
-            "bounds-huge-mean", "surrogate-huge-mean"])
+            "bounds-huge-mean", "surrogate-huge-mean", "ridgerisk-huge-mean"])
     def test_exits_3(self, tmp_path, capsys, command, text, needle):
         cfgp = _write(tmp_path, text)
         with warnings.catch_warnings():
@@ -887,6 +903,76 @@ class TestFileErrors:
         assert cli.main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 2
         self._one_line(capsys)
         assert not out.exists()
+
+
+class TestOneWriter:
+    """main writes every published file once, into the run's stage, which it publishes
+    only when the run has succeeded."""
+
+    @staticmethod
+    def _record(monkeypatch, fail_at=None):
+        """Wrap config.atomic_write to record the paths it writes; call number fail_at,
+        counted from 1, raises a full disk instead of writing."""
+        from augquant import config as cfgmod
+        write, paths = cfgmod.atomic_write, []
+
+        def record(path, text):
+            paths.append(path)
+            if len(paths) == fail_at:
+                raise OSError(28, "No space left on device")
+            write(path, text)
+        monkeypatch.setattr(cfgmod, "atomic_write", record)
+        return paths
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent-out", "existing-out"])
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys, existing):
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "notes.txt").write_text("kept\n")
+            (out / "result.csv").write_text("stale\n")
+        cfgp = _write(tmp_path, GAUSSIAN_1D)
+        paths = self._record(monkeypatch, fail_at=2)
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "No space left on device" in err and len(paths) == 2
+        if existing:
+            assert _tree(out) == {"notes.txt": b"kept\n", "result.csv": b"stale\n"}
+        else:
+            assert not out.exists()
+        assert not list(tmp_path.rglob(".augquant-stage-*"))
+
+    @pytest.mark.parametrize("argv,text", [
+        (["predict"], "predict.curve = vcurve\npredict.grid = [0.5, 1.0]\n"),
+        (["simulate"], SWAP_SMALL), (["compare"], SWAP_SMALL), (["bounds"], SWAP_SMALL),
+        (["figure", "--name", "fig2"], None),
+    ], ids=["predict", "simulate", "compare", "bounds", "figure-fig2"])
+    def test_every_file_is_written_once_into_the_stage(self, tmp_path, monkeypatch, argv,
+                                                        text):
+        if text is not None:
+            argv = [*argv, "--config", _write(tmp_path, text)]
+        out = tmp_path / "out"
+        paths = self._record(monkeypatch)
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        (stage,) = {os.path.dirname(path) for path in paths}
+        # out is absent, so the stage is made in its nearest existing ancestor
+        assert os.path.dirname(stage) == str(tmp_path)
+        assert os.path.basename(stage).startswith(".augquant-stage-")
+        assert not os.path.exists(stage)
+        assert sorted(map(os.path.basename, paths)) == sorted(p.name for p in out.iterdir())
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask-022", "umask-027"])
+    def test_published_files_follow_the_umask(self, tmp_path, umask):
+        cfgp = _write(tmp_path, GAUSSIAN_1D)
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert modes == {"manifest.txt": 0o666 & ~umask, "result.csv": 0o666 & ~umask}
 
 
 class TestFigure:
