@@ -17,6 +17,9 @@ from .errors import ContractError, NumericalError
 from .quantiles import chisq1_quantile, normal_quantile
 from .surrogate import build_surrogate, estimate_moments
 
+# every protocol that ExperimentConfig runs and grand_mean_law gives the law of
+PROTOCOLS = ("iid_aug", "repeated_aug", "unaugmented", "surrogate", "repeated_surrogate")
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -88,10 +91,10 @@ def grand_mean_law(family, source, protocol, n, k, delta):
     delta.  The repeated protocols share one set of k maps among all n rows: given the
     maps, each copy has covariance E[A Sigma A^T], and the spread of the maps' means,
     Var(A mu + a) = sigma11 - E[A Sigma A^T], enters n / k times."""
+    if protocol not in PROTOCOLS:
+        raise ContractError(f"unknown protocol {protocol!r}")
     if protocol == "unaugmented":
         return source.joint_mean(), source.joint_cov()
-    if protocol not in ("iid_aug", "repeated_aug", "surrogate", "repeated_surrogate"):
-        raise ContractError(f"unknown protocol {protocol!r}")
     m = estimate_moments(family, source)
     if protocol.startswith("repeated"):
         return m.mean_phi_x, (_grand_mean_cov(m.mean_var_given_map, m.sigma12, k)

@@ -257,7 +257,7 @@ _DIM_FAMILIES = {"identity": core.identity_family, "random_crop": core.random_cr
 def family_from_config(cfg):
     kind, paired = read(cfg, "family.kind", "family.paired")
     if kind == "finite_uniform":
-        fam = core.finite_uniform_family(*_members(cfg), read(cfg, "family.weights"))
+        fam = core.TransformationFamily(*_members(cfg), read(cfg, "family.weights"))
     elif kind in _DIM_FAMILIES:
         fam = _DIM_FAMILIES[kind](read(cfg, "family.dim"))
     else:

@@ -178,12 +178,6 @@ def identity_family(d):
     return TransformationFamily(np.eye(d)[None])
 
 
-def finite_uniform_family(matrices, offsets=None, weights=None):
-    """The maps x -> matrices[m] x + offsets[m], drawn with probabilities ``weights``
-    (uniform when omitted); offsets default to zero."""
-    return TransformationFamily(matrices, offsets, weights)
-
-
 def swap_family(weights=None):
     """Uniform (or reweighted) choice between the identity and the coordinate swap on R^2."""
     return TransformationFamily([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]], weights=weights)

@@ -23,13 +23,13 @@ import numpy as np
 
 from . import closedform
 from . import statistics as stats
+from .closedform import PROTOCOLS
 from .errors import ConfigError, NumericalError
 from .rng import child_seed, is_seed, substream
 from .surrogate import build_surrogate, estimate_moments, sample_surrogate_cells
 
 STREAM = 2
 CELL_BUDGET = 2**16  # cells per block: B * n * k <= CELL_BUDGET unless B = 1
-PROTOCOLS = ("iid_aug", "repeated_aug", "unaugmented", "surrogate", "repeated_surrogate")
 
 
 @dataclass(frozen=True)
@@ -207,13 +207,13 @@ def compare_protocols(config_base, protocols):
     return ComparisonReport(results=results, theta_hat=theta, theta_se=se, theta_theory=theory)
 
 
-def coverage_check(config, interval_rule):
-    """Empirical coverage of a fixed closed-form interval over replicates.
+def coverage_check(config):
+    """Empirical coverage over replicates of the closed-form interval of config's statistic.
 
-    Both rules read config's ``closedform.grand_mean_law`` and refuse a repeated protocol,
-    whose grand mean is a mixture over the shared maps: ``"average_ci"`` checks the plain
-    grand mean (the scaled statistic over sqrt(n)) against its d=1 interval, ``"chisq_ci"``
-    the 1-d exponential statistic of a centred law against its quantile interval.  Returns
+    The interval reads config's ``closedform.grand_mean_law``: the d=1 average's plain grand
+    mean (the scaled statistic over sqrt(n)) has its normal interval, and the 1-d exponential
+    of a centred law its chi-squared quantile interval.  Any other statistic is refused, as
+    is a repeated protocol, whose grand mean is a mixture over the shared maps.  Returns
     (coverage, binomial SE, interval).
     """
     kind = config.statistic
@@ -221,18 +221,16 @@ def coverage_check(config, interval_rule):
         raise ConfigError(f"no closed-form interval for {config.protocol}: its rows share maps")
     mean, cov = closedform.grand_mean_law(config.family, config.source, config.protocol,
                                           config.n, config.k, config.delta)
-    if interval_rule == "average_ci":
-        if kind.name != "average" or kind.d != 1:
-            raise ConfigError("average interval rule applies to the d=1 average statistic")
+    if kind.name == "average" and kind.d == 1:
         interval = closedform.average_ci(mean, cov, config.n, config.alpha)
         scale = 1.0 / math.sqrt(config.n)
-    elif interval_rule == "chisq_ci":
-        if kind.name != "expnegchisq" or kind.d != 1 or np.any(mean):
-            raise ConfigError("chi-squared interval rule applies to the centred 1-d exponential")
+    elif kind.name == "expnegchisq" and kind.d == 1 and not np.any(mean):
         interval = closedform.chisq_ci(math.sqrt(max(float(cov[0, 0]), 0.0)), config.alpha)
         scale = 1.0
     else:
-        raise ConfigError(f"unknown interval rule {interval_rule!r}")
+        raise ConfigError(f"no closed-form interval for the {kind.name} statistic with "
+                          f"d={kind.d} under this law: only the d=1 average and the 1-d "
+                          "exponential of a centred law have one")
 
     result = run_experiment(config)
     vals = result.samples[:, 0] * scale

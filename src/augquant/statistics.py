@@ -35,14 +35,15 @@ class RiskMoments:
 
 
 def risk_moments_from_source(source):
-    """Closed-form risk moments for a regression source (default path)."""
+    """Closed-form risk moments for a regression source: the blocks of the second moment
+    E[(V, Y)(V, Y)^T] of its observation vector."""
     if source.kind != "regression":
         raise ContractError("risk moments require a regression source")
-    mu = source.mean
+    d, mu = source.mean.size, source.joint_mean()
     with np.errstate(all="ignore"):  # a non-finite moment is refused where it is read
-        second_v = source.cov + np.outer(mu, mu)
-        sigma_y = float(np.trace(source.cov) + mu @ mu + mu.size * source.noise_scale**2)
-    return RiskMoments(sigma_y=sigma_y, sigma_yv=second_v.copy(), sigma_v=second_v.copy())
+        second = source.joint_cov() + np.outer(mu, mu)
+    return RiskMoments(sigma_y=float(np.trace(second[d:, d:])), sigma_yv=second[d:, :d].copy(),
+                       sigma_v=second[:d, :d].copy())
 
 
 @dataclass(frozen=True)
@@ -89,26 +90,22 @@ def average_statistic(d):
     return StatisticKind(name="average", d=d)
 
 
-def exp_neg_chisq_statistic():
-    return StatisticKind(name="expnegchisq")
+def exp_neg_chisq_statistic(d=1):
+    return StatisticKind(name="expnegchisq", d=d)
 
 
-def exp_neg_chisq_2d_statistic():
-    return StatisticKind(name="expnegchisq", d=2)
-
-
-def smooth_max_statistic(d_n, t):
+def smooth_max_statistic(d, t):
     """Log-sum-exp relaxation of the coordinatewise max of the scaled grand means.
 
-    The temperature ``StatisticKind.tau`` = t * log(d_n) caps the gap to the
-    hard max at 1/t.  For d_n = 1 the relaxation is exact and the degenerate
+    The temperature ``StatisticKind.tau`` = t * log(d) caps the gap to the
+    hard max at 1/t.  For d = 1 the relaxation is exact and the degenerate
     temperature is bypassed.
     """
-    return StatisticKind(name="smoothmax", d=d_n, t=float(t))
+    return StatisticKind(name="smoothmax", d=d, t=float(t))
 
 
-def hard_max_statistic(d_n):
-    return StatisticKind(name="hardmax", d=d_n)
+def hard_max_statistic(d):
+    return StatisticKind(name="hardmax", d=d)
 
 
 def ridge_statistic(d, b, lam):

@@ -55,10 +55,6 @@ class AugmentationMoments:
     sixth_moment: float
 
     @property
-    def dim(self):
-        return self.mean_phi_x.shape[0]
-
-    @property
     def mean_cond_var(self):
         return self.sigma11 - self.sigma12
 
@@ -126,11 +122,14 @@ class SurrogateSpec:
 
     n: int
     k: int
-    d: int
     delta: float
     mean_block: np.ndarray
     diag_block: np.ndarray
     offdiag_block: np.ndarray
+
+    @property
+    def d(self):
+        return self.mean_block.size
 
     def full_mean(self):
         return np.tile(self.mean_block, self.k)
@@ -157,8 +156,7 @@ def build_surrogate(moments, n, k, delta):
         raise ContractError("delta must lie in [0, 1]")
     if n < 1 or k < 1:
         raise ContractError("n and k must be positive")
-    spec = SurrogateSpec(n=n, k=k, d=moments.dim, delta=float(delta),
-                         mean_block=moments.mean_phi_x.copy(),
+    spec = SurrogateSpec(n=n, k=k, delta=float(delta), mean_block=moments.mean_phi_x.copy(),
                          diag_block=moments.sigma12 + (1.0 - delta) * moments.mean_cond_var,
                          offdiag_block=moments.sigma12)
     spec._factors  # factoring refuses blocks that are not PSD, with NumericalError

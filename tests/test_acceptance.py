@@ -38,7 +38,7 @@ def test_criterion_01_surrogate_law():
     spec = aq.build_surrogate(moments, n=1, k=3, delta=0.0)
     n_rows = 100_000
     rows = aq.sample_surrogate(
-        aq.SurrogateSpec(n=n_rows, k=3, d=2, delta=0.0, mean_block=spec.mean_block,
+        aq.SurrogateSpec(n=n_rows, k=3, delta=0.0, mean_block=spec.mean_block,
                          diag_block=spec.diag_block, offdiag_block=spec.offdiag_block),
         seed=20_101)
     theory_cov = spec.full_covariance()
@@ -124,7 +124,7 @@ def test_criterion_04_two_coordinate_curve():
     gaps, last = {}, None
     for i, k in enumerate((1, 5, 20, 50)):
         cfg = aq.ExperimentConfig(source=src, family=fam, protocol="iid_aug",
-                                  statistic=aq.exp_neg_chisq_2d_statistic(),
+                                  statistic=aq.exp_neg_chisq_statistic(2),
                                   n=n, k=k, replicates=2000, seed=20_400 + i)
         res = aq.run_experiment(cfg)
         std, se = _std_se(res)
@@ -145,7 +145,7 @@ def test_criterion_05_average_confidence_intervals():
         cfg = aq.ExperimentConfig(source=src, family=fam, protocol=proto,
                                   statistic=aq.average_statistic(1), n=50, k=3,
                                   replicates=2000, seed=20_500 + i, alpha=0.05)
-        p, se, _ = aq.coverage_check(cfg, "average_ci")
+        p, se, _ = aq.coverage_check(cfg)
         coverages[proto] = p
         assert 0.935 <= p <= 0.965
 
@@ -393,8 +393,8 @@ def test_criterion_12_determinism():
                               family=aq.identity_family(1), protocol="surrogate",
                               statistic=aq.exp_neg_chisq_statistic(), n=20, k=1,
                               replicates=500, seed=21_201)
-    p1 = aq.coverage_check(cfg, "chisq_ci")
-    p2 = aq.coverage_check(cfg, "chisq_ci")
+    p1 = aq.coverage_check(cfg)
+    p2 = aq.coverage_check(cfg)
     assert p1[0] == p2[0]
     _report(12, f"bitwise-identical reruns across worker counts for {checks}, "
                 "surrogate sampling, stability estimates, and coverage checks")

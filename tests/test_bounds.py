@@ -207,7 +207,7 @@ def _fd_third(shifted, a, c, e, h):
 class TestAnalyticAdaptersAgainstFiniteDifferences:
     @pytest.mark.parametrize("kind,d", [
         (aq.exp_neg_chisq_statistic(), 1),
-        (aq.exp_neg_chisq_2d_statistic(), 2),
+        (aq.exp_neg_chisq_statistic(2), 2),
         (aq.smooth_max_statistic(3, 2.0), 3),
         (aq.average_statistic(2), 2),
         (aq.smooth_max_statistic(1, 2.0), 1),
@@ -370,7 +370,7 @@ class TestMomentConstants:
 
 class TestRepeatedConstants:
     def test_point_mass_family(self):
-        fam = aq.finite_uniform_family([[[0.0, 1.0], [1.0, 0.0]]])
+        fam = aq.TransformationFamily([[[0.0, 1.0], [1.0, 0.0]]])
         src = aq.gaussian_source([1.0, 0.0], np.eye(2))
         m1, m2, m3 = bd.repeated_constants(fam, src)
         assert m1 == m2 == m3 == 0.0

@@ -593,7 +593,8 @@ class TestNumericInputs:
 
 
 class TestHugeNumbers:
-    """Numbers too large for an int64 or an array exit 2 or 3 with one line, writing nothing."""
+    """Numbers too large for an int64, an array or a square exit 2 or 3 with one line,
+    writing nothing and warning nothing."""
 
     @pytest.mark.parametrize("command,base,key,value,code", [
         ("simulate", GAUSSIAN_1D, "n", "1e300", 2),
@@ -602,11 +603,14 @@ class TestHugeNumbers:
         ("simulate", GAUSSIAN_1D, "n", str(2**62), 3),
         ("bounds", SWAP_2D, "bounds.num_grid", "1e300", 2),
         ("bounds", RIDGE_1D, "source.noise_scale", "1e300", 2),
+        ("simulate", RIDGE_1D, "source.noise_scale", "1e200", 2),
     ], ids=["n=1e300", "k=1e300", "replicates=1e300", "n=2**62", "num_grid=1e300",
-            "noise_scale=1e300"])
+            "noise_scale=1e300", "simulate-noise_scale=1e200"])
     def test_exits_cleanly(self, tmp_path, capsys, command, base, key, value, code):
         cfgp = _write(tmp_path, _set(base, key, value))
-        err = _exits_cleanly(tmp_path, capsys, [command, "--config", cfgp], code)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = _exits_cleanly(tmp_path, capsys, [command, "--config", cfgp], code)
         assert key.split(".")[-1] in err or "allocate" in err
 
 
@@ -665,6 +669,27 @@ replicates = 4
 seed = 1
 """
 
+# fig4's paired crop source at one row of one copy: the crop zeroes a covariate, so the
+# unpenalized Gram matrix of the ridge fit is singular
+CROP_ONE_ROW = """
+source.kind = regression
+source.mean = [1.0, 1.0]
+source.cov = [1.0, 0.5, 0.5, 1.0]
+source.noise_scale = 1.0
+family.kind = random_crop
+family.dim = 2
+family.paired = true
+statistic.kind = ridge
+statistic.lambda = 0.0
+protocol = iid_aug
+n = 1
+k = 1
+replicates = 4
+seed = 3
+bounds.num_outer = 2
+bounds.num_grid = 2
+"""
+
 
 class TestStatisticSize:
     """statistic.d is the one size key of every statistic but the ridge kinds."""
@@ -681,8 +706,8 @@ class TestStatisticSize:
 
 
 class TestNonFiniteRuns:
-    """A run whose statistic or summaries leave floating point exits 3 with one line,
-    writes nothing and warns nothing."""
+    """A run whose statistic or summaries leave floating point, or whose ridge system is
+    singular, exits 3 with one line, writes nothing and warns nothing."""
 
     @pytest.mark.parametrize("command,text,needle", [
         ("simulate", TINY_T, "summaries"),
@@ -694,8 +719,12 @@ class TestNonFiniteRuns:
         ("simulate", _set(HUGE_MEAN, "protocol", "surrogate"),
          "moments sixth_moment are not finite"),
         ("simulate", HUGE_RISK_MEAN, "ridge system has non-finite entries"),
+        ("simulate", CROP_ONE_ROW, "regularized Gram matrix is singular"),
+        ("bounds", _set(CROP_ONE_ROW, "statistic.kind", "ridgerisk"),
+         "regularized Gram matrix is singular"),
     ], ids=["simulate-tiny-t", "simulate-huge-mean", "compare-huge-mean", "bounds-tiny-t",
-            "bounds-huge-mean", "surrogate-huge-mean", "ridgerisk-huge-mean"])
+            "bounds-huge-mean", "surrogate-huge-mean", "ridgerisk-huge-mean",
+            "ridge-singular-gram", "bounds-ridgerisk-singular-gram"])
     def test_exits_3(self, tmp_path, capsys, command, text, needle):
         cfgp = _write(tmp_path, text)
         with warnings.catch_warnings():

@@ -257,14 +257,20 @@ class TestRepeatedToyCovariance:
         assert repeated_toy_covariance(aq.swap_family(), [0.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_point_mass(self):
-        fam = aq.finite_uniform_family([[[0.0, 1.0], [1.0, 0.0]]])
+        fam = aq.TransformationFamily([[[0.0, 1.0], [1.0, 0.0]]])
         assert repeated_toy_covariance(fam, [1.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_two_point_value(self):
         assert repeated_toy_covariance(aq.swap_family(), [1.0, 0.0], [1.0, 0.0]) == \
             pytest.approx(0.25)
 
+    def test_projects_before_the_variance(self):
+        # the exact value is 0; w^T (sigma11 - E[A Sigma A^T]) w reads 5.8e-11 here, its
+        # entries of about 2e5 cancelling in the final sum, so the projection stays its own
+        fam = aq.swap_family([0.3, 0.7])
+        assert abs(repeated_toy_covariance(fam, [1000.0, 2.0], [1.0, 1.0])) <= 1e-20
+
     def test_offsets_rejected(self):
-        fam = aq.finite_uniform_family([np.eye(2)], [[1.0, 0.0]])
+        fam = aq.TransformationFamily([np.eye(2)], [[1.0, 0.0]])
         with pytest.raises(ContractError):
             repeated_toy_covariance(fam, [1.0, 0.0], [1.0, 0.0])

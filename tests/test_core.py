@@ -12,8 +12,8 @@ class TestDraws:
                                          [0.1, 0.05, 0.2, 0.15, 0.1, 0.3, 0.1]])
     @pytest.mark.parametrize("shape", [7, (5,), (3, 4), (2, 3, 2)])
     def test_index_draw_is_generator_choice(self, weights, shape):
-        fam = aq.finite_uniform_family([[[float(i)]] for i in range(len(weights))],
-                                       weights=weights)
+        fam = aq.TransformationFamily([[[float(i)]] for i in range(len(weights))],
+                                      weights=weights)
         for seed in range(20):
             rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
             got = fam.sample_indices(shape, rng_got)
@@ -149,7 +149,7 @@ def test_per_dataset_samplers_return_rows(sampler):
 
 def test_point_mass_protocols_agree_in_distribution():
     # any fixed transformation: per-cell marginals of both protocols coincide
-    fam = aq.finite_uniform_family([[[0.5, 0.2], [0.0, 1.5]]], [[0.3, -0.1]])
+    fam = aq.TransformationFamily([[[0.5, 0.2], [0.0, 1.5]]], [[0.3, -0.1]])
     rng = np.random.default_rng(8)
     data = rng.standard_normal((50_000, 2))
     a = aq.augment_iid(data, fam, k=2, seed=1).reshape(-1, 2)
@@ -163,9 +163,9 @@ def test_point_mass_protocols_agree_in_distribution():
 
 def test_weights_must_sum_to_one():
     with pytest.raises(ContractError):
-        aq.finite_uniform_family([np.eye(2)], weights=[0.5])
+        aq.TransformationFamily([np.eye(2)], weights=[0.5])
     with pytest.raises(ContractError):
-        aq.finite_uniform_family([np.eye(2), np.eye(2)], weights=[0.6, 0.5])
+        aq.TransformationFamily([np.eye(2), np.eye(2)], weights=[0.6, 0.5])
 
 
 @pytest.mark.parametrize("matrices,offsets,weights,needle", [
@@ -180,7 +180,7 @@ def test_weights_must_sum_to_one():
         "short-weights"])
 def test_stack_shapes_validated(matrices, offsets, weights, needle):
     with pytest.raises(ContractError, match=needle):
-        aq.finite_uniform_family(matrices, offsets, weights)
+        aq.TransformationFamily(matrices, offsets, weights)
 
 
 @pytest.mark.parametrize("d", [0, -1])
@@ -191,7 +191,7 @@ def test_sign_flip_needs_a_positive_dimension(d):
 
 def test_stack_is_a_copy():
     mats, offs = np.stack([np.eye(2), -np.eye(2)]), np.ones((2, 2))
-    fam = aq.finite_uniform_family(mats, offs)
+    fam = aq.TransformationFamily(mats, offs)
     mats[0, 0, 0] = offs[0, 0] = 7.0
     assert fam.matrices[0, 0, 0] == 1.0 and fam.offsets[0, 0] == 1.0
 

@@ -54,9 +54,9 @@ def _gaussian_setup(d):
     cov = 0.4 * np.ones((d, d)) + 0.6 * np.eye(d)
     source = aq.gaussian_source(np.linspace(0.3, -0.2, d), cov)
     shift = np.roll(np.eye(d), 1, axis=0)
-    family = aq.finite_uniform_family([np.eye(d), shift, -np.eye(d)],
-                                      [np.zeros(d), np.full(d, 0.5), np.zeros(d)],
-                                      [0.5, 0.3, 0.2])
+    family = aq.TransformationFamily([np.eye(d), shift, -np.eye(d)],
+                                     [np.zeros(d), np.full(d, 0.5), np.zeros(d)],
+                                     [0.5, 0.3, 0.2])
     return source, family
 
 
@@ -82,7 +82,7 @@ def _setup(name):
         return source, family, aq.ridge_risk_statistic(
             2, 2, 0.5, aq.risk_moments_from_source(source))
     kind = {"average": aq.average_statistic(2), "expnegchisq": aq.exp_neg_chisq_statistic(),
-            "expnegchisq2d": aq.exp_neg_chisq_2d_statistic(),
+            "expnegchisq2d": aq.exp_neg_chisq_statistic(2),
             "smoothmax": aq.smooth_max_statistic(3, 2.0),
             "hardmax": aq.hard_max_statistic(3)}[name]
     return (*_gaussian_setup(kind.slot_dim), kind)

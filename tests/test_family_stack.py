@@ -17,7 +17,7 @@ WEIGHTS = [0.2, 0.3, 0.5]
 def _dense_family(d=3):
     rng = np.random.default_rng(11)
     maps = [(rng.normal(size=(d, d)) + 0.5 * np.eye(d), rng.normal(size=d)) for _ in WEIGHTS]
-    return aq.finite_uniform_family(*zip(*maps), WEIGHTS)
+    return aq.TransformationFamily(*zip(*maps), WEIGHTS)
 
 
 def _dense_source(d=3):
@@ -166,8 +166,8 @@ class TestMomentsFromStack:
         (aq.random_crop_family(2), aq.gaussian_source([1.0, 1.0], [[1.0, 0.5], [0.5, 1.0]])),
         (aq.cyclic_rotation_family(4), aq.gaussian_source([2.0] * 4, np.eye(4))),
         (aq.sign_flip_family(1, 0.7), aq.gaussian_source([0.2], [[1.5]])),
-        (aq.finite_uniform_family([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]],
-                                  [[0.0, 0.0], [0.5, -0.25]], [0.25, 0.75]),
+        (aq.TransformationFamily([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]],
+                                 [[0.0, 0.0], [0.5, -0.25]], [0.25, 0.75]),
          aq.gaussian_source([0.0, 0.0], EXCHANGEABLE)),
     ], ids=["swap", "crop", "rotation", "sign_flip", "finite_uniform_offsets"])
     def test_centred_sigma11_matches_the_raw_second_moment(self, family, source):

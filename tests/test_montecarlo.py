@@ -59,7 +59,7 @@ class TestRunExperiment:
         src = _exchangeable_source()
         cfg = aq.ExperimentConfig(source=src, family=aq.swap_family(),
                                   protocol="surrogate",
-                                  statistic=aq.exp_neg_chisq_2d_statistic(),
+                                  statistic=aq.exp_neg_chisq_statistic(2),
                                   n=40, k=3, replicates=10_000, seed=3, delta=1.0)
         res = aq.run_experiment(cfg)
         assert abs(res.var_norm - f2_variance(-0.5, 1.0)) <= 4 * res.se_of_variance
@@ -83,7 +83,7 @@ class TestDeterminism:
     def _config(self):
         return aq.ExperimentConfig(source=_exchangeable_source(), family=aq.swap_family(),
                                    protocol="iid_aug",
-                                   statistic=aq.exp_neg_chisq_2d_statistic(),
+                                   statistic=aq.exp_neg_chisq_statistic(2),
                                    n=20, k=3, replicates=400, seed=77)
 
     def test_same_seed_bitwise(self):
@@ -227,7 +227,7 @@ class TestCompareProtocols:
         assert rep.theta_theory == pytest.approx(math.sqrt(1.0 / 8.98), rel=1e-12)
 
     @pytest.mark.parametrize("mean,family,protocol,statistic", [
-        (0.0, aq.finite_uniform_family([[[1.0]], [[-0.5]]], [[0.2], [1.0]], [0.6, 0.4]),
+        (0.0, aq.TransformationFamily([[[1.0]], [[-0.5]]], [[0.2], [1.0]], [0.6, 0.4]),
          "iid_aug", aq.exp_neg_chisq_statistic()),
         (1.0, aq.sign_flip_family(1, 0.5), "iid_aug", aq.exp_neg_chisq_statistic()),
         (0.0, aq.sign_flip_family(1, 0.3), "repeated_aug", aq.exp_neg_chisq_statistic()),
@@ -258,7 +258,7 @@ class TestRepeatedLaw:
         "swap": (aq.gaussian_source([1.0, -2.0], [[1.0, -0.5], [-0.5, 1.0]]),
                  aq.swap_family(), 50, 5),
         "offset_maps": (aq.gaussian_source([1.0, -3.0], [[1.0, 0.9], [0.9, 1.0]]),
-                        aq.finite_uniform_family(
+                        aq.TransformationFamily(
                             [[[0.3, -1.2], [0.8, 2.5]], [[1.0, 0.0], [0.0, -1.0]]],
                             [[1.0, 0.0], [-0.5, 2.0]], [0.3, 0.7]), 30, 3),
     }
@@ -290,7 +290,7 @@ class TestCoverage:
         cfg = aq.ExperimentConfig(source=src, family=aq.identity_family(1),
                                   protocol="surrogate", statistic=aq.exp_neg_chisq_statistic(),
                                   n=50, k=1, replicates=2000, seed=14, alpha=0.05, delta=1.0)
-        p, se, _ = aq.coverage_check(cfg, "chisq_ci")
+        p, se, _ = aq.coverage_check(cfg)
         assert 0.935 <= p <= 0.965
 
     def test_nominal_half_level(self):
@@ -298,7 +298,7 @@ class TestCoverage:
         cfg = aq.ExperimentConfig(source=src, family=aq.identity_family(1),
                                   protocol="unaugmented", statistic=aq.average_statistic(1),
                                   n=50, k=2, replicates=2000, seed=8, alpha=0.5)
-        p, se, _ = aq.coverage_check(cfg, "average_ci")
+        p, se, _ = aq.coverage_check(cfg)
         assert 0.46 <= p <= 0.54
 
     def test_degenerate_interval_covers_point_mass(self):
@@ -306,19 +306,19 @@ class TestCoverage:
         cfg = aq.ExperimentConfig(source=src, family=aq.identity_family(1),
                                   protocol="surrogate", statistic=aq.exp_neg_chisq_statistic(),
                                   n=10, k=1, replicates=100, seed=9)
-        p, se, interval = aq.coverage_check(cfg, "chisq_ci")
+        p, se, interval = aq.coverage_check(cfg)
         assert p == 1.0 and interval.lo == interval.hi == 1.0
 
     def test_repeated_protocols_have_no_interval(self):
         # rows that share their maps are not the i.i.d. law whose interval Sigma_k gives
         src = aq.gaussian_source([0.0], [[1.0]])
-        fam = aq.finite_uniform_family([[[1.0]], [[1.0]]], [[1.0], [-1.0]], [0.8, 0.2])
+        fam = aq.TransformationFamily([[[1.0]], [[1.0]]], [[1.0], [-1.0]], [0.8, 0.2])
         for proto in ("repeated_aug", "repeated_surrogate"):
             cfg = aq.ExperimentConfig(source=src, family=fam, protocol=proto,
                                       statistic=aq.average_statistic(1), n=50, k=4,
                                       replicates=20, seed=15)
             with pytest.raises(ConfigError, match=proto):
-                aq.coverage_check(cfg, "average_ci")
+                aq.coverage_check(cfg)
 
     def test_surrogate_interval_reads_delta(self):
         # at delta = 1 the surrogate's diagonal block is sigma12, so Sigma_k is sigma12
@@ -326,36 +326,35 @@ class TestCoverage:
         cfg = aq.ExperimentConfig(source=src, family=aq.sign_flip_family(1, 0.3),
                                   protocol="surrogate", statistic=aq.average_statistic(1),
                                   n=20, k=2, replicates=2000, seed=3, delta=1.0)
-        p, se, interval = aq.coverage_check(cfg, "average_ci")
+        p, se, interval = aq.coverage_check(cfg)
         assert interval.hi == pytest.approx(1.959963984540054 * math.sqrt(0.16 / 20), rel=1e-9)
         assert abs(p - 0.95) <= 4 * math.sqrt(0.95 * 0.05 / 2000)
 
     def test_chisq_interval_needs_a_centred_law(self):
         src = aq.gaussian_source([0.0], [[1.0]])
-        fam = aq.finite_uniform_family([[[1.0]], [[-0.5]]], [[0.2], [1.0]], [0.6, 0.4])
+        fam = aq.TransformationFamily([[[1.0]], [[-0.5]]], [[0.2], [1.0]], [0.6, 0.4])
         cfg = aq.ExperimentConfig(source=src, family=fam, protocol="iid_aug",
                                   statistic=aq.exp_neg_chisq_statistic(), n=20, k=2,
                                   replicates=20, seed=3)
         with pytest.raises(ConfigError, match="centred"):
-            aq.coverage_check(cfg, "chisq_ci")
+            aq.coverage_check(cfg)
 
     def test_chisq_interval_needs_one_coordinate(self):
         cfg = aq.ExperimentConfig(source=_exchangeable_source(), family=aq.swap_family(),
-                                  protocol="iid_aug", statistic=aq.exp_neg_chisq_2d_statistic(),
+                                  protocol="iid_aug", statistic=aq.exp_neg_chisq_statistic(2),
                                   n=20, k=2, replicates=20, seed=3)
         with pytest.raises(ConfigError, match="1-d exponential"):
-            aq.coverage_check(cfg, "chisq_ci")
+            aq.coverage_check(cfg)
         assert aq.compare_protocols(cfg, ["iid_aug", "unaugmented"]).theta_theory is None
 
-    def test_rule_statistic_pairing_enforced(self):
+    def test_statistic_without_interval_is_refused(self):
+        # the interval is read from the statistic, so one without a closed form has none
         src = aq.gaussian_source([0.0], [[1.0]])
         cfg = aq.ExperimentConfig(source=src, family=aq.identity_family(1),
-                                  protocol="surrogate", statistic=aq.exp_neg_chisq_statistic(),
+                                  protocol="surrogate", statistic=aq.hard_max_statistic(1),
                                   n=10, k=1, replicates=50, seed=10)
-        with pytest.raises(ConfigError):
-            aq.coverage_check(cfg, "average_ci")
-        with pytest.raises(ConfigError):
-            aq.coverage_check(cfg, "nonexistent_rule")
+        with pytest.raises(ConfigError, match="hardmax"):
+            aq.coverage_check(cfg)
 
 
 def test_clt_sanity_for_augmented_average():

@@ -3,7 +3,20 @@ import pytest
 
 import augquant as aq
 from augquant import statistics as st
+from augquant.config import statistic_from_config
 from augquant.errors import ContractError, NumericalError
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name,build", [
+    ("average", st.average_statistic), ("expnegchisq", st.exp_neg_chisq_statistic),
+    ("hardmax", st.hard_max_statistic), ("smoothmax", lambda d: st.smooth_max_statistic(d, 1)),
+], ids=["average", "expnegchisq", "hardmax", "smoothmax"])
+def test_constructor_matches_config(name, build, d):
+    # each statistic has one constructor, sized by the d that statistic.d sets
+    cfg = {"statistic.kind": name, "statistic.d": d, "statistic.t": 1}
+    source = aq.gaussian_source(np.zeros(d), np.eye(d))
+    assert statistic_from_config(cfg, source) == build(d)
 
 
 class TestAverage:
@@ -28,7 +41,7 @@ class TestAverage:
 class TestExpNegChisq:
     def test_zero_data(self):
         assert aq.evaluate(aq.exp_neg_chisq_statistic(), np.zeros((3, 2)), 2)[0] == 1.0
-        assert aq.evaluate(aq.exp_neg_chisq_2d_statistic(), np.zeros((3, 4)), 2)[0] == 2.0
+        assert aq.evaluate(aq.exp_neg_chisq_statistic(2), np.zeros((3, 4)), 2)[0] == 2.0
 
     def test_single_point(self):
         assert aq.evaluate(aq.exp_neg_chisq_statistic(), np.array([[1.0]]), 1)[0] == pytest.approx(
@@ -42,12 +55,12 @@ class TestExpNegChisq:
             np.exp(-g * g), rel=1e-15)
         vals2 = rng.standard_normal((4, 6))
         g2 = aq.evaluate(aq.average_statistic(2), vals2, 3)
-        assert aq.evaluate(aq.exp_neg_chisq_2d_statistic(), vals2, 3)[0] == pytest.approx(
+        assert aq.evaluate(aq.exp_neg_chisq_statistic(2), vals2, 3)[0] == pytest.approx(
             float(np.exp(-g2 * g2).sum()), rel=1e-15)
 
     def test_size_is_the_slot_dimension(self):
         # one name at every size: d sizes the slots, 2 for the two-coordinate statistic
-        assert aq.exp_neg_chisq_2d_statistic() == st.StatisticKind("expnegchisq", d=2)
+        assert aq.exp_neg_chisq_statistic(2) == st.StatisticKind("expnegchisq", d=2)
         kind = st.StatisticKind("expnegchisq", d=5)
         assert kind.slot_dim == 5 and kind.output_dim == 1
         vals = np.random.default_rng(3).standard_normal((4, 10))  # n=4, k=2, d=5
@@ -205,7 +218,7 @@ def test_permutation_invariance_of_all_statistics():
     cases = [
         (st.average_statistic(2), 2),
         (st.exp_neg_chisq_statistic(), 1),
-        (st.exp_neg_chisq_2d_statistic(), 2),
+        (st.exp_neg_chisq_statistic(2), 2),
         (st.smooth_max_statistic(5, 2.0), 5),
         (st.hard_max_statistic(5), 5),
         (st.ridge_statistic(2, 2, 1.0), 4),

@@ -165,7 +165,7 @@ class TestBuildSurrogate:
         (aq.identity_family(2), aq.gaussian_source([1.0, -3.0], [[1.0, 0.9], [0.9, 1.0]])),
         (aq.identity_family(2).paired(),
          aq.regression_source([1.0, 2.0], [[1.0, 0.3], [0.3, 2.0]], 0.7)),
-        (aq.finite_uniform_family([[[0.3, -1.2], [0.8, 2.5]]], [[1.0, -2.0]]),
+        (aq.TransformationFamily([[[0.3, -1.2], [0.8, 2.5]]], [[1.0, -2.0]]),
          aq.gaussian_source([4.0, 1e3], [[3.0, -1.1], [-1.1, 0.6]])),
     ], ids=["identity_1d", "identity_2d", "paired_identity", "one_member_finite_uniform"])
     @pytest.mark.parametrize("delta", [0.3, 0.5, 0.7])
@@ -182,7 +182,7 @@ class TestBuildSurrogate:
     @pytest.mark.parametrize("weights", [[0.3, 0.7], [0.1, 0.9], [1 / 3, 2 / 3], [0.25, 0.75]])
     @pytest.mark.parametrize("delta", [0.0, 0.3, 0.5, 0.7, 1.0])
     def test_repeated_map_family_builds_at_every_delta(self, matrix, weights, delta):
-        fam = aq.finite_uniform_family([matrix, matrix], weights=weights)
+        fam = aq.TransformationFamily([matrix, matrix], weights=weights)
         m = aq.estimate_moments(fam, aq.gaussian_source([1.0, -3.0], [[1.0, 0.9], [0.9, 1.0]]))
         spec = aq.build_surrogate(m, 10, 5, delta)
         assert np.array_equal(spec.diag_block - spec.offdiag_block, np.zeros((2, 2)))
@@ -198,7 +198,7 @@ class TestBuildSurrogate:
 
 class TestSampleSurrogate:
     def test_perfect_replication_when_blocks_equal(self):
-        spec = aq.SurrogateSpec(n=100, k=4, d=2, delta=0.0, mean_block=np.array([1.0, 2.0]),
+        spec = aq.SurrogateSpec(n=100, k=4, delta=0.0, mean_block=np.array([1.0, 2.0]),
                                 diag_block=EXCHANGEABLE, offdiag_block=EXCHANGEABLE)
         rows = aq.sample_surrogate(spec, seed=3).reshape(100, 4, 2)
         for j in range(1, 4):
@@ -251,7 +251,7 @@ class TestSampleSurrogate:
 
         g = np.random.default_rng(100 * k + d).standard_normal((2, d, d))
         offdiag = g[0] @ g[0].T
-        spec = aq.SurrogateSpec(n=1, k=k, d=d, delta=0.0, mean_block=np.linspace(1.0, -2.0, d),
+        spec = aq.SurrogateSpec(n=1, k=k, delta=0.0, mean_block=np.linspace(1.0, -2.0, d),
                                 diag_block=offdiag + g[1] @ g[1].T, offdiag_block=offdiag)
         got_rng, want_rng = substream(5), substream(5)
         got = sample_surrogate_cells(spec, shape, got_rng)
@@ -263,7 +263,7 @@ class TestSampleSurrogate:
 
 class TestRepeatedSurrogate:
     def test_point_mass_family(self):
-        fam = aq.finite_uniform_family([[[2.0, 0.0], [0.0, 0.5]]], [[1.0, -1.0]])
+        fam = aq.TransformationFamily([[[2.0, 0.0], [0.0, 0.5]]], [[1.0, -1.0]])
         src = aq.gaussian_source([0.0, 0.0], np.eye(2))
         rows = aq.sample_repeated_surrogate(fam, src, n=50_000, k=2, seed=6).reshape(-1, 2, 2)
         # both slots carry the same map, hence identical values
