@@ -29,6 +29,7 @@ from .surrogate import (_gaussian_sixth_moment, _member_moments, estimate_moment
 
 ORDERS = (0, 1, 2, 3)
 MOMENTS = (1, 2, 3, 4, 5, 6)
+NORMS_BUDGET = 2**16  # entries in one norms call's largest array, unless it reads one point
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +64,17 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-statistic derivative norms at a point.  Each adapter reads the (n, k, D)
-# cells and reports (||f||, ||D^1||, ||D^2||, ||D^3||) for the block of row i.
+# Per-statistic derivative norms on a stack of points.  ``norms(points, i)``
+# maps (..., n, k, D) cells to (..., 4): for each dataset of the stack,
+# (||f||, ||D^1||, ||D^2||, ||D^3||) for the block of row i.
 # ---------------------------------------------------------------------------
+
+def _frobenius(x):
+    """The Frobenius norm of each element of a stack, summed as ``np.linalg.norm``
+    sums one element's (a dot product)."""
+    flat = x.reshape(len(x), 1, -1)
+    return np.sqrt((flat @ flat.swapaxes(1, 2))[:, 0, 0])
+
 
 class _MeanDerivs:
     """Norms for the statistics that read the data only through the scaled
@@ -84,32 +93,36 @@ class _MeanDerivs:
     def __init__(self, kind):
         self.kind = kind
 
-    def norms(self, cells, i):
-        n, k, slot = cells.shape
-        batch, ones = cells[None], np.ones((1, n, k))
-        m = stats.evaluate_batch(stats.average_statistic(slot), batch, ones, k)[0]
-        value = np.linalg.norm(stats.evaluate_batch(self.kind, batch, ones, k)[0])
+    def norms(self, points, i):
+        *lead, n, k, slot = points.shape
+        batch = points.reshape(-1, n, k, slot)
+        ones = np.ones(batch.shape[:3])
+        m = stats.evaluate_batch(stats.average_statistic(slot), batch, ones, k)
+        value = _frobenius(stats.evaluate_batch(self.kind, batch, ones, k))
         scale = 1.0 / np.sqrt(n * k)
         grads = self._gradient_norms(m)
-        return (float(value),) + tuple(float(g * scale**r) for r, g in enumerate(grads, 1))
+        out = np.stack([value] + [g * scale**r for r, g in enumerate(grads, 1)], axis=1)
+        return out.reshape(*lead, 4)
 
     def _gradient_norms(self, m):
-        """(||grad f||, ||grad^2 f||, ||grad^3 f||) at the scaled mean m."""
+        """(||grad f||, ||grad^2 f||, ||grad^3 f||) at each of the (S, D) scaled means."""
         if self.kind.name == "average":
-            return np.sqrt(m.size), 0.0, 0.0
+            zero = np.zeros(len(m))
+            return np.full(len(m), np.sqrt(m.shape[1])), zero, zero
         if self.kind.name == "expnegchisq":
             # f = sum_l exp(-m_l^2): every derivative tensor is diagonal
             e = np.exp(-m * m)
-            return (np.linalg.norm(2.0 * m * e), np.linalg.norm((4.0 * m * m - 2.0) * e),
-                    np.linalg.norm((12.0 * m - 8.0 * m**3) * e))
+            return (_frobenius(2.0 * m * e), _frobenius((4.0 * m * m - 2.0) * e),
+                    _frobenius((12.0 * m - 8.0 * m**3) * e))
         # smooth max: the softmax weights omega and the Gram of e_j - omega; at
         # d = 1 tau = 0 makes the second and third tensors vanish
         tau = self.kind.tau
-        omega = np.exp(tau * (m - m.max()))
-        omega /= omega.sum()
-        g = np.eye(omega.size) - omega - omega[:, None] + omega @ omega
-        return (np.linalg.norm(omega), tau * np.sqrt(omega @ g**2 @ omega),
-                tau * tau * np.sqrt(max(omega @ g**3 @ omega, 0.0)))
+        omega = np.exp(tau * (m - m.max(axis=1, keepdims=True)))
+        omega /= omega.sum(axis=1, keepdims=True)
+        row, col = omega[:, None, :], omega[:, :, None]
+        g = np.eye(m.shape[1]) - row - col + row @ col
+        return (_frobenius(omega), tau * np.sqrt((row @ g**2 @ col)[:, 0, 0]),
+                tau * tau * np.sqrt(np.maximum((row @ g**3 @ col)[:, 0, 0], 0.0)))
 
 
 class _RidgeDerivs:
@@ -127,8 +140,9 @@ class _RidgeDerivs:
         R_abc = 2 <H, B_abc> + 2 (<B_ab, Sigma_v B_c> + <B_ac, Sigma_v B_b>
                                   + <B_bc, Sigma_v B_a>)
 
-    The third order is summed one first-index slice at a time, so memory stays
-    O(W^2 d b).  The estimate keeps the positive-penalty contract of
+    The third order is summed one first-index slice at a time, so a call on S
+    points holds O(S W^2 d b) entries, the size ``estimate_alpha``'s chunk rule
+    bounds.  The estimate keeps the positive-penalty contract of
     ``ridge_derivative``; the risk norms, like ``evaluate`` on the ridge risk
     statistic, accept lam = 0 when the Gram matrix is invertible.
     """
@@ -138,29 +152,32 @@ class _RidgeDerivs:
             raise ContractError("derivative formulas require a positive ridge penalty")
         self.kind = kind
 
-    def norms(self, cells, i):
+    def norms(self, points, i):
         kind = self.kind
-        p = stats._RidgeBlocks(cells, i, kind.d, kind.b, kind.lam)
-        width = p.d1.shape[0]
+        *lead, n, k, slot = points.shape
+        p = stats._RidgeBlocks(points.reshape(-1, n, k, slot), i, kind.d, kind.b, kind.lam)
+        width = k * slot
         if kind.name == "ridge":
-            s3 = sum(np.sum(p.d3(a) ** 2) for a in range(width))
-            return (float(np.linalg.norm(p.fit)), float(np.linalg.norm(p.d1)),
-                    float(np.linalg.norm(p.d2)), float(np.sqrt(s3)))
+            s3 = sum((p.d3(a) ** 2).sum(axis=(1, 2, 3, 4)) for a in range(width))
+            out = np.stack([_frobenius(p.fit), _frobenius(p.d1), _frobenius(p.d2),
+                            np.sqrt(s3)], axis=1)
+            return out.reshape(*lead, 4)
         rm = kind.risk_moments
         sv = np.asarray(rm.sigma_v, dtype=float)
-        f = stats.ridge_risk(p.fit, rm)
+        f = stats._risks(p.fit, rm)
         h = sv @ p.fit - np.asarray(rm.sigma_yv, dtype=float).T
         sv_d1 = sv @ p.d1
-        r1 = 2.0 * np.einsum("apr,pr->a", p.d1, h)
-        r2 = 2.0 * (np.einsum("abpr,pr->ab", p.d2, h)
-                    + np.einsum("apr,bpr->ab", p.d1, sv_d1))
+        r1 = 2.0 * np.einsum("sapr,spr->sa", p.d1, h)
+        r2 = 2.0 * (np.einsum("sabpr,spr->sab", p.d2, h)
+                    + np.einsum("sapr,sbpr->sab", p.d1, sv_d1))
         s3 = 0.0
         for a in range(width):
-            q = np.einsum("bpr,cpr->bc", p.d2[a], sv_d1)
-            r3 = 2.0 * (np.einsum("bcpr,pr->bc", p.d3(a), h) + q + q.T
-                        + np.einsum("bcpr,pr->bc", p.d2, sv_d1[a]))
-            s3 += np.sum(r3 * r3)
-        return abs(f), float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.sqrt(s3))
+            q = np.einsum("sbpr,scpr->sbc", p.d2[:, a], sv_d1)
+            r3 = 2.0 * (np.einsum("sbcpr,spr->sbc", p.d3(a), h) + q + q.swapaxes(1, 2)
+                        + np.einsum("sbcpr,spr->sbc", p.d2, sv_d1[:, a]))
+            s3 = s3 + (r3 * r3).sum(axis=(1, 2))
+        out = np.stack([np.abs(f), _frobenius(r1), _frobenius(r2), np.sqrt(s3)], axis=1)
+        return out.reshape(*lead, 4)
 
 
 def derivative_adapter(kind):
@@ -172,6 +189,15 @@ def derivative_adapter(kind):
     return _MeanDerivs(kind)  # every other canonical name reads the scaled grand mean
 
 
+def _point_entries(stat, n, k):
+    """Entries that one point adds to a norms call's largest array: its (n, k, D)
+    cells, the smooth max's (d, d) Gram, or a ridge point's (W, W, d, b) slice."""
+    width = k * stat.slot_dim
+    if stat.name in ("ridge", "ridgerisk"):
+        return max(n * width, width * width * stat.d * stat.b)
+    return max(n * width, stat.d * stat.d)
+
+
 def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
                    num_grid=17, seed=0, adapter=None):
     """Estimate alpha[r][m] at row ``i`` for a statistic under a (family, source) pair.
@@ -180,8 +206,13 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
     before ``i`` are freshly augmented data, the rows after ``i`` are
     surrogate draws, and the segment endpoint is either a fresh augmented row
     or a fresh surrogate row (two branches).  n and k come from the spec.
-    ``adapter.norms(cells, i)`` reads the (n, k, slot) cells with row ``i`` at
-    one grid point of the segment.
+
+    The (outer draw, branch, grid point) datasets, row ``i`` at s * endpoint
+    and every other row as drawn, are read in that order in chunks of
+    max(1, NORMS_BUDGET // entries per point) points, one
+    ``adapter.norms(points, i)`` call on each (S, n, k, slot) chunk; a chunk
+    may split an outer draw's grid.  Each outer draw is drawn once, from
+    ``substream(seed, 0, outer)``.
     """
     if num_grid < 2:
         raise ContractError("num_grid must be at least 2")
@@ -196,27 +227,40 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
         raise ContractError("statistic slot dimension does not match the family/surrogate")
 
     fracs = np.linspace(0.0, 1.0, num_grid)
-    sups = np.zeros((2, len(ORDERS), num_outer))
     rows = np.arange(i + 1)[:, None]
-    for outer in range(num_outer):
+
+    def draw(outer):
         # i + 1 augmented rows, the last the data endpoint, then n - i surrogate
         # rows, the first the surrogate endpoint, all from one stream
         rng = substream(seed, 0, outer)
         x = source.sample(i + 1, rng)
         data = family.images(x)[rows, family.sample_indices((i + 1, k), rng)]
         surr = sample_surrogate_cells(surrogate_spec, (n - i,), rng)
-        w = np.concatenate([data[:i], surr])
-        for bi, endpoint in enumerate((data[i], surr[0])):
-            best = np.zeros(len(ORDERS))
-            for s in fracs:
-                w[i] = s * endpoint
-                with np.errstate(all="ignore"):  # an overflow fails the check below
-                    vals = np.asarray(adapter.norms(w, i))
-                if not np.all(np.isfinite(vals)):
-                    raise NumericalError(
-                        f"non-finite derivative at row {i}, segment fraction {s:g}")
-                np.maximum(best, vals, out=best)
-            sups[bi, :, outer] = best
+        return np.concatenate([data[:i], surr]), np.stack([data[i], surr[0]])
+
+    per_draw = 2 * num_grid
+    total = num_outer * per_draw
+    chunk = max(1, NORMS_BUDGET // _point_entries(stat, n, k))
+    sups = np.zeros((2, len(ORDERS), num_outer))  # [branch, order, outer]: grid maxima
+    drawn = {}
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        outer, branch, grid = idx // per_draw, idx // num_grid % 2, idx % num_grid
+        # the draw that the previous chunk split is kept, the rest drawn in order
+        drawn = {o: drawn[o] if o in drawn else draw(o)
+                 for o in range(outer[0], outer[-1] + 1)}
+        points = np.empty((len(idx), n, k, slot))
+        for o, (cells, ends) in drawn.items():
+            part = outer == o
+            points[part] = cells
+            points[part, i] = fracs[grid[part], None, None] * ends[branch[part]]
+        with np.errstate(all="ignore"):  # an overflow fails the check below
+            vals = np.asarray(adapter.norms(points, i))
+        bad = ~np.isfinite(vals).all(axis=1)
+        if bad.any():
+            raise NumericalError(f"non-finite derivative at row {i}, "
+                                 f"segment fraction {fracs[grid[bad.argmax()]]:g}")
+        np.maximum.at(sups, (branch, slice(None), outer), vals)
     alpha = np.array([[max(np.mean(sups[bi, r] ** m) ** (1.0 / m) for bi in (0, 1))
                        for m in MOMENTS] for r in ORDERS])
     return AlphaEstimates(alpha=alpha)

@@ -5,10 +5,10 @@ coordinates each) and is invariant under permuting the k slots within a row.
 ``evaluate_batch`` is the one implementation of each statistic: it evaluates
 B datasets at once, each row given as cells with multiplicities, and
 ``evaluate`` calls it with a batch of one.
-The ridge derivative tensors within one row are built together, from the
-(n, k, d + b) cells and one factorization of the regularized Gram matrix, by
-``_RidgeBlocks``; the single-entry ``ridge_derivative`` and the analytic
-noise-stability path in ``bounds`` both read them.
+The ridge derivative tensors within one row are built together, from a stack
+of (n, k, d + b) cells and one factorization of each regularized Gram matrix,
+by ``_RidgeBlocks``; the single-entry ``ridge_derivative`` reads a stack of
+one, and the analytic noise-stability path in ``bounds`` reads whole stacks.
 """
 
 from dataclasses import dataclass
@@ -207,8 +207,8 @@ def ridge_risk(b_hat, risk_moments):
 
 
 class _RidgeBlocks:
-    """The ridge estimate and its derivative tensors within one row, from one
-    factorization.
+    """The ridge estimate and its derivative tensors within one row, for a
+    stack of datasets, one factorization each.
 
     With M = sum v v^T + n k lam I, G = M^{-1} and B = G C for C = sum v y^T,
     differentiating M B = C gives, for row entries a, b, c (M and C are
@@ -219,38 +219,43 @@ class _RidgeBlocks:
         B_abc = -G (M_ab B_c + M_ac B_b + M_bc B_a + M_a B_bc + M_b B_ac + M_c B_ab)
 
     M_ab and C_ab vanish unless both entries lie in the same slot.  The data
-    are (n, k, d + b) cells, and entries follow row i's cells flattened
-    (slot-major, covariates before responses), so with W = k (d + b): ``d1`` is
-    (W, d, b), ``d2`` is (W, W, d, b), and ``d3(a)`` is the (W, W, d, b) slice
-    of the third tensor at first index a.
+    are an (S, n, k, d + b) stack of cells, and entries follow row i's cells
+    flattened (slot-major, covariates before responses), so with W = k (d + b):
+    ``fit`` is (S, d, b), ``d1`` is (S, W, d, b), ``d2`` is (S, W, W, d, b), and
+    ``d3(a)`` is the (S, W, W, d, b) slice of the third tensor at first index a.
     """
 
     def __init__(self, cells, i, d, b, lam):
-        k = cells.shape[1]
+        k = cells.shape[2]
         v, y = _split_vy(cells, d, b)
-        g, cross = _ridge_system(cells[None], np.ones((1, *cells.shape[:2])), k, d, b, lam)
-        self.g, self.fit = g[0], (g @ cross)[0]
+        g, cross = _ridge_system(cells, np.ones(cells.shape[:3]), k, d, b, lam)
+        self.g, self.fit = g, g @ cross
         # derivative of the slot's covariate / response with respect to each entry
         ev = np.tile(np.eye(d + b, d), (k, 1))
         ey = np.tile(np.eye(d + b, b, -d), (k, 1))
-        vj = np.repeat(v[i], d + b, axis=0)
-        yj = np.repeat(y[i], d + b, axis=0)
+        vj = np.repeat(v[:, i], d + b, axis=1)
+        yj = np.repeat(y[:, i], d + b, axis=1)
         same = np.kron(np.eye(k), np.ones((d + b, d + b)))[:, :, None, None]
-        m1 = ev[:, :, None] * vj[:, None, :]
-        self.m1 = m1 + m1.transpose(0, 2, 1)
-        c1 = ev[:, :, None] * yj[:, None, :] + vj[:, :, None] * ey[:, None, :]
+        m1 = ev[:, :, None] * vj[:, :, None, :]
+        self.m1 = m1 + m1.swapaxes(2, 3)
+        c1 = ev[:, :, None] * yj[:, :, None, :] + vj[..., None] * ey[:, None, :]
         evev = ev[:, None, :, None] * ev[None, :, None, :]
         self.m2 = same * (evev + evev.transpose(1, 0, 2, 3))
         c2 = same * (ev[:, None, :, None] * ey[None, :, None, :]
                      + ev[None, :, :, None] * ey[:, None, None, :])
-        self.d1 = self.g @ (c1 - self.m1 @ self.fit)
-        mb = self.m1[:, None] @ self.d1[None, :]
-        self.d2 = self.g @ (c2 - self.m2 @ self.fit - mb - mb.transpose(1, 0, 2, 3))
+        self.d1 = g[:, None] @ (c1 - self.m1 @ self.fit[:, None])
+        mb = self.m1[:, :, None] @ self.d1[:, None]
+        self.d2 = g[:, None, None] @ (c2 - self.m2 @ self.fit[:, None, None]
+                                      - mb - mb.swapaxes(1, 2))
 
     def d3(self, a):
         m1, d1, d2 = self.m1, self.d1, self.d2
-        s = self.m2[a][:, None] @ d1[None, :] + m1[:, None] @ d2[a][None, :]
-        return -(self.g @ (s + s.transpose(1, 0, 2, 3) + self.m2 @ d1[a] + m1[a] @ d2))
+        s = self.m2[a][:, None] @ d1[:, None]
+        s += m1[:, :, None] @ d2[:, a][:, None]
+        s = s + s.swapaxes(1, 2)
+        s += self.m2 @ d1[:, a][:, None, None]
+        s += m1[:, a][:, None, None] @ d2
+        return -(self.g[:, None, None] @ s)
 
 
 # the block ("v" covariate, "y" response) of each differentiated entry, in order
@@ -297,9 +302,9 @@ def ridge_derivative(data, k, d, b, lam, which, i, slots, coords):
         if not 0 <= l < (d if block == "v" else b):
             raise ContractError(f"coordinate index {l} out of range for {block}-block")
         entries.append(j * (d + b) + (l if block == "v" else d + l))
-    p = _RidgeBlocks(cells, i, d, b, lam)
+    p = _RidgeBlocks(cells[None], i, d, b, lam)
     if len(entries) == 1:
-        return p.d1[entries[0]]
+        return p.d1[0, entries[0]]
     if len(entries) == 2:
-        return p.d2[entries[0], entries[1]]
-    return p.d3(entries[0])[entries[1], entries[2]]
+        return p.d2[0, entries[0], entries[1]]
+    return p.d3(entries[0])[0, entries[1], entries[2]]

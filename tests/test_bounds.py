@@ -1,14 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import augquant as aq
 from augquant import bounds as bd
+from augquant import cli
 from augquant import statistics as stats
-from augquant.errors import ContractError
-from augquant.surrogate import sample_surrogate_rows
+from augquant.config import experiment_from_config
+from augquant.errors import ContractError, NumericalError
+from augquant.rng import substream
+from augquant.surrogate import sample_surrogate_cells, sample_surrogate_rows
 
 
 def _average_setup(n=6, k=3, d=2):
@@ -78,8 +82,9 @@ class TestEstimateAlpha:
         assert np.allclose(scaled.alpha, 2.5 * base.alpha, rtol=1e-12)
 
     def test_adapter_reads_cells_along_the_segment(self):
-        # each call gets the (n, k, D) cells; within one branch row i walks the
-        # grid s * endpoint and every other row stays put
+        # each call gets an (S, n, k, D) stack of datasets in (outer draw, branch,
+        # grid point) order; within one branch row i walks the grid s * endpoint
+        # and every other row stays put
         n, k, d, i, num_grid = 5, 3, 2, 2, 4
         stat, fam, src, spec = _average_setup(n=n, k=k, d=d)
 
@@ -87,19 +92,20 @@ class TestEstimateAlpha:
             def __init__(self):
                 self.calls = []
 
-            def norms(self, cells, row):
+            def norms(self, points, row):
                 assert row == i
-                self.calls.append(cells.copy())
-                return (1.0, 0.0, 0.0, 0.0)
+                self.calls.append(points.copy())
+                return np.tile([1.0, 0.0, 0.0, 0.0], (len(points), 1))
 
         rec = Recording()
         aq.estimate_alpha(stat, fam, src, spec, i=i, num_outer=3, num_grid=num_grid,
                           seed=8, adapter=rec)
-        assert len(rec.calls) == 3 * 2 * num_grid
+        datasets = np.concatenate(rec.calls)
+        assert len(datasets) == 3 * 2 * num_grid
         fracs = np.linspace(0.0, 1.0, num_grid)
         others = np.arange(n) != i
-        for start in range(0, len(rec.calls), num_grid):
-            branch = rec.calls[start:start + num_grid]
+        for start in range(0, len(datasets), num_grid):
+            branch = datasets[start:start + num_grid]
             endpoint = branch[-1][i]
             for s, cells in zip(fracs, branch):
                 assert cells.shape == (n, k, d)
@@ -123,6 +129,126 @@ class TestEstimateAlpha:
         spec = aq.build_surrogate(aq.estimate_moments(fam, src), 2, 1, 0.0)
         with pytest.raises(ContractError):
             aq.estimate_alpha(aq.hard_max_statistic(3), fam, src, spec, i=0)
+
+
+def _reference_alpha(stat, family, source, spec, i, num_outer, num_grid, seed):
+    """estimate_alpha as one ``norms`` call per grid point, branch and outer draw:
+    the reference that the stacked chunks are held to."""
+    adapter = bd.derivative_adapter(stat)
+    n, k = spec.n, spec.k
+    fracs = np.linspace(0.0, 1.0, num_grid)
+    sups = np.zeros((2, len(bd.ORDERS), num_outer))
+    rows = np.arange(i + 1)[:, None]
+    for outer in range(num_outer):
+        rng = substream(seed, 0, outer)
+        x = source.sample(i + 1, rng)
+        data = family.images(x)[rows, family.sample_indices((i + 1, k), rng)]
+        surr = sample_surrogate_cells(spec, (n - i,), rng)
+        w = np.concatenate([data[:i], surr])
+        for bi, endpoint in enumerate((data[i], surr[0])):
+            best = np.zeros(len(bd.ORDERS))
+            for s in fracs:
+                w[i] = s * endpoint
+                np.maximum(best, adapter.norms(w, i), out=best)
+            sups[bi, :, outer] = best
+    return np.array([[max(np.mean(sups[bi, r] ** m) ** (1.0 / m) for bi in (0, 1))
+                      for m in bd.MOMENTS] for r in bd.ORDERS])
+
+
+def _crop_cell(kind, n, k):
+    """fig4's paired crop source and family with a ridge-type statistic at lambda 1."""
+    config = experiment_from_config({**cli.CROP, "statistic.kind": kind, "statistic.lambda": 1.0,
+                                     "protocol": "iid_aug", "n": n, "k": k, "replicates": 2,
+                                     "seed": 1})
+    spec = aq.build_surrogate(aq.estimate_moments(config.family, config.source), n, k, 0.0)
+    return config.statistic, config.family, config.source, spec
+
+
+_RISK_MOMENTS = aq.RiskMoments(1.5, np.array([[0.3, -0.2]]), np.array([[1.0, 0.2], [0.2, 0.8]]))
+
+
+class TestStackedNorms:
+    @pytest.mark.parametrize("kind", [
+        aq.average_statistic(2),
+        aq.exp_neg_chisq_statistic(1),
+        aq.exp_neg_chisq_statistic(2),
+        aq.smooth_max_statistic(3, 2.0),
+        aq.ridge_statistic(2, 1, 0.7),
+        aq.ridge_risk_statistic(2, 1, 0.0, _RISK_MOMENTS),
+    ], ids=lambda kind: f"{kind.name}-d{kind.d}-lam{kind.lam:g}")
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_stack_matches_each_point(self, kind, lead):
+        n, k, i = 3, 2, 1
+        points = np.random.default_rng(13).standard_normal((*lead, n, k, kind.slot_dim))
+        adapter = bd.derivative_adapter(kind)
+        stacked = adapter.norms(points, i)
+        assert stacked.shape == (*lead, 4)
+        for idx in np.ndindex(*lead):
+            np.testing.assert_allclose(stacked[idx], adapter.norms(points[idx], i),
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("setup", ["expnegchisq", "smoothmax", "ridge", "ridgerisk"])
+    def test_estimate_alpha_matches_per_point_reference(self, setup, monkeypatch):
+        # chunks of 5 points against draws of 2 * 3: boundaries fall mid-draw
+        num_outer, num_grid, chunk = 3, 3, 5
+        if setup in ("ridge", "ridgerisk"):
+            stat, fam, src, spec = _crop_cell(setup, 4, 2)
+        else:
+            src = aq.gaussian_source([0.2, -0.1], [[1.0, -0.5], [-0.5, 1.0]])
+            fam = aq.swap_family()
+            spec = aq.build_surrogate(aq.estimate_moments(fam, src), 4, 3, 1.0)
+            stat = (aq.exp_neg_chisq_statistic(2) if setup == "expnegchisq"
+                    else aq.smooth_max_statistic(2, 1.5))
+        monkeypatch.setattr(bd, "NORMS_BUDGET", chunk * bd._point_entries(stat, spec.n, spec.k))
+        sizes = []
+        inner = bd.derivative_adapter(stat)
+
+        class Counting:
+            def norms(self, points, row):
+                sizes.append(len(points))
+                return inner.norms(points, row)
+
+        got = aq.estimate_alpha(stat, fam, src, spec, i=1, num_outer=num_outer,
+                                num_grid=num_grid, seed=9, adapter=Counting())
+        assert sizes == [5, 5, 5, 3]
+        want = _reference_alpha(stat, fam, src, spec, 1, num_outer, num_grid, 9)
+        np.testing.assert_allclose(got.alpha, want, rtol=1e-12, atol=0.0)
+
+    def test_non_finite_norm_names_its_segment_fraction(self, monkeypatch):
+        # datasets 13 and 15 are inf, both in the chunk [12, 16): outer draw 1's data
+        # branch at s = 0.75 comes first, its surrogate branch at s = 0 next
+        num_grid, i = 5, 1
+        stat, fam, src, spec = _average_setup(n=4, k=2, d=1)
+        monkeypatch.setattr(bd, "NORMS_BUDGET", 4 * bd._point_entries(stat, spec.n, spec.k))
+
+        class Overflowing:
+            seen = 0
+
+            def norms(self, points, row):
+                out = np.ones((len(points), 4))
+                out[np.isin(np.arange(self.seen, self.seen + len(points)), [13, 15]), 2] = np.inf
+                self.seen += len(points)
+                return out
+
+        with pytest.raises(NumericalError) as err:
+            aq.estimate_alpha(stat, fam, src, spec, i=i, num_outer=3, num_grid=num_grid,
+                              seed=2, adapter=Overflowing())
+        assert str(err.value) == f"non-finite derivative at row {i}, segment fraction 0.75"
+
+    @pytest.mark.parametrize("k,num_outer,num_grid", [(2, 2, 4097), (16, 1, 17)])
+    def test_peak_memory_is_bounded_by_the_chunk(self, k, num_outer, num_grid):
+        # a few MB, set by the chunk constant: every array of a norms call holds
+        # at most NORMS_BUDGET entries, and a handful of them are alive at once
+        limit = 8 * 8 * bd.NORMS_BUDGET
+        args = _crop_cell("ridge", 20, k)
+        aq.estimate_alpha(*args, num_outer=1, num_grid=2)  # one-time allocations
+        tracemalloc.start()
+        try:
+            aq.estimate_alpha(*args, num_outer=num_outer, num_grid=num_grid, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, f"peak {peak / 1e6:.2f} MB over {limit / 1e6:.2f} MB"
 
 
 class _FiniteDifferenceDerivs:
@@ -249,7 +375,7 @@ def test_ridge_blocks_match_central_differences():
     n, k, d, b, lam, i = 3, 2, 2, 2, 0.7, 1
     rng = np.random.default_rng(12)
     w = rng.standard_normal((n, k * (d + b)))
-    blocks = stats._RidgeBlocks(w.reshape(n, k, -1), i, d, b, lam)
+    blocks = stats._RidgeBlocks(w.reshape(1, n, k, -1), i, d, b, lam)
     kind = aq.ridge_statistic(d, b, lam)
     width = k * (d + b)
 
@@ -268,13 +394,13 @@ def test_ridge_blocks_match_central_differences():
         scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric))
         assert np.linalg.norm(analytic - numeric) <= 1e-5 * scale + 1e-7, entries
 
-    np.testing.assert_allclose(blocks.fit, aq.evaluate(kind, w, k).reshape(d, b),
+    np.testing.assert_allclose(blocks.fit[0], aq.evaluate(kind, w, k).reshape(d, b),
                                rtol=1e-12, atol=1e-12)
     for a in range(width):
-        check(blocks.d1[a], a)
-        d3 = blocks.d3(a)
+        check(blocks.d1[0, a], a)
+        d3 = blocks.d3(a)[0]
         for c in range(width):
-            check(blocks.d2[a, c], a, c)
+            check(blocks.d2[0, a, c], a, c)
             for e in range(width):
                 check(d3[c, e], a, c, e)
 
