@@ -29,7 +29,9 @@ from .surrogate import (_gaussian_sixth_moment, _member_moments, estimate_moment
 
 ORDERS = (0, 1, 2, 3)
 MOMENTS = (1, 2, 3, 4, 5, 6)
-NORMS_BUDGET = 2**16  # entries in one norms call's largest array, unless it reads one point
+# entries in one norms call's largest array (the cells, or a ridge call's (W d, W d)
+# products P and N or the risk's (W, W, 2db) rows X), unless the call reads one point
+NORMS_BUDGET = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,22 +131,48 @@ class _RidgeDerivs:
     """Frobenius norms of the ridge estimate's block derivative tensors, or,
     for the ridge risk statistic, of the risk's.
 
-    The tensors come from ``statistics._RidgeBlocks``, the same ones that
-    ``ridge_derivative`` reads entry by entry.
+    The first and second tensors come from ``statistics._RidgeBlocks``, the
+    same ones that ``ridge_derivative`` reads entry by entry.  The third is
+    never formed: its squared norm is contracted from the blocks' G, M_a, M_ab,
+    B, B_a and B_ab, so a call on S points holds O(S W^2 max(2db, d^2)) entries,
+    the size ``estimate_alpha``'s chunk rule bounds.  Sums run over every
+    entry index, <X, Y> = sum X * Y, and M_a and M_ab are symmetric, as are
+    M_ab and B_ab in (a, b).
 
-    The risk R(B) = sigma_y - 2 tr(Sigma_yv B) + tr(B^T Sigma_v B) is quadratic
-    in B, so with H = Sigma_v B - Sigma_yv^T and <X, Y> = sum X * Y:
+    Ridge.  With H = G^T G, B_abc = -G T_abc for T_abc = M_ab B_c + M_ac B_b
+    + M_bc B_a + M_a B_bc + M_b B_ac + M_c B_ab, and relabelling the indices
+    collapses the 36 products of sum ||B_abc||^2 = sum <T_abc, H T_abc> to six:
 
-        R_a   = 2 <H, B_a>
-        R_ab  = 2 <H, B_ab> + 2 <B_a, Sigma_v B_b>
-        R_abc = 2 <H, B_abc> + 2 (<B_ab, Sigma_v B_c> + <B_ac, Sigma_v B_b>
-                                  + <B_bc, Sigma_v B_a>)
+        sum ||B_abc||^2 = 3 UU0 + 6 UU1 + 3 VV0 + 6 VV1 + 12 UVa + 6 UVc
+        UU0 = sum <M_ab B_c, H M_ab B_c>    UU1 = sum <M_ab B_c, H M_ac B_b>
+        VV0 = sum <M_a B_bc, H M_a B_bc>    VV1 = sum <M_a B_bc, H M_b B_ac>
+        UVa = sum <M_ab B_c, H M_a B_bc>    UVc = sum <M_ab B_c, H M_c B_ab>
 
-    The third order is summed one first-index slice at a time, so a call on S
-    points holds O(S W^2 d b) entries, the size ``estimate_alpha``'s chunk rule
-    bounds.  The estimate keeps the positive-penalty contract of
-    ``ridge_derivative``; the risk norms, like ``evaluate`` on the ridge risk
-    statistic, accept lam = 0 when the Gram matrix is invertible.
+    Each is a batched GEMM on (W d)-sized unfoldings; the largest is
+    P = D D^T for the (W d, W b) unfolding D of B_ab, which VV1 pairs with
+    N = A H A^T, A the (W d, d) unfolding of M_a, under a partial transpose.
+
+    Ridge risk.  R(B) = sigma_y - 2 tr(Sigma_yv B) + tr(B^T Sigma_v B) is
+    quadratic in B, so with E = Sigma_v B - Sigma_yv^T:
+
+        R_a   = 2 <E, B_a>
+        R_ab  = 2 <E, B_ab> + 2 <B_a, Sigma_v B_b>
+        R_abc = 2 (psi_abc + psi_acb + psi_bca)
+        psi_abc = <B_ab, Sigma_v B_c - M_c Q> - <M_ab Q, B_c>,  Q = G^T E
+
+    psi = X Y^T for the rows X_ab = [B_ab, -M_ab Q] and Y_c = [Sigma_v B_c
+    - M_c Q, B_c] of 2db columns each, so only Gram matrices are needed:
+
+        sum R_abc^2 = 12 <X^T X, Y^T Y> + 24 sum_a tr((Y^T X_a)^2)
+
+    Both terms are read through the thin QR factorization Y = Q_Y R_Y, as
+    12 ||X R_Y^T||^2 + 24 sum_a tr((Q_Y^T X_a R_Y^T)^2): the plain Gram
+    products lose digits where the rows of X lie nearly orthogonal to those
+    of Y, and the first term stays a sum of squares.
+
+    The estimate keeps the positive-penalty contract of ``ridge_derivative``;
+    the risk norms, like ``evaluate`` on the ridge risk statistic, accept
+    lam = 0 when the Gram matrix is invertible.
     """
 
     def __init__(self, kind):
@@ -156,28 +184,75 @@ class _RidgeDerivs:
         kind = self.kind
         *lead, n, k, slot = points.shape
         p = stats._RidgeBlocks(points.reshape(-1, n, k, slot), i, kind.d, kind.b, kind.lam)
-        width = k * slot
         if kind.name == "ridge":
-            s3 = sum((p.d3(a) ** 2).sum(axis=(1, 2, 3, 4)) for a in range(width))
             out = np.stack([_frobenius(p.fit), _frobenius(p.d1), _frobenius(p.d2),
-                            np.sqrt(s3)], axis=1)
+                            np.sqrt(_ridge_third(p))], axis=1)
             return out.reshape(*lead, 4)
         rm = kind.risk_moments
         sv = np.asarray(rm.sigma_v, dtype=float)
         f = stats._risks(p.fit, rm)
-        h = sv @ p.fit - np.asarray(rm.sigma_yv, dtype=float).T
+        e = sv @ p.fit - np.asarray(rm.sigma_yv, dtype=float).T
         sv_d1 = sv @ p.d1
-        r1 = 2.0 * np.einsum("sapr,spr->sa", p.d1, h)
-        r2 = 2.0 * (np.einsum("sabpr,spr->sab", p.d2, h)
+        r1 = 2.0 * np.einsum("sapr,spr->sa", p.d1, e)
+        r2 = 2.0 * (np.einsum("sabpr,spr->sab", p.d2, e)
                     + np.einsum("sapr,sbpr->sab", p.d1, sv_d1))
-        s3 = 0.0
-        for a in range(width):
-            q = np.einsum("sbpr,scpr->sbc", p.d2[:, a], sv_d1)
-            r3 = 2.0 * (np.einsum("sbcpr,spr->sbc", p.d3(a), h) + q + q.swapaxes(1, 2)
-                        + np.einsum("sbcpr,spr->sbc", p.d2, sv_d1[:, a]))
-            s3 = s3 + (r3 * r3).sum(axis=(1, 2))
-        out = np.stack([np.abs(f), _frobenius(r1), _frobenius(r2), np.sqrt(s3)], axis=1)
+        out = np.stack([np.abs(f), _frobenius(r1), _frobenius(r2),
+                        np.sqrt(_risk_third(p, p.g.swapaxes(1, 2) @ e, sv_d1))], axis=1)
         return out.reshape(*lead, 4)
+
+
+def _ridge_third(p):
+    """sum_abc ||B_abc||^2 for each point of a ``_RidgeBlocks`` stack, by the
+    six-term identity of ``_RidgeDerivs``.  In the comments a, b, c index row
+    entries, p, q, t, u covariates and r responses."""
+    size, width, d, b = p.d1.shape
+    h = p.g.swapaxes(1, 2) @ p.g
+    m2 = p.m2  # (W, W, d, d), the same for every point
+    # D[(b, q), (c, r)] = B_bc[q, r] and P = D D^T; A[(a, q), p] = M_a[p, q]
+    dmat = p.d2.transpose(0, 1, 3, 2, 4).reshape(size, width * d, width * b)
+    pmat = (dmat @ dmat.swapaxes(1, 2)).reshape(size, width, d, width, d)
+    amat = p.m1.swapaxes(2, 3).reshape(size, width * d, d)
+    ah = amat @ h  # [(a, q), u] = (M_a^T H)[q, u]
+    nmat = (ah @ amat.swapaxes(1, 2)).reshape(size, width, d, width, d)
+    vv1 = np.einsum("saqbt,sbqat->s", nmat, pmat)
+    # sum_c B_c B_c^T pairs with sum_ab M_ab (x) M_ab, and sum_bc B_bc B_bc^T, the
+    # diagonal blocks of P, with those of N, sum_a M_a^T H M_a
+    mflat = m2.reshape(width * width, d * d)
+    phi = (mflat.T @ mflat).reshape(d, d, d, d)
+    uu0 = np.einsum("pqut,spu,sqt->s", phi, h, np.einsum("scqr,sctr->sqt", p.d1, p.d1))
+    vv0 = np.einsum("sqt,sqt->s", np.einsum("saqat->sqt", nmat), np.einsum("sbqbt->sqt", pmat))
+    # S_a[p, q, t, r] = sum_b M_ab[p, q] B_b[t, r]
+    sa = (m2.transpose(0, 2, 3, 1).reshape(width * d * d, width)
+          @ p.d1.reshape(size, width, d * b)).reshape(size, width, d, d, d, b)
+    uu1 = np.einsum("sapqtr,sautqr,spu->s", sa, sa, h)
+    # F_b[q, t] = sum_c B_c[q, r] B_bc[t, r], then Z[a, p, t] = sum_b M_ab[p, q] F_b[q, t]
+    fmat = (dmat @ p.d1.swapaxes(2, 3).reshape(size, width * b, d)).reshape(size, width, d, d)
+    mblock = m2.transpose(0, 2, 1, 3).reshape(width * d, width * d)  # [(a, p), (b, q)]
+    z = (mblock @ fmat.swapaxes(2, 3).reshape(size, width * d, d)).reshape(size, width, d, d)
+    uva = np.einsum("sapt,satp->s", z, ah.reshape(size, width, d, d))  # (H M_a)^T = M_a^T H
+    # sum_ab M_ab[p, q] B_ab[t, r] and sum_c B_c[q, r] M_c[u, t]
+    e_ab = mflat.T @ p.d2.reshape(size, width * width, d * b)
+    c_c = p.d1.reshape(size, width, d * b).swapaxes(1, 2) @ p.m1.reshape(size, width, d * d)
+    uvc = np.einsum("spqtr,spu,sqrut->s", e_ab.reshape(size, d, d, d, b), h,
+                    c_c.reshape(size, d, b, d, d))
+    s3 = 3.0 * uu0 + 6.0 * uu1 + 3.0 * vv0 + 6.0 * vv1 + 12.0 * uva + 6.0 * uvc
+    return np.maximum(s3, 0.0)  # a vanishing tensor may round below zero
+
+
+def _risk_third(p, q, sv_d1):
+    """sum_abc R_abc^2 for each point of a ``_RidgeBlocks`` stack, by the Gram
+    form of ``_RidgeDerivs`` through the QR factors of Y, given Q = G^T E and
+    Sigma_v B_a."""
+    size, width, d, b = p.d1.shape
+    mq = (p.m2.reshape(width * width * d, d) @ q).reshape(size, width, width, d, b)
+    x = np.concatenate([p.d2, -mq], axis=4).reshape(size, width, width, 2 * d * b)
+    m1q = (p.m1.reshape(size, width * d, d) @ q).reshape(size, width, d, b)
+    y = np.concatenate([sv_d1 - m1q, p.d1], axis=3).reshape(size, width, 2 * d * b)
+    qy, ry = np.linalg.qr(y)
+    xr = x @ ry.swapaxes(1, 2)[:, None]  # X_a R^T, so psi_a = X_a R^T Q_Y^T
+    z = qy.swapaxes(1, 2)[:, None] @ xr  # Q_Y^T X_a R^T
+    s3 = 12.0 * np.einsum("sabj,sabj->s", xr, xr) + 24.0 * np.einsum("saij,saji->s", z, z)
+    return np.maximum(s3, 0.0)
 
 
 def derivative_adapter(kind):
@@ -191,10 +266,11 @@ def derivative_adapter(kind):
 
 def _point_entries(stat, n, k):
     """Entries that one point adds to a norms call's largest array: its (n, k, D)
-    cells, the smooth max's (d, d) Gram, or a ridge point's (W, W, d, b) slice."""
+    cells, the smooth max's (d, d) Gram, or for ridge and ridge risk the larger
+    of the (W d, W d) products P and N and the risk's (W, W, 2db) rows X."""
     width = k * stat.slot_dim
     if stat.name in ("ridge", "ridgerisk"):
-        return max(n * width, width * width * stat.d * stat.b)
+        return max(n * width, width * width * max(2 * stat.d * stat.b, stat.d * stat.d))
     return max(n * width, stat.d * stat.d)
 
 

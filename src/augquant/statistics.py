@@ -223,6 +223,8 @@ class _RidgeBlocks:
     flattened (slot-major, covariates before responses), so with W = k (d + b):
     ``fit`` is (S, d, b), ``d1`` is (S, W, d, b), ``d2`` is (S, W, W, d, b), and
     ``d3(a)`` is the (S, W, W, d, b) slice of the third tensor at first index a.
+    ``d3`` is read only by ``ridge_derivative`` and the tests; the bound path
+    contracts the third order from the first two (``bounds._RidgeDerivs``).
     """
 
     def __init__(self, cells, i, d, b, lam):

@@ -167,6 +167,63 @@ def _crop_cell(kind, n, k):
 _RISK_MOMENTS = aq.RiskMoments(1.5, np.array([[0.3, -0.2]]), np.array([[1.0, 0.2], [0.2, 0.8]]))
 
 
+def _reference_third(kind, points, i):
+    """The squared Frobenius norm of the third-order block tensor of a ridge or
+    ridge risk statistic, summed one first-index slice ``_RidgeBlocks.d3(a)`` at
+    a time: the reference that the contracted norms are held to."""
+    *lead, n, k, slot = points.shape
+    p = stats._RidgeBlocks(points.reshape(-1, n, k, slot), i, kind.d, kind.b, kind.lam)
+    width = k * slot
+    if kind.name == "ridge":
+        s3 = sum((p.d3(a) ** 2).sum(axis=(1, 2, 3, 4)) for a in range(width))
+        return s3.reshape(lead)
+    rm = kind.risk_moments
+    sv = np.asarray(rm.sigma_v, dtype=float)
+    h = sv @ p.fit - np.asarray(rm.sigma_yv, dtype=float).T
+    sv_d1 = sv @ p.d1
+    s3 = 0.0
+    for a in range(width):
+        q = np.einsum("sbpr,scpr->sbc", p.d2[:, a], sv_d1)
+        r3 = 2.0 * (np.einsum("sbcpr,spr->sbc", p.d3(a), h) + q + q.swapaxes(1, 2)
+                    + np.einsum("sbcpr,spr->sbc", p.d2, sv_d1[:, a]))
+        s3 = s3 + (r3 * r3).sum(axis=(1, 2))
+    return s3.reshape(lead)
+
+
+def _ridge_kinds(d, b, rng):
+    """The ridge estimate at a positive penalty and the ridge risk at lam = 0,
+    with risk moments drawn from rng."""
+    root = rng.standard_normal((d, d))
+    rm = aq.RiskMoments(1.5, rng.standard_normal((b, d)), root @ root.T + 0.1 * np.eye(d))
+    return aq.ridge_statistic(d, b, 0.7), aq.ridge_risk_statistic(d, b, 0.0, rm)
+
+
+class TestThirdOrderContraction:
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_matches_the_slice_reference(self, k, lead):
+        n, i = 3, 1
+        rng = np.random.default_rng(100 + k)
+        for d, b in itertools.product((1, 2, 3), repeat=2):
+            for kind in _ridge_kinds(d, b, rng):
+                points = rng.standard_normal((*lead, n, k, d + b))
+                got = bd.derivative_adapter(kind).norms(points, i)[..., 3]
+                want = np.sqrt(_reference_third(kind, points, i))
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                           err_msg=f"{kind.name} d={d} b={b}")
+
+    def test_bound_path_reads_no_third_order_slice(self, monkeypatch):
+        def refuse(self, a):
+            raise AssertionError("the bound path formed a third-order slice")
+
+        monkeypatch.setattr(stats._RidgeBlocks, "d3", refuse)
+        rng = np.random.default_rng(7)
+        for kind in _ridge_kinds(2, 2, rng):
+            points = rng.standard_normal((5, 3, 2, 4))
+            out = bd.derivative_adapter(kind).norms(points, 1)
+            assert out.shape == (5, 4) and np.isfinite(out).all()
+
+
 class TestStackedNorms:
     @pytest.mark.parametrize("kind", [
         aq.average_statistic(2),
@@ -347,8 +404,9 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
 
-    def test_ridge_norms(self):
-        n, k, d, b = 3, 2, 2, 1
+    @pytest.mark.parametrize("k,d,b", [(2, 2, 1), (3, 1, 2), (2, 3, 1)])
+    def test_ridge_norms(self, k, d, b):
+        n = 3
         kind = aq.ridge_statistic(d, b, 1.0)
         rng = np.random.default_rng(11)
         w = rng.standard_normal((n, k * (d + b)))
@@ -357,9 +415,14 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
 
-    def test_ridgerisk_norms(self):
-        n, k, d, b = 3, 2, 2, 1
-        rm = aq.RiskMoments(1.5, np.array([[0.3, -0.2]]), np.array([[1.0, 0.2], [0.2, 0.8]]))
+    @pytest.mark.parametrize("k,d,b,rm", [
+        (2, 2, 1, _RISK_MOMENTS),
+        (3, 1, 2, aq.RiskMoments(1.5, np.array([[0.3], [-0.2]]), np.array([[0.9]]))),
+        (2, 3, 1, aq.RiskMoments(1.5, np.array([[0.3, -0.2, 0.1]]),
+                                 np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 1.2]]))),
+    ])
+    def test_ridgerisk_norms(self, k, d, b, rm):
+        n = 3
         kind = aq.ridge_risk_statistic(d, b, 1.0, rm)
         rng = np.random.default_rng(11)
         w = rng.standard_normal((n, k * (d + b)))
