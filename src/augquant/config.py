@@ -297,6 +297,7 @@ def experiment_from_config(cfg, seed_override=None):
 
 def csv_text(header, rows, footer_lines=()):
     """The header row, one line per row (floats as ``fmt``), then ``#``-prefixed footer lines."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows  # Python floats format faster
     lines = [",".join(header)]
     lines += [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     lines += ["# " + line for line in footer_lines]

@@ -8,7 +8,10 @@ only, so results are bitwise identical across reruns and worker counts;
 ``statistics.evaluate_batch`` call per statistic on weighted cells: an
 ``iid_aug`` row's k member draws become its member counts, Multinomial(k,
 weights), of the same law, and a ``repeated_aug`` replicate draws one count
-vector for all rows.  The counts reach ``evaluate_batch`` as one C-contiguous
+vector for all rows.  Counts are drawn member by member over all rows: member
+0's from one uniform per row in the CDF table of Binomial(k, w_0) that
+``simulate`` builds once, members 1..M-2 by one binomial each on what is left,
+the last member the rest.  They reach ``evaluate_batch`` as one C-contiguous
 float64 (B, n, M) array, repeated counts copied to every row.  ``simulate``
 evaluates several statistics on one draw; ``run_experiment`` is its
 one-statistic call.  Summaries come from the sample matrix in fixed order; variance SEs
@@ -28,7 +31,7 @@ from .errors import ConfigError, NumericalError
 from .rng import child_seed, is_seed, substream
 from .surrogate import build_surrogate, estimate_moments, sample_surrogate_cells
 
-STREAM = 2
+STREAM = 3
 CELL_BUDGET = 2**16  # cells per block: B * n * k <= CELL_BUDGET unless B = 1
 
 
@@ -104,9 +107,39 @@ def _jackknife_var_norm_se(samples):
     return se_norm, se_first
 
 
-def _block_cells(config, size, rng, spec):
-    """``size`` replicates as ``evaluate_batch`` points and weights; ``repeated_surrogate``
-    has the law of ``repeated_aug`` for every supported (Gaussian) source, so is drawn alike."""
+def _binomial_cdf(k, w):
+    """P(X <= x), X ~ Binomial(k, w), at x = 0..k-1: the pmf's ratio recurrence walked out
+    from its mode (nothing overflows; w = 0 or 1 divides by nothing), each tail summed from
+    its end (a tail that underflows reads exactly 0 or 1)."""
+    x, mode = np.arange(k + 1.0), min(int((k + 1) * w), k)
+    pmf = np.ones(k + 1)
+    if mode < k:  # p(x) / p(x - 1) = (k - x + 1) w / (x (1 - w))
+        pmf[mode + 1:] = np.cumprod((k - x[mode:k]) * w / (x[mode + 1:] * (1 - w)))
+    if mode > 0:  # p(x) / p(x + 1) = (x + 1) (1 - w) / ((k - x) w)
+        pmf[mode - 1::-1] = np.cumprod(x[mode:0:-1] * (1 - w) / ((k - x[mode - 1::-1]) * w))
+    pmf /= pmf.sum()
+    return np.concatenate([np.cumsum(pmf[:mode]), 1.0 - np.cumsum(pmf[:mode:-1])[::-1]])
+
+
+def _member_counts(rng, k, weights, table, shape):
+    """Multinomial(k, weights) counts, (*shape, M): member 0's is one uniform per row looked
+    up in ``table``, ``_binomial_cdf(k, w_0)``; member j < M - 1 draws Binomial(left,
+    w_j / sum_{i >= j} w_i) on the count left, and the last member takes the rest."""
+    m, tail = len(weights), np.cumsum(weights[::-1])[::-1]
+    stage = np.divide(weights, tail, out=np.zeros(m), where=tail > 0)
+    counts = np.empty((*shape, m), dtype=np.int64)
+    counts[..., 0] = np.searchsorted(table, rng.random(shape), side="right")
+    left = k - counts[..., 0]
+    for j in range(1, m):
+        counts[..., j] = rng.binomial(left, stage[j]) if j < m - 1 else left
+        left -= counts[..., j]
+    return counts
+
+
+def _block_cells(config, size, rng, spec, table=None):
+    """``size`` replicates as ``evaluate_batch`` points and weights (``table`` is built when
+    not given); ``repeated_surrogate`` has the law of ``repeated_aug`` for every supported
+    (Gaussian) source, so is drawn alike."""
     n, k, fam = config.n, config.k, config.family
     if config.protocol == "surrogate":
         return sample_surrogate_cells(spec, (size, n), rng), np.broadcast_to(1.0, (size, n, k))
@@ -114,7 +147,9 @@ def _block_cells(config, size, rng, spec):
     if config.protocol == "unaugmented":
         return x[:, :, None], np.broadcast_to(float(k), (size, n, 1))
     rows = n if config.protocol == "iid_aug" else 1
-    counts = rng.multinomial(k, fam.weights, size=(size, rows))
+    if table is None:
+        table = _binomial_cdf(k, fam.weights[0])
+    counts = _member_counts(rng, k, fam.weights, table, (size, rows))
     images = fam.images(x.reshape(size * n, -1)).reshape(size, n, *fam.offsets.shape)
     # one C-contiguous float64 array, which einsum's grand sum reads without a cast buffer
     return images, np.broadcast_to(counts, (size, n, len(fam.weights))).astype(float, order="C")
@@ -144,12 +179,14 @@ def simulate(config, kinds):
     samples = [np.empty((config.replicates, kind.output_dim)) for kind in kinds]
     spec = build_surrogate(estimate_moments(config.family, config.source), config.n, config.k,
                            config.delta) if config.protocol == "surrogate" else None
+    table = _binomial_cdf(config.k, config.family.weights[0])
     size = max(1, CELL_BUDGET // (config.n * config.k))
     # an overflow shows as a non-finite value in a summary, reported once, not as warnings
     with np.errstate(all="ignore"):
         for block, lo in enumerate(range(0, config.replicates, size)):
             hi = min(lo + size, config.replicates)
-            points, weights = _block_cells(config, hi - lo, substream(config.seed, block), spec)
+            points, weights = _block_cells(config, hi - lo, substream(config.seed, block),
+                                           spec, table)
             for kind, out in zip(kinds, samples):
                 out[lo:hi] = stats.evaluate_batch(kind, points, weights, config.k)
         return [_summarize(cfg, out) for cfg, out in zip(configs, samples)]

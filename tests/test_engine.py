@@ -7,17 +7,22 @@ replicates on another stream layout and weights member images by counts, so
 the two agree in law, not in bytes.
 """
 
+import itertools
 import math
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 
 import augquant as aq
 from augquant import statistics as st
 from augquant.core import augment_iid, augment_repeated, replicate_unaugmented
 from augquant.errors import ConfigError, ContractError
-from augquant.montecarlo import CELL_BUDGET, PROTOCOLS, _block_cells, _jackknife_var_norm_se
+from augquant.montecarlo import (CELL_BUDGET, PROTOCOLS, _binomial_cdf, _block_cells,
+                                  _jackknife_var_norm_se, _member_counts)
 from augquant.rng import child_seed, substream
 from augquant.surrogate import build_surrogate, estimate_moments, sample_surrogate_rows
 
@@ -193,3 +198,92 @@ def test_every_seed_in_the_stream_key_range_runs(seed):
     assert report.results["iid_aug"].samples.tobytes() == aq.run_experiment(
         replace(config, seed=child_seed(seed, 0))).samples.tobytes()
     assert substream(seed).random() == substream(int(seed)).random()
+
+
+def _chi_square_p(counts, k, weights):
+    """Chi-square p-value of (N, M) count rows against Multinomial(k, weights), every
+    outcome whose expected count is below 5 pooled into one bin."""
+    m = len(weights)
+    head = np.array([c for c in itertools.product(range(k + 1), repeat=m - 1) if sum(c) <= k],
+                    dtype=np.int64).reshape(-1, m - 1)
+    outcomes = np.column_stack([head, k - head.sum(axis=1)])
+    expected = len(counts) * sps.multinomial.pmf(outcomes, k, weights)
+    shape = (k + 1,) * (m - 1)
+    seen = np.bincount(np.ravel_multi_index(counts[:, :-1].T, shape),
+                       minlength=(k + 1) ** (m - 1))
+    observed = seen[np.ravel_multi_index(head.T, shape)]
+    assert observed.sum() == len(counts)
+    small = expected < 5
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    stat = np.sum((observed - expected) ** 2 / expected)
+    return sps.chi2.sf(stat, len(expected) - 1)
+
+
+@pytest.mark.parametrize("k, weights", [
+    *((k, (w, 1.0 - w)) for w in (0.5, 0.3, 0.7) for k in (5, 50, 200)),
+    (10, (0.5, 0.3, 0.2)), (50, (0.25, 0.25, 0.25, 0.25))])
+def test_member_counts_follow_the_multinomial_law(k, weights):
+    weights = np.array(weights)
+    seed = 31 + k + int(100 * weights[0]) + len(weights)
+    shape = (500, 200)
+    counts = _member_counts(np.random.default_rng(seed), k, weights,
+                            _binomial_cdf(k, weights[0]), shape)
+    assert counts.shape == (*shape, len(weights)) and counts.dtype == np.int64
+    assert np.all(counts.sum(axis=-1) == k) and counts.min() >= 0
+    assert _chi_square_p(counts.reshape(-1, len(weights)), k, weights) > 1e-3
+
+
+@pytest.mark.parametrize("weights, want", [
+    ((1.0, 0.0), (7, 0)), ((0.0, 1.0), (0, 7)), ((1.0,), (7,)), ((0.0, 0.0, 1.0), (0, 0, 7))])
+def test_member_counts_of_a_degenerate_family_are_exact(weights, want):
+    weights = np.array(weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _member_counts(np.random.default_rng(3), 7, weights,
+                                _binomial_cdf(7, weights[0]), (4, 5))
+    assert counts.shape == (4, 5, len(weights))
+    assert np.all(counts == want)
+
+
+def test_member_counts_skip_a_zero_weight_member():
+    weights = np.array([0.5, 0.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _member_counts(np.random.default_rng(4), 9, weights,
+                                _binomial_cdf(9, 0.5), (50, 40))
+    assert np.all(counts[..., 1] == 0) and np.all(counts.sum(axis=-1) == 9)
+    assert _chi_square_p(counts[..., ::2].reshape(-1, 2), 9, np.array([0.5, 0.5])) > 1e-3
+
+
+@pytest.mark.parametrize("protocol", ["iid_aug", "repeated_aug"])
+def test_a_one_member_family_weights_every_row_by_k(protocol):
+    source = aq.gaussian_source([0.0, 1.0], np.eye(2))
+    config = aq.ExperimentConfig(source=source, family=aq.identity_family(2), protocol=protocol,
+                                 statistic=aq.average_statistic(2), n=6, k=4, replicates=3,
+                                 seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, weights = _block_cells(config, 3, substream(2, 0), None)
+    assert weights.shape == (3, 6, 1) and np.all(weights == 4.0)
+
+
+@pytest.mark.parametrize("w", [0.5, 0.3, 0.7, 1e-3])
+@pytest.mark.parametrize("k", [1, 5, 50, 200])
+def test_binomial_cdf_table_matches_exact_arithmetic(k, w):
+    table = _binomial_cdf(k, w)
+    p = Fraction(w)
+    exact = np.array([float(v) for v in itertools.accumulate(
+        math.comb(k, x) * p**x * (1 - p) ** (k - x) for x in range(k))])
+    assert table.shape == (k,)
+    assert np.max(np.abs(table - exact)) <= 1e-13
+    assert np.all(np.diff(table) >= 0)
+
+
+def test_binomial_cdf_table_tails_underflow_to_zero_and_one():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _binomial_cdf(2000, 0.5)
+    assert table[0] == 0.0 and table[-1] == 1.0
+    assert np.all(np.diff(table) >= 0)
