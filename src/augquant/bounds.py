@@ -66,9 +66,9 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-statistic derivative norms on a stack of points.  ``norms(points, i)``
-# maps (..., n, k, D) cells to (..., 4): for each dataset of the stack,
-# (||f||, ||D^1||, ||D^2||, ||D^3||) for the block of row i.
+# Per-statistic derivative norms along a segment.  ``reduce(cells)`` reads an outer
+# draw's n - 1 fixed (n - 1, k, D) rows once; ``norms(rest, rows, n, i)`` maps S reduced
+# draws and row i's S (k, D) cells to (S, 4), (||f||, ||D^1||, ||D^2||, ||D^3||) each.
 # ---------------------------------------------------------------------------
 
 def _frobenius(x):
@@ -95,16 +95,19 @@ class _MeanDerivs:
     def __init__(self, kind):
         self.kind = kind
 
-    def norms(self, points, i):
-        *lead, n, k, slot = points.shape
-        batch = points.reshape(-1, n, k, slot)
-        ones = np.ones(batch.shape[:3])
-        m = stats.evaluate_batch(stats.average_statistic(slot), batch, ones, k)
-        value = _frobenius(stats.evaluate_batch(self.kind, batch, ones, k))
+    def reduce(self, cells):
+        return cells.sum(axis=(0, 1))  # the fixed rows' grand sum
+
+    def norms(self, rest, rows, n, i):
+        k = rows.shape[1]
+        # einsum sums the middle axis about 6 times faster than sum(axis=1)
+        m = (rest + np.einsum("skd->sd", rows)) / (np.sqrt(n) * k)
+        # the statistic of a one-cell dataset at k = 1 is the statistic at m
+        value = _frobenius(stats.evaluate_batch(self.kind, m[:, None, None],
+                                                np.ones((len(m), 1, 1)), 1))
         scale = 1.0 / np.sqrt(n * k)
         grads = self._gradient_norms(m)
-        out = np.stack([value] + [g * scale**r for r, g in enumerate(grads, 1)], axis=1)
-        return out.reshape(*lead, 4)
+        return np.stack([value] + [g * scale**r for r, g in enumerate(grads, 1)], axis=1)
 
     def _gradient_norms(self, m):
         """(||grad f||, ||grad^2 f||, ||grad^3 f||) at each of the (S, D) scaled means."""
@@ -168,11 +171,15 @@ class _RidgeDerivs:
     Both terms are read through the thin QR factorization Y = Q_Y R_Y, as
     12 ||X R_Y^T||^2 + 24 sum_a tr((Q_Y^T X_a R_Y^T)^2): the plain Gram
     products lose digits where the rows of X lie nearly orthogonal to those
-    of Y, and the first term stays a sum of squares.
+    of Y, and the first term stays a sum of squares.  The two terms can still
+    cancel: at d = 3, b = 2 and cond(M) = 3.8e3 they read 5.952e9 and -5.941e9,
+    and on that case's rows scaled by 1 + 4e-16 N(0, 1) ``_risk_third`` strays up
+    to 1.2e-11 relative (median 3.3e-13) from a long-double slice sum on the same
+    blocks, where the float64 slice sum stays within 4.6e-14.  So ``reduce`` keeps
+    the rows: a Gram summed as fixed rows plus row i moves the norm there by 2e-11.
 
     The estimate keeps the positive-penalty contract of ``ridge_derivative``;
-    the risk norms, like ``evaluate`` on the ridge risk statistic, accept
-    lam = 0 when the Gram matrix is invertible.
+    the risk norms, like ``evaluate``, accept lam = 0 when M is invertible.
     """
 
     def __init__(self, kind):
@@ -180,14 +187,16 @@ class _RidgeDerivs:
             raise ContractError("derivative formulas require a positive ridge penalty")
         self.kind = kind
 
-    def norms(self, points, i):
+    def reduce(self, cells):
+        return cells  # the rows stay, for the accuracy of the risk's third order
+
+    def norms(self, rest, rows, n, i):
         kind = self.kind
-        *lead, n, k, slot = points.shape
-        p = stats._RidgeBlocks(points.reshape(-1, n, k, slot), i, kind.d, kind.b, kind.lam)
+        points = np.concatenate([rest[:, :i], rows[:, None], rest[:, i:]], axis=1)
+        p = stats._RidgeBlocks(points, i, kind.d, kind.b, kind.lam)
         if kind.name == "ridge":
-            out = np.stack([_frobenius(p.fit), _frobenius(p.d1), _frobenius(p.d2),
-                            np.sqrt(_ridge_third(p))], axis=1)
-            return out.reshape(*lead, 4)
+            return np.stack([_frobenius(p.fit), _frobenius(p.d1), _frobenius(p.d2),
+                             np.sqrt(_ridge_third(p))], axis=1)
         rm = kind.risk_moments
         sv = np.asarray(rm.sigma_v, dtype=float)
         f = stats._risks(p.fit, rm)
@@ -196,9 +205,8 @@ class _RidgeDerivs:
         r1 = 2.0 * np.einsum("sapr,spr->sa", p.d1, e)
         r2 = 2.0 * (np.einsum("sabpr,spr->sab", p.d2, e)
                     + np.einsum("sapr,sbpr->sab", p.d1, sv_d1))
-        out = np.stack([np.abs(f), _frobenius(r1), _frobenius(r2),
-                        np.sqrt(_risk_third(p, p.g.swapaxes(1, 2) @ e, sv_d1))], axis=1)
-        return out.reshape(*lead, 4)
+        return np.stack([np.abs(f), _frobenius(r1), _frobenius(r2),
+                         np.sqrt(_risk_third(p, p.g.swapaxes(1, 2) @ e, sv_d1))], axis=1)
 
 
 def _ridge_third(p):
@@ -265,13 +273,13 @@ def derivative_adapter(kind):
 
 
 def _point_entries(stat, n, k):
-    """Entries that one point adds to a norms call's largest array: its (n, k, D)
-    cells, the smooth max's (d, d) Gram, or for ridge and ridge risk the larger
-    of the (W d, W d) products P and N and the risk's (W, W, 2db) rows X."""
+    """Entries that one point adds to a norms call's largest array: row i's (k, D) cells,
+    the smooth max's (d, d) Gram, or for ridge and ridge risk the largest of its (n, k, D)
+    cells, the (W d, W d) products P and N and the risk's (W, W, 2db) rows X."""
     width = k * stat.slot_dim
     if stat.name in ("ridge", "ridgerisk"):
         return max(n * width, width * width * max(2 * stat.d * stat.b, stat.d * stat.d))
-    return max(n * width, stat.d * stat.d)
+    return max(width, stat.d * stat.d)
 
 
 def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
@@ -283,12 +291,12 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
     surrogate draws, and the segment endpoint is either a fresh augmented row
     or a fresh surrogate row (two branches).  n and k come from the spec.
 
-    The (outer draw, branch, grid point) datasets, row ``i`` at s * endpoint
-    and every other row as drawn, are read in that order in chunks of
-    max(1, NORMS_BUDGET // entries per point) points, one
-    ``adapter.norms(points, i)`` call on each (S, n, k, slot) chunk; a chunk
-    may split an outer draw's grid.  Each outer draw is drawn once, from
-    ``substream(seed, 0, outer)``.
+    Each outer draw is drawn once, from ``substream(seed, 0, outer)``, and its
+    n - 1 fixed rows are read once, by ``adapter.reduce``.  The (outer draw,
+    branch, grid point) points, row ``i`` at s * endpoint, are read in that
+    order in chunks of max(1, NORMS_BUDGET // entries per point), one
+    ``adapter.norms(rest, rows, n, i)`` call on each chunk's reduced draws and
+    (S, k, D) rows; a chunk may split an outer draw's grid.
     """
     if num_grid < 2:
         raise ContractError("num_grid must be at least 2")
@@ -298,40 +306,31 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
     if not isinstance(i, (int, np.integer)) or not 0 <= i < n:
         raise ContractError(f"row index must be an integer in [0, {n}), got {i!r}")
     adapter = derivative_adapter(stat) if adapter is None else adapter
-    slot = stat.slot_dim
-    if surrogate_spec.d != slot or family.dim != slot:
-        raise ContractError("statistic slot dimension does not match the family/surrogate")
+    if {surrogate_spec.d, family.dim, source.dim} != {stat.slot_dim}:
+        raise ContractError("statistic slot dimension does not match the family/surrogate/source")
 
     fracs = np.linspace(0.0, 1.0, num_grid)
-    rows = np.arange(i + 1)[:, None]
 
     def draw(outer):
         # i + 1 augmented rows, the last the data endpoint, then n - i surrogate
         # rows, the first the surrogate endpoint, all from one stream
         rng = substream(seed, 0, outer)
         x = source.sample(i + 1, rng)
-        data = family.images(x)[rows, family.sample_indices((i + 1, k), rng)]
+        data = family.images(x)[np.arange(i + 1)[:, None], family.sample_indices((i + 1, k), rng)]
         surr = sample_surrogate_cells(surrogate_spec, (n - i,), rng)
-        return np.concatenate([data[:i], surr]), np.stack([data[i], surr[0]])
+        return adapter.reduce(np.concatenate([data[:i], surr[1:]])), np.stack([data[i], surr[0]])
 
+    rest, ends = (np.stack(a) for a in zip(*map(draw, range(num_outer))))
     per_draw = 2 * num_grid
     total = num_outer * per_draw
     chunk = max(1, NORMS_BUDGET // _point_entries(stat, n, k))
     sups = np.zeros((2, len(ORDERS), num_outer))  # [branch, order, outer]: grid maxima
-    drawn = {}
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
         outer, branch, grid = idx // per_draw, idx // num_grid % 2, idx % num_grid
-        # the draw that the previous chunk split is kept, the rest drawn in order
-        drawn = {o: drawn[o] if o in drawn else draw(o)
-                 for o in range(outer[0], outer[-1] + 1)}
-        points = np.empty((len(idx), n, k, slot))
-        for o, (cells, ends) in drawn.items():
-            part = outer == o
-            points[part] = cells
-            points[part, i] = fracs[grid[part], None, None] * ends[branch[part]]
         with np.errstate(all="ignore"):  # an overflow fails the check below
-            vals = np.asarray(adapter.norms(points, i))
+            vals = np.asarray(adapter.norms(rest[outer], fracs[grid, None, None]
+                                            * ends[outer, branch], n, i))
         bad = ~np.isfinite(vals).all(axis=1)
         if bad.any():
             raise NumericalError(f"non-finite derivative at row {i}, "

@@ -15,6 +15,16 @@ from augquant.rng import substream
 from augquant.surrogate import sample_surrogate_cells, sample_surrogate_rows
 
 
+def _dataset_norms(adapter, points, i):
+    """``adapter.norms`` on whole (..., n, k, D) datasets, as (..., 4): each
+    dataset's rows other than i go through ``adapter.reduce``, then row i's cells
+    through ``norms``."""
+    *lead, n, k, slot = points.shape
+    flat = points.reshape(-1, n, k, slot)
+    rest = np.stack([adapter.reduce(np.delete(cells, i, axis=0)) for cells in flat])
+    return adapter.norms(rest, flat[:, i], n, i).reshape(*lead, 4)
+
+
 def _average_setup(n=6, k=3, d=2):
     src = aq.gaussian_source([0.0] * d, np.eye(d))
     fam = aq.identity_family(d)
@@ -72,8 +82,11 @@ class TestEstimateAlpha:
             def __init__(self, inner, a):
                 self.inner, self.a = inner, a
 
-            def norms(self, w, i):
-                return tuple(self.a * v for v in self.inner.norms(w, i))
+            def reduce(self, cells):
+                return self.inner.reduce(cells)
+
+            def norms(self, rest, rows, n, i):
+                return self.a * self.inner.norms(rest, rows, n, i)
 
         scaled = aq.estimate_alpha(aq.average_statistic(1), fam, src, spec,
                                    i=1, num_outer=16, num_grid=5, seed=6,
@@ -82,9 +95,10 @@ class TestEstimateAlpha:
         assert np.allclose(scaled.alpha, 2.5 * base.alpha, rtol=1e-12)
 
     def test_adapter_reads_cells_along_the_segment(self):
-        # each call gets an (S, n, k, D) stack of datasets in (outer draw, branch,
-        # grid point) order; within one branch row i walks the grid s * endpoint
-        # and every other row stays put
+        # reduce gets a draw's n - 1 other rows, and each norms call a stack of
+        # reduced draws and row i's cells in (outer draw, branch, grid point)
+        # order; put back in place, within one branch row i walks the grid
+        # s * endpoint and every other row stays put
         n, k, d, i, num_grid = 5, 3, 2, 2, 4
         stat, fam, src, spec = _average_setup(n=n, k=k, d=d)
 
@@ -92,10 +106,15 @@ class TestEstimateAlpha:
             def __init__(self):
                 self.calls = []
 
-            def norms(self, points, row):
-                assert row == i
-                self.calls.append(points.copy())
-                return np.tile([1.0, 0.0, 0.0, 0.0], (len(points), 1))
+            def reduce(self, cells):
+                assert cells.shape == (n - 1, k, d)
+                return cells
+
+            def norms(self, rest, rows, size, row):
+                assert row == i and size == n
+                self.calls.append(np.concatenate([rest[:, :i], rows[:, None], rest[:, i:]],
+                                                 axis=1))
+                return np.tile([1.0, 0.0, 0.0, 0.0], (len(rows), 1))
 
         rec = Recording()
         aq.estimate_alpha(stat, fam, src, spec, i=i, num_outer=3, num_grid=num_grid,
@@ -123,6 +142,16 @@ class TestEstimateAlpha:
         with pytest.raises(ContractError, match="row index"):
             aq.estimate_alpha(stat, fam, src, spec, i=i, num_outer=1, num_grid=2)
 
+    def test_source_dimension_must_match_the_slot(self):
+        # a 2-d swap family and spec, but a 3-d source
+        fam = aq.swap_family()
+        spec = aq.build_surrogate(aq.estimate_moments(fam, aq.gaussian_source([0.0] * 2, np.eye(2))),
+                                  4, 2, 0.0)
+        src = aq.gaussian_source([0.0] * 3, np.eye(3))
+        with pytest.raises(ContractError, match="slot dimension"):
+            aq.estimate_alpha(aq.exp_neg_chisq_statistic(2), fam, src, spec, i=0,
+                              num_outer=1, num_grid=2)
+
     def test_hard_max_rejected(self):
         src = aq.gaussian_source([0.0] * 3, np.eye(3))
         fam = aq.identity_family(3)
@@ -149,7 +178,7 @@ def _reference_alpha(stat, family, source, spec, i, num_outer, num_grid, seed):
             best = np.zeros(len(bd.ORDERS))
             for s in fracs:
                 w[i] = s * endpoint
-                np.maximum(best, adapter.norms(w, i), out=best)
+                np.maximum(best, _dataset_norms(adapter, w, i), out=best)
             sups[bi, :, outer] = best
     return np.array([[max(np.mean(sups[bi, r] ** m) ** (1.0 / m) for bi in (0, 1))
                       for m in bd.MOMENTS] for r in bd.ORDERS])
@@ -162,6 +191,15 @@ def _crop_cell(kind, n, k):
                                      "seed": 1})
     spec = aq.build_surrogate(aq.estimate_moments(config.family, config.source), n, k, 0.0)
     return config.statistic, config.family, config.source, spec
+
+
+def _fig3_cell(k):
+    """fig3's swap family on its correlated source, n = 100, with the
+    two-coordinate exponential statistic."""
+    src = aq.gaussian_source([0.0, 0.0], [[1.0, -0.5], [-0.5, 1.0]])
+    fam = aq.swap_family()
+    spec = aq.build_surrogate(aq.estimate_moments(fam, src), 100, k, 0.0)
+    return aq.exp_neg_chisq_statistic(2), fam, src, spec
 
 
 _RISK_MOMENTS = aq.RiskMoments(1.5, np.array([[0.3, -0.2]]), np.array([[1.0, 0.2], [0.2, 0.8]]))
@@ -207,7 +245,7 @@ class TestThirdOrderContraction:
         for d, b in itertools.product((1, 2, 3), repeat=2):
             for kind in _ridge_kinds(d, b, rng):
                 points = rng.standard_normal((*lead, n, k, d + b))
-                got = bd.derivative_adapter(kind).norms(points, i)[..., 3]
+                got = _dataset_norms(bd.derivative_adapter(kind), points, i)[..., 3]
                 want = np.sqrt(_reference_third(kind, points, i))
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
                                            err_msg=f"{kind.name} d={d} b={b}")
@@ -220,7 +258,7 @@ class TestThirdOrderContraction:
         rng = np.random.default_rng(7)
         for kind in _ridge_kinds(2, 2, rng):
             points = rng.standard_normal((5, 3, 2, 4))
-            out = bd.derivative_adapter(kind).norms(points, 1)
+            out = _dataset_norms(bd.derivative_adapter(kind), points, 1)
             assert out.shape == (5, 4) and np.isfinite(out).all()
 
 
@@ -238,13 +276,14 @@ class TestStackedNorms:
         n, k, i = 3, 2, 1
         points = np.random.default_rng(13).standard_normal((*lead, n, k, kind.slot_dim))
         adapter = bd.derivative_adapter(kind)
-        stacked = adapter.norms(points, i)
+        stacked = _dataset_norms(adapter, points, i)
         assert stacked.shape == (*lead, 4)
         for idx in np.ndindex(*lead):
-            np.testing.assert_allclose(stacked[idx], adapter.norms(points[idx], i),
+            np.testing.assert_allclose(stacked[idx], _dataset_norms(adapter, points[idx], i),
                                        rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("setup", ["expnegchisq", "smoothmax", "ridge", "ridgerisk"])
+    @pytest.mark.parametrize("setup", ["average", "expnegchisq", "smoothmax", "ridge",
+                                       "ridgerisk"])
     def test_estimate_alpha_matches_per_point_reference(self, setup, monkeypatch):
         # chunks of 5 points against draws of 2 * 3: boundaries fall mid-draw
         num_outer, num_grid, chunk = 3, 3, 5
@@ -254,16 +293,20 @@ class TestStackedNorms:
             src = aq.gaussian_source([0.2, -0.1], [[1.0, -0.5], [-0.5, 1.0]])
             fam = aq.swap_family()
             spec = aq.build_surrogate(aq.estimate_moments(fam, src), 4, 3, 1.0)
-            stat = (aq.exp_neg_chisq_statistic(2) if setup == "expnegchisq"
-                    else aq.smooth_max_statistic(2, 1.5))
+            stat = {"average": aq.average_statistic(2),
+                    "expnegchisq": aq.exp_neg_chisq_statistic(2),
+                    "smoothmax": aq.smooth_max_statistic(2, 1.5)}[setup]
         monkeypatch.setattr(bd, "NORMS_BUDGET", chunk * bd._point_entries(stat, spec.n, spec.k))
         sizes = []
         inner = bd.derivative_adapter(stat)
 
         class Counting:
-            def norms(self, points, row):
-                sizes.append(len(points))
-                return inner.norms(points, row)
+            def reduce(self, cells):
+                return inner.reduce(cells)
+
+            def norms(self, rest, rows, n, row):
+                sizes.append(len(rows))
+                return inner.norms(rest, rows, n, row)
 
         got = aq.estimate_alpha(stat, fam, src, spec, i=1, num_outer=num_outer,
                                 num_grid=num_grid, seed=9, adapter=Counting())
@@ -281,10 +324,13 @@ class TestStackedNorms:
         class Overflowing:
             seen = 0
 
-            def norms(self, points, row):
-                out = np.ones((len(points), 4))
-                out[np.isin(np.arange(self.seen, self.seen + len(points)), [13, 15]), 2] = np.inf
-                self.seen += len(points)
+            def reduce(self, cells):
+                return cells
+
+            def norms(self, rest, rows, n, row):
+                out = np.ones((len(rows), 4))
+                out[np.isin(np.arange(self.seen, self.seen + len(rows)), [13, 15]), 2] = np.inf
+                self.seen += len(rows)
                 return out
 
         with pytest.raises(NumericalError) as err:
@@ -292,12 +338,15 @@ class TestStackedNorms:
                               seed=2, adapter=Overflowing())
         assert str(err.value) == f"non-finite derivative at row {i}, segment fraction 0.75"
 
-    @pytest.mark.parametrize("k,num_outer,num_grid", [(2, 2, 4097), (16, 1, 17)])
-    def test_peak_memory_is_bounded_by_the_chunk(self, k, num_outer, num_grid):
+    @pytest.mark.parametrize("cell,k,num_outer,num_grid", [
+        ("crop", 2, 2, 4097), ("crop", 16, 1, 17), ("fig3", 50, 2, 4097),
+    ], ids=["2-2-4097", "16-1-17", "fig3-50-2-4097"])
+    def test_peak_memory_is_bounded_by_the_chunk(self, cell, k, num_outer, num_grid):
         # a few MB, set by the chunk constant: every array of a norms call holds
-        # at most NORMS_BUDGET entries, and a handful of them are alive at once
+        # at most NORMS_BUDGET entries, and a handful of them are alive at once;
+        # fig4's crop ridge cell at n = 20 and fig3's exponential cell at n = 100
         limit = 8 * 8 * bd.NORMS_BUDGET
-        args = _crop_cell("ridge", 20, k)
+        args = _crop_cell("ridge", 20, k) if cell == "crop" else _fig3_cell(k)
         aq.estimate_alpha(*args, num_outer=1, num_grid=2)  # one-time allocations
         tracemalloc.start()
         try:
@@ -399,7 +448,7 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         n, k = 3, 2
         rng = np.random.default_rng(10)
         w = rng.standard_normal((n, k * d))
-        analytic = bd.derivative_adapter(kind).norms(w.reshape(n, k, -1), 1)
+        analytic = _dataset_norms(bd.derivative_adapter(kind), w.reshape(n, k, -1), 1)
         fd = _FiniteDifferenceDerivs(kind, n, k).norms(w, 1)
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
@@ -410,7 +459,7 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         kind = aq.ridge_statistic(d, b, 1.0)
         rng = np.random.default_rng(11)
         w = rng.standard_normal((n, k * (d + b)))
-        analytic = bd.derivative_adapter(kind).norms(w.reshape(n, k, -1), 0)
+        analytic = _dataset_norms(bd.derivative_adapter(kind), w.reshape(n, k, -1), 0)
         fd = _FiniteDifferenceDerivs(kind, n, k).norms(w, 0)
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
@@ -426,7 +475,7 @@ class TestAnalyticAdaptersAgainstFiniteDifferences:
         kind = aq.ridge_risk_statistic(d, b, 1.0, rm)
         rng = np.random.default_rng(11)
         w = rng.standard_normal((n, k * (d + b)))
-        analytic = bd.derivative_adapter(kind).norms(w.reshape(n, k, -1), 0)
+        analytic = _dataset_norms(bd.derivative_adapter(kind), w.reshape(n, k, -1), 0)
         fd = _FiniteDifferenceDerivs(kind, n, k).norms(w, 0)
         for a, f, tol in zip(analytic, fd, (1e-12, 1e-7, 1e-5, 1e-3)):
             assert a == pytest.approx(f, rel=tol, abs=tol)
