@@ -267,7 +267,7 @@ def derivative_adapter(kind):
     """Pick the analytic derivative-norm evaluator for a statistic."""
     if kind.name == "hardmax":
         raise ContractError("the hard max is not differentiable; use its smooth relaxation")
-    if kind.name in ("ridge", "ridgerisk"):
+    if kind.reads_cells:
         return _RidgeDerivs(kind)
     return _MeanDerivs(kind)  # every other canonical name reads the scaled grand mean
 
@@ -277,7 +277,7 @@ def _point_entries(stat, n, k):
     the smooth max's (d, d) Gram, or for ridge and ridge risk the largest of its (n, k, D)
     cells, the (W d, W d) products P and N and the risk's (W, W, 2db) rows X."""
     width = k * stat.slot_dim
-    if stat.name in ("ridge", "ridgerisk"):
+    if stat.reads_cells:
         return max(n * width, width * width * max(2 * stat.d * stat.b, stat.d * stat.d))
     return max(width, stat.d * stat.d)
 

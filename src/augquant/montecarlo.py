@@ -1,10 +1,14 @@
 """Seeded block engine: simulate, summarize, compare, check coverage.
 
-Block b holds replicates [bB, (b+1)B), B = max(1, CELL_BUDGET // (n k)), and
-draws everything from the stream (seed, b): source normals of shape (B, n, .),
-then regression noise, then the augmentation draw.  Blocks depend on (n, k, R)
-only, so results are bitwise identical across reruns and worker counts;
-``manifest.txt`` records the layout's version, ``STREAM``.  A block is one
+Block b holds replicates [bB, (b+1)B), B = max(1, CELL_BUDGET // (rows k)), and draws
+everything from the stream (seed, b): source normals of shape (B, rows, .), then regression
+noise, then the augmentation draw.  A replicate has rows = n rows, but a statistic that
+reads only the grand mean draws one row under the four protocols whose n rows are i.i.d.
+Gaussian given the replicate's shared draw (all but ``iid_aug``): the n rows sum to
+n mu + sqrt(n) (r - mu) in law for one row r, so that row, each cell shifted by sqrt(n) - 1
+times its mean, has the n rows' scaled grand mean (``_block_cells``).  Blocks depend on
+(n, k, R) and that layout only, so results are bitwise identical across reruns and worker
+counts; ``manifest.txt`` records the layout's version, ``STREAM``.  A block is one
 ``statistics.evaluate_batch`` call per statistic on weighted cells: an
 ``iid_aug`` row's k member draws become its member counts, Multinomial(k,
 weights), of the same law, and a ``repeated_aug`` replicate draws one count
@@ -12,9 +16,11 @@ vector for all rows.  Counts are drawn member by member over all rows: member
 0's from one uniform per row in the CDF table of Binomial(k, w_0) that
 ``simulate`` builds once, members 1..M-2 by one binomial each on what is left,
 the last member the rest.  They reach ``evaluate_batch`` as one C-contiguous
-float64 (B, n, M) array, repeated counts copied to every row.  ``simulate``
-evaluates several statistics on one draw; ``run_experiment`` is its
-one-statistic call.  Summaries come from the sample matrix in fixed order; variance SEs
+float64 (B, rows, M) array, repeated counts copied to every row.  ``simulate``
+evaluates several statistics on one draw, one draw per layout: the kinds of each layout
+share its blocks, drawn from the same streams (seed, b) as the other layout's, so each
+kind's samples are those of its lone run; ``run_experiment`` is its one-statistic call.
+Summaries come from the sample matrix in fixed order; variance SEs
 from delete-one jackknife closed forms, vectorized over replicates.  The grand-mean laws
 and theta_theory that the engine is checked against are ``closedform``'s.
 """
@@ -31,8 +37,8 @@ from .errors import ConfigError, NumericalError
 from .rng import child_seed, is_seed, substream
 from .surrogate import build_surrogate, estimate_moments, sample_surrogate_cells
 
-STREAM = 3
-CELL_BUDGET = 2**16  # cells per block: B * n * k <= CELL_BUDGET unless B = 1
+STREAM = 4
+CELL_BUDGET = 2**16  # cells per block: B * rows * k <= CELL_BUDGET unless B = 1
 
 
 @dataclass(frozen=True)
@@ -136,23 +142,44 @@ def _member_counts(rng, k, weights, table, shape):
     return counts
 
 
-def _block_cells(config, size, rng, spec, table=None):
+def _one_row(protocol, kind):
+    """Whether ``kind``'s blocks draw one row per replicate: the kind reads only the grand
+    mean, and under ``protocol`` the n rows are i.i.d. Gaussian given the replicate's shared
+    draw (none, or the repeated protocols' member counts).  ``iid_aug`` rows are mixtures."""
+    return protocol != "iid_aug" and not kind.reads_cells
+
+
+def _block_cells(config, size, rng, spec, table=None, one_row=False):
     """``size`` replicates as ``evaluate_batch`` points and weights (``table`` is built when
     not given); ``repeated_surrogate`` has the law of ``repeated_aug`` for every supported
-    (Gaussian) source, so is drawn alike."""
+    (Gaussian) source, so is drawn alike.
+
+    ``one_row`` (where ``_one_row`` holds) draws one row per replicate and shifts each cell
+    by sqrt(n) - 1 times its mean: n i.i.d. rows of law N(mu, S) sum to n mu + sqrt(n) (r -
+    mu), r ~ N(mu, S), so that row's grand sum over k has the law of the n rows' over
+    sqrt(n) k, the scaled grand mean."""
     n, k, fam = config.n, config.k, config.family
+    rows, shift = (1 if one_row else n), math.sqrt(n) - 1.0
     if config.protocol == "surrogate":
-        return sample_surrogate_cells(spec, (size, n), rng), np.broadcast_to(1.0, (size, n, k))
-    x = config.source.sample((size, n), rng)
+        cells = sample_surrogate_cells(spec, (size, rows), rng)
+        if one_row:
+            cells += shift * spec.mean_block
+        return cells, np.broadcast_to(1.0, (size, rows, k))
+    x = config.source.sample((size, rows), rng)
     if config.protocol == "unaugmented":
-        return x[:, :, None], np.broadcast_to(float(k), (size, n, 1))
-    rows = n if config.protocol == "iid_aug" else 1
+        if one_row:
+            x += shift * config.source.joint_mean()
+        return x[:, :, None], np.broadcast_to(float(k), (size, rows, 1))
     if table is None:
         table = _binomial_cdf(k, fam.weights[0])
-    counts = _member_counts(rng, k, fam.weights, table, (size, rows))
-    images = fam.images(x.reshape(size * n, -1)).reshape(size, n, *fam.offsets.shape)
+    counts = _member_counts(rng, k, fam.weights, table,
+                            (size, rows if config.protocol == "iid_aug" else 1))
+    images = fam.images(x.reshape(size * rows, -1)).reshape(size, rows, *fam.offsets.shape)
+    if one_row:
+        images += shift * fam.images(config.source.joint_mean()[None])
+    weights = np.broadcast_to(counts, (size, rows, len(fam.weights)))
     # one C-contiguous float64 array, which einsum's grand sum reads without a cast buffer
-    return images, np.broadcast_to(counts, (size, n, len(fam.weights))).astype(float, order="C")
+    return images, weights.astype(float, order="C")
 
 
 def _summarize(config, samples):
@@ -173,22 +200,29 @@ def _summarize(config, samples):
 
 def simulate(config, kinds):
     """Each statistic in ``kinds`` on one draw of config's replicates: one SimulationResult per
-    kind, in order.  A kind that does not fit the source raises ConfigError before anything
-    is drawn."""
+    kind, in order.  The kinds of one layout (``_one_row``) share each block's draw; the two
+    layouts draw their own blocks from the same streams, so every kind's samples are those
+    of its lone run.  A kind that does not fit the source raises ConfigError before
+    anything is drawn."""
     configs = [replace(config, statistic=kind) for kind in kinds]
     samples = [np.empty((config.replicates, kind.output_dim)) for kind in kinds]
     spec = build_surrogate(estimate_moments(config.family, config.source), config.n, config.k,
                            config.delta) if config.protocol == "surrogate" else None
     table = _binomial_cdf(config.k, config.family.weights[0])
-    size = max(1, CELL_BUDGET // (config.n * config.k))
     # an overflow shows as a non-finite value in a summary, reported once, not as warnings
     with np.errstate(all="ignore"):
-        for block, lo in enumerate(range(0, config.replicates, size)):
-            hi = min(lo + size, config.replicates)
-            points, weights = _block_cells(config, hi - lo, substream(config.seed, block),
-                                           spec, table)
-            for kind, out in zip(kinds, samples):
-                out[lo:hi] = stats.evaluate_batch(kind, points, weights, config.k)
+        for one_row in (False, True):
+            group = [(kind, out) for kind, out in zip(kinds, samples)
+                     if _one_row(config.protocol, kind) == one_row]
+            if not group:
+                continue
+            size = max(1, CELL_BUDGET // ((1 if one_row else config.n) * config.k))
+            for block, lo in enumerate(range(0, config.replicates, size)):
+                hi = min(lo + size, config.replicates)
+                points, weights = _block_cells(config, hi - lo, substream(config.seed, block),
+                                               spec, table, one_row)
+                for kind, out in group:
+                    out[lo:hi] = stats.evaluate_batch(kind, points, weights, config.k)
         return [_summarize(cfg, out) for cfg, out in zip(configs, samples)]
 
 

@@ -68,9 +68,16 @@ class StatisticKind:
             raise ContractError("ridge risk statistic needs risk moments")
 
     @property
+    def reads_cells(self):
+        """Whether the statistic reads its cells beyond their grand sum: ridge and ridge risk
+        read their Gram and cross moments; every other kind is a function of the scaled
+        grand mean."""
+        return self.name in ("ridge", "ridgerisk")
+
+    @property
     def slot_dim(self):
         """Dimension each augmented cell must have for this statistic."""
-        return self.d + self.b if self.name in ("ridge", "ridgerisk") else self.d
+        return self.d + self.b if self.reads_cells else self.d
 
     @property
     def tau(self):
@@ -140,7 +147,7 @@ def evaluate_batch(kind, points, weights, k):
     if points.shape[-1] != kind.slot_dim:
         raise ContractError(f"slot dimension {points.shape[-1]} does not match the "
                             f"{kind.name} statistic's {kind.slot_dim}")
-    if kind.name in ("ridge", "ridgerisk"):
+    if kind.reads_cells:
         g, cross = _ridge_system(points, weights, k, kind.d, kind.b, kind.lam)
         fit = g @ cross
         if kind.name == "ridge":

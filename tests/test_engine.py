@@ -147,12 +147,16 @@ def test_block_weights_are_float_counts(protocol, statistic):
         np.testing.assert_allclose(as_float, as_int, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("pair", [("ridge", "ridgerisk"), ("average", "expnegchisq")])
+@pytest.mark.parametrize("pair", [("ridge", "ridgerisk"), ("average", "expnegchisq"),
+                                  ("average", "ridge")])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_simulate_gives_each_kind_its_own_run(protocol, pair):
     if pair[0] == "ridge":
         source, family, first = _setup("ridge")
         second = _setup("ridgerisk")[2]
+    elif pair[1] == "ridge":  # one kind per block layout, on one regression source
+        source, family, second = _setup("ridge")
+        first = aq.average_statistic(source.dim)
     else:  # the one-coordinate average, whose slot dimension is the exponential's
         source, family = _gaussian_setup(1)
         first, second = aq.average_statistic(1), aq.exp_neg_chisq_statistic()

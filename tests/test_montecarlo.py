@@ -284,6 +284,37 @@ class TestRepeatedLaw:
         assert all(np.array_equal(a, b) for a, b in zip(aug, sur))
 
 
+class TestOneRowLaw:
+    """The average's samples against ``closedform.grand_mean_law`` under the protocols whose
+    mean statistics draw one row per replicate.  The source is not centred and the maps
+    carry offsets, so the row's shift of sqrt(n) - 1 times each cell's mean moves the
+    sample mean (and, through the shared member counts, the repeated protocols'
+    covariance): a shift of 0 or of n - 1 lies far outside 4 SE at n = 2 and n = 400."""
+
+    SOURCE = aq.gaussian_source([1.0, -3.0], [[1.0, 0.9], [0.9, 1.0]])
+    FAMILY = aq.TransformationFamily([[[0.3, -1.2], [0.8, 2.5]], [[1.0, 0.0], [0.0, -1.0]]],
+                                     [[1.0, 0.0], [-0.5, 2.0]], [0.3, 0.7])
+    RUNS = (("unaugmented", 0.0), ("surrogate", 0.0), ("surrogate", 1.0),
+            ("repeated_aug", 0.0), ("repeated_surrogate", 0.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 400])
+    @pytest.mark.parametrize("protocol, delta", RUNS)
+    def test_matches_the_grand_mean_law(self, protocol, delta, n):
+        k, r = 3, 20_000
+        seed = 600 + 10 * self.RUNS.index((protocol, delta)) + n
+        cfg = aq.ExperimentConfig(source=self.SOURCE, family=self.FAMILY, protocol=protocol,
+                                  statistic=aq.average_statistic(2), n=n, k=k, replicates=r,
+                                  seed=seed, delta=delta)
+        mean, sigma = closedform.grand_mean_law(self.FAMILY, self.SOURCE, protocol, n, k,
+                                                delta)
+        samples = aq.run_experiment(cfg).samples
+        z_mean = (samples.mean(axis=0) - math.sqrt(n) * mean) \
+            / (samples.std(axis=0, ddof=1) / math.sqrt(r))
+        assert np.all(np.abs(z_mean) <= 4.0), z_mean
+        z_cov = (np.cov(samples, rowvar=False) - sigma) / _jackknife_cov_se(samples)
+        assert np.all(np.abs(z_cov) <= 4.0), z_cov
+
+
 class TestCoverage:
     def test_nominal_95_on_surrogate_draws(self):
         src = aq.gaussian_source([0.0], [[1.0]])
