@@ -91,11 +91,15 @@ class DataSource:
     def _factor(self):
         return psd_factor(self.cov, "cov", ContractError)
 
-    def sample(self, n, rng):
+    def sample(self, n, rng, centred=False):
         """Draw ``n`` i.i.d. observations as an (n, dim) array; a shape tuple ``n``
-        gives an (*n, dim) array.  The covariate normals come first, then the noise."""
+        gives an (*n, dim) array.  The covariate normals come first, then the noise.
+        ``centred`` draws the same normals but leaves out the mean, so the draw has
+        mean 0 and the same covariance as ``sample``."""
         shape = n if isinstance(n, tuple) else (n,)
-        base = self.mean + rng.standard_normal((*shape, self.mean.shape[0])) @ self._factor.T
+        base = rng.standard_normal((*shape, self.mean.shape[0])) @ self._factor.T
+        if not centred:
+            base += self.mean  # the same bytes as mean + base: float addition commutes
         if self.kind == "gaussian":
             return base
         eps = self.noise_scale * rng.standard_normal((*shape, self.mean.size))

@@ -2,20 +2,23 @@
 
 Block b holds replicates [bB, (b+1)B), B = max(1, CELL_BUDGET // (rows k)), and draws
 everything from the stream (seed, b): source normals of shape (B, rows, .), then regression
-noise, then the augmentation draw.  A replicate has rows = n rows, but a statistic that
-reads only the grand mean draws one row under the four protocols whose n rows are i.i.d.
-Gaussian given the replicate's shared draw (all but ``iid_aug``): the n rows sum to
-n mu + sqrt(n) (r - mu) in law for one row r, so that row, each cell shifted by sqrt(n) - 1
-times its mean, has the n rows' scaled grand mean (``_block_cells``).  Blocks depend on
-(n, k, R) and that layout only, so results are bitwise identical across reruns and worker
-counts; ``manifest.txt`` records the layout's version, ``STREAM``.  A block is one
+noise, then the augmentation draw.  A replicate has rows = n rows for ridge and ridge risk,
+which read their cells; a statistic that reads only the grand mean draws one row.  Under
+the four protocols whose n rows are i.i.d. Gaussian given the replicate's shared draw (all
+but ``iid_aug``) the n rows sum to n mu + sqrt(n) (r - mu) in law for one row r, so that
+row, each cell shifted by sqrt(n) - 1 times its mean, has the n rows' scaled grand mean.
+Under ``iid_aug`` the replicate draws M centred source rows, then its n rows' member counts,
+and the row's M cells are the member sums over the count Gram's factor (``_gram_cells``);
+there B = max(1, CELL_BUDGET // (n M)), which bounds the (B, n, M) counts.  Blocks depend
+on (n, k, R) and that layout only, so results are bitwise identical across reruns and
+worker counts; ``manifest.txt`` records the layout's version, ``STREAM``.  A block is one
 ``statistics.evaluate_batch`` call per statistic on weighted cells: an
 ``iid_aug`` row's k member draws become its member counts, Multinomial(k,
 weights), of the same law, and a ``repeated_aug`` replicate draws one count
 vector for all rows.  Counts are drawn member by member over all rows: member
 0's from one uniform per row in the CDF table of Binomial(k, w_0) that
 ``simulate`` builds once, members 1..M-2 by one binomial each on what is left,
-the last member the rest.  They reach ``evaluate_batch`` as one C-contiguous
+the last member the rest.  On n rows they reach ``evaluate_batch`` as one C-contiguous
 float64 (B, rows, M) array, repeated counts copied to every row.  ``simulate``
 evaluates several statistics on one draw, one draw per layout: the kinds of each layout
 share its blocks, drawn from the same streams (seed, b) as the other layout's, so each
@@ -34,11 +37,12 @@ from . import closedform
 from . import statistics as stats
 from .closedform import PROTOCOLS
 from .errors import ConfigError, NumericalError
+from .linalg import psd_factor
 from .rng import child_seed, is_seed, substream
 from .surrogate import build_surrogate, estimate_moments, sample_surrogate_cells
 
-STREAM = 4
-CELL_BUDGET = 2**16  # cells per block: B * rows * k <= CELL_BUDGET unless B = 1
+STREAM = 5
+CELL_BUDGET = 2**16  # entries per block, B times ``_block_size``'s divisor, unless B = 1
 
 
 @dataclass(frozen=True)
@@ -142,22 +146,17 @@ def _member_counts(rng, k, weights, table, shape):
     return counts
 
 
-def _one_row(protocol, kind):
-    """Whether ``kind``'s blocks draw one row per replicate: the kind reads only the grand
-    mean, and under ``protocol`` the n rows are i.i.d. Gaussian given the replicate's shared
-    draw (none, or the repeated protocols' member counts).  ``iid_aug`` rows are mixtures."""
-    return protocol != "iid_aug" and not kind.reads_cells
-
-
 def _block_cells(config, size, rng, spec, table=None, one_row=False):
     """``size`` replicates as ``evaluate_batch`` points and weights (``table`` is built when
     not given); ``repeated_surrogate`` has the law of ``repeated_aug`` for every supported
     (Gaussian) source, so is drawn alike.
 
-    ``one_row`` (where ``_one_row`` holds) draws one row per replicate and shifts each cell
-    by sqrt(n) - 1 times its mean: n i.i.d. rows of law N(mu, S) sum to n mu + sqrt(n) (r -
-    mu), r ~ N(mu, S), so that row's grand sum over k has the law of the n rows' over
-    sqrt(n) k, the scaled grand mean."""
+    ``one_row`` (for a kind that reads only the grand mean) draws one row per replicate.
+    Under ``iid_aug`` that row is ``_gram_cells``'.  Under the other protocols the n rows
+    are i.i.d. Gaussian given the replicate's shared draw, and the row is one of them with
+    each cell shifted by sqrt(n) - 1 times its mean: n i.i.d. rows of law N(mu, S) sum to
+    n mu + sqrt(n) (r - mu), r ~ N(mu, S), so that row's grand sum over k has the law of
+    the n rows' over sqrt(n) k, the scaled grand mean."""
     n, k, fam = config.n, config.k, config.family
     rows, shift = (1 if one_row else n), math.sqrt(n) - 1.0
     if config.protocol == "surrogate":
@@ -165,13 +164,15 @@ def _block_cells(config, size, rng, spec, table=None, one_row=False):
         if one_row:
             cells += shift * spec.mean_block
         return cells, np.broadcast_to(1.0, (size, rows, k))
+    if table is None:
+        table = _binomial_cdf(k, fam.weights[0])
+    if one_row and config.protocol == "iid_aug":
+        return _gram_cells(config, size, rng, table)
     x = config.source.sample((size, rows), rng)
     if config.protocol == "unaugmented":
         if one_row:
             x += shift * config.source.joint_mean()
         return x[:, :, None], np.broadcast_to(float(k), (size, rows, 1))
-    if table is None:
-        table = _binomial_cdf(k, fam.weights[0])
     counts = _member_counts(rng, k, fam.weights, table,
                             (size, rows if config.protocol == "iid_aug" else 1))
     images = fam.images(x.reshape(size * rows, -1)).reshape(size, rows, *fam.offsets.shape)
@@ -180,6 +181,29 @@ def _block_cells(config, size, rng, spec, table=None, one_row=False):
     weights = np.broadcast_to(counts, (size, rows, len(fam.weights)))
     # one C-contiguous float64 array, which einsum's grand sum reads without a cast buffer
     return images, weights.astype(float, order="C")
+
+
+def _gram_cells(config, size, rng, table):
+    """``size`` ``iid_aug`` replicates as one row of M cells each, with unit weights, of the
+    law of the replicate's grand sum over sqrt(n).
+
+    Given the n count rows C (n, M), the grand sum is sum_m A_m y_m + s_m a_m, with
+    y_m = sum_i c_im x_i and s the column sums of C.  The y_m are jointly Gaussian with
+    means s_m mu and cross-covariances G_mm' S, G = C^T C, and s = G 1 / k since every
+    count row sums to k.  So with G = L L^T and M centred source rows R, y = s mu + L R,
+    and cell m is (A_m y_m + s_m a_m) / sqrt(n).  Draws R, then the counts."""
+    n, k, fam, src = config.n, config.k, config.family, config.source
+    m = len(fam.weights)
+    centred = src.sample((size, m), rng, centred=True)
+    counts = _member_counts(rng, k, fam.weights, table, (size, n))
+    gram = counts.transpose(0, 2, 1) @ counts
+    sums = gram.sum(axis=-1) // k
+    y = psd_factor(gram, "the member-count Gram", NumericalError) @ centred
+    y += sums[..., None] * src.joint_mean()
+    cells = (y[:, :, None] @ fam.matrices.transpose(0, 2, 1))[:, :, 0]
+    cells += sums[..., None] * fam.offsets
+    cells /= math.sqrt(n)
+    return cells[:, None], np.broadcast_to(1.0, (size, 1, m))
 
 
 def _summarize(config, samples):
@@ -198,12 +222,20 @@ def _summarize(config, samples):
         se_of_first_coord_var=se_first, empirical_ci_width=float(hi_q - lo_q))
 
 
+def _block_size(config, one_row):
+    """Replicates per block: CELL_BUDGET over a replicate's cells, rows k, or over its
+    (n, M) member counts when those are what ``_gram_cells`` draws."""
+    if one_row and config.protocol == "iid_aug":
+        return max(1, CELL_BUDGET // (config.n * len(config.family.weights)))
+    return max(1, CELL_BUDGET // ((1 if one_row else config.n) * config.k))
+
+
 def simulate(config, kinds):
     """Each statistic in ``kinds`` on one draw of config's replicates: one SimulationResult per
-    kind, in order.  The kinds of one layout (``_one_row``) share each block's draw; the two
-    layouts draw their own blocks from the same streams, so every kind's samples are those
-    of its lone run.  A kind that does not fit the source raises ConfigError before
-    anything is drawn."""
+    kind, in order.  The kinds of one layout (one row iff the kind does not read its cells)
+    share each block's draw; the two layouts draw their own blocks from the same streams, so
+    every kind's samples are those of its lone run.  A kind that does not fit the source
+    raises ConfigError before anything is drawn."""
     configs = [replace(config, statistic=kind) for kind in kinds]
     samples = [np.empty((config.replicates, kind.output_dim)) for kind in kinds]
     spec = build_surrogate(estimate_moments(config.family, config.source), config.n, config.k,
@@ -213,10 +245,10 @@ def simulate(config, kinds):
     with np.errstate(all="ignore"):
         for one_row in (False, True):
             group = [(kind, out) for kind, out in zip(kinds, samples)
-                     if _one_row(config.protocol, kind) == one_row]
+                     if kind.reads_cells != one_row]
             if not group:
                 continue
-            size = max(1, CELL_BUDGET // ((1 if one_row else config.n) * config.k))
+            size = _block_size(config, one_row)
             for block, lo in enumerate(range(0, config.replicates, size)):
                 hi = min(lo + size, config.replicates)
                 points, weights = _block_cells(config, hi - lo, substream(config.seed, block),

@@ -247,7 +247,7 @@ class TestSimulate:
         assert b1 == (out2 / "result.csv").read_bytes()
         assert b1 == (out3 / "result.csv").read_bytes()
         assert (out1 / "manifest.txt").read_bytes() == (out2 / "manifest.txt").read_bytes()
-        assert "stream = 4\n" in (out1 / "manifest.txt").read_text()
+        assert "stream = 5\n" in (out1 / "manifest.txt").read_text()
 
 
 class TestCompare:

@@ -9,6 +9,7 @@ the two agree in law, not in bytes.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -177,6 +178,24 @@ def test_simulate_refuses_a_kind_of_another_slot_dimension():
                                  seed=1)
     with pytest.raises(ConfigError, match="slot dimension 2"):
         aq.simulate(config, (aq.average_statistic(1), aq.average_statistic(2)))
+
+
+def test_iid_aug_one_row_blocks_bound_their_member_counts():
+    # an iid_aug mean-statistic block holds the (B, n, M) member counts, so B counts n M
+    # entries per replicate: B = CELL_BUDGET // k would hold 200 x 20000 x 3 int64 counts
+    source, family = _gaussian_setup(1)
+    config = aq.ExperimentConfig(source=source, family=family, protocol="iid_aug",
+                                 statistic=aq.average_statistic(1), n=20_000, k=1,
+                                 replicates=200, seed=3)
+    limit = 8 * 8 * CELL_BUDGET
+    aq.run_experiment(replace(config, replicates=2))  # one-time allocations
+    tracemalloc.start()
+    try:
+        aq.run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit, f"peak {peak / 1e6:.2f} MB over {limit / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 3, 1.5, np.float64(2.0), True, "3"])

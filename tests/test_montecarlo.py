@@ -1,4 +1,6 @@
+import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -285,11 +287,13 @@ class TestRepeatedLaw:
 
 
 class TestOneRowLaw:
-    """The average's samples against ``closedform.grand_mean_law`` under the protocols whose
-    mean statistics draw one row per replicate.  The source is not centred and the maps
-    carry offsets, so the row's shift of sqrt(n) - 1 times each cell's mean moves the
-    sample mean (and, through the shared member counts, the repeated protocols'
-    covariance): a shift of 0 or of n - 1 lies far outside 4 SE at n = 2 and n = 400."""
+    """The average's samples against ``closedform.grand_mean_law`` under every protocol, each
+    drawing one row per replicate for the mean statistics.  The source is not centred and
+    the maps carry offsets, so the row's shift of sqrt(n) - 1 times each cell's mean moves
+    the sample mean (and, through the shared member counts, the repeated protocols'
+    covariance): a shift of 0 or of n - 1 lies far outside 4 SE at n = 2 and n = 400.
+    Under ``iid_aug`` the row is drawn from the member-count Gram, whose column sums carry
+    the offsets and the mean."""
 
     SOURCE = aq.gaussian_source([1.0, -3.0], [[1.0, 0.9], [0.9, 1.0]])
     FAMILY = aq.TransformationFamily([[[0.3, -1.2], [0.8, 2.5]], [[1.0, 0.0], [0.0, -1.0]]],
@@ -297,11 +301,8 @@ class TestOneRowLaw:
     RUNS = (("unaugmented", 0.0), ("surrogate", 0.0), ("surrogate", 1.0),
             ("repeated_aug", 0.0), ("repeated_surrogate", 0.0))
 
-    @pytest.mark.parametrize("n", [1, 2, 400])
-    @pytest.mark.parametrize("protocol, delta", RUNS)
-    def test_matches_the_grand_mean_law(self, protocol, delta, n):
-        k, r = 3, 20_000
-        seed = 600 + 10 * self.RUNS.index((protocol, delta)) + n
+    def _check(self, protocol, delta, n, k, seed):
+        r = 20_000
         cfg = aq.ExperimentConfig(source=self.SOURCE, family=self.FAMILY, protocol=protocol,
                                   statistic=aq.average_statistic(2), n=n, k=k, replicates=r,
                                   seed=seed, delta=delta)
@@ -313,6 +314,62 @@ class TestOneRowLaw:
         assert np.all(np.abs(z_mean) <= 4.0), z_mean
         z_cov = (np.cov(samples, rowvar=False) - sigma) / _jackknife_cov_se(samples)
         assert np.all(np.abs(z_cov) <= 4.0), z_cov
+
+    @pytest.mark.parametrize("n", [1, 2, 400])
+    @pytest.mark.parametrize("protocol, delta", RUNS)
+    def test_matches_the_grand_mean_law(self, protocol, delta, n):
+        self._check(protocol, delta, n, 3, 600 + 10 * self.RUNS.index((protocol, delta)) + n)
+
+    @pytest.mark.parametrize("n", [1, 2, 400])
+    @pytest.mark.parametrize("k", [1, 3, 50])
+    def test_iid_aug_matches_the_grand_mean_law(self, k, n):
+        self._check("iid_aug", 0.0, n, k, 700 + 100 * (1, 3, 50).index(k) + n)
+
+
+class TestIidAugMixtureLaw:
+    """The ``iid_aug`` average's law, not just its second moments: given the rows' member
+    counts the grand sum is Gaussian, so the average is a Gaussian mixture over the count
+    patterns, and its empirical CDF must match the mixture's within 4 binomial SE.  The two
+    maps x -> x + 2 and x -> 3 x - 2 are far apart, so the mixture is far from Gaussian: a
+    draw from the expected count Gram E[G] in place of G has the same first two moments
+    but misses the CDF by many SE."""
+
+    MU, VAR, WEIGHTS = 0.5, 1.0, (0.4, 0.6)
+    SCALES, OFFSETS = (1.0, 3.0), (2.0, -2.0)
+
+    def _mixture_cdf(self, n, k):
+        """The exact CDF of the average over every count pattern of the n rows."""
+        rows = []  # per row: (probability, sum_m c_m A_m, sum_m c_m a_m) per count vector
+        for c0 in range(k + 1):
+            c = (c0, k - c0)
+            rows.append((math.comb(k, c0) * self.WEIGHTS[0] ** c0 * self.WEIGHTS[1] ** c[1],
+                         c[0] * self.SCALES[0] + c[1] * self.SCALES[1],
+                         c[0] * self.OFFSETS[0] + c[1] * self.OFFSETS[1]))
+        parts = []
+        for pattern in itertools.product(rows, repeat=n):
+            prob = math.prod(p for p, _, _ in pattern)
+            mean = sum(a * self.MU + b for _, a, b in pattern)
+            sd = math.sqrt(sum(a * a for _, a, _ in pattern) * self.VAR)
+            parts.append((prob, NormalDist(mean, sd)))
+        scale = math.sqrt(n) * k  # the average is the grand sum over sqrt(n) k
+        return lambda t: sum(p * law.cdf(t * scale) for p, law in parts)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_empirical_cdf_matches_the_mixture(self, k, n):
+        r = 20_000
+        family = aq.TransformationFamily([[[a]] for a in self.SCALES],
+                                         [[b] for b in self.OFFSETS], self.WEIGHTS)
+        cfg = aq.ExperimentConfig(source=aq.gaussian_source([self.MU], [[self.VAR]]),
+                                  family=family, protocol="iid_aug",
+                                  statistic=aq.average_statistic(1), n=n, k=k, replicates=r,
+                                  seed=900 + 10 * k + n)
+        samples = aq.run_experiment(cfg).samples[:, 0]
+        cdf = self._mixture_cdf(n, k)
+        for t in np.linspace(-2.0, 3.0, 11) * math.sqrt(n):
+            p = cdf(t)
+            se = math.sqrt(p * (1.0 - p) / r)
+            assert abs(np.mean(samples <= t) - p) <= 4.0 * se, (t, np.mean(samples <= t), p)
 
 
 class TestCoverage:

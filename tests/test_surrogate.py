@@ -313,6 +313,27 @@ class TestPsdPolicy:
         fac = psd_factor(np.zeros((3, 3)), "test", NumericalError)
         assert np.allclose(fac, 0.0)
 
+    def test_a_stack_factors_each_matrix_alike(self):
+        # integer count Grams, singular ones among them: a one-hot row, a zero-count member
+        counts = np.random.default_rng(5).multinomial(3, [0.5, 0.5, 0.0], size=(6, 4))
+        counts[0] = [[3, 0, 0]] * 4
+        grams = counts.transpose(0, 2, 1) @ counts
+        stack = psd_factor(grams, "test", NumericalError)
+        assert stack.shape == (6, 3, 3)
+        for gram, fac in zip(grams, stack):
+            assert fac.tobytes() == psd_factor(gram, "test", NumericalError).tobytes()
+            assert np.abs(fac @ fac.T - gram).max() <= 1e-14 * gram.max()
+
+    def test_a_stack_is_refused_by_its_worst_matrix(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.diag([1.0, -1e-12])])
+        with pytest.raises(NumericalError, match=r"stack is not positive semidefinite "
+                                                 r"\(eigmin=-0\.001\)"):
+            psd_factor(stack, "stack", NumericalError)
+        with pytest.raises(NumericalError, match="stack must be square"):
+            psd_factor(np.zeros((4, 2, 3)), "stack", NumericalError)
+        with pytest.raises(NumericalError, match="stack must be symmetric"):
+            psd_factor(np.stack([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]), "stack", NumericalError)
+
     # one rule at every scale of the covariance: lambda_min >= -1e-8 max|lambda|; a
     # non-finite mean or cov entry is refused by name, before anything can warn
     @pytest.mark.parametrize("cov,refused,mean", [
