@@ -17,8 +17,8 @@ from .surrogate import (AugmentationMoments, SurrogateSpec, build_surrogate, est
                         sample_repeated_surrogate, sample_surrogate)
 from .statistics import (RiskMoments, StatisticKind, average_statistic, evaluate,
                          exp_neg_chisq_statistic, hard_max_statistic, ridge_derivative,
-                         ridge_risk, ridge_risk_statistic, ridge_statistic,
-                         risk_moments_from_source, smooth_max_statistic)
+                         ridge_risk_statistic, ridge_statistic, risk_moments_from_source,
+                         smooth_max_statistic)
 from .closedform import (Interval, average_ci, chisq_ci, f2_variance, grand_mean_law,
                          repeated_toy_covariance, theta_ratio_general, theta_theory,
                          toy_ridge_variance, v_curve)

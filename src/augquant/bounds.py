@@ -17,6 +17,7 @@ and smooth-max statistics; ridge and ridge risk have their own tensors.  The
 hard max has none.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +67,10 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-statistic derivative norms along a segment.  ``reduce(cells)`` reads an outer
-# draw's n - 1 fixed (n - 1, k, D) rows once; ``norms(rest, rows, n, i)`` maps S reduced
-# draws and row i's S (k, D) cells to (S, 4), (||f||, ||D^1||, ||D^2||, ||D^3||) each.
+# Per-statistic derivative norms along a segment.  Rows reach an adapter only through its
+# linear ``reduce(cells)``, once per outer draw: the n - 1 fixed rows, and each endpoint
+# as a (1, k, D) stack.  ``norms(rest, rows, n, k, i)`` maps S reduced draws and S rows,
+# each s times a reduced endpoint, to (S, 4), (||f||, ||D^1||, ||D^2||, ||D^3||) each.
 # ---------------------------------------------------------------------------
 
 def _frobenius(x):
@@ -96,12 +98,10 @@ class _MeanDerivs:
         self.kind = kind
 
     def reduce(self, cells):
-        return cells.sum(axis=(0, 1))  # the fixed rows' grand sum
+        return cells.sum(axis=(0, 1))  # a stack's grand sum, a D-vector
 
-    def norms(self, rest, rows, n, i):
-        k = rows.shape[1]
-        # einsum sums the middle axis about 6 times faster than sum(axis=1)
-        m = (rest + np.einsum("skd->sd", rows)) / (np.sqrt(n) * k)
+    def norms(self, rest, rows, n, k, i):
+        m = (rest + rows) / (np.sqrt(n) * k)
         # the statistic of a one-cell dataset at k = 1 is the statistic at m
         value = _frobenius(stats.evaluate_batch(self.kind, m[:, None, None],
                                                 np.ones((len(m), 1, 1)), 1))
@@ -190,9 +190,9 @@ class _RidgeDerivs:
     def reduce(self, cells):
         return cells  # the rows stay, for the accuracy of the risk's third order
 
-    def norms(self, rest, rows, n, i):
+    def norms(self, rest, rows, n, k, i):
         kind = self.kind
-        points = np.concatenate([rest[:, :i], rows[:, None], rest[:, i:]], axis=1)
+        points = np.concatenate([rest[:, :i], rows, rest[:, i:]], axis=1)
         p = stats._RidgeBlocks(points, i, kind.d, kind.b, kind.lam)
         if kind.name == "ridge":
             return np.stack([_frobenius(p.fit), _frobenius(p.d1), _frobenius(p.d2),
@@ -273,13 +273,13 @@ def derivative_adapter(kind):
 
 
 def _point_entries(stat, n, k):
-    """Entries that one point adds to a norms call's largest array: row i's (k, D) cells,
-    the smooth max's (d, d) Gram, or for ridge and ridge risk the largest of its (n, k, D)
-    cells, the (W d, W d) products P and N and the risk's (W, W, 2db) rows X."""
+    """Entries that one point adds to a norms call's largest array: the smooth max's
+    (d, d) Gram, or for ridge and ridge risk the largest of its (n, k, D) cells, the
+    (W d, W d) products P and N and the risk's (W, W, 2db) rows X."""
+    if not stat.reads_cells:
+        return stat.d * stat.d
     width = k * stat.slot_dim
-    if stat.reads_cells:
-        return max(n * width, width * width * max(2 * stat.d * stat.b, stat.d * stat.d))
-    return max(width, stat.d * stat.d)
+    return max(n * width, width * width * max(2 * stat.d * stat.b, stat.d * stat.d))
 
 
 def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
@@ -291,12 +291,12 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
     surrogate draws, and the segment endpoint is either a fresh augmented row
     or a fresh surrogate row (two branches).  n and k come from the spec.
 
-    Each outer draw is drawn once, from ``substream(seed, 0, outer)``, and its
-    n - 1 fixed rows are read once, by ``adapter.reduce``.  The (outer draw,
-    branch, grid point) points, row ``i`` at s * endpoint, are read in that
-    order in chunks of max(1, NORMS_BUDGET // entries per point), one
-    ``adapter.norms(rest, rows, n, i)`` call on each chunk's reduced draws and
-    (S, k, D) rows; a chunk may split an outer draw's grid.
+    Each outer draw is drawn once, from ``substream(seed, 0, outer)``, and ``adapter.reduce``
+    reads its n - 1 fixed rows and two endpoints once.  Draws are stacked once per group of
+    max(1, NORMS_BUDGET // entries of a reduced draw).  A group's (outer draw, branch, grid
+    point) points, row ``i`` at s times the reduced endpoint, are read in that order in chunks
+    of max(1, NORMS_BUDGET // entries per point), one ``adapter.norms(rest, rows, n, k, i)``
+    call per chunk; a chunk may split an outer draw's grid.
     """
     if num_grid < 2:
         raise ContractError("num_grid must be at least 2")
@@ -318,24 +318,29 @@ def estimate_alpha(stat, family, source, surrogate_spec, i=0, num_outer=64,
         x = source.sample(i + 1, rng)
         data = family.images(x)[np.arange(i + 1)[:, None], family.sample_indices((i + 1, k), rng)]
         surr = sample_surrogate_cells(surrogate_spec, (n - i,), rng)
-        return adapter.reduce(np.concatenate([data[:i], surr[1:]])), np.stack([data[i], surr[0]])
+        return (adapter.reduce(np.concatenate([data[:i], surr[1:]])),
+                np.stack([adapter.reduce(data[i:]), adapter.reduce(surr[:1])]))
 
-    rest, ends = (np.stack(a) for a in zip(*map(draw, range(num_outer))))
+    first = draw(0)
+    per_group = max(1, NORMS_BUDGET // max(1, np.size(first[0])))  # at n = 1 rest is empty
+    draws = itertools.chain([first], map(draw, range(1, num_outer)))
     per_draw = 2 * num_grid
-    total = num_outer * per_draw
     chunk = max(1, NORMS_BUDGET // _point_entries(stat, n, k))
     sups = np.zeros((2, len(ORDERS), num_outer))  # [branch, order, outer]: grid maxima
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        outer, branch, grid = idx // per_draw, idx // num_grid % 2, idx % num_grid
-        with np.errstate(all="ignore"):  # an overflow fails the check below
-            vals = np.asarray(adapter.norms(rest[outer], fracs[grid, None, None]
-                                            * ends[outer, branch], n, i))
-        bad = ~np.isfinite(vals).all(axis=1)
-        if bad.any():
-            raise NumericalError(f"non-finite derivative at row {i}, "
-                                 f"segment fraction {fracs[grid[bad.argmax()]]:g}")
-        np.maximum.at(sups, (branch, slice(None), outer), vals)
+    for lo in range(0, num_outer, per_group):
+        rest, ends = map(np.stack, zip(*itertools.islice(draws, per_group)))
+        total = len(rest) * per_draw
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total))
+            outer, branch, grid = idx // per_draw, idx // num_grid % 2, idx % num_grid
+            with np.errstate(all="ignore"):  # an overflow fails the check below
+                rows = ends[outer, branch] * fracs[grid].reshape(-1, *(1,) * (ends.ndim - 2))
+                vals = np.asarray(adapter.norms(rest[outer], rows, n, k, i))
+            bad = ~np.isfinite(vals).all(axis=1)
+            if bad.any():
+                raise NumericalError(f"non-finite derivative at row {i}, "
+                                     f"segment fraction {fracs[grid[bad.argmax()]]:g}")
+            np.maximum.at(sups, (branch, slice(None), lo + outer), vals)
     alpha = np.array([[max(np.mean(sups[bi, r] ** m) ** (1.0 / m) for bi in (0, 1))
                        for m in MOMENTS] for r in ORDERS])
     return AlphaEstimates(alpha=alpha)

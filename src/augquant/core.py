@@ -5,8 +5,8 @@ transformed copies of each observation, laid out row-major, so row ``i`` is the
 concatenation ``(t_i1(x_i), ..., t_ik(x_i))`` with the coordinate index
 innermost.  The protocols and surrogate samplers return it and
 ``statistics.evaluate`` reads it; ``reshape(n, k, d)`` gives the cells.
-The bound's derivative adapters read the same rows as (n, k, d) cells, and the
-Monte Carlo engine does not read it (below).
+The bound's derivative adapters read its rows as (rows, k, d) stacks of cells,
+and the Monte Carlo engine does not read it (below).
 
 Transformations are restricted to affine maps ``x -> A x + a``.  All built-in
 families (identity, coordinate swaps, coordinate-zeroing crops, cyclic
@@ -18,7 +18,8 @@ with their ``weights``; ``TransformationFamily.images`` maps every row under
 every member in one product, and each protocol gathers its cells from that by
 member index.
 The Monte Carlo engine does not gather: it weights each row's M images by the
-row's member counts, Multinomial(k, weights), the law of k member draws.
+row's member counts, Multinomial(k, weights), the law of k member draws; a mean
+statistic under ``iid_aug`` draws its grand sum from the rows' M x M count Gram.
 """
 
 from dataclasses import dataclass

@@ -146,9 +146,9 @@ def _member_counts(rng, k, weights, table, shape):
     return counts
 
 
-def _block_cells(config, size, rng, spec, table=None, one_row=False):
-    """``size`` replicates as ``evaluate_batch`` points and weights (``table`` is built when
-    not given); ``repeated_surrogate`` has the law of ``repeated_aug`` for every supported
+def _block_cells(config, size, rng, spec, table, one_row):
+    """``size`` replicates as ``evaluate_batch`` points and weights, ``table`` the member-0
+    count CDF; ``repeated_surrogate`` has the law of ``repeated_aug`` for every supported
     (Gaussian) source, so is drawn alike.
 
     ``one_row`` (for a kind that reads only the grand mean) draws one row per replicate.
@@ -164,8 +164,6 @@ def _block_cells(config, size, rng, spec, table=None, one_row=False):
         if one_row:
             cells += shift * spec.mean_block
         return cells, np.broadcast_to(1.0, (size, rows, k))
-    if table is None:
-        table = _binomial_cdf(k, fam.weights[0])
     if one_row and config.protocol == "iid_aug":
         return _gram_cells(config, size, rng, table)
     x = config.source.sample((size, rows), rng)

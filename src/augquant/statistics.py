@@ -208,11 +208,6 @@ def _risks(b_hats, rm):
             + np.trace(b_hats.swapaxes(1, 2) @ sv @ b_hats, axis1=1, axis2=2))
 
 
-def ridge_risk(b_hat, risk_moments):
-    """Expected squared prediction error of ``b_hat`` on a fresh pair."""
-    return float(_risks(np.asarray(b_hat, dtype=float)[None], risk_moments)[0])
-
-
 class _RidgeBlocks:
     """The ridge estimate and its derivative tensors within one row, for a
     stack of datasets, one factorization each.

@@ -17,12 +17,13 @@ from augquant.surrogate import sample_surrogate_cells, sample_surrogate_rows
 
 def _dataset_norms(adapter, points, i):
     """``adapter.norms`` on whole (..., n, k, D) datasets, as (..., 4): each
-    dataset's rows other than i go through ``adapter.reduce``, then row i's cells
-    through ``norms``."""
+    dataset's rows other than i, and its row i as a one-row stack, go through
+    ``adapter.reduce``, then both through ``norms``."""
     *lead, n, k, slot = points.shape
     flat = points.reshape(-1, n, k, slot)
     rest = np.stack([adapter.reduce(np.delete(cells, i, axis=0)) for cells in flat])
-    return adapter.norms(rest, flat[:, i], n, i).reshape(*lead, 4)
+    rows = np.stack([adapter.reduce(cells[i:i + 1]) for cells in flat])
+    return adapter.norms(rest, rows, n, k, i).reshape(*lead, 4)
 
 
 def _average_setup(n=6, k=3, d=2):
@@ -85,8 +86,8 @@ class TestEstimateAlpha:
             def reduce(self, cells):
                 return self.inner.reduce(cells)
 
-            def norms(self, rest, rows, n, i):
-                return self.a * self.inner.norms(rest, rows, n, i)
+            def norms(self, rest, rows, n, k, i):
+                return self.a * self.inner.norms(rest, rows, n, k, i)
 
         scaled = aq.estimate_alpha(aq.average_statistic(1), fam, src, spec,
                                    i=1, num_outer=16, num_grid=5, seed=6,
@@ -95,30 +96,31 @@ class TestEstimateAlpha:
         assert np.allclose(scaled.alpha, 2.5 * base.alpha, rtol=1e-12)
 
     def test_adapter_reads_cells_along_the_segment(self):
-        # reduce gets a draw's n - 1 other rows, and each norms call a stack of
-        # reduced draws and row i's cells in (outer draw, branch, grid point)
-        # order; put back in place, within one branch row i walks the grid
-        # s * endpoint and every other row stays put
+        # reduce gets, once per draw, its n - 1 other rows and then its two
+        # endpoints as one-row stacks, and each norms call a stack of reduced
+        # draws and rows i in (outer draw, branch, grid point) order; put back
+        # in place, within one branch row i walks the grid s * endpoint and
+        # every other row stays put
         n, k, d, i, num_grid = 5, 3, 2, 2, 4
         stat, fam, src, spec = _average_setup(n=n, k=k, d=d)
 
         class Recording:
             def __init__(self):
-                self.calls = []
+                self.calls, self.reduced = [], []
 
             def reduce(self, cells):
-                assert cells.shape == (n - 1, k, d)
+                self.reduced.append(cells.shape)
                 return cells
 
-            def norms(self, rest, rows, size, row):
-                assert row == i and size == n
-                self.calls.append(np.concatenate([rest[:, :i], rows[:, None], rest[:, i:]],
-                                                 axis=1))
+            def norms(self, rest, rows, size, width, row):
+                assert row == i and size == n and width == k
+                self.calls.append(np.concatenate([rest[:, :i], rows, rest[:, i:]], axis=1))
                 return np.tile([1.0, 0.0, 0.0, 0.0], (len(rows), 1))
 
         rec = Recording()
         aq.estimate_alpha(stat, fam, src, spec, i=i, num_outer=3, num_grid=num_grid,
                           seed=8, adapter=rec)
+        assert rec.reduced == [(n - 1, k, d), (1, k, d), (1, k, d)] * 3
         datasets = np.concatenate(rec.calls)
         assert len(datasets) == 3 * 2 * num_grid
         fracs = np.linspace(0.0, 1.0, num_grid)
@@ -282,11 +284,15 @@ class TestStackedNorms:
             np.testing.assert_allclose(stacked[idx], _dataset_norms(adapter, points[idx], i),
                                        rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("setup", ["average", "expnegchisq", "smoothmax", "ridge",
-                                       "ridgerisk"])
-    def test_estimate_alpha_matches_per_point_reference(self, setup, monkeypatch):
-        # chunks of 5 points against draws of 2 * 3: boundaries fall mid-draw
-        num_outer, num_grid, chunk = 3, 3, 5
+    @pytest.mark.parametrize("setup,num_grid", [
+        *((setup, 3) for setup in ("average", "expnegchisq", "smoothmax", "ridge", "ridgerisk")),
+        *((setup, 4) for setup in ("average", "expnegchisq", "smoothmax")),
+    ])
+    def test_estimate_alpha_matches_per_point_reference(self, setup, num_grid, monkeypatch):
+        # chunks of 5 points against draws of 2 * 3 or 2 * 4: boundaries fall mid-draw.
+        # At 4 points the fractions 1/3 and 2/3 are not dyadic, so s times the reduced
+        # endpoint and the reference's reduced s * endpoint may round apart
+        num_outer, chunk = 3, 5
         if setup in ("ridge", "ridgerisk"):
             stat, fam, src, spec = _crop_cell(setup, 4, 2)
         else:
@@ -304,14 +310,32 @@ class TestStackedNorms:
             def reduce(self, cells):
                 return inner.reduce(cells)
 
-            def norms(self, rest, rows, n, row):
+            def norms(self, rest, rows, n, k, row):
                 sizes.append(len(rows))
-                return inner.norms(rest, rows, n, row)
+                return inner.norms(rest, rows, n, k, row)
 
         got = aq.estimate_alpha(stat, fam, src, spec, i=1, num_outer=num_outer,
                                 num_grid=num_grid, seed=9, adapter=Counting())
-        assert sizes == [5, 5, 5, 3]
+        assert sizes == ([5, 5, 5, 3] if num_grid == 3 else [5, 5, 5, 5, 4])
         want = _reference_alpha(stat, fam, src, spec, 1, num_outer, num_grid, 9)
+        np.testing.assert_allclose(got.alpha, want, rtol=1e-12, atol=0.0)
+
+    def test_groups_draw_each_outer_draw_once(self, monkeypatch):
+        # a budget of two reduced draws holds 5 draws in groups of 2, 2 and 1, one
+        # point per norms call; each draw's stream is derived once, in order, and the
+        # groups change no estimate
+        stat, fam, src, spec = _crop_cell("ridge", 4, 2)
+        monkeypatch.setattr(bd, "NORMS_BUDGET", 2 * (spec.n - 1) * spec.k * stat.slot_dim)
+        streams = []
+
+        def counting_substream(*key):
+            streams.append(key)
+            return substream(*key)
+
+        monkeypatch.setattr(bd, "substream", counting_substream)
+        got = aq.estimate_alpha(stat, fam, src, spec, i=1, num_outer=5, num_grid=2, seed=4)
+        assert streams == [(4, 0, outer) for outer in range(5)]
+        want = _reference_alpha(stat, fam, src, spec, 1, 5, 2, 4)
         np.testing.assert_allclose(got.alpha, want, rtol=1e-12, atol=0.0)
 
     def test_non_finite_norm_names_its_segment_fraction(self, monkeypatch):
@@ -327,7 +351,7 @@ class TestStackedNorms:
             def reduce(self, cells):
                 return cells
 
-            def norms(self, rest, rows, n, row):
+            def norms(self, rest, rows, n, k, row):
                 out = np.ones((len(rows), 4))
                 out[np.isin(np.arange(self.seen, self.seen + len(rows)), [13, 15]), 2] = np.inf
                 self.seen += len(rows)
@@ -338,15 +362,17 @@ class TestStackedNorms:
                               seed=2, adapter=Overflowing())
         assert str(err.value) == f"non-finite derivative at row {i}, segment fraction 0.75"
 
-    @pytest.mark.parametrize("cell,k,num_outer,num_grid", [
-        ("crop", 2, 2, 4097), ("crop", 16, 1, 17), ("fig3", 50, 2, 4097),
-    ], ids=["2-2-4097", "16-1-17", "fig3-50-2-4097"])
-    def test_peak_memory_is_bounded_by_the_chunk(self, cell, k, num_outer, num_grid):
-        # a few MB, set by the chunk constant: every array of a norms call holds
-        # at most NORMS_BUDGET entries, and a handful of them are alive at once;
-        # fig4's crop ridge cell at n = 20 and fig3's exponential cell at n = 100
+    @pytest.mark.parametrize("cell,n,k,num_outer,num_grid", [
+        ("crop", 20, 2, 2, 4097), ("crop", 20, 16, 1, 17), ("fig3", 100, 50, 2, 4097),
+        ("crop", 200, 8, 64, 2),
+    ], ids=["2-2-4097", "16-1-17", "fig3-50-2-4097", "n200-8-64-2"])
+    def test_peak_memory_is_bounded_by_the_chunk(self, cell, n, k, num_outer, num_grid):
+        # a few MB, set by the chunk constant: every array of a norms call, and each
+        # group of held outer draws, holds at most NORMS_BUDGET entries, and a handful
+        # of them are alive at once; fig4's crop ridge cell at n = 20 and 200 (where
+        # 64 draws span seven groups) and fig3's exponential cell at n = 100
         limit = 8 * 8 * bd.NORMS_BUDGET
-        args = _crop_cell("ridge", 20, k) if cell == "crop" else _fig3_cell(k)
+        args = _crop_cell("ridge", n, k) if cell == "crop" else _fig3_cell(k)
         aq.estimate_alpha(*args, num_outer=1, num_grid=2)  # one-time allocations
         tracemalloc.start()
         try:

@@ -133,7 +133,8 @@ def test_block_weights_are_float_counts(protocol, statistic):
     n, k, batch = 7, 5, 3
     config = aq.ExperimentConfig(source=source, family=family, protocol=protocol,
                                  statistic=kind, n=n, k=k, replicates=batch, seed=4)
-    points, weights = _block_cells(config, batch, substream(4, 0), None)
+    points, weights = _block_cells(config, batch, substream(4, 0), None,
+                                   _binomial_cdf(k, family.weights[0]), False)
     assert weights.dtype == np.float64 and weights.flags.c_contiguous
     assert weights.shape == (batch, n, len(family.weights))
     # int64 member counts, one vector per row (iid) or broadcast over the rows (repeated)
@@ -288,7 +289,8 @@ def test_a_one_member_family_weights_every_row_by_k(protocol):
                                  seed=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, weights = _block_cells(config, 3, substream(2, 0), None)
+        _, weights = _block_cells(config, 3, substream(2, 0), None,
+                                  _binomial_cdf(4, config.family.weights[0]), False)
     assert weights.shape == (3, 6, 1) and np.all(weights == 4.0)
 
 

@@ -147,11 +147,11 @@ class TestRidgeFit:
 class TestRidgeRisk:
     def test_zero_estimate_returns_response_moment(self):
         rm = st.RiskMoments(sigma_y=2.5, sigma_yv=np.zeros((2, 2)), sigma_v=np.eye(2))
-        assert aq.ridge_risk(np.zeros((2, 2)), rm) == 2.5
+        assert st._risks(np.zeros((2, 2))[None], rm)[0] == 2.5
 
     def test_scalar_arithmetic(self):
         rm = st.RiskMoments(sigma_y=2.0, sigma_yv=np.array([[1.0]]), sigma_v=np.array([[1.0]]))
-        assert aq.ridge_risk(np.array([[1.0]]), rm) == pytest.approx(1.0)
+        assert st._risks(np.array([[1.0]])[None], rm)[0] == pytest.approx(1.0)
 
     def test_monte_carlo_risk_oracle(self):
         src = aq.regression_source([1.0, 0.5], [[1.0, 0.3], [0.3, 0.8]], 0.7)
@@ -163,12 +163,12 @@ class TestRidgeRisk:
         v, y = draws[:, :2], draws[:, 2:]
         errs = np.sum((y - v @ b_hat) ** 2, axis=1)
         se = errs.std(ddof=1) / np.sqrt(n_mc)
-        assert abs(aq.ridge_risk(b_hat, rm) - errs.mean()) <= 4 * se
+        assert abs(st._risks(b_hat[None], rm)[0] - errs.mean()) <= 4 * se
 
     def test_dimension_mismatch(self):
         rm = st.RiskMoments(sigma_y=1.0, sigma_yv=np.zeros((2, 3)), sigma_v=np.eye(3))
         with pytest.raises(ContractError):
-            aq.ridge_risk(np.zeros((2, 2)), rm)
+            st._risks(np.zeros((2, 2))[None], rm)
 
     def test_statistic_without_risk_moments_refused(self):
         with pytest.raises(ContractError, match="risk moments"):
