@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import shutil
@@ -309,8 +310,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """``build_parser()``, built on the first ``main`` call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

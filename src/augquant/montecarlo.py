@@ -7,9 +7,12 @@ which read their cells; a statistic that reads only the grand mean draws one row
 the four protocols whose n rows are i.i.d. Gaussian given the replicate's shared draw (all
 but ``iid_aug``) the n rows sum to n mu + sqrt(n) (r - mu) in law for one row r, so that
 row, each cell shifted by sqrt(n) - 1 times its mean, has the n rows' scaled grand mean.
-Under ``iid_aug`` the replicate draws M centred source rows, then its n rows' member counts,
-and the row's M cells are the member sums over the count Gram's factor (``_gram_cells``);
-there B = max(1, CELL_BUDGET // (n M)), which bounds the (B, n, M) counts.  Blocks depend
+Under ``iid_aug`` the replicate draws M centred source rows, then its count Gram, and the
+row's M cells are the member sums over the Gram's factor (``_gram_cells``).  The Gram reads
+the n rows' member counts only through how many rows drew each of the V = C(k + M - 1,
+M - 1) count vectors, so when V <= n the replicate draws that histogram, one
+Multinomial(n, pmf) draw, and otherwise its n count rows; there B = max(1, CELL_BUDGET //
+(M min(V, n))), which bounds the (B, V) histograms and the (B, n, M) counts.  Blocks depend
 on (n, k, R) and that layout only, so results are bitwise identical across reruns and
 worker counts; ``manifest.txt`` records the layout's version, ``STREAM``.  A block is one
 ``statistics.evaluate_batch`` call per statistic on weighted cells: an
@@ -41,7 +44,7 @@ from .linalg import psd_factor
 from .rng import child_seed, is_seed, substream
 from .surrogate import build_surrogate, estimate_moments, sample_surrogate_cells
 
-STREAM = 5
+STREAM = 6
 CELL_BUDGET = 2**16  # entries per block, B times ``_block_size``'s divisor, unless B = 1
 
 
@@ -131,6 +134,50 @@ def _binomial_cdf(k, w):
     return np.concatenate([np.cumsum(pmf[:mode]), 1.0 - np.cumsum(pmf[:mode:-1])[::-1]])
 
 
+# log x! - x log x + x at x = 0..15, as sums of log(i / x), each term small
+_SMALL_LOG_FACTORIAL_REST = np.array(
+    [0.0] + [math.fsum(math.log(i / x) for i in range(1, x + 1)) + x for x in range(1, 16)])
+
+
+def _log_factorial_rest(x):
+    """log x! - x log x + x for integers x >= 0: the table below 16, above it
+    0.5 log(2 pi x) plus Stirling's series to x^-9 (the next term is below 1e-16)."""
+    xf = np.maximum(x, 1.0)
+    r = 1.0 / (xf * xf)
+    series = 0.5 * np.log(2.0 * math.pi * xf) + (
+        1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / xf
+    return np.where(x < 16, _SMALL_LOG_FACTORIAL_REST[np.minimum(x, 15)], series)
+
+
+def _count_vectors(k, weights):
+    """The V = C(k + M - 1, M - 1) count vectors of k draws from M members, (V, M) int64 in
+    lexicographic order, and their Multinomial(k, weights) pmf.
+
+    The pmf is read in log space as sum_m c_m log(w_m k / c_m) + rest(k) - sum_m rest(c_m),
+    rest = ``_log_factorial_rest``, so no large log-factorials cancel; a member of weight 0
+    with a positive count gives log 0, so its vectors have pmf exactly 0.  The pmf is
+    normalized, so ``rng.multinomial`` never finds it summing past 1."""
+    vectors = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(len(weights) - 1):  # each prefix, extended by every count left to it
+        reps = k - vectors.sum(axis=1) + 1
+        starts = np.repeat(np.cumsum(reps) - reps, reps)
+        vectors = np.column_stack([np.repeat(vectors, reps, axis=0),
+                                   np.arange(reps.sum()) - starts])
+    vectors = np.column_stack([vectors, k - vectors.sum(axis=1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = vectors * np.log(weights / (vectors / k))
+    log_pmf = (np.where(vectors > 0, terms, 0.0).sum(axis=1) + _log_factorial_rest(k)
+               - _log_factorial_rest(vectors).sum(axis=1))
+    pmf = np.exp(log_pmf)
+    return vectors, pmf / pmf.sum()
+
+
+def _draws_histogram(n, k, m):
+    """Whether ``_gram_cells`` draws each replicate's count histogram over the V count
+    vectors (V <= n) rather than its n count rows: the smaller of the two draws."""
+    return math.comb(k + m - 1, m - 1) <= n
+
+
 def _member_counts(rng, k, weights, table, shape):
     """Multinomial(k, weights) counts, (*shape, M): member 0's is one uniform per row looked
     up in ``table``, ``_binomial_cdf(k, w_0)``; member j < M - 1 draws Binomial(left,
@@ -146,10 +193,10 @@ def _member_counts(rng, k, weights, table, shape):
     return counts
 
 
-def _block_cells(config, size, rng, spec, table, one_row):
+def _block_cells(config, size, rng, spec, table, one_row, histogram):
     """``size`` replicates as ``evaluate_batch`` points and weights, ``table`` the member-0
-    count CDF; ``repeated_surrogate`` has the law of ``repeated_aug`` for every supported
-    (Gaussian) source, so is drawn alike.
+    count CDF and ``histogram`` ``_histogram_table``'s pair or None; ``repeated_surrogate``
+    has the law of ``repeated_aug`` for every supported (Gaussian) source, so is drawn alike.
 
     ``one_row`` (for a kind that reads only the grand mean) draws one row per replicate.
     Under ``iid_aug`` that row is ``_gram_cells``'.  Under the other protocols the n rows
@@ -165,7 +212,7 @@ def _block_cells(config, size, rng, spec, table, one_row):
             cells += shift * spec.mean_block
         return cells, np.broadcast_to(1.0, (size, rows, k))
     if one_row and config.protocol == "iid_aug":
-        return _gram_cells(config, size, rng, table)
+        return _gram_cells(config, size, rng, table, histogram)
     x = config.source.sample((size, rows), rng)
     if config.protocol == "unaugmented":
         if one_row:
@@ -181,7 +228,7 @@ def _block_cells(config, size, rng, spec, table, one_row):
     return images, weights.astype(float, order="C")
 
 
-def _gram_cells(config, size, rng, table):
+def _gram_cells(config, size, rng, table, histogram):
     """``size`` ``iid_aug`` replicates as one row of M cells each, with unit weights, of the
     law of the replicate's grand sum over sqrt(n).
 
@@ -189,13 +236,25 @@ def _gram_cells(config, size, rng, table):
     y_m = sum_i c_im x_i and s the column sums of C.  The y_m are jointly Gaussian with
     means s_m mu and cross-covariances G_mm' S, G = C^T C, and s = G 1 / k since every
     count row sums to k.  So with G = L L^T and M centred source rows R, y = s mu + L R,
-    and cell m is (A_m y_m + s_m a_m) / sqrt(n).  Draws R, then the counts."""
+    and cell m is (A_m y_m + s_m a_m) / sqrt(n).  Draws R, then the counts.
+
+    G = sum_v N_v v v^T and s = sum_v N_v v read the rows only through how many drew each
+    count vector v, (N_v) ~ Multinomial(n, pmf) over ``histogram``'s (vectors, pmf).  With
+    a histogram (V <= n) that is the one draw per replicate; without, the n count rows are
+    drawn one by one, member by member (``_member_counts``)."""
     n, k, fam, src = config.n, config.k, config.family, config.source
     m = len(fam.weights)
     centred = src.sample((size, m), rng, centred=True)
-    counts = _member_counts(rng, k, fam.weights, table, (size, n))
-    gram = counts.transpose(0, 2, 1) @ counts
-    sums = gram.sum(axis=-1) // k
+    if histogram is None:
+        counts = _member_counts(rng, k, fam.weights, table, (size, n))
+        gram = counts.transpose(0, 2, 1) @ counts
+        sums = gram.sum(axis=-1) // k
+    else:
+        vectors, pmf = histogram
+        hist = rng.multinomial(n, pmf, size=size)
+        outer = vectors[:, :, None] * vectors[:, None, :]
+        gram = (hist @ outer.reshape(len(vectors), m * m)).reshape(size, m, m)
+        sums = hist @ vectors
     y = psd_factor(gram, "the member-count Gram", NumericalError) @ centred
     y += sums[..., None] * src.joint_mean()
     cells = (y[:, :, None] @ fam.matrices.transpose(0, 2, 1))[:, :, 0]
@@ -221,11 +280,27 @@ def _summarize(config, samples):
 
 
 def _block_size(config, one_row):
-    """Replicates per block: CELL_BUDGET over a replicate's cells, rows k, or over its
-    (n, M) member counts when those are what ``_gram_cells`` draws."""
+    """Replicates per block: CELL_BUDGET over a replicate's cells, rows k, or, when
+    ``_gram_cells`` draws them, over its member counts: M min(V, n) entries, a histogram
+    over the V count vectors or n count rows, whichever ``_draws_histogram`` picks."""
     if one_row and config.protocol == "iid_aug":
-        return max(1, CELL_BUDGET // (config.n * len(config.family.weights)))
+        m = len(config.family.weights)
+        return max(1, CELL_BUDGET // (m * min(math.comb(config.k + m - 1, m - 1), config.n)))
     return max(1, CELL_BUDGET // ((1 if one_row else config.n) * config.k))
+
+
+def _histogram_table(config, kinds):
+    """``_gram_cells``' (vectors, pmf) pair when one of ``kinds`` takes its histogram side,
+    else None.  The histogram's int64 Gram entries reach n k^2, so a run where that passes
+    2^63 is refused before anything is drawn."""
+    n, k, weights = config.n, config.k, config.family.weights
+    if (config.protocol != "iid_aug" or all(kind.reads_cells for kind in kinds)
+            or not _draws_histogram(n, k, len(weights))):
+        return None
+    if n * k * k >= 2**63:
+        raise NumericalError(f"n = {n} is too large for k = {k}: the member-count Gram "
+                             f"entries reach n k^2 = {n * k * k}, past the int64 range")
+    return _count_vectors(k, weights)
 
 
 def simulate(config, kinds):
@@ -239,6 +314,7 @@ def simulate(config, kinds):
     spec = build_surrogate(estimate_moments(config.family, config.source), config.n, config.k,
                            config.delta) if config.protocol == "surrogate" else None
     table = _binomial_cdf(config.k, config.family.weights[0])
+    histogram = _histogram_table(config, kinds)
     # an overflow shows as a non-finite value in a summary, reported once, not as warnings
     with np.errstate(all="ignore"):
         for one_row in (False, True):
@@ -250,7 +326,7 @@ def simulate(config, kinds):
             for block, lo in enumerate(range(0, config.replicates, size)):
                 hi = min(lo + size, config.replicates)
                 points, weights = _block_cells(config, hi - lo, substream(config.seed, block),
-                                               spec, table, one_row)
+                                               spec, table, one_row, histogram)
                 for kind, out in group:
                     out[lo:hi] = stats.evaluate_batch(kind, points, weights, config.k)
         return [_summarize(cfg, out) for cfg, out in zip(configs, samples)]

@@ -23,6 +23,7 @@ from augquant import statistics as st
 from augquant.core import augment_iid, augment_repeated, replicate_unaugmented
 from augquant.errors import ConfigError, ContractError
 from augquant.montecarlo import (CELL_BUDGET, PROTOCOLS, _binomial_cdf, _block_cells,
+                                  _count_vectors, _draws_histogram, _gram_cells,
                                   _jackknife_var_norm_se, _member_counts)
 from augquant.rng import child_seed, substream
 from augquant.surrogate import build_surrogate, estimate_moments, sample_surrogate_rows
@@ -134,7 +135,7 @@ def test_block_weights_are_float_counts(protocol, statistic):
     config = aq.ExperimentConfig(source=source, family=family, protocol=protocol,
                                  statistic=kind, n=n, k=k, replicates=batch, seed=4)
     points, weights = _block_cells(config, batch, substream(4, 0), None,
-                                   _binomial_cdf(k, family.weights[0]), False)
+                                   _binomial_cdf(k, family.weights[0]), False, None)
     assert weights.dtype == np.float64 and weights.flags.c_contiguous
     assert weights.shape == (batch, n, len(family.weights))
     # int64 member counts, one vector per row (iid) or broadcast over the rows (repeated)
@@ -181,12 +182,12 @@ def test_simulate_refuses_a_kind_of_another_slot_dimension():
         aq.simulate(config, (aq.average_statistic(1), aq.average_statistic(2)))
 
 
-def test_iid_aug_one_row_blocks_bound_their_member_counts():
-    # an iid_aug mean-statistic block holds the (B, n, M) member counts, so B counts n M
-    # entries per replicate: B = CELL_BUDGET // k would hold 200 x 20000 x 3 int64 counts
+def _assert_iid_aug_mean_run_is_bounded(n, k):
+    """tracemalloc's peak over an iid_aug average run of 200 replicates of the 3-member
+    family stays within 8 x 8 x CELL_BUDGET bytes."""
     source, family = _gaussian_setup(1)
     config = aq.ExperimentConfig(source=source, family=family, protocol="iid_aug",
-                                 statistic=aq.average_statistic(1), n=20_000, k=1,
+                                 statistic=aq.average_statistic(1), n=n, k=k,
                                  replicates=200, seed=3)
     limit = 8 * 8 * CELL_BUDGET
     aq.run_experiment(replace(config, replicates=2))  # one-time allocations
@@ -197,6 +198,40 @@ def test_iid_aug_one_row_blocks_bound_their_member_counts():
     finally:
         tracemalloc.stop()
     assert peak <= limit, f"peak {peak / 1e6:.2f} MB over {limit / 1e6:.2f} MB"
+
+
+def test_iid_aug_one_row_blocks_bound_their_member_counts():
+    # an iid_aug mean-statistic block holds M min(V, n) member counts per replicate, here
+    # a histogram over V = 3 count vectors: B = CELL_BUDGET // k would draw 200 x 20000 x 3
+    # int64 count rows
+    assert _draws_histogram(20_000, 1, 3)
+    _assert_iid_aug_mean_run_is_bounded(20_000, 1)
+
+
+def test_iid_aug_row_side_blocks_bound_their_member_counts():
+    # k = 199 gives V = 20100 > n count vectors, so each replicate draws its n count rows
+    # and a block holds one replicate's (n, M) counts
+    assert not _draws_histogram(20_000, 199, 3)
+    _assert_iid_aug_mean_run_is_bounded(20_000, 199)
+
+
+def test_gram_cells_draw_one_law_from_histograms_and_from_rows():
+    # the 3-member family with an offset at n = 12, k = 3 (V = 10 count vectors): the
+    # histogram draw and the n-row draw give the average the same law
+    source, family = _gaussian_setup(2)
+    kind, n, k, r = aq.average_statistic(2), 12, 3, 20_000
+    config = aq.ExperimentConfig(source=source, family=family, protocol="iid_aug",
+                                 statistic=kind, n=n, k=k, replicates=r, seed=0)
+    table = _binomial_cdf(k, family.weights[0])
+    hist, rows = (st.evaluate_batch(kind, *_gram_cells(config, r, np.random.default_rng(seed),
+                                                       table, histogram), k)
+                  for histogram, seed in ((_count_vectors(k, family.weights), 41), (None, 42)))
+    for j in range(hist.shape[1]):
+        se = math.sqrt((hist[:, j].var(ddof=1) + rows[:, j].var(ddof=1)) / r)
+        assert abs(hist[:, j].mean() - rows[:, j].mean()) <= 4 * se, j
+        assert sps.ks_2samp(hist[:, j], rows[:, j]).pvalue > 1e-3, j
+    se = math.hypot(_jackknife_var_norm_se(hist)[1], _jackknife_var_norm_se(rows)[1])
+    assert abs(hist[:, 0].var(ddof=1) - rows[:, 0].var(ddof=1)) <= 4 * se
 
 
 @pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 3, 1.5, np.float64(2.0), True, "3"])
@@ -245,9 +280,11 @@ def _chi_square_p(counts, k, weights):
     return sps.chi2.sf(stat, len(expected) - 1)
 
 
-@pytest.mark.parametrize("k, weights", [
-    *((k, (w, 1.0 - w)) for w in (0.5, 0.3, 0.7) for k in (5, 50, 200)),
-    (10, (0.5, 0.3, 0.2)), (50, (0.25, 0.25, 0.25, 0.25))])
+MULTINOMIAL_CASES = [*((k, (w, 1.0 - w)) for w in (0.5, 0.3, 0.7) for k in (5, 50, 200)),
+                     (10, (0.5, 0.3, 0.2)), (50, (0.25, 0.25, 0.25, 0.25))]
+
+
+@pytest.mark.parametrize("k, weights", MULTINOMIAL_CASES)
 def test_member_counts_follow_the_multinomial_law(k, weights):
     weights = np.array(weights)
     seed = 31 + k + int(100 * weights[0]) + len(weights)
@@ -281,6 +318,37 @@ def test_member_counts_skip_a_zero_weight_member():
     assert _chi_square_p(counts[..., ::2].reshape(-1, 2), 9, np.array([0.5, 0.5])) > 1e-3
 
 
+@pytest.mark.parametrize("k, weights", MULTINOMIAL_CASES)
+def test_count_vectors_list_every_composition_once_with_its_exact_pmf(k, weights):
+    m = len(weights)
+    vectors, pmf = _count_vectors(k, np.array(weights))
+    # compositions of k into m parts, from the m - 1 bars' places among k + m - 1 slots
+    want = {tuple(np.diff((-1, *bars, k + m - 1)) - 1)
+            for bars in itertools.combinations(range(k + m - 1), m - 1)}
+    assert vectors.dtype == np.int64 and vectors.shape == (len(want), m) == pmf.shape + (m,)
+    assert {tuple(v) for v in vectors.tolist()} == want
+    scale = [Fraction(w) for w in weights]
+    for v, p in zip(vectors.tolist(), pmf):
+        exact = math.factorial(k) // math.prod(map(math.factorial, v)) * math.prod(
+            w**c for w, c in zip(scale, v))
+        assert abs(Fraction(p) - exact) <= 1e-13 * exact, v
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.0, 0.5), (1.0, 0.0)])
+def test_count_vectors_of_a_zero_weight_member_have_pmf_exactly_zero(weights):
+    weights = np.array(weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vectors, pmf = _count_vectors(9, weights)
+        hist = np.random.default_rng(6).multinomial(40, pmf, size=50)
+    zero = np.any(vectors[:, weights == 0] > 0, axis=1)
+    assert np.all(pmf[zero] == 0.0) and np.all(pmf[~zero] > 0.0)
+    assert np.all(hist[:, zero] == 0) and np.all(hist.sum(axis=1) == 40)
+    # what is left is Binomial(9, 1/2) over the other members, or certain at (9, 0)
+    np.testing.assert_allclose(pmf[~zero], sps.binom.pmf(vectors[~zero, 0], 9, weights[0]),
+                               rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("protocol", ["iid_aug", "repeated_aug"])
 def test_a_one_member_family_weights_every_row_by_k(protocol):
     source = aq.gaussian_source([0.0, 1.0], np.eye(2))
@@ -290,7 +358,8 @@ def test_a_one_member_family_weights_every_row_by_k(protocol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, weights = _block_cells(config, 3, substream(2, 0), None,
-                                  _binomial_cdf(4, config.family.weights[0]), False)
+                                  _binomial_cdf(4, config.family.weights[0]), False,
+                                  None)
     assert weights.shape == (3, 6, 1) and np.all(weights == 4.0)
 
 

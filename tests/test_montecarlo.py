@@ -7,10 +7,10 @@ import pytest
 
 import augquant as aq
 from augquant.closedform import f2_variance, v_curve
-from augquant import cli, closedform
+from augquant import cli, closedform, montecarlo
 from augquant.config import experiment_from_config, parse_config_text
 from augquant.errors import ConfigError
-from augquant.montecarlo import _jackknife_var_norm_se
+from augquant.montecarlo import _jackknife_var_norm_se, _member_counts
 
 
 def _exchangeable_source(rho=-0.5, sigma=1.0):
@@ -332,7 +332,9 @@ class TestIidAugMixtureLaw:
     patterns, and its empirical CDF must match the mixture's within 4 binomial SE.  The two
     maps x -> x + 2 and x -> 3 x - 2 are far apart, so the mixture is far from Gaussian: a
     draw from the expected count Gram E[G] in place of G has the same first two moments
-    but misses the CDF by many SE."""
+    but misses the CDF by many SE.  The cases lie on both sides of the engine's rule: with
+    V = k + 1 count vectors at most n it draws each replicate's count histogram, else its
+    n count rows."""
 
     MU, VAR, WEIGHTS = 0.5, 1.0, (0.4, 0.6)
     SCALES, OFFSETS = (1.0, 3.0), (2.0, -2.0)
@@ -354,9 +356,14 @@ class TestIidAugMixtureLaw:
         scale = math.sqrt(n) * k  # the average is the grand sum over sqrt(n) k
         return lambda t: sum(p * law.cdf(t * scale) for p, law in parts)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_empirical_cdf_matches_the_mixture(self, k, n):
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 4)])
+    def test_empirical_cdf_matches_the_mixture(self, monkeypatch, k, n):
+        row_draws = []
+
+        def spy(*args):
+            row_draws.append(args)
+            return _member_counts(*args)
+        monkeypatch.setattr(montecarlo, "_member_counts", spy)
         r = 20_000
         family = aq.TransformationFamily([[[a]] for a in self.SCALES],
                                          [[b] for b in self.OFFSETS], self.WEIGHTS)
@@ -365,6 +372,8 @@ class TestIidAugMixtureLaw:
                                   statistic=aq.average_statistic(1), n=n, k=k, replicates=r,
                                   seed=900 + 10 * k + n)
         samples = aq.run_experiment(cfg).samples[:, 0]
+        assert montecarlo._draws_histogram(n, k, 2) == (k + 1 <= n)
+        assert bool(row_draws) != (k + 1 <= n)
         cdf = self._mixture_cdf(n, k)
         for t in np.linspace(-2.0, 3.0, 11) * math.sqrt(n):
             p = cdf(t)
