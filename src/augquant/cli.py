@@ -90,8 +90,8 @@ def _cmd_predict(cfg):
         source = cfgmod.source_from_config(cfg)
         family = cfgmod.family_from_config(cfg)
         header = ["k", "theta_average"]
-        if not all(g.is_integer() for g in grid):
-            raise ConfigError(f"predict.grid must list integers k for theta, got {list(grid)}")
+        if not all(g.is_integer() and g >= 1 for g in grid):
+            raise ConfigError(f"predict.grid must list integers k at least 1, got {grid.tolist()}")
         # the iid_aug law reads neither n nor delta, so n = 1 and delta = 0 change no row
         kind = average_statistic(source.dim)
         rows = [(k, closedform.theta_theory(kind, family, source, "iid_aug", 1, k, 0.0))

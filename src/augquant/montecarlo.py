@@ -120,56 +120,49 @@ def _jackknife_var_norm_se(samples):
     return se_norm, se_first
 
 
-def _binomial_cdf(k, w):
-    """P(X <= x), X ~ Binomial(k, w), at x = 0..k-1: the pmf's ratio recurrence walked out
-    from its mode (nothing overflows; w = 0 or 1 divides by nothing), each tail summed from
-    its end (a tail that underflows reads exactly 0 or 1)."""
+def _binomial_pmf(k, w):
+    """The Binomial(k, w) pmf at x = 0..k, normalized, and its mode: the ratio recurrence
+    walked out from the mode (nothing overflows; w = 0 or 1 divides by nothing)."""
     x, mode = np.arange(k + 1.0), min(int((k + 1) * w), k)
     pmf = np.ones(k + 1)
     if mode < k:  # p(x) / p(x - 1) = (k - x + 1) w / (x (1 - w))
         pmf[mode + 1:] = np.cumprod((k - x[mode:k]) * w / (x[mode + 1:] * (1 - w)))
     if mode > 0:  # p(x) / p(x + 1) = (x + 1) (1 - w) / ((k - x) w)
         pmf[mode - 1::-1] = np.cumprod(x[mode:0:-1] * (1 - w) / ((k - x[mode - 1::-1]) * w))
-    pmf /= pmf.sum()
+    return pmf / pmf.sum(), mode
+
+
+def _binomial_cdf(k, w):
+    """P(X <= x), X ~ Binomial(k, w), at x = 0..k-1: ``_binomial_pmf`` with each tail
+    summed from its end (a tail that underflows reads exactly 0 or 1)."""
+    pmf, mode = _binomial_pmf(k, w)
     return np.concatenate([np.cumsum(pmf[:mode]), 1.0 - np.cumsum(pmf[:mode:-1])[::-1]])
 
 
-# log x! - x log x + x at x = 0..15, as sums of log(i / x), each term small
-_SMALL_LOG_FACTORIAL_REST = np.array(
-    [0.0] + [math.fsum(math.log(i / x) for i in range(1, x + 1)) + x for x in range(1, 16)])
-
-
-def _log_factorial_rest(x):
-    """log x! - x log x + x for integers x >= 0: the table below 16, above it
-    0.5 log(2 pi x) plus Stirling's series to x^-9 (the next term is below 1e-16)."""
-    xf = np.maximum(x, 1.0)
-    r = 1.0 / (xf * xf)
-    series = 0.5 * np.log(2.0 * math.pi * xf) + (
-        1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / xf
-    return np.where(x < 16, _SMALL_LOG_FACTORIAL_REST[np.minimum(x, 15)], series)
+def _stages(weights):
+    """The member-by-member count draw's stages: member j takes Binomial(left, stage_j) of
+    the counts left to members j.., stage_j = w_j / sum_{i >= j} w_i, 0 where that is 0."""
+    tail = np.cumsum(weights[::-1])[::-1]
+    return np.divide(weights, tail, out=np.zeros(len(weights)), where=tail > 0)
 
 
 def _count_vectors(k, weights):
     """The V = C(k + M - 1, M - 1) count vectors of k draws from M members, (V, M) int64 in
-    lexicographic order, and their Multinomial(k, weights) pmf.
-
-    The pmf is read in log space as sum_m c_m log(w_m k / c_m) + rest(k) - sum_m rest(c_m),
-    rest = ``_log_factorial_rest``, so no large log-factorials cancel; a member of weight 0
-    with a positive count gives log 0, so its vectors have pmf exactly 0.  The pmf is
-    normalized, so ``rng.multinomial`` never finds it summing past 1."""
-    vectors = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(len(weights) - 1):  # each prefix, extended by every count left to it
-        reps = k - vectors.sum(axis=1) + 1
-        starts = np.repeat(np.cumsum(reps) - reps, reps)
-        vectors = np.column_stack([np.repeat(vectors, reps, axis=0),
-                                   np.arange(reps.sum()) - starts])
-    vectors = np.column_stack([vectors, k - vectors.sum(axis=1)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = vectors * np.log(weights / (vectors / k))
-    log_pmf = (np.where(vectors > 0, terms, 0.0).sum(axis=1) + _log_factorial_rest(k)
-               - _log_factorial_rest(vectors).sum(axis=1))
-    pmf = np.exp(log_pmf)
-    return vectors, pmf / pmf.sum()
+    lexicographic order, and their Multinomial(k, weights) pmf: each prefix with ``left``
+    counts still to place is extended by c = 0..left, its pmf times
+    ``_binomial_pmf(left, stage_j)[c]`` (``_stages``; one table per distinct ``left``), and
+    the last member takes the rest.  A zero stage gives c = 0 and a stage of 1 c = left, so
+    a member of weight 0 gives its vectors pmf exactly 0; the pmf is normalized, so
+    ``rng.multinomial`` never finds it summing past 1."""
+    vectors, pmf = np.zeros((1, 0), dtype=np.int64), np.ones(1)
+    for stage in _stages(weights)[:-1]:
+        left = k - vectors.sum(axis=1)
+        tables = {x: _binomial_pmf(x, stage)[0] for x in np.unique(left).tolist()}
+        starts = np.repeat(np.cumsum(left + 1) - left - 1, left + 1)
+        pmf = np.repeat(pmf, left + 1) * np.concatenate([tables[x] for x in left.tolist()])
+        vectors = np.column_stack([np.repeat(vectors, left + 1, axis=0),
+                                   np.arange(len(starts)) - starts])
+    return np.column_stack([vectors, k - vectors.sum(axis=1)]), pmf / pmf.sum()
 
 
 def _draws_histogram(n, k, m):
@@ -181,9 +174,8 @@ def _draws_histogram(n, k, m):
 def _member_counts(rng, k, weights, table, shape):
     """Multinomial(k, weights) counts, (*shape, M): member 0's is one uniform per row looked
     up in ``table``, ``_binomial_cdf(k, w_0)``; member j < M - 1 draws Binomial(left,
-    w_j / sum_{i >= j} w_i) on the count left, and the last member takes the rest."""
-    m, tail = len(weights), np.cumsum(weights[::-1])[::-1]
-    stage = np.divide(weights, tail, out=np.zeros(m), where=tail > 0)
+    stage_j) on the count left (``_stages``), and the last member takes the rest."""
+    m, stage = len(weights), _stages(weights)
     counts = np.empty((*shape, m), dtype=np.int64)
     counts[..., 0] = np.searchsorted(table, rng.random(shape), side="right")
     left = k - counts[..., 0]
@@ -279,13 +271,13 @@ def _summarize(config, samples):
         se_of_first_coord_var=se_first, empirical_ci_width=float(hi_q - lo_q))
 
 
-def _block_size(config, one_row):
+def _block_size(config, one_row, histogram):
     """Replicates per block: CELL_BUDGET over a replicate's cells, rows k, or, when
-    ``_gram_cells`` draws them, over its member counts: M min(V, n) entries, a histogram
-    over the V count vectors or n count rows, whichever ``_draws_histogram`` picks."""
+    ``_gram_cells`` draws them, over its member counts: M min(V, n) entries, the V count
+    vectors of ``histogram`` (``_histogram_table``'s pair) or else n count rows."""
     if one_row and config.protocol == "iid_aug":
-        m = len(config.family.weights)
-        return max(1, CELL_BUDGET // (m * min(math.comb(config.k + m - 1, m - 1), config.n)))
+        rows = config.n if histogram is None else len(histogram[0])
+        return max(1, CELL_BUDGET // (len(config.family.weights) * rows))
     return max(1, CELL_BUDGET // ((1 if one_row else config.n) * config.k))
 
 
@@ -322,7 +314,7 @@ def simulate(config, kinds):
                      if kind.reads_cells != one_row]
             if not group:
                 continue
-            size = _block_size(config, one_row)
+            size = _block_size(config, one_row, histogram)
             for block, lo in enumerate(range(0, config.replicates, size)):
                 hi = min(lo + size, config.replicates)
                 points, weights = _block_cells(config, hi - lo, substream(config.seed, block),

@@ -835,7 +835,11 @@ BAD_CONFIGS = [
     ("simulate", _set(GAUSSIAN_1D, "alpha", "abc"), "alpha"),
     ("compare", GAUSSIAN_1D + "compare.protocols = unaugmented\n", "augmented protocol"),
     ("compare", GAUSSIAN_1D + "compare.protocols = iid_aug,unaugmented,iid_aug\n", "twice"),
-    ("predict", THETA.replace("[1, 2]", "[0, 1]"), "at least 1"),
+    # predict theta names its key for k = 0 and for a fractional k, the grid in plain numbers
+    ("predict", THETA.replace("[1, 2]", "[0, 1]"),
+     "predict.grid must list integers k at least 1, got [0.0, 1.0]"),
+    ("predict", THETA.replace("[1, 2]", "[2.5]"),
+     "predict.grid must list integers k at least 1, got [2.5]"),
     # below -1e-8 max|lambda|: a source covariance is an input, refused when read
     ("simulate", _set(SWAP_2D, "source.cov", "[1e-6, 0.0, 0.0, -5e-9]"), "cov"),
     ("simulate", _set(_set(SWAP_2D, "source.cov", "[1e-6, 0.0, 0.0, -5e-9]"),
@@ -852,7 +856,7 @@ class TestRefusedInput:
                              ids=["misspelled", "duplicate", "paired_abc", "repeated_no",
                                   "member_gap", "orphan_offset", "member_3x3_beside_2x2",
                                   "offset_longer_than_matrix", "member_0x0", "alpha_abc",
-                                  "no_augmented", "protocol_twice", "theta_k0",
+                                  "no_augmented", "protocol_twice", "theta_k0", "theta_fractional",
                                   "cov_not_psd", "cov_not_psd_surrogate", "cov_not_psd_bounds",
                                   "cov_not_psd_small_scale", "size_key_d_n"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, text, needle):

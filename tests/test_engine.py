@@ -23,8 +23,8 @@ from augquant import statistics as st
 from augquant.core import augment_iid, augment_repeated, replicate_unaugmented
 from augquant.errors import ConfigError, ContractError
 from augquant.montecarlo import (CELL_BUDGET, PROTOCOLS, _binomial_cdf, _block_cells,
-                                  _count_vectors, _draws_histogram, _gram_cells,
-                                  _jackknife_var_norm_se, _member_counts)
+                                  _block_size, _count_vectors, _draws_histogram, _gram_cells,
+                                  _histogram_table, _jackknife_var_norm_se, _member_counts)
 from augquant.rng import child_seed, substream
 from augquant.surrogate import build_surrogate, estimate_moments, sample_surrogate_rows
 
@@ -215,6 +215,26 @@ def test_iid_aug_row_side_blocks_bound_their_member_counts():
     _assert_iid_aug_mean_run_is_bounded(20_000, 199)
 
 
+@pytest.mark.parametrize("n, k, m", [(5, 3, 2), (5, 4, 2), (5, 10, 2), (50, 5, 3), (50, 12, 3),
+                                     (20_000, 1, 3), (20_000, 199, 3), (7, 30, 1)])
+def test_block_sizes_follow_the_readme_rule(n, k, m):
+    # B = max(1, 2^16 // (M min(V, n))) for iid_aug's one-row blocks, whose member counts
+    # are a histogram over the V count vectors or n count rows, and B = max(1, 2^16 //
+    # (rows k)) for every other layout; blocks fix the streams, so B fixes every output
+    source, _ = _regression_setup()
+    family = aq.TransformationFamily([np.eye(source.dim)] * m)
+    kinds = (aq.ridge_statistic(2, 2, 0.5), aq.average_statistic(source.dim))
+    v = math.comb(k + m - 1, m - 1)
+    for protocol in PROTOCOLS:
+        config = aq.ExperimentConfig(source=source, family=family, protocol=protocol,
+                                     statistic=kinds[0], n=n, k=k, replicates=2, seed=0)
+        histogram = _histogram_table(config, kinds)
+        assert (histogram is not None) == (protocol == "iid_aug" and v <= n)
+        assert _block_size(config, False, histogram) == max(1, CELL_BUDGET // (n * k))
+        want = m * min(v, n) if protocol == "iid_aug" else k
+        assert _block_size(config, True, histogram) == max(1, CELL_BUDGET // want)
+
+
 def test_gram_cells_draw_one_law_from_histograms_and_from_rows():
     # the 3-member family with an offset at n = 12, k = 3 (V = 10 count vectors): the
     # histogram draw and the n-row draw give the average the same law
@@ -334,8 +354,11 @@ def test_count_vectors_list_every_composition_once_with_its_exact_pmf(k, weights
         assert abs(Fraction(p) - exact) <= 1e-13 * exact, v
 
 
-@pytest.mark.parametrize("weights", [(0.5, 0.0, 0.5), (1.0, 0.0)])
+@pytest.mark.parametrize("weights", [(0.5, 0.0, 0.5), (1.0, 0.0), (0.5, 0.5, 0.0),
+                                     (0.0, 0.7, 0.3), (0.2, 0.0, 0.0, 0.8)])
 def test_count_vectors_of_a_zero_weight_member_have_pmf_exactly_zero(weights):
+    # (0.5, 0.5, 0.0) has a stage of 1 before its last member, (0.0, 0.7, 0.3) a zero first
+    # stage and (0.2, 0.0, 0.0, 0.8) two zero stages in a row
     weights = np.array(weights)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -344,9 +367,34 @@ def test_count_vectors_of_a_zero_weight_member_have_pmf_exactly_zero(weights):
     zero = np.any(vectors[:, weights == 0] > 0, axis=1)
     assert np.all(pmf[zero] == 0.0) and np.all(pmf[~zero] > 0.0)
     assert np.all(hist[:, zero] == 0) and np.all(hist.sum(axis=1) == 40)
-    # what is left is Binomial(9, 1/2) over the other members, or certain at (9, 0)
-    np.testing.assert_allclose(pmf[~zero], sps.binom.pmf(vectors[~zero, 0], 9, weights[0]),
+    # what is left is Binomial(9, w_a / (w_a + w_b)) in the first member a of positive
+    # weight, with b the other, or certain at 9 when a is the only one
+    a = np.flatnonzero(weights)[0]
+    share = weights[a] / weights[weights > 0].sum()
+    np.testing.assert_allclose(pmf[~zero], sps.binom.pmf(vectors[~zero, a], 9, share),
                                rtol=1e-13, atol=0)
+
+
+def test_count_vectors_pmf_at_large_k_is_exact_where_it_does_not_underflow():
+    k, weights = 2000, np.array([0.3, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vectors, pmf = _count_vectors(k, weights)
+        np.random.default_rng(8).multinomial(500, pmf, size=3)
+    # the exact Multinomial(k, weights) pmf, each entry rounded once: with the weights
+    # a / d and b / d, p(x) = C(k, x) a^x b^(k - x) / (a + b)^k, term by term in integers
+    (a, d), (b, e) = (Fraction(w).as_integer_ratio() for w in weights)
+    a, b = a * e, b * d
+    term, total, exact = b**k, (a + b) ** k, []
+    for x in range(k + 1):
+        exact.append(term / total)
+        term = term * (k - x) * a // ((x + 1) * b)
+    exact = np.array(exact)
+    assert np.array_equal(vectors[:, 0], np.arange(k + 1))
+    big = exact > 1e-300
+    np.testing.assert_allclose(pmf[big], exact[big], rtol=1e-13, atol=0)
+    # the upper tail underflows: where the exact entry rounds to 0, so does the pmf's
+    assert np.any(exact == 0) and np.all(pmf[exact == 0] == 0.0)
 
 
 @pytest.mark.parametrize("protocol", ["iid_aug", "repeated_aug"])
